@@ -20,7 +20,7 @@ __all__ = [
     "exp_pole_residue", "exp_pole_residue_I", "verify_appendix",
     "leading_asym_F", "first_correction_F", "leading_asym_ch",
     "sl3_bracket_coefficient", "sl3_bracket_expansion", "full_expansion_sl3",
-    "sl3_bracket_value", "qdim_ratio", "qdim_slope_report",
+    "sl3_bracket_value", "qdim_ratio", "qdim_slope_exact", "qdim_slope_report",
 ]
 
 
@@ -254,14 +254,39 @@ def qdim_ratio(ell: int, s: int, t, prec: int = DEFAULT_PREC):
         return mp.re(num / den)
 
 
+def qdim_slope_exact(ell: int, s: int) -> tuple:
+    """Exact small-t slope of :func:`qdim_ratio`,
+
+        qdim_ratio(ell, s, t) = 1 + slope t + O(t^2),
+        slope = 2 pi (x_{-1}(s) - x_{-1}(0)) / x_{-2},
+
+    since the ratio is X_s(2 pi t) / X_0(2 pi t) for the bracket X of
+    :func:`sl3_bracket_coefficient`, whose x_{-2} = pi^2/4 does not depend
+    on s.  For ell = 3 this is -pi s^2/3.  Returned as a tuple of
+    :class:`GradedCoeff`; only ell = 3 has a bracket expansion here, so other
+    ell raise ValueError.
+    """
+    if ell != 3:
+        raise ValueError("qdim_slope_exact is known for ell == 3 only")
+    (lead,) = sl3_bracket_coefficient(s, -2)
+    parts = {}
+    for sign, level in ((1, s), (-1, 0)):
+        for c in sl3_bracket_coefficient(level, -1):
+            grade = (c.two_pow - lead.two_pow, c.pi_pow - lead.pi_pow + 1)
+            parts[grade] = (parts.get(grade, Fraction(0))
+                            + 2 * sign * c.rat / lead.rat)
+    return tuple(GradedCoeff(r, *grade) for grade, r in parts.items() if r)
+
+
 def qdim_slope_report(ell: int = 3, s: int = 1,
                       t_pair=("0.02", "0.01"),
                       prec: int = DEFAULT_PREC) -> dict:
     """Richardson estimate of the small-t slope of the quantum-dimension
     ratio, compared against the reference value -s^2 (pi^2 - 1)/(3 pi).
 
-    The measured slope is what the code trusts; the comparison outcome is
-    reported, not asserted.
+    For ell = 3 the report also holds ``exact_slope`` from
+    :func:`qdim_slope_exact` (-pi s^2/3).  The comparison with the reference
+    is reported, not asserted.
     """
     with mp.workprec(prec + _GUARD_BITS):
         t1, t2 = (mp.mpf(x) for x in t_pair)
@@ -271,9 +296,13 @@ def qdim_slope_report(ell: int = 3, s: int = 1,
         richardson = (t1 * s2 - t2 * s1) / (t1 - t2)
         reference = -s * s * (mp.pi ** 2 - 1) / (3 * mp.pi)
         rel_dev = abs(richardson - reference) / abs(reference)
-        return {
+        report = {
             "measured_slope": richardson,
             "reference_slope": reference,
             "relative_deviation": rel_dev,
             "within_5_percent": bool(rel_dev <= mp.mpf("0.05")),
         }
+        if ell == 3:
+            report["exact_slope"] = mp.fsum(
+                c.value(prec) for c in qdim_slope_exact(ell, s))
+        return report

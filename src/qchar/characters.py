@@ -12,9 +12,9 @@ the two routes is the primary correctness alarm of the whole package.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import mpmath as mp
@@ -65,20 +65,18 @@ def central_charge(ell: int) -> int:
 # ------------------------------------------------ route 1: extraction
 
 
-_bivar_lock = threading.Lock()
-_bivar_cache: dict[tuple, object] = {}
-
-
-def _bivariate_state(ell: int, s_max: int, trunc: int):
-    key = (ell, s_max, trunc)
-    with _bivar_lock:
-        hit = _bivar_cache.get(key)
-    if hit is not None:
-        return hit
-    state = poch_ratio_bivariate(ell, s_max, trunc)
-    with _bivar_lock:
-        _bivar_cache[key] = state
-    return state
+@lru_cache(maxsize=64)
+def _zeta_coefficient(ell: int, s: int, trunc: int) -> tuple:
+    """Integer coefficients of coeff_{zeta^s} below q^trunc; a bounded cache
+    of O(trunc) immutable tuples."""
+    series = poch_ratio_bivariate(ell, s, trunc).zeta_coefficient(s)
+    out = tuple(series.coeffs.get(n, 0) for n in range(trunc))
+    for n, c in enumerate(out):
+        if type(c) is not int or c < 0:
+            raise AssertionError(
+                f"extraction produced non-integer/negative coefficient at "
+                f"q^{n}")
+    return out
 
 
 def coeff_series_exact(ell: int, s: int, trunc: int) -> ExactQSeries:
@@ -87,13 +85,8 @@ def coeff_series_exact(ell: int, s: int, trunc: int) -> ExactQSeries:
     All coefficients are nonnegative integers (the ratio is a product of
     geometric series with nonnegative coefficients); asserted.
     """
-    series = _bivariate_state(ell, s, trunc).zeta_coefficient(s)
-    for e, c in series.coeffs.items():
-        if c.denominator != 1 or c < 0:
-            raise AssertionError(
-                f"extraction produced non-integer/negative coefficient at "
-                f"q^{e}")
-    return series
+    return ExactQSeries(1, dict(enumerate(_zeta_coefficient(ell, s, trunc))),
+                        trunc)
 
 
 def F_ls_exact(params: CharacterParams) -> ExactQSeries:

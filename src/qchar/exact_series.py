@@ -1,33 +1,52 @@
 """Exact truncated series arithmetic.
 
-Two kinds of objects live here:
-
-* :class:`ExactQSeries` -- truncated Laurent series in ``q^(1/D)`` with exact
-  rational coefficients.  All exponents are stored as integers over a
-  per-series lattice denominator ``D``, so arithmetic never touches floating
-  point.  Truncation orders are tracked through every operation: a series
-  knows exactly up to which exponent its coefficients are guaranteed.
-
-* :class:`ZetaQSeries` -- a bivariate series in an auxiliary variable
-  ``zeta`` and integer powers of ``q``, used to extract Fourier coefficients
-  of infinite Pochhammer products expanded in the region ``|q| < |zeta| < 1``.
+* :class:`ExactQSeries` -- truncated Laurent series in ``q^(1/D)`` with int
+  coefficients (``Fraction`` only where a value is genuinely rational) and
+  integer exponents over a per-series lattice denominator ``D``; truncation
+  orders are tracked through every operation, so a series knows exactly up
+  to which exponent its coefficients are guaranteed.
+* :class:`ZetaQSeries` -- a bivariate series in ``zeta`` and ``q`` held as
+  dense integer rows, used to extract Fourier coefficients of infinite
+  Pochhammer products expanded in the region ``|q| < |zeta| < 1``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb, gcd, factorial
+from itertools import accumulate
+from math import gcd
+from operator import add, mul, sub
+from types import MappingProxyType
 
 
 def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
+def _norm(c):
+    """An exact coefficient as an int when its denominator is 1."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _cleared(coeffs: dict):
+    """``(L, [(e, L c)])`` with ``L`` the lcm of the denominators: all ints."""
+    L = 1
+    for c in coeffs.values():
+        L = _lcm(L, c.denominator)
+    return L, [(e, c.numerator * (L // c.denominator))
+               for e, c in coeffs.items()]
+
+
 class ExactQSeries:
-    """Truncated series ``sum_e c_e q^(e/D)`` with rational ``c_e``.
+    """Truncated series ``sum_e c_e q^(e/D)`` with exact ``c_e``.
 
     Coefficients are valid strictly below ``trunc`` (in units of ``1/D``).
+    Integer coefficients are stored as ``int``, the others as ``Fraction``.
     """
 
     __slots__ = ("D", "coeffs", "trunc")
@@ -37,7 +56,7 @@ class ExactQSeries:
             raise ValueError("lattice denominator must be positive")
         self.D = D
         self.trunc = trunc
-        self.coeffs = {int(e): Fraction(c) for e, c in coeffs.items()
+        self.coeffs = {int(e): _norm(c) for e, c in coeffs.items()
                        if c and e < trunc}
 
     # ---------------------------------------------------------- constructors
@@ -48,21 +67,16 @@ class ExactQSeries:
 
         ``D`` is enlarged as needed so every exponent lands on the lattice.
         """
-        D_all = D
-        items = []
-        for e, c in terms.items():
-            e = Fraction(e)
-            items.append((e, Fraction(c)))
-            D_all = _lcm(D_all, e.denominator)
+        terms = {Fraction(e): c for e, c in terms.items()}
         trunc = Fraction(trunc)
-        D_all = _lcm(D_all, trunc.denominator)
-        return cls(D_all,
-                   {int(e * D_all): c for e, c in items},
-                   int(trunc * D_all))
+        for e in (*terms, trunc):
+            D = _lcm(D, e.denominator)
+        return cls(D, {int(e * D): c for e, c in terms.items()},
+                   int(trunc * D))
 
     @classmethod
     def one(cls, trunc: int, D: int = 1) -> "ExactQSeries":
-        return cls(D, {0: Fraction(1)}, trunc)
+        return cls(D, {0: 1}, trunc)
 
     @classmethod
     def zero(cls, trunc: int, D: int = 1) -> "ExactQSeries":
@@ -70,7 +84,7 @@ class ExactQSeries:
 
     @classmethod
     def monomial(cls, exp, coeff, trunc, D: int = 1) -> "ExactQSeries":
-        return cls.from_terms({Fraction(exp): Fraction(coeff)}, trunc, D)
+        return cls.from_terms({Fraction(exp): coeff}, trunc, D)
 
     # -------------------------------------------------------------- queries
 
@@ -82,16 +96,16 @@ class ExactQSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, exp) -> Fraction:
+    def coefficient(self, exp):
         """Coefficient of ``q^exp`` (``exp`` a Fraction or int)."""
         e = Fraction(exp) * self.D
         if e.denominator != 1:
-            return Fraction(0)
+            return 0
         e = int(e)
         if e >= self.trunc:
             raise ValueError(
                 f"coefficient at q^{exp} is beyond the truncation order")
-        return self.coeffs.get(e, Fraction(0))
+        return self.coeffs.get(e, 0)
 
     def trunc_exponent(self) -> Fraction:
         return Fraction(self.trunc, self.D)
@@ -123,37 +137,44 @@ class ExactQSeries:
 
     def __add__(self, other) -> "ExactQSeries":
         if isinstance(other, (int, Fraction)):
-            other = ExactQSeries(self.D, {0: Fraction(other)}, self.trunc)
+            other = ExactQSeries(self.D, {0: other}, self.trunc)
         a, b = self._common(other)
         trunc = min(a.trunc, b.trunc)
         out = dict(a.coeffs)
         for e, c in b.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return ExactQSeries(a.D, out, trunc)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ExactQSeries":
-        return self + (-other if isinstance(other, ExactQSeries) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "ExactQSeries":
         return (-self) + other
 
     def __mul__(self, other) -> "ExactQSeries":
         if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
-            return ExactQSeries(self.D, {e: c * c0 for e, c in self.coeffs.items()},
+            return ExactQSeries(self.D, {e: c * other
+                                         for e, c in self.coeffs.items()},
                                 self.trunc)
         a, b = self._common(other)
         # standard truncation rule: the unknown tail of one factor meets the
         # lowest exponent of the other
         trunc = min(a.trunc + b.min_exp, b.trunc + a.min_exp)
+        # convolve integers; rational inputs are scaled to integers first
+        La, a_terms = _cleared(a.coeffs)
+        Lb, b_terms = _cleared(b.coeffs)
+        b_terms = sorted(b_terms)
         out: dict = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
+        for e1, c1 in a_terms:
+            for e2, c2 in b_terms:
                 e = e1 + e2
-                if e < trunc:
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
+                if e >= trunc:
+                    break
+                out[e] = out.get(e, 0) + c1 * c2
+        if La * Lb != 1:
+            out = {e: Fraction(c, La * Lb) for e, c in out.items()}
         return ExactQSeries(a.D, out, trunc)
 
     __rmul__ = __mul__
@@ -179,38 +200,27 @@ class ExactQSeries:
         if self.is_zero():
             raise ZeroDivisionError("non-invertible: zero series")
         m = self.min_exp
-        c0 = self.coeffs[m]
         rel = self.trunc - m  # relative order of knowledge
-        # dense coefficients of a / (c0 q^(m/D)), a power series with constant 1
-        a = [Fraction(0)] * rel
-        for e, c in self.coeffs.items():
-            a[e - m] = c / c0
-        b = [Fraction(0)] * rel
-        b[0] = Fraction(1)
+        inv0 = _norm(Fraction(1, self.coeffs[m]))
+        # b = 1/a for a = sum a_k q^k (a_0 != 0): b_n = -inv0 sum a_k b_{n-k}
+        a = sorted((e - m, c) for e, c in self.coeffs.items() if e != m)
+        b = [inv0] + [0] * (rel - 1)
         for n in range(1, rel):
-            s = Fraction(0)
-            for k in range(1, n + 1):
-                if a[k]:
-                    s += a[k] * b[n - k]
-            b[n] = -s
-        return ExactQSeries(self.D, {n - m: c / c0 for n, c in enumerate(b) if c},
+            b[n] = _norm(-inv0 * sum(c * b[n - k] for k, c in a if k <= n))
+        return ExactQSeries(self.D, {n - m: c for n, c in enumerate(b)},
                             rel - m)
 
     def __pow__(self, n: int) -> "ExactQSeries":
         if n < 0:
             return self.invert() ** (-n)
-        base = self
-        result = None
-        while True:
+        # x^0 is an exact 1, but known only as far as this series' window
+        result, base = ExactQSeries.one(self.trunc - self.min_exp, self.D), self
+        while n:
             if n & 1:
-                result = base if result is None else result * base
+                result = result * base
             n >>= 1
-            if not n:
-                break
-            base = base * base
-        if result is None:
-            # x^0: exact 1, but knowledge limited by this series' window
-            return ExactQSeries.one(self.trunc - self.min_exp, self.D)
+            if n:
+                base = base * base
         return result
 
     # ----------------------------------------------------------- comparison
@@ -218,10 +228,7 @@ class ExactQSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactQSeries):
             return NotImplemented
-        a, b = self._common(other)
-        t = min(a.trunc, b.trunc)
-        keys = {e for e in a.coeffs if e < t} | {e for e in b.coeffs if e < t}
-        return all(a.coeffs.get(e, 0) == b.coeffs.get(e, 0) for e in keys)
+        return self.first_difference(other) is None
 
     def __hash__(self):
         return hash((self.D, self.trunc, tuple(sorted(self.coeffs.items()))))
@@ -267,12 +274,8 @@ def exp_series(a: ExactQSeries) -> ExactQSeries:
     """exp of a series with positive valuation."""
     if not a.is_zero() and a.min_exp <= 0:
         raise ValueError("exp requires positive valuation")
-    result = ExactQSeries.one(a.trunc, a.D)
-    term = ExactQSeries.one(a.trunc, a.D)
-    if a.is_zero():
-        return result
-    kmax = a.trunc // a.min_exp + 1
-    for k in range(1, kmax + 1):
+    result = term = ExactQSeries.one(a.trunc, a.D)
+    for k in range(1, a.trunc // max(a.min_exp, 1) + 2):
         term = term * a * Fraction(1, k)
         if term.is_zero():
             break
@@ -284,11 +287,8 @@ def log1p_series(a: ExactQSeries) -> ExactQSeries:
     if not a.is_zero() and a.min_exp <= 0:
         raise ValueError("log1p requires positive valuation")
     result = ExactQSeries.zero(a.trunc, a.D)
-    if a.is_zero():
-        return result
     term = ExactQSeries.one(a.trunc, a.D)
-    kmax = a.trunc // a.min_exp + 1
-    for k in range(1, kmax + 1):
+    for k in range(1, a.trunc // max(a.min_exp, 1) + 2):
         term = term * a
         if term.is_zero():
             break
@@ -298,7 +298,7 @@ def log1p_series(a: ExactQSeries) -> ExactQSeries:
 
 def euler_product(trunc: int) -> ExactQSeries:
     """(q; q)_infinity to the stated order, via the pentagonal number series."""
-    coeffs = {0: Fraction(1)}
+    coeffs = {0: 1}
     k = 1
     while True:
         e1 = k * (3 * k - 1) // 2
@@ -306,110 +306,109 @@ def euler_product(trunc: int) -> ExactQSeries:
         if e1 >= trunc and e2 >= trunc:
             break
         if e1 < trunc:
-            coeffs[e1] = Fraction((-1) ** k)
+            coeffs[e1] = (-1) ** k
         if e2 < trunc:
-            coeffs[e2] = Fraction((-1) ** k)
+            coeffs[e2] = (-1) ** k
         k += 1
     return ExactQSeries(1, coeffs, trunc)
 
 
 def euler_product_pow(power: int, trunc: int) -> ExactQSeries:
-    """(q; q)_infinity^power (any integer power) to the stated order."""
-    e = euler_product(trunc)
-    if power >= 0:
-        return e ** power if power else ExactQSeries.one(trunc)
-    return e.invert() ** (-power)
+    """(q; q)_infinity^power (any integer power) to the stated order, by
+    the recurrence n P_n = -power sum_{k=1}^{n} sigma(k) P_{n-k} that follows
+    from q d/dq log (q; q)_inf = -sum_k sigma(k) q^k (J.C.P. Miller; Knuth,
+    TAOCP Vol. 2, 4.7).  Every division is exact."""
+    sigma = [0] * trunc
+    for d in range(1, trunc):
+        for k in range(d, trunc, d):
+            sigma[k] += d
+    P = [1] + [0] * (trunc - 1)
+    for n in range(1, trunc):
+        quo, rem = divmod(-power * sum(map(mul, sigma[1:n + 1],
+                                           reversed(P[:n]))), n)
+        if rem:
+            raise AssertionError(f"inexact Euler power recurrence at q^{n}")
+        P[n] = quo
+    return ExactQSeries(1, dict(enumerate(P)), trunc)
 
 
 # ----------------------------------------------------------- bivariate part
 
 
 class ZetaQSeries:
-    """Bivariate series ``sum c_{m,n} zeta^m q^n`` with a diagonal window.
+    """Bivariate series ``sum c_{m,n} zeta^m q^n`` on a diagonal window.
 
-    Entries are kept only when ``0 <= n < q_trunc`` and
-    ``zeta_lo_base - n <= m <= zeta_hi_base - n``.  The window is sound for
-    products of Pochhammer factors in which every factor either raises the
-    zeta-power at a nonnegative q-cost or lowers it at a q-cost of at least
-    one: an entry outside the band can then never contribute to a kept
-    coefficient, regardless of the order in which factors are multiplied.
+    ``rows[n][d - zeta_lo_base]`` is the int coefficient at ``q^n`` on the
+    diagonal ``d = m + n``, kept for ``0 <= n < q_trunc`` and
+    ``zeta_lo_base <= d <= zeta_hi_base``.  A factor ``(1 - zeta^a q^j)`` moves
+    ``(d, n)`` by multiples of ``(a + j, j)``; with ``a + j >= 0`` and
+    ``j >= 0`` an entry that leaves the window never returns, whatever the
+    order of the factors.  Treat instances as immutable.
     """
 
-    __slots__ = ("data", "q_trunc", "zeta_lo_base", "zeta_hi_base")
+    __slots__ = ("rows", "q_trunc", "zeta_lo_base", "zeta_hi_base", "_data")
 
-    def __init__(self, data: dict, q_trunc: int, zeta_lo_base: int,
+    def __init__(self, rows: list, q_trunc: int, zeta_lo_base: int,
                  zeta_hi_base: int):
-        self.q_trunc = q_trunc
-        self.zeta_lo_base = zeta_lo_base
-        self.zeta_hi_base = zeta_hi_base
-        self.data = {
-            (m, n): c for (m, n), c in data.items()
-            if c and 0 <= n < q_trunc
-            and zeta_lo_base - n <= m <= zeta_hi_base - n
-        }
+        self.rows, self.q_trunc = rows, q_trunc
+        self.zeta_lo_base, self.zeta_hi_base = zeta_lo_base, zeta_hi_base
+        self._data = None
 
     @classmethod
     def unit(cls, q_trunc: int, zeta_lo_base: int, zeta_hi_base: int):
-        return cls({(0, 0): 1}, q_trunc, zeta_lo_base, zeta_hi_base)
+        rows = [[0] * (zeta_hi_base - zeta_lo_base + 1)
+                for _ in range(q_trunc)]
+        if rows and zeta_lo_base <= 0 <= zeta_hi_base:
+            rows[0][-zeta_lo_base] = 1
+        return cls(rows, q_trunc, zeta_lo_base, zeta_hi_base)
 
-    def zeta_powers(self):
-        return sorted({m for m, _ in self.data})
+    @property
+    def data(self):
+        """Read-only map ``{(m, n): c}`` of the nonzero entries."""
+        if self._data is None:
+            lo = self.zeta_lo_base
+            self._data = MappingProxyType({
+                (lo + i - n, n): c for n, row in enumerate(self.rows)
+                for i, c in enumerate(row) if c})
+        return self._data
 
     def mul_factor(self, zeta_pow: int, q_pow: int, power: int) -> "ZetaQSeries":
-        """Multiply by ``(1 - zeta^zeta_pow q^q_pow)^power``."""
-        if zeta_pow == 0 and q_pow == 0:
-            if power >= 0:
-                return ZetaQSeries({}, self.q_trunc, self.zeta_lo_base,
-                                   self.zeta_hi_base) if power else self
+        """Multiply by ``(1 - zeta^zeta_pow q^q_pow)^power``.
+
+        Power ``-P`` is ``P`` geometric passes ``row[n][d] += row[n-j][d-a-j]``
+        and power ``P >= 0`` is ``P`` difference passes; the factor must not
+        lower the diagonal (``zeta_pow + q_pow >= 0``).
+        """
+        step, T = zeta_pow + q_pow, self.q_trunc
+        if step < 0:
+            raise ValueError("factor lowers the diagonal m + n")
+        if (zeta_pow, q_pow) == (0, 0) and power < 0:
             raise ValueError("divergent factor: (1 - 1) to a negative power")
-        T = self.q_trunc
-        lo, hi = self.zeta_lo_base, self.zeta_hi_base
-        # expansion coefficients of (1 - x)^power in x
-        if power < 0:
-            P = -power
-            def coef(k):
-                return comb(k + P - 1, P - 1)
-        else:
-            def coef(k):
-                return comb(power, k) * (-1) ** k if k <= power else 0
-
-        def kmax_for(m, n):
-            # each step adds zeta_pow to m and q_pow to n; solve for the last
-            # k that can still land inside the window
-            ks = []
-            if q_pow > 0:
-                ks.append((T - 1 - n) // q_pow)
-            drift = zeta_pow + q_pow
-            if drift > 0:
-                ks.append((hi - n - m) // drift)
-            elif drift < 0:
-                ks.append((m + n - lo) // (-drift))
-            if power >= 0:
-                ks.append(power)
-            if not ks:
-                raise ValueError("unbounded factor expansion")
-            return max(min(ks), -1)
-
-        out: dict = {}
-        for (m, n), c in self.data.items():
-            K = kmax_for(m, n)
-            for k in range(0, K + 1):
-                cf = coef(k)
-                if not cf:
-                    continue
-                mm = m + zeta_pow * k
-                nn = n + q_pow * k
-                if nn >= T or not (lo - nn <= mm <= hi - nn):
-                    continue
-                key = (mm, nn)
-                out[key] = out.get(key, 0) + c * cf
-        return ZetaQSeries(out, T, lo, hi)
+        rows = [row[:] for row in self.rows]
+        geometric = power < 0
+        op = add if geometric else sub
+        # a geometric pass reads source rows already updated, a difference
+        # pass reads them before they are updated
+        order = [n for n in range(T) if 0 <= n - q_pow < T]
+        if (q_pow > 0) != geometric:
+            order.reverse()
+        for _ in range(abs(power)):
+            if q_pow == 0 and geometric:
+                for row in rows:
+                    for r in range(step):
+                        row[r::step] = accumulate(row[r::step])
+                continue
+            for n in order:
+                dst = rows[n]
+                dst[step:] = map(op, dst[step:], rows[n - q_pow])
+        return ZetaQSeries(rows, T, self.zeta_lo_base, self.zeta_hi_base)
 
     def zeta_coefficient(self, m: int) -> ExactQSeries:
         """Extract the coefficient of ``zeta^m`` as an exact q-series."""
         trunc = min(self.q_trunc, self.zeta_hi_base - m + 1)
-        return ExactQSeries(1, {n: Fraction(c) for (mm, n), c in self.data.items()
-                                if mm == m and n < trunc}, trunc)
+        lo = self.zeta_lo_base
+        return ExactQSeries(1, {n: self.rows[n][m + n - lo]
+                                for n in range(max(0, lo - m), trunc)}, trunc)
 
 
 def pochhammer_inf(zeta_pow: int, q_pow: int, power: int, trunc: int,

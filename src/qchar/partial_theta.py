@@ -326,3 +326,29 @@ def script_G_expansion(j: int, r, N: int) -> AsympExpansion:
         c = -Fraction((-1) ** m, k * factorial(m)) * bernoulli_poly(k, r)
         terms[Fraction(2 * (j + m) - 1, 2)] = GradedCoeff(c)
     return AsympExpansion(terms=terms, order=Fraction(2 * (j + N) + 1, 2))
+
+
+def script_FG_halving_orders(prec: int = DEFAULT_PREC) -> list[dict]:
+    """Measured orders of the truncated script-F/G expansions.
+
+    For j in (1, 2) and N in (0, 1, 2) at r = 1/3, the order is
+    log2(d(0.1)/d(0.05)) with d the error of the expansion at t; each row
+    also holds the order the expansion claims: N + j + 1 for F and
+    N + j + 1/2 for G.
+    """
+    rows = []
+    r = Fraction(1, 3)
+    with mp.workprec(prec + 16):
+        t1, t2 = mp.mpf("0.1"), mp.mpf("0.05")
+        for family, direct, expand in (("F", script_F, script_F_expansion),
+                                       ("G", script_G, script_G_expansion)):
+            for j in (1, 2):
+                for N in (0, 1, 2):
+                    e = expand(j, r, N)
+                    d1 = abs(direct(j, r, t1, prec) - e.evaluate(t1, prec))
+                    d2 = abs(direct(j, r, t2, prec) - e.evaluate(t2, prec))
+                    rows.append({"family": family, "j": j, "N": N,
+                                 "order": mp.log(d1 / d2) / mp.log(2),
+                                 "expected": mp.mpf(e.order.numerator)
+                                 / e.order.denominator})
+    return rows

@@ -7,8 +7,8 @@ from qchar.asymptotics import (C_ell, C_ell_star,
                                binomial_reciprocal_identity, exp_pole_residue,
                                exp_pole_residue_I, first_correction_F,
                                full_expansion_sl3, leading_asym_F,
-                               leading_asym_ch, qdim_ratio,
-                               sl3_bracket_expansion, sl3_bracket_value,
+                               leading_asym_ch, qdim_ratio, qdim_slope_exact,
+                               qdim_slope_report, sl3_bracket_expansion, sl3_bracket_value,
                                verify_appendix)
 from qchar.characters import F_ls_numeric
 from qchar.partial_theta import GradedCoeff, PiGradedRational
@@ -75,6 +75,20 @@ def test_first_correction_closed_form():
     for ell in (2, 4, 5):
         with pytest.raises(ValueError):
             first_correction_F(ell, 0)
+
+
+def test_qdim_slope_exact_closed_form():
+    # built from the bracket coefficients; must equal -pi s^2/3
+    assert qdim_slope_exact(3, 0) == ()
+    for s in (1, 2, 3):
+        assert qdim_slope_exact(3, s) == (
+            GradedCoeff(Fraction(-s * s, 3), Fraction(0), Fraction(1)),)
+    with mp.workprec(PREC):
+        report = qdim_slope_report(3, 1, prec=PREC)
+        assert abs(report["exact_slope"] + mp.pi / 3) < mp.mpf(10) ** -30
+    for ell in (2, 4, 5):
+        with pytest.raises(ValueError):
+            qdim_slope_exact(ell, 1)
 
 
 def test_sl3_bracket_expansion_orders():

@@ -1,5 +1,6 @@
 import json
 
+import mpmath as mp
 import pytest
 
 from qchar.cli import main
@@ -63,6 +64,18 @@ def test_asym_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert float(doc["rows"][0]["abs_err"]) < 1e-3
+
+
+def test_asym_abs_err_at_working_precision(capsys):
+    # abs_err is printed with 36 digits at --prec 128, so it must be the
+    # difference of the printed values to that accuracy, not to 53 bits
+    code, out = run(capsys, "--prec", "128", "asym", "--t", "0.5", "--N", "0",
+                    "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    with mp.workprec(256):
+        want = abs(mp.mpf(row["exact"]) - mp.mpf(row["expansion"]))
+        assert abs(mp.mpf(row["abs_err"]) - want) <= mp.mpf("1e-30") * want
 
 
 def test_usage_error_exit_two():

@@ -1,8 +1,13 @@
+import hashlib
+import json
+import os
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar.characters import CharacterParams, F_ls_exact, character_ch
 from qchar.exact_series import (ExactQSeries, euler_product,
                                 euler_product_pow, exp_series, log1p_series,
                                 poch_ratio_bivariate, pochhammer_inf)
@@ -122,3 +127,100 @@ def test_pochhammer_inf_single_series():
     # zeta^2: number of ways n = a + b with 1 <= a <= b
     for n in range(2, int(c2.trunc_exponent())):
         assert c2.coefficient(n) == n // 2
+
+
+# ------------------------------------------------- integer kernel properties
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=-40, max_value=40),
+       st.integers(min_value=1, max_value=60))
+def test_euler_power_recurrence_matches_repeated_products(p, T):
+    # euler_product ** p goes through invert() for p < 0
+    assert euler_product_pow(p, T) == euler_product(T) ** p
+    assert euler_product_pow(p, T).trunc == T
+
+
+def _bivariate_oracle(ell, s, T):
+    """coeff_{zeta^s} of 1/((zeta)_inf^ell (zeta^{-1} q)_inf^ell) below q^T by
+    dict convolution: the q-costing factors first, 1/(1-zeta)^ell last as a
+    binomial sum (after the others, zeta powers lie in [-n, n])."""
+    grid = {(0, 0): 1}
+    for j in range(1, T):
+        for zeta_pow in (1, -1):
+            for _ in range(ell):
+                new = {}
+                for (m, n), c in grid.items():
+                    k = 0
+                    while n + j * k < T:
+                        key = (m + zeta_pow * k, n + j * k)
+                        new[key] = new.get(key, 0) + c
+                        k += 1
+                grid = new
+    return [sum(comb(k + ell - 1, ell - 1) * grid.get((s - k, n), 0)
+                for k in range(s + n + 1)) for n in range(T)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=14),
+       st.integers(min_value=0, max_value=4), st.data())
+def test_bivariate_extraction_matches_dict_oracle(ell, T, s_max, data):
+    s = data.draw(st.integers(min_value=0, max_value=s_max))
+    got = poch_ratio_bivariate(ell, s_max, T).zeta_coefficient(s)
+    assert got.trunc == T
+    assert [got.coefficient(n) for n in range(T)] == \
+        _bivariate_oracle(ell, s, T)
+
+
+def test_mul_factor_rejects_diagonal_lowering_factor():
+    state = poch_ratio_bivariate(2, 1, 6)
+    with pytest.raises(ValueError):
+        state.mul_factor(-3, 2, -1)
+
+
+int_coeffs = st.dictionaries(st.integers(min_value=1, max_value=7),
+                             st.integers(min_value=-30, max_value=30),
+                             max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-5, max_value=5).filter(bool), int_coeffs,
+       small_series())
+def test_int_and_fraction_inputs_agree(c0, rest, other):
+    ints = ExactQSeries(1, {0: c0, **rest}, 8)
+    fracs = ExactQSeries(1, {e: Fraction(c) for e, c in ints.coeffs.items()},
+                         8)
+    for a, b in ((ints + other, fracs + other), (ints * other, fracs * other),
+                 (ints.invert(), fracs.invert()), (ints * 3, fracs * 3),
+                 (ints + Fraction(1, 2), fracs + Fraction(1, 2))):
+        assert a == b
+        for c in list(a.coeffs.values()) + list(b.coeffs.values()):
+            assert type(c) is int or (type(c) is Fraction
+                                      and c.denominator != 1)
+    inv = ints.invert()
+    assert (ints * inv).truncate(inv.trunc_exponent()) == \
+        ExactQSeries.one(inv.trunc)
+
+
+PINNED = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                      "pinned_digests.json")
+
+
+def _digest(series):
+    text = ";".join(f"{e}:{c}" for e, c in series.terms())
+    text += f"|O({series.trunc_exponent()})"
+    return hashlib.sha256(text.encode()).hexdigest()[:24]
+
+
+with open(PINNED) as fh:
+    PINNED_DIGESTS = json.load(fh)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PINNED_DIGESTS)))
+def test_exact_series_match_pinned_digests(key):
+    ell, s, T = (int(x) for x in key.split(","))
+    params = CharacterParams(ell, s, T)
+    assert {"F": _digest(F_ls_exact(params)),
+            "ch": _digest(character_ch(params))} == PINNED_DIGESTS[key]
