@@ -23,7 +23,8 @@ from .exact_series import (ExactQSeries, euler_product, euler_product_pow,
                            poch_ratio_bivariate)
 from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, _require_upper_half,
                               NearPoleError, cexp, euler_phi_numeric, g_ell,
-                              laurent_coefficients_D, qpoch_inf, _tol)
+                              laurent_coefficients_D, periodic_trapezoid,
+                              qpoch_inf, _tol)
 
 
 class RouteMismatchError(ValueError):
@@ -231,20 +232,7 @@ def fourier_coeff_by_quadrature(ell: int, s: int, tau, z0_imag=None,
             z = x + 1j * y0
             return g_ell(z, tau, ell, prec) * mp.exp(-2j * mp.pi * r * z)
 
-        N = 32
-        vals = [f(mp.mpf(k) / N) for k in range(N)]
-        est = mp.fsum(vals) / N
-        for _ in range(max_doublings):
-            new = [f(mp.mpf(2 * k + 1) / (2 * N)) for k in range(N)]
-            est2 = (mp.fsum(vals) + mp.fsum(new)) / (2 * N)
-            vals = vals + new
-            N *= 2
-            if abs(est2 - est) < tol * max(1, abs(est2)):
-                est = est2
-                break
-            est = est2
-        else:
-            raise RuntimeError("quadrature did not stabilize")
+        est = periodic_trapezoid(f, 32, tol, max_doublings)
         return mp.exp(2j * mp.pi * tau * r * r / (2 * ell)) * est
 
 

@@ -197,7 +197,9 @@ def cmd_verify_modular(args) -> int:
     ok = report["abs_err"] <= tol
     _emit({"schema": 1, "command": "verify-modular", "ok": bool(ok),
            "matrix": [a, b, c, d], "r": args.r, "eps": args.eps, "M": args.M,
-           "abs_err": _numstr(report["abs_err"], prec)})
+           "abs_err": _numstr(report["abs_err"], prec),
+           "diagnostics": {"nodes": report["nodes"],
+                           "bound": _numstr(report["bound"], prec)}})
     return 0 if ok else 1
 
 

@@ -22,7 +22,7 @@ import mpmath as mp
 from .characters import central_charge, h_s
 from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, NearPoleError,
                               _require_upper_half, _tol, cexp, eta,
-                              euler_phi_numeric, theta)
+                              euler_phi_numeric, periodic_trapezoid, theta)
 from .partial_theta import PartialThetaParams, partial_theta
 
 
@@ -79,35 +79,55 @@ class MultivarPoint:
         return mp.mpf(0), c_max
 
 
+def _unit_modulus_range(log_f0, log_q, slack):
+    """A range holding every k with |log_f0 + k log_q| < slack (log_q < 0):
+    the factors f_k = f_0 q^k whose modulus may lie near 1."""
+    lo = int(mp.floor((log_f0 - slack) / -log_q))
+    hi = int(mp.ceil((log_f0 + slack) / -log_q))
+    return range(lo, hi + 1)
+
+
 def F_ell_product(zs_full, tau, prec: int = DEFAULT_PREC):
     """(q)_inf prod_{j=1}^{ell} prod_{k>=1}
     1/((1 - Z_j^{-1} q^k)(1 - Z_j q^{k-1})) with Z_j = e^{2 pi i
-    (z_j + ... + z_ell)}; certified tails, pole-proximity guarded."""
+    (z_j + ... + z_ell)}; certified tails, pole-proximity guarded.
+
+    Each j keeps the first m factor pairs, m the least with
+    (|q|^{m+1}/|Z_j| + |Z_j| |q|^m)/(1 - |q|) < 2^-prec, read off from
+    log|q| and log|Z_j|.  The guard |1 - f| >= 2^-(prec//4) holds wherever
+    ||f| - 1| >= 2^-(prec//4), since |1 - f| >= |1 - |f||; only factors with
+    log|f| near 0 are checked one by one.
+    """
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
         tol = _tol(prec)
         q = cexp(tau)
-        absq = abs(q)
+        log_q = -2 * mp.pi * mp.im(tau)
+        absq = mp.exp(log_q)
         thresh = mp.mpf(2) ** (-prec // 4)
-        val = euler_phi_numeric(q, tol)
-        ell = len(zs_full)
-        for j in range(ell):
-            Z = cexp(sum(zs_full[j:], mp.mpc(0)))
-            f1 = q / Z
-            f2 = Z
-            while True:
+        # ||f| - 1| < thresh <= 1/2 implies |log|f|| < 2 thresh
+        slack = 4 * thresh
+        den = mp.mpc(1)
+        for j in range(len(zs_full)):
+            w = sum(zs_full[j:], mp.mpc(0))
+            Z = cexp(w)
+            log_Z = -2 * mp.pi * mp.im(w)
+            absZ = mp.exp(log_Z)
+            m = max(1, int(mp.floor(
+                mp.log(tol * (1 - absq) / (absq / absZ + absZ)) / log_q)) + 1)
+            near = set(_unit_modulus_range(log_q - log_Z, log_q, slack))
+            near.update(_unit_modulus_range(log_Z, log_q, slack))
+            f1, f2 = q / Z, Z
+            for k in range(m):
                 d1, d2 = 1 - f1, 1 - f2
-                if abs(d1) < thresh or abs(d2) < thresh:
+                if k in near and (abs(d1) < thresh or abs(d2) < thresh):
                     raise NearPoleError(
                         f"Pochhammer factor for j={j+1} vanishes to working "
                         "precision")
-                val /= d1 * d2
+                den *= d1 * d2
                 f1 *= q
                 f2 *= q
-                if abs(f1) < tol and abs(f2) < tol and \
-                        (abs(f1) + abs(f2)) / (1 - absq) < tol:
-                    break
-        return val
+        return euler_phi_numeric(q, tol) / den
 
 
 def F_ls_multivar_quadrature(ell: int, s, point: MultivarPoint,
@@ -136,18 +156,7 @@ def F_ls_multivar_quadrature(ell: int, s, point: MultivarPoint,
             return F_ell_product(list(point.zs) + [z], point.tau, prec) \
                 * mp.exp(-2j * mp.pi * sf * z)
 
-        N = 16
-        vals = [f(mp.mpf(k) / N) for k in range(N)]
-        est = mp.fsum(vals) / N
-        for _ in range(max_doublings):
-            new = [f(mp.mpf(2 * k + 1) / (2 * N)) for k in range(N)]
-            est2 = (mp.fsum(vals) + mp.fsum(new)) / (2 * N)
-            vals = vals + new
-            N *= 2
-            if abs(est2 - est) < rel_tol * max(1, abs(est2)):
-                return est2
-            est = est2
-        raise RuntimeError("quadrature did not stabilize")
+        return periodic_trapezoid(f, 16, rel_tol, max_doublings)
 
 
 def script_F_value(w, point: MultivarPoint, prec: int = DEFAULT_PREC):

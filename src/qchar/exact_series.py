@@ -82,10 +82,6 @@ class ExactQSeries:
     def zero(cls, trunc: int, D: int = 1) -> "ExactQSeries":
         return cls(D, {}, trunc)
 
-    @classmethod
-    def monomial(cls, exp, coeff, trunc, D: int = 1) -> "ExactQSeries":
-        return cls.from_terms({Fraction(exp): coeff}, trunc, D)
-
     # -------------------------------------------------------------- queries
 
     @property

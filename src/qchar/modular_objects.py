@@ -10,8 +10,8 @@ from a complex q; exponentials are always assembled as e^{2*pi*i*tau*x}.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
@@ -39,6 +39,24 @@ def _require_upper_half(tau):
 
 def _tol(prec: int):
     return mp.mpf(2) ** (-prec)
+
+
+def periodic_trapezoid(f, n0: int, tol, max_doublings: int):
+    """Mean of the 1-periodic f over [0, 1) by the trapezoid rule on n0
+    nodes k/n0, doubling the nodes (adding the odd ones, each sum by fsum)
+    until two estimates differ by less than tol * max(1, |estimate|)."""
+    N = n0
+    vals = [f(mp.mpf(k) / N) for k in range(N)]
+    est = mp.fsum(vals) / N
+    for _ in range(max_doublings):
+        new = [f(mp.mpf(2 * k + 1) / (2 * N)) for k in range(N)]
+        est2 = (mp.fsum(vals) + mp.fsum(new)) / (2 * N)
+        vals = vals + new
+        N *= 2
+        if abs(est2 - est) < tol * max(1, abs(est2)):
+            return est2
+        est = est2
+    raise RuntimeError("quadrature did not stabilize")
 
 
 def divisor_sigma_list(power: int, n_max: int) -> list[int]:
@@ -308,12 +326,9 @@ class QuasimodularPoly:
         return cls(obj["weight"], obj["i_power"], monos)
 
 
-_D_cache_lock = threading.Lock()
-_D_cache: dict[int, list[QuasimodularPoly]] = {}
-
-
-def laurent_coefficients_D(ell: int) -> list[QuasimodularPoly]:
-    """[D_{-1}, ..., D_{-ell}] for g_ell(z) = sum_j D_{-j}/(2 pi i z)^j + O(1).
+@lru_cache(maxsize=32)
+def laurent_coefficients_D(ell: int) -> tuple[QuasimodularPoly, ...]:
+    """(D_{-1}, ..., D_{-ell}) for g_ell(z) = sum_j D_{-j}/(2 pi i z)^j + O(1).
 
     Derived from theta(z) = -2 pi z eta^3 exp(-sum G_{2k}/(2k) z^{2k}):
     D_{-j} = (-i)^ell * [u^{ell-j}] exp(ell * sum_k Ghat_{2k} u^{2k}/(2k)),
@@ -322,9 +337,6 @@ def laurent_coefficients_D(ell: int) -> list[QuasimodularPoly]:
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    with _D_cache_lock:
-        if ell in _D_cache:
-            return _D_cache[ell]
     L = ell  # track u-powers 0..ell-1
     # A(u) = ell * sum Ghat_{2k} u^{2k}/(2k)
     A: list[dict] = [dict() for _ in range(L)]
@@ -355,9 +367,7 @@ def laurent_coefficients_D(ell: int) -> list[QuasimodularPoly]:
             out.append(QuasimodularPoly(ell - j, i_power, {}))
         else:
             out.append(QuasimodularPoly(ell - j, i_power, E[ell - j]))
-    with _D_cache_lock:
-        _D_cache[ell] = out
-    return out
+    return tuple(out)
 
 
 def g_ell(z, tau, ell: int, prec: int = DEFAULT_PREC):

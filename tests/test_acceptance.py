@@ -227,6 +227,7 @@ def test_criterion_09_transforms(capsys):
     worst_s = mp.mpf(0)
     worst_h = mp.mpf(0)
     worst_g = mp.mpf(0)
+    nodes = 0
     rng = random.Random(SEED)
     with mp.workprec(prec + 16):
         tau = mp.mpc(0, 1)
@@ -236,6 +237,7 @@ def test_criterion_09_transforms(capsys):
                 y = rng.uniform(0.05, 0.3) * rng.choice((1, -1))
                 s = rng.randrange(0, 2)
                 rep = verify_S_transform(ell, s, mp.mpc(x, y), tau, prec)
+                nodes += rep["nodes"]
                 worst_s = max(worst_s, rep["abs_err"])
                 if rep["abs_err"] > mp.mpf("1e-15"):
                     ok = False
@@ -251,13 +253,14 @@ def test_criterion_09_transforms(capsys):
                 z = mp.mpc(rng.uniform(-0.3, 0.3),
                            rng.uniform(0.06, 0.25) * rng.choice((1, -1)))
                 rep = verify_general_transform(params, z, tau, gamma, prec)
+                nodes += rep["nodes"]
                 worst_g = max(worst_g, rep["abs_err"])
                 if rep["abs_err"] > mp.mpf("1e-12"):
                     ok = False
     report(capsys, 9, ok,
            f"S-transform worst {mp.nstr(worst_s, 3)} (1e-15); half-index "
            f"worst {mp.nstr(worst_h, 3)} (1e-25); general worst "
-           f"{mp.nstr(worst_g, 3)} (1e-12)")
+           f"{mp.nstr(worst_g, 3)} (1e-12); {nodes} trapezoid nodes")
 
 
 def test_criterion_10_bernoulli_euler_machinery(capsys):

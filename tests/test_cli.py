@@ -93,3 +93,15 @@ def test_runtime_error_exit_one(capsys):
                     "--tau=-1j")
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_verify_modular_diagnostics(capsys):
+    code, out = run(capsys, "--prec", "96", "verify-modular", "--matrix",
+                    "1,0,1,1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == 1 and doc["ok"] is True
+    assert float(doc["abs_err"]) < 1e-12
+    diag = doc["diagnostics"]
+    assert diag["nodes"] > 0
+    assert 0 < float(diag["bound"]) < 2.0 ** -96

@@ -7,9 +7,37 @@ from qchar.decomposition import (DegenerateWVectorError, F_ell_product,
                                  F_ls_decomposed, F_ls_multivar_quadrature,
                                  MultivarPoint, random_admissible_point,
                                  script_F_value)
-from qchar.modular_objects import eta, theta
+from qchar.modular_objects import (_GUARD_BITS, NearPoleError, _tol, cexp,
+                                   eta, euler_phi_numeric, theta)
 
 PREC = 128
+
+
+def F_ell_product_per_factor(zs_full, tau, prec):
+    """The product factor by factor: one guarded division per factor and
+    the tail test on moduli at each step; the oracle for F_ell_product."""
+    with mp.workprec(prec + _GUARD_BITS):
+        tol = _tol(prec)
+        q = cexp(tau)
+        absq = abs(q)
+        thresh = mp.mpf(2) ** (-prec // 4)
+        val = euler_phi_numeric(q, tol)
+        ell = len(zs_full)
+        for j in range(ell):
+            Z = cexp(sum(zs_full[j:], mp.mpc(0)))
+            f1 = q / Z
+            f2 = Z
+            while True:
+                d1, d2 = 1 - f1, 1 - f2
+                if abs(d1) < thresh or abs(d2) < thresh:
+                    raise NearPoleError("factor vanishes")
+                val /= d1 * d2
+                f1 *= q
+                f2 *= q
+                if abs(f1) < tol and abs(f2) < tol and \
+                        (abs(f1) + abs(f2)) / (1 - absq) < tol:
+                    break
+        return val
 
 
 def fixture_point(ell=3, tau=None, prec=PREC):
@@ -55,6 +83,40 @@ def test_product_is_one_periodic_in_last_variable():
         a = F_ell_product(list(pt.zs) + [z], pt.tau, PREC)
         b = F_ell_product(list(pt.zs) + [z + 1], pt.tau, PREC)
         assert abs(a - b) <= mp.mpf("1e-30") * abs(a)
+
+
+def test_product_matches_per_factor_oracle():
+    prec = 256
+    rng = random.Random(8)
+    with mp.workprec(prec + 16):
+        for ell in (2, 3, 4):
+            for tau in (mp.mpc(0, 1), mp.mpc("0.3", "0.7")):
+                pt = random_admissible_point(ell, tau, rng, prec)
+                lo, hi = pt.contour_height_range()
+                for k in range(4):
+                    z = mp.mpc(rng.uniform(0, 1), rng.uniform(0.05, 0.95)
+                               * float(hi))
+                    zs = list(pt.zs) + [z]
+                    want = F_ell_product_per_factor(zs, tau, prec)
+                    got = F_ell_product(zs, tau, prec)
+                    assert abs(got - want) <= mp.mpf("1e-70") * abs(want)
+
+
+def test_product_raises_at_a_pole():
+    # Z_2 = e^{2 pi i z_2}: z_2 = 0 zeroes (1 - Z_2), z_2 = 2 tau zeroes
+    # (1 - Z_2^{-1} q^2) and z_2 = -2 tau zeroes (1 - Z_2 q^2); z_1 + z_2
+    # does the same through Z_1
+    tau = mp.mpc("0.1", "1")
+    with mp.workprec(PREC + 16):
+        z1 = mp.mpc("0.2", "0.1")
+        for zs in ([z1, mp.mpc(0)], [z1, 2 * tau], [z1, -2 * tau],
+                   [-z1 + tau, z1]):
+            with pytest.raises(NearPoleError):
+                F_ell_product(zs, tau, PREC)
+        # a factor within 2^-(PREC/4) of zero whose f is not exactly 1
+        eps = mp.mpf(2) ** (-PREC // 4 - 4)
+        with pytest.raises(NearPoleError):
+            F_ell_product([z1, mp.mpc(0, eps)], tau, PREC)
 
 
 def test_quadrature_contour_independence():

@@ -2,15 +2,72 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qchar.modular_objects import _GUARD_BITS
 from qchar.modular_transform import (PoleNearContourError, S_MATRIX,
-                                     SL2Matrix, half_index_identity_check,
+                                     SL2Matrix, _gauss_cutoff,
+                                     _line_trapezoid,
+                                     half_index_identity_check,
                                      mordell_integral,
                                      verify_S_transform,
                                      verify_general_transform)
 from qchar.partial_theta import PartialThetaParams
 
 PREC = 128
+
+
+def quad_oracle(A, B, zeta, kappa, prec):
+    """mp.quad over five tanh-sinh panels, the route the trapezoid replaced."""
+    with mp.workprec(prec + _GUARD_BITS):
+        X = _gauss_cutoff(-mp.re(A), prec)
+        return mp.quad(lambda x: mp.exp(A * x * x + B * x)
+                       / (1 - zeta * mp.exp(1j * kappa * x)),
+                       [-X, -X / 3, 0, X / 3, X])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.floats(1.5, 4), st.floats(-1, 1), st.floats(-1, 1),
+       st.floats(-6, 6), st.floats(4, 12), st.floats(0.15, 0.8),
+       st.sampled_from((1, -1)), st.floats(0, 6.25))
+def test_line_trapezoid_against_higher_precision_and_quad(
+        a_re, a_im, b_re, b_im, kappa, dist, side, phase):
+    # poles on Im x = side * dist: above and below the real line
+    with mp.workprec(400):
+        A, B = mp.mpc(-a_re, a_im), mp.mpc(b_re, b_im)
+        kappa = mp.mpf(kappa)
+        zeta = mp.expj(phase) * mp.exp(side * kappa * dist)
+        lo, lo_cert = _line_trapezoid(A, B, zeta, kappa, 160)
+        hi, hi_cert = _line_trapezoid(A, B, zeta, kappa, 320)
+        err = abs(lo - hi)
+        assert err <= lo_cert.bound + hi_cert.bound
+        assert lo_cert.bound < mp.mpf(2) ** -(160 + _GUARD_BITS)
+        assert lo_cert.nodes == 2 * int(lo_cert.X / lo_cert.h) + 1
+        if dist >= 0.3:
+            assert abs(lo - quad_oracle(A, B, zeta, kappa, 160)) \
+                <= mp.mpf("1e-30")
+
+
+def test_certificate_bounds_observed_error():
+    # z = 0.2 + 0.05i puts the kernel poles 0.12 from the path, where the
+    # tanh-sinh route was off by about 6e-35; z = 0.12 - 0.18i is the
+    # benchmark point (pole distance 0.44), where it serves as the oracle
+    params = PartialThetaParams(Fraction(3, 2), 1, Fraction(3, 2))
+    tau = mp.mpc(0, 1)
+    for z in (mp.mpc("0.2", "0.05"), mp.mpc("0.12", "-0.18")):
+        with mp.workprec(400):
+            lo, lo_cert = mordell_integral(params, z, tau, 1, S_MATRIX, 160)
+            hi, _ = mordell_integral(params, z, tau, 1, S_MATRIX, 320)
+            assert abs(lo - hi) <= lo_cert.bound
+            assert lo_cert.bound <= mp.mpf(2) ** -(160 + _GUARD_BITS)
+            assert lo_cert.prec == 160 and lo_cert.seconds > 0
+    with mp.workprec(400):
+        # z and lo are the benchmark point's; its j = 1 integrand for S has
+        # c tau + d = tau, r - 2Mj = -3/2 and cM = 3/2
+        scM = mp.sqrt(mp.mpf(3) / 2)
+        ref = quad_oracle(mp.pi * 1j * tau / 2, mp.pi * 1j / scM * 3 / 2,
+                          mp.expj(12 * mp.pi * z), 4 * mp.pi * scM, 160)
+        assert abs(lo - ref) <= mp.mpf("1e-45")
 
 
 def test_sl2_matrix_validation_and_action():
