@@ -7,14 +7,11 @@ independent oracles.  All values are rational and exact.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .exact_series import ExactQSeries, log1p_series
-
-_cache_lock = threading.Lock()
-_bernoulli_cache: list[Fraction] = []
 
 
 def _exp_w(x: Fraction, trunc: int) -> ExactQSeries:
@@ -30,18 +27,19 @@ def _expm1_over_w(trunc: int) -> ExactQSeries:
                             for n in range(trunc)}, trunc)
 
 
+@lru_cache(maxsize=16)
+def _bernoulli_table(n: int) -> tuple[Fraction, ...]:
+    """(B_0, ..., B_{n-1}) from one inversion of (e^w - 1)/w."""
+    gen = _expm1_over_w(n + 1).invert()
+    return tuple(gen.coefficient(j) * factorial(j) for j in range(n))
+
+
 def bernoulli_number(k: int) -> Fraction:
     """B_k, from the generating function w/(e^w - 1)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    with _cache_lock:
-        if k >= len(_bernoulli_cache):
-            n = max(k + 1, 2 * len(_bernoulli_cache), 16)
-            gen = _expm1_over_w(n + 1).invert()
-            _bernoulli_cache.clear()
-            _bernoulli_cache.extend(
-                gen.coefficient(j) * factorial(j) for j in range(n))
-        return _bernoulli_cache[k]
+    # tables of 16, 32, 64, ... entries, so k up to 2^16 needs at most 13
+    return _bernoulli_table(max(16, 1 << k.bit_length()))[k]
 
 
 def bernoulli_poly(n: int, x) -> Fraction:

@@ -12,7 +12,8 @@ the two routes is the primary correctness alarm of the whole package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -21,10 +22,11 @@ import mpmath as mp
 
 from .exact_series import (ExactQSeries, euler_product, euler_product_pow,
                            poch_ratio_bivariate)
-from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, _require_upper_half,
-                              NearPoleError, cexp, euler_phi_numeric, g_ell,
-                              laurent_coefficients_D, periodic_trapezoid,
-                              qpoch_inf, _tol)
+from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, Certificate,
+                              NearPoleError, _require_upper_half, _tol, cexp,
+                              euler_phi_numeric, g_ell, laurent_coefficients_D,
+                              log_poch_lower, periodic_trapezoid,
+                              plan_periodic_trapezoid, qpoch_inf)
 
 
 class RouteMismatchError(ValueError):
@@ -210,29 +212,78 @@ def H_value(ell: int, s: int, tau, prec: int = DEFAULT_PREC):
         return (-1) ** ell * acc
 
 
+def _fourier_contour(ell: int, s: int, tau, z0_imag):
+    """(y0, r): the contour height, Im(tau)/2 unless given, checked against
+    0 < y0 < Im tau, and r = s + ell/2."""
+    _require_upper_half(tau)
+    v = mp.im(tau)
+    y0 = mp.mpf(z0_imag) if z0_imag is not None else v / 2
+    if not 0 < y0 < v:
+        raise ValueError("contour height must satisfy 0 < y0 < Im tau")
+    return y0, mp.mpf(2 * s + ell) / 2
+
+
+def fourier_quadrature_plan(ell: int, s: int, tau, z0_imag=None,
+                            prec: int = DEFAULT_PREC) -> Certificate:
+    """Certificate of the trapezoid rule fourier_coeff_by_quadrature runs:
+    its node count, node precision and an absolute error bound on the
+    returned value below 2^-(prec + _GUARD_BITS), planned from the strip
+    0 < Im z < Im tau between the zeros of theta without evaluating g_ell.
+
+    On Im z = y: |eta| <= |q|^{1/24} prod (1 + |q|^n); the triple product
+    with |1 - f| >= |1 - |f|| bounds |theta| below by
+    |q|^{1/8} |zeta|^{-1/2} prod (1 - |q|^n) prod |1 - |zeta| |q|^k|
+    prod |1 - |q|^{k+1}/|zeta||, with |zeta| = e^{-2 pi y}; and
+    |e^{-2 pi i r z}| = e^{2 pi r y}.  A node at p bits has relative error
+    at most (6 ell/prod(1 - |q|^n) + 2 ell/|theta|_min + 1) 2^-p, from the
+    2^-p tails of (q)_inf and of theta.
+    """
+    with mp.workprec(prec + _GUARD_BITS):
+        y0, r = _fourier_contour(ell, s, tau, z0_imag)
+        v, y0, r = float(mp.im(tau)), float(y0), float(r)
+        log_q = -2 * math.pi * v
+        log_phi = log_poch_lower(log_q, log_q)
+        log_eta = log_q / 24 + math.exp(log_q) / -math.expm1(log_q)
+
+        def log_theta(y):  # lower bound of log|theta| on Im z = y
+            log_zeta = -2 * math.pi * y
+            return (log_q / 8 + math.pi * y + log_phi
+                    + log_poch_lower(log_zeta, log_q)
+                    + log_poch_lower(log_q - log_zeta, log_q))
+
+        def log_bound(dy):
+            y = y0 + dy
+            return (3 * ell * log_eta - ell * log_theta(y)
+                    + 2 * math.pi * r * y)
+
+        node_err = (6 * ell * math.exp(-log_phi)
+                    + 2 * ell * math.exp(-log_theta(y0)) + 1)
+        # the returned value carries the factor |q^{r^2/(2 ell)}|
+        log_pref = -math.pi * v * r * r / ell
+        cert = plan_periodic_trapezoid(
+            y0, v - y0, log_bound, prec + _GUARD_BITS + log_pref / math.log(2),
+            node_err)
+        return replace(cert, bound=cert.bound * mp.exp(log_pref))
+
+
 def fourier_coeff_by_quadrature(ell: int, s: int, tau, z0_imag=None,
-                                prec: int = DEFAULT_PREC,
-                                max_doublings: int = 22):
+                                prec: int = DEFAULT_PREC):
     """q^{r^2/(2 ell)} * integral over [z0, z0+1] of g_ell(z) e^{-2 pi i r z} dz
     with r = s + ell/2, along the horizontal contour Im z = z0_imag.
 
-    Trapezoid rule with node doubling; the integrand is 1-periodic and
-    analytic on the contour, so convergence is exponential.
+    The trapezoid rule on the 1-periodic integrand, on the nodes and at the
+    node precision fourier_quadrature_plan certifies to within
+    2^-(prec + _GUARD_BITS).
     """
-    _require_upper_half(tau)
-    with mp.workprec(prec + _GUARD_BITS):
-        v = mp.im(tau)
-        y0 = mp.mpf(z0_imag) if z0_imag is not None else v / 2
-        if not 0 < y0 < v:
-            raise ValueError("contour height must satisfy 0 < y0 < Im tau")
-        r = mp.mpf(2 * s + ell) / 2
-        tol = _tol(prec - 10)
+    cert = fourier_quadrature_plan(ell, s, tau, z0_imag, prec)
+    with mp.workprec(cert.prec + _GUARD_BITS):
+        y0, r = _fourier_contour(ell, s, tau, z0_imag)
 
         def f(x):
             z = x + 1j * y0
-            return g_ell(z, tau, ell, prec) * mp.exp(-2j * mp.pi * r * z)
+            return g_ell(z, tau, ell, cert.prec) * mp.exp(-2j * mp.pi * r * z)
 
-        est = periodic_trapezoid(f, 32, tol, max_doublings)
+        est = periodic_trapezoid(f, cert.nodes)
         return mp.exp(2j * mp.pi * tau * r * r / (2 * ell)) * est
 
 

@@ -165,6 +165,8 @@ def cmd_verify_decomposition(args) -> int:
     results = []
     ok = True
     for i, pt in enumerate(points):
+        cert = decomposition.multivar_quadrature_plan(args.ell, args.s, pt,
+                                                      prec=prec)
         quad = decomposition.F_ls_multivar_quadrature(args.ell, args.s, pt,
                                                       prec=prec)
         dec = decomposition.F_ls_decomposed(args.ell, args.s, pt, prec)
@@ -177,7 +179,9 @@ def cmd_verify_decomposition(args) -> int:
                            _numstr(mp.im(quad), prec)],
             "decomposed": [_numstr(mp.re(dec), prec),
                            _numstr(mp.im(dec), prec)],
-            "rel_err": _numstr(rel, prec)})
+            "rel_err": _numstr(rel, prec),
+            "diagnostics": {"nodes": cert.nodes,
+                            "bound": _numstr(cert.bound, prec)}})
     _emit({"schema": 1, "command": "verify-decomposition", "ok": ok,
            "ell": args.ell, "s": args.s, "tol": args.tol, "seed": args.seed,
            "results": results})

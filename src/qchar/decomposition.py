@@ -13,16 +13,20 @@ Two independent routes to the same number:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
 from .characters import central_charge, h_s
-from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, NearPoleError,
-                              _require_upper_half, _tol, cexp, eta,
-                              euler_phi_numeric, periodic_trapezoid, theta)
+from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, Certificate,
+                              NearPoleError, _require_upper_half, _tol, cexp,
+                              eta, euler_phi_numeric, fraction_mpf,
+                              log_poch_lower, periodic_trapezoid,
+                              plan_periodic_trapezoid, theta)
 from .partial_theta import PartialThetaParams, partial_theta
 
 
@@ -46,25 +50,27 @@ class MultivarPoint:
     ws: tuple = field(init=False)
 
     def __post_init__(self):
-        self.zs = tuple(mp.mpc(z) for z in self.zs)
-        self.tau = mp.mpc(self.tau)
-        _require_upper_half(self.tau)
-        ell = len(self.zs) + 1
-        v = mp.im(self.tau)
-        for j, z in enumerate(self.zs, start=1):
-            if not 0 < mp.im(z) < v / ell:
-                raise ValueError(
-                    f"z_{j} violates 0 < Im z < Im(tau)/ell")
-        ws = [-sum(self.zs[j:], mp.mpc(0)) for j in range(ell - 1)]
-        ws.append(mp.mpc(0))
-        self.ws = tuple(ws)
-        thresh = mp.mpf(2) ** (-self.prec // 4)
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                if abs(theta(self.ws[a] - self.ws[b], self.tau, self.prec)) \
-                        < thresh:
-                    raise DegenerateWVectorError(
-                        f"w_{a+1} and w_{b+1} collide in the theta metric")
+        with mp.workprec(self.prec + _GUARD_BITS):
+            self.zs = tuple(mp.mpc(z) for z in self.zs)
+            self.tau = mp.mpc(self.tau)
+            _require_upper_half(self.tau)
+            ell = len(self.zs) + 1
+            v = mp.im(self.tau)
+            for j, z in enumerate(self.zs, start=1):
+                if not 0 < mp.im(z) < v / ell:
+                    raise ValueError(
+                        f"z_{j} violates 0 < Im z < Im(tau)/ell")
+            ws = [-sum(self.zs[j:], mp.mpc(0)) for j in range(ell - 1)]
+            ws.append(mp.mpc(0))
+            self.ws = tuple(ws)
+            thresh = mp.mpf(2) ** (-self.prec // 4)
+            for a in range(ell):
+                for b in range(a + 1, ell):
+                    if abs(theta(self.ws[a] - self.ws[b], self.tau,
+                                 self.prec)) < thresh:
+                        raise DegenerateWVectorError(
+                            f"w_{a+1} and w_{b+1} collide in the theta "
+                            "metric")
 
     @property
     def ell(self) -> int:
@@ -74,9 +80,10 @@ class MultivarPoint:
         """Admissible strip (0, c_max) for Im z_ell: the integrand's poles
         sit at Im z_ell = Im w_j - k Im(tau) (k >= 0, below 0) and at
         Im w_j + k Im(tau) (k >= 1, at or above c_max)."""
-        v = mp.im(self.tau)
-        c_max = v + min(mp.im(w) for w in self.ws)
-        return mp.mpf(0), c_max
+        with mp.workprec(self.prec + _GUARD_BITS):
+            v = mp.im(self.tau)
+            c_max = v + min(mp.im(w) for w in self.ws)
+            return mp.mpf(0), c_max
 
 
 def _unit_modulus_range(log_f0, log_q, slack):
@@ -87,6 +94,26 @@ def _unit_modulus_range(log_f0, log_q, slack):
     return range(lo, hi + 1)
 
 
+@lru_cache(maxsize=16)
+def _q_powers(tau, prec: int):
+    """(q, (q)_inf, ((q^k, 1 + q^{2k+1}) for k < m)) at tau, with m the
+    tail length F_ell_product needs for every |q| <= |Z| <= 1."""
+    with mp.workprec(prec + _GUARD_BITS):
+        tol = _tol(prec)
+        q = cexp(tau)
+        absq = abs(q)
+        m = max(1, int(mp.floor(
+            mp.log(tol * (1 - absq) / (1 + absq)) / mp.log(absq))) + 1)
+        q2 = q * q
+        qk, q2k1 = mp.mpc(1), q
+        pows = []
+        for _ in range(m):
+            pows.append((qk, 1 + q2k1))
+            qk *= q
+            q2k1 *= q2
+        return q, euler_phi_numeric(q, tol), tuple(pows)
+
+
 def F_ell_product(zs_full, tau, prec: int = DEFAULT_PREC):
     """(q)_inf prod_{j=1}^{ell} prod_{k>=1}
     1/((1 - Z_j^{-1} q^k)(1 - Z_j q^{k-1})) with Z_j = e^{2 pi i
@@ -94,14 +121,16 @@ def F_ell_product(zs_full, tau, prec: int = DEFAULT_PREC):
 
     Each j keeps the first m factor pairs, m the least with
     (|q|^{m+1}/|Z_j| + |Z_j| |q|^m)/(1 - |q|) < 2^-prec, read off from
-    log|q| and log|Z_j|.  The guard |1 - f| >= 2^-(prec//4) holds wherever
-    ||f| - 1| >= 2^-(prec//4), since |1 - f| >= |1 - |f||; only factors with
-    log|f| near 0 are checked one by one.
+    log|q| and log|Z_j|.  A pair is one term,
+    (1 - Z q^k)(1 - q^{k+1}/Z) = 1 - c q^k + q^{2k+1} with c = Z + q/Z, over
+    the cached powers of q.  The guard |1 - f| >= 2^-(prec//4) holds
+    wherever ||f| - 1| >= 2^-(prec//4), since |1 - f| >= |1 - |f||; only
+    factors with log|f| near 0 are checked, and multiplied, one by one.
     """
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
         tol = _tol(prec)
-        q = cexp(tau)
+        q, phi, pows = _q_powers(mp.mpc(tau), prec)
         log_q = -2 * mp.pi * mp.im(tau)
         absq = mp.exp(log_q)
         thresh = mp.mpf(2) ** (-prec // 4)
@@ -117,46 +146,95 @@ def F_ell_product(zs_full, tau, prec: int = DEFAULT_PREC):
                 mp.log(tol * (1 - absq) / (absq / absZ + absZ)) / log_q)) + 1)
             near = set(_unit_modulus_range(log_q - log_Z, log_q, slack))
             near.update(_unit_modulus_range(log_Z, log_q, slack))
-            f1, f2 = q / Z, Z
+            qZ = q / Z
+            c = Z + qZ
             for k in range(m):
-                d1, d2 = 1 - f1, 1 - f2
-                if k in near and (abs(d1) < thresh or abs(d2) < thresh):
-                    raise NearPoleError(
-                        f"Pochhammer factor for j={j+1} vanishes to working "
-                        "precision")
-                den *= d1 * d2
-                f1 *= q
-                f2 *= q
-        return euler_phi_numeric(q, tol) / den
+                if k < len(pows):
+                    qk, one_q2k1 = pows[k]
+                else:  # |Z| outside [|q|, 1]: powers past the cached ones
+                    qk *= q
+                    one_q2k1 = 1 + qk * qk * q
+                if k in near:
+                    d1, d2 = 1 - qZ * qk, 1 - Z * qk
+                    if abs(d1) < thresh or abs(d2) < thresh:
+                        raise NearPoleError(
+                            f"Pochhammer factor for j={j+1} vanishes to "
+                            "working precision")
+                    den *= d1 * d2
+                else:
+                    den *= one_q2k1 - c * qk
+        return phi / den
+
+
+def _contour_height(point: MultivarPoint, contour_imag):
+    """(c, c_max): the contour height, c_max / 2 unless given, checked
+    against the admissible strip (0, c_max)."""
+    lo, hi = point.contour_height_range()
+    c = mp.mpf(contour_imag) if contour_imag is not None else hi / 2
+    if not lo < c < hi:
+        raise ValueError("contour height outside the admissible strip")
+    return c, hi
+
+
+def multivar_quadrature_plan(ell: int, s, point: MultivarPoint,
+                             contour_imag=None,
+                             prec: int = DEFAULT_PREC) -> Certificate:
+    """Certificate of the trapezoid rule F_ls_multivar_quadrature runs: its
+    node count, node precision and an absolute error bound below 2^-prec,
+    planned from the strip 0 < Im z_ell < c_max without evaluating the
+    product.
+
+    On Im z_ell = y every |Z_j| = e^{-2 pi (y - Im w_j)} is fixed, so
+    |(q)_inf| <= prod (1 + |q|^n), |1 - f| >= |1 - |f|| for each factor and
+    |e^{-2 pi i s z}| = e^{2 pi s y} bound log|integrand| on that line.  A
+    node at p bits has relative error at most (2 ell + 2/prod(1 - |q|^n)
+    + 1) 2^-p: each tail of F_ell_product and of (q)_inf is below 2^-p, and
+    the guard bits absorb the rounding.
+    """
+    if point.ell != ell:
+        raise ValueError("point dimension does not match ell")
+    with mp.workprec(prec + _GUARD_BITS):
+        c, hi = _contour_height(point, contour_imag)
+        c, d_hi = float(c), float(hi - c)
+        log_q = -2 * math.pi * float(mp.im(point.tau))
+        im_ws = [float(mp.im(w)) for w in point.ws]
+        sf = float(Fraction(s))
+
+        def log_bound(dy):
+            y = c + dy
+            out = (math.exp(log_q) / -math.expm1(log_q)
+                   + 2 * math.pi * sf * y)
+            for im_w in im_ws:
+                log_Z = -2 * math.pi * (y - im_w)
+                out -= (log_poch_lower(log_q - log_Z, log_q)
+                        + log_poch_lower(log_Z, log_q))
+            return out
+
+        node_err = 2 * ell + 2 * math.exp(-log_poch_lower(log_q, log_q)) + 1
+        return plan_periodic_trapezoid(c, d_hi, log_bound, prec, node_err)
 
 
 def F_ls_multivar_quadrature(ell: int, s, point: MultivarPoint,
-                             contour_imag=None, prec: int = DEFAULT_PREC,
-                             rel_tol=None, max_doublings: int = 16):
-    """Fourier coefficient at zeta_ell^s of the product, by trapezoid
-    quadrature with node doubling over z_ell = x + i c, x in [0, 1).
+                             contour_imag=None, prec: int = DEFAULT_PREC):
+    """Fourier coefficient at zeta_ell^s of the product, by the trapezoid
+    rule over z_ell = x + i c, x in [0, 1), on the nodes and at the node
+    precision multivar_quadrature_plan certifies to within 2^-prec.
 
     ``s`` may be a half-integer (the proof route uses indices in
     Z + ell/2); the integrand is then anti-periodic-compensated by the
     e^{-2 pi i s z} factor which is still well-defined via s as a number.
     """
-    if point.ell != ell:
-        raise ValueError("point dimension does not match ell")
-    with mp.workprec(prec + _GUARD_BITS):
-        lo, hi = point.contour_height_range()
-        c = mp.mpf(contour_imag) if contour_imag is not None else hi / 2
-        if not lo < c < hi:
-            raise ValueError("contour height outside the admissible strip")
-        if rel_tol is None:
-            rel_tol = mp.mpf(2) ** (-(prec // 2))
-        sf = mp.mpf(Fraction(s).numerator) / Fraction(s).denominator
+    cert = multivar_quadrature_plan(ell, s, point, contour_imag, prec)
+    with mp.workprec(cert.prec + _GUARD_BITS):
+        c, _ = _contour_height(point, contour_imag)
+        sf = fraction_mpf(Fraction(s))
 
         def f(x):
             z = x + 1j * c
-            return F_ell_product(list(point.zs) + [z], point.tau, prec) \
+            return F_ell_product(list(point.zs) + [z], point.tau, cert.prec) \
                 * mp.exp(-2j * mp.pi * sf * z)
 
-        return periodic_trapezoid(f, 16, rel_tol, max_doublings)
+        return periodic_trapezoid(f, cert.nodes)
 
 
 def script_F_value(w, point: MultivarPoint, prec: int = DEFAULT_PREC):
@@ -189,8 +267,7 @@ def F_ls_decomposed(ell: int, s: int, point: MultivarPoint,
         params = PartialThetaParams(Fraction(s) - Fraction(ell, 2), eps,
                                     Fraction(ell, 2))
         exp_pref = -h_s(ell, s) + Fraction(central_charge(ell), 24)
-        pref = -(1j) ** (ell + 1) * cexp(tau * (
-            mp.mpf(exp_pref.numerator) / exp_pref.denominator)) \
+        pref = -(1j) ** (ell + 1) * cexp(tau * fraction_mpf(exp_pref)) \
             * eta(tau, prec) ** (ell - 2)
         for j, z in enumerate(point.zs, start=1):
             pref *= cexp(z * mp.mpf(j * s) / ell)

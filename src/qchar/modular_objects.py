@@ -10,6 +10,9 @@ from a complex q; exponentials are always assembled as e^{2*pi*i*tau*x}.
 
 from __future__ import annotations
 
+import math
+import time
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -41,22 +44,131 @@ def _tol(prec: int):
     return mp.mpf(2) ** (-prec)
 
 
-def periodic_trapezoid(f, n0: int, tol, max_doublings: int):
-    """Mean of the 1-periodic f over [0, 1) by the trapezoid rule on n0
-    nodes k/n0, doubling the nodes (adding the odd ones, each sum by fsum)
-    until two estimates differ by less than tol * max(1, |estimate|)."""
-    N = n0
-    vals = [f(mp.mpf(k) / N) for k in range(N)]
-    est = mp.fsum(vals) / N
-    for _ in range(max_doublings):
-        new = [f(mp.mpf(2 * k + 1) / (2 * N)) for k in range(N)]
-        est2 = (mp.fsum(vals) + mp.fsum(new)) / (2 * N)
-        vals = vals + new
-        N *= 2
-        if abs(est2 - est) < tol * max(1, abs(est2)):
-            return est2
-        est = est2
-    raise RuntimeError("quadrature did not stabilize")
+def fraction_mpf(x):
+    """The rational x as an mpf: its numerator over its denominator, rounded
+    at the working precision."""
+    return mp.mpf(x.numerator) / x.denominator
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """How a certified quadrature value was reached: trapezoid nodes, step
+    ``h``, the length ``X`` the nodes cover (the cutoff half-width on R, or
+    the period 1 of a periodic integrand), the a-priori absolute error
+    bound, the precision in bits it was certified at (for a periodic plan,
+    the precision its nodes are evaluated at), and the seconds it took (for a
+    periodic plan, the planning, before any node is evaluated)."""
+    nodes: int
+    h: object
+    X: object
+    bound: object
+    prec: int
+    seconds: float
+
+
+def log_poch_lower(log_f0, log_q) -> float:
+    """A lower bound of sum_{k>=0} log|1 - f_k| over factors with
+    log|f_k| = log_f0 + k log_q (log_q < 0), from |1 - f| >= |1 - |f||;
+    -inf when some |f_k| = 1.  Double precision: callers plan with it, they
+    do not evaluate with it."""
+    total = 0.0
+    k = 0
+    while True:
+        L = log_f0 + k * log_q
+        if L > -40:
+            x = -math.expm1(-abs(L))  # 1 - e^{-|L|}
+            if x <= 0:
+                return -math.inf
+            total += math.log(x) + max(L, 0.0)
+        else:
+            # log(1 - u) >= -u/(1 - u) on the geometric rest u = e^L q^j
+            x = math.exp(L)
+            return total - x / ((1 - x) * -math.expm1(log_q))
+        k += 1
+
+
+# Strip half-widths tried, as fractions of the pole distance on each side.
+# The log|f| bound grows like -log(1 - fraction) near the poles while the
+# discretisation error falls like e^{-2 pi fraction d N}, so the least N
+# comes from a fraction close to 1.
+_STRIP_FRACTIONS = (0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99)
+_MAX_PERIODIC_NODES = 1 << 16
+
+
+def plan_periodic_trapezoid(d_lo: float, d_hi: float, log_bound,
+                            target_bits: float, node_err: float
+                            ) -> Certificate:
+    """Certificate of the fewest-node trapezoid mean of a 1-periodic f,
+    planned before any node is evaluated.
+
+    f is analytic on the strip -d_lo < Im x < d_hi around its contour (its
+    poles sit at those distances below and above), ``log_bound(y)`` bounds
+    log|f| on the line at height y above the contour, and one node evaluated
+    at p bits is within node_err * 2^-p * |f| of f.  The Fourier coefficients
+    of f, moved to the line -a_lo for k > 0 and to +a_hi for k < 0, give
+
+        |I_N - I| <= M_lo/(e^{2 pi a_lo N} - 1) + M_hi/(e^{2 pi a_hi N} - 1)
+
+    (Trefethen & Weideman, SIAM Rev. 56, 2014, Thm 3.2, one side at a time),
+    with M the line bounds at a = fraction * d for the fraction in
+    _STRIP_FRACTIONS that gives the least N.  With M_0 = e^{log_bound(0)}
+    the bound on the contour, the nodes are evaluated at the precision p that
+    keeps their error node_err 2^-p M_0 below a quarter of the target; the
+    caller sums them and scales the mean at p + _GUARD_BITS bits, which adds
+    at most N 2^-(p + _GUARD_BITS) M_0.
+
+    Returns Certificate(N, 1/N, 1, bound, p, seconds) with bound <=
+    2^-target_bits; raises NearPoleError when the strip is too thin for
+    _MAX_PERIODIC_NODES nodes to reach the target.
+    """
+    start = time.perf_counter()
+    ln2 = math.log(2)
+    log_target = -target_bits * ln2
+    # a factor 2 on every bound absorbs the rounding of the doubles
+    slack = ln2
+    log_c = log_bound(0) + slack
+    if not log_c < math.inf:
+        raise NearPoleError("contour on a line of poles")
+    p = max(53, math.ceil(target_bits + 2
+                          + (math.log(node_err) + log_c) / ln2))
+    # node and summation errors, relative to the target; p makes the first
+    # at most 1/4 and the second at most 2^-26 per node
+    fixed = math.exp(math.log(node_err) - p * ln2 + log_c - log_target)
+    per_node = math.exp(-(p + _GUARD_BITS) * ln2 + log_c - log_target)
+
+    def rel(log_x):  # e^{log_x} / target, without overflow
+        return math.exp(min(log_x - log_target, 700.0))
+
+    best = None
+    for frac in _STRIP_FRACTIONS:
+        sides = [(2 * math.pi * frac * d, log_bound(y) + slack)
+                 for d, y in ((d_lo, -frac * d_lo), (d_hi, frac * d_hi))]
+        if not all(t > 0 and L < math.inf for t, L in sides):
+            continue
+        # each side alone must reach the target: e^{t N} > M / target
+        N = max(1, max(math.floor((L - log_target) / t) for t, L in sides))
+        while N <= _MAX_PERIODIC_NODES:
+            total = fixed + N * per_node + sum(
+                rel(L - t * N - math.log(-math.expm1(-t * N)))
+                for t, L in sides)
+            if total <= 1:
+                break
+            N += 1
+        if N <= _MAX_PERIODIC_NODES and (best is None or N < best[0]):
+            best = (N, total)
+    if best is None:
+        raise NearPoleError("contour too close to a pole to plan the "
+                            "trapezoid rule")
+    N, total = best
+    return Certificate(N, mp.mpf(1) / N, mp.mpf(1),
+                       mp.mpf(total) * mp.mpf(2) ** -target_bits, p,
+                       time.perf_counter() - start)
+
+
+def periodic_trapezoid(f, N: int):
+    """Mean of the 1-periodic f over [0, 1) by the trapezoid rule on the N
+    nodes k/N, summed by one fsum; N comes from plan_periodic_trapezoid."""
+    return mp.fsum(f(mp.mpf(k) / N) for k in range(N)) / N
 
 
 def divisor_sigma_list(power: int, n_max: int) -> list[int]:
@@ -162,8 +274,7 @@ def _G2k_series_value(k: int, tau, prec: int):
     q = cexp(tau)
     absq = abs(q)
     two_pi_i = 2j * mp.pi
-    const = -(two_pi_i ** (2 * k)) * mp.mpf(
-        bernoulli_number(2 * k).numerator) / bernoulli_number(2 * k).denominator \
+    const = -(two_pi_i ** (2 * k)) * fraction_mpf(bernoulli_number(2 * k)) \
         / factorial(2 * k)
     # choose N with sigma_{2k-1}(n) <= n^{2k} and n^{2k}|q|^n geometric beyond N
     N = 8
@@ -276,7 +387,7 @@ class QuasimodularPoly:
         with mp.workprec(prec + _GUARD_BITS):
             acc = mp.mpc(0)
             for mono, coeff in sorted(self.monomials.items()):
-                term = mp.mpf(coeff.numerator) / coeff.denominator
+                term = fraction_mpf(coeff)
                 for k2, mult in mono:
                     term *= ghat_value(k2, tau, prec) ** mult
                 acc += term

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, _require_upper_half,
-                              cexp, theta)
+from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, Certificate,
+                              _require_upper_half, cexp, fraction_mpf, theta)
 from .partial_theta import PartialThetaParams, partial_theta
 
 
@@ -47,19 +47,6 @@ _POLE_DISTANCE_MIN = mp.mpf("0.01")
 def _gauss_cutoff(decay_rate, prec: int):
     """Half-width X with e^{-decay_rate X^2} below the working tolerance."""
     return mp.sqrt(((prec + 32) * mp.log(2)) / decay_rate) + 1
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """How a certified quadrature value was reached: trapezoid nodes, step
-    ``h``, cutoff ``X``, the a-priori absolute error bound, the precision in
-    bits it was certified at, and the seconds it took."""
-    nodes: int
-    h: object
-    X: object
-    bound: object
-    prec: int
-    seconds: float
 
 
 # The strip of analyticity used by the error bound reaches this fraction of
@@ -155,7 +142,7 @@ def mordell_integral(params: PartialThetaParams, z, tau, j: int,
     _require_upper_half(tau)
     r, M, c = params.r, params.M, gamma.c
     with mp.workprec(prec + _GUARD_BITS):
-        cM = mp.mpf((c * M).numerator) / (c * M).denominator
+        cM = fraction_mpf(c * M)
         scM = mp.sqrt(cM)
         pole_im = 2 * scM * abs(mp.im(z))
         if pole_im < _POLE_DISTANCE_MIN:
@@ -164,7 +151,7 @@ def mordell_integral(params: PartialThetaParams, z, tau, j: int,
                 .format(mp.nstr(pole_im, 3)))
         ctd = gamma.c * tau + gamma.d
         rj = Fraction(r) - 2 * Fraction(M) * j
-        rjf = mp.mpf(rj.numerator) / rj.denominator
+        rjf = fraction_mpf(rj)
         return _line_trapezoid(mp.pi * 1j * ctd / 2, -mp.pi * 1j / scM * rjf,
                                cexp(4 * z * cM), 4 * mp.pi * scM, prec)
 
@@ -173,7 +160,7 @@ def _root_of_unity(exponent: Fraction):
     """e^{2 pi i exponent} with the rational exponent reduced mod 1 first."""
     exponent = Fraction(exponent)
     exponent -= exponent.numerator // exponent.denominator
-    return cexp(mp.mpf(exponent.numerator) / exponent.denominator)
+    return cexp(fraction_mpf(exponent))
 
 
 def general_transform_rhs(params: PartialThetaParams, z, tau,
@@ -201,14 +188,14 @@ def general_transform_rhs(params: PartialThetaParams, z, tau,
         wall = mp.im(z) < 0
         ctd = c * tau + gamma.d
         cM = Fraction(c) * M
-        cMf = mp.mpf(cM.numerator) / cM.denominator
+        cMf = fraction_mpf(cM)
         scM = mp.sqrt(cMf)
         pref = mp.sqrt(-1j * ctd / 2)
         total = mp.mpc(0)
         nodes, bound = 0, mp.mpf(0)
         for j in range(2 * c):
             mj = 2 * M * j - Fraction(r)  # 2Mj - r
-            mjf = mp.mpf(mj.numerator) / mj.denominator
+            mjf = fraction_mpf(mj)
             phase = (-1) ** (j * eps) * _root_of_unity(
                 gamma.a * mj * mj / (4 * cM))
             weight = mp.exp(2j * mp.pi * z * mjf)

@@ -19,7 +19,8 @@ from math import factorial
 import mpmath as mp
 
 from .bernoulli_euler import bernoulli_poly
-from .modular_objects import DEFAULT_PREC, _GUARD_BITS, _require_upper_half, _tol
+from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, _require_upper_half,
+                              _tol, fraction_mpf)
 
 
 @dataclass(frozen=True)
@@ -57,13 +58,13 @@ def partial_theta(params: PartialThetaParams, z, tau,
         v = mp.im(tau)
         y = mp.im(z)
         log_tol = -(prec + 8) * mp.log(2)
-        M4 = 4 * mp.mpf(M.numerator) / M.denominator
+        M4 = 4 * fraction_mpf(M)
         total = mp.mpc(0)
         n = 0
         prev_log_bound = mp.inf
         while True:
             a = 2 * M * n - r  # rational
-            af = mp.mpf(a.numerator) / a.denominator
+            af = fraction_mpf(a)
             total += (-1) ** (n * eps) * mp.exp(
                 2j * mp.pi * z * af + 2j * mp.pi * tau * af * af / M4)
             # log|term| = -2 pi y a - 2 pi v a^2/(4M); quadratic wins
@@ -96,8 +97,8 @@ def euler_maclaurin_sum(derivs_at_0, I_f, alpha, t, N: int):
         b = bernoulli_poly(n + 1, alpha) / factorial(n + 1)
         d = derivs_at_0[n]
         if isinstance(d, Fraction):
-            d = mp.mpf(d.numerator) / d.denominator
-        acc -= mp.mpf(b.numerator) / b.denominator * d * t ** n
+            d = fraction_mpf(d)
+        acc -= fraction_mpf(b) * d * t ** n
     return acc
 
 
@@ -156,8 +157,7 @@ class PiGradedRational:
 
     def value(self, prec: int = DEFAULT_PREC):
         with mp.workprec(prec + _GUARD_BITS):
-            return mp.mpf(self.rat.numerator) / self.rat.denominator \
-                * mp.pi ** self.pi_pow
+            return fraction_mpf(self.rat) * mp.pi ** self.pi_pow
 
     def __repr__(self):
         if self.pi_pow == 0:
@@ -175,13 +175,11 @@ class GradedCoeff:
 
     def value(self, prec: int = DEFAULT_PREC):
         with mp.workprec(prec + _GUARD_BITS):
-            v = mp.mpf(self.rat.numerator) / self.rat.denominator
+            v = fraction_mpf(self.rat)
             if self.two_pow:
-                v *= mp.mpf(2) ** (mp.mpf(self.two_pow.numerator)
-                                   / self.two_pow.denominator)
+                v *= mp.mpf(2) ** fraction_mpf(self.two_pow)
             if self.pi_pow:
-                v *= mp.pi ** (mp.mpf(self.pi_pow.numerator)
-                               / self.pi_pow.denominator)
+                v *= mp.pi ** fraction_mpf(self.pi_pow)
             return v
 
 
@@ -217,10 +215,9 @@ class AsympExpansion:
             acc = mp.mpf(0)
             for e, cs in sorted(self.terms.items()):
                 c = mp.fsum(c.value(prec) for c in cs)
-                acc += c * t ** (mp.mpf(e.numerator) / e.denominator)
+                acc += c * t ** fraction_mpf(e)
             if self.a_rat:
-                acc *= mp.exp(mp.mpf(self.a_rat.numerator)
-                              / self.a_rat.denominator
+                acc *= mp.exp(fraction_mpf(self.a_rat)
                               * mp.pi ** self.a_pi_pow / t)
             return acc
 
@@ -254,7 +251,7 @@ def script_F(j: int, r, t, prec: int = DEFAULT_PREC):
     r = Fraction(r)
     with mp.workprec(prec + _GUARD_BITS):
         t = mp.mpf(t)
-        rf = mp.mpf(r.numerator) / r.denominator
+        rf = fraction_mpf(r)
         cutoff = (prec + 8) * mp.log(2)
         acc = mp.mpf(0)
         n = 0
@@ -291,7 +288,7 @@ def script_G(j: int, r, t, prec: int = DEFAULT_PREC):
     r = Fraction(r)
     with mp.workprec(prec + _GUARD_BITS):
         t = mp.mpf(t)
-        rf = mp.mpf(r.numerator) / r.denominator
+        rf = fraction_mpf(r)
         cutoff = (prec + 8) * mp.log(2)
         acc = mp.mpf(0)
         n = 0
@@ -349,6 +346,5 @@ def script_FG_halving_orders(prec: int = DEFAULT_PREC) -> list[dict]:
                     d2 = abs(direct(j, r, t2, prec) - e.evaluate(t2, prec))
                     rows.append({"family": family, "j": j, "N": N,
                                  "order": mp.log(d1 / d2) / mp.log(2),
-                                 "expected": mp.mpf(e.order.numerator)
-                                 / e.order.denominator})
+                                 "expected": fraction_mpf(e.order)})
     return rows

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qchar.bernoulli_euler import (bernoulli_number, bernoulli_poly,
+from qchar.bernoulli_euler import (_bernoulli_table, bernoulli_number,
+                                   bernoulli_poly,
                                    check_euler_bernoulli_identity,
                                    euler_number, euler_poly,
                                    higher_bernoulli_poly, verify_S_identity)
@@ -16,6 +17,18 @@ def test_bernoulli_numbers_table():
         assert bernoulli_number(k) == v
     for k in (3, 5, 7, 9, 11):
         assert bernoulli_number(k) == 0
+
+
+def test_bernoulli_numbers_independent_of_request_order():
+    # every k gives the same value whichever table serves it, and the
+    # tables are bounded and immutable
+    want = {k: bernoulli_number(k) for k in range(200)}
+    _bernoulli_table.cache_clear()
+    for k in (150, 3, 64, 17, 0, 199, 31, 32):
+        assert bernoulli_number(k) == want[k]
+    info = _bernoulli_table.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert isinstance(_bernoulli_table(16), tuple)
 
 
 def test_bernoulli_poly_basics():

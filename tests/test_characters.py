@@ -3,13 +3,15 @@ from math import comb
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchar.characters import (CharacterParams, F_ls_exact, F_ls_numeric,
                               F_ls_via_H, H_value, RouteMismatchError,
                               central_charge, character_ch,
                               coeff_series_exact,
-                              fourier_coeff_by_quadrature, h_s)
-from qchar.modular_objects import cexp, eta
+                              fourier_coeff_by_quadrature,
+                              fourier_quadrature_plan, h_s)
+from qchar.modular_objects import _GUARD_BITS, NearPoleError, cexp, eta
 
 PREC = 128
 
@@ -73,6 +75,25 @@ def test_H_value_matches_quadrature():
             a = H_value(3, s, tau, PREC)
             b = fourier_coeff_by_quadrature(3, s, tau, prec=PREC)
             assert abs(a - b) <= mp.mpf("1e-30") * max(1, abs(a))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(0, 2), st.sampled_from(("0.35", "0.65")),
+       st.sampled_from(((0, 1), ("0.3", "0.9"))))
+def test_fourier_certificate_bounds_observed_error(ell, s, height, tau):
+    tau = mp.mpc(*tau)
+    with mp.workprec(PREC + 64 + _GUARD_BITS):
+        y0 = mp.im(tau) * mp.mpf(height)
+        cert = fourier_quadrature_plan(ell, s, tau, y0, PREC)
+        got = fourier_coeff_by_quadrature(ell, s, tau, y0, PREC)
+        want = H_value(ell, s, tau, PREC + 64)
+    assert abs(got - want) <= cert.bound <= mp.mpf(2) ** -(PREC + _GUARD_BITS)
+    assert abs(cert.h * cert.nodes - 1) < 1e-30 and cert.prec >= PREC
+
+
+def test_fourier_plan_raises_on_a_thin_strip():
+    with pytest.raises(NearPoleError):
+        fourier_quadrature_plan(3, 0, mp.mpc(0, 1), mp.mpf("1e-9"), PREC)
 
 
 def test_character_value_equals_H_over_eta5():

@@ -105,3 +105,15 @@ def test_verify_modular_diagnostics(capsys):
     diag = doc["diagnostics"]
     assert diag["nodes"] > 0
     assert 0 < float(diag["bound"]) < 2.0 ** -96
+
+
+def test_verify_decomposition_diagnostics(capsys):
+    code, out = run(capsys, "--prec", "96", "verify-decomposition", "--ell",
+                    "2", "--s", "1", "--points", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == 1 and doc["ok"] is True
+    res = doc["results"][0]
+    assert {"point", "quadrature", "decomposed", "rel_err"} <= set(res)
+    assert res["diagnostics"]["nodes"] > 0
+    assert 0 < float(res["diagnostics"]["bound"]) <= 2.0 ** -96

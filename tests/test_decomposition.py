@@ -2,13 +2,15 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchar.decomposition import (DegenerateWVectorError, F_ell_product,
                                  F_ls_decomposed, F_ls_multivar_quadrature,
-                                 MultivarPoint, random_admissible_point,
-                                 script_F_value)
+                                 MultivarPoint, multivar_quadrature_plan,
+                                 random_admissible_point, script_F_value)
 from qchar.modular_objects import (_GUARD_BITS, NearPoleError, _tol, cexp,
-                                   eta, euler_phi_numeric, theta)
+                                   eta, euler_phi_numeric,
+                                   periodic_trapezoid, theta)
 
 PREC = 128
 
@@ -102,6 +104,17 @@ def test_product_matches_per_factor_oracle():
                     assert abs(got - want) <= mp.mpf("1e-70") * abs(want)
 
 
+def test_product_matches_oracle_off_the_strip():
+    # |Z_2| > 1 and |Z_2| < |q| need more factor pairs than the cached powers
+    tau = mp.mpc("0.3", "0.7")
+    with mp.workprec(256 + 16):
+        z1 = mp.mpc("0.2", "0.1")
+        for z2 in (mp.mpc("0.15", "-0.4"), mp.mpc("-0.35", "1.1")):
+            want = F_ell_product_per_factor([z1, z2], tau, 256)
+            got = F_ell_product([z1, z2], tau, 256)
+            assert abs(got - want) <= mp.mpf("1e-70") * abs(want)
+
+
 def test_product_raises_at_a_pole():
     # Z_2 = e^{2 pi i z_2}: z_2 = 0 zeroes (1 - Z_2), z_2 = 2 tau zeroes
     # (1 - Z_2^{-1} q^2) and z_2 = -2 tau zeroes (1 - Z_2 q^2); z_1 + z_2
@@ -168,3 +181,43 @@ def test_random_points_are_deterministic():
     p1 = random_admissible_point(3, tau, rng1, PREC)
     p2 = random_admissible_point(3, tau, rng2, PREC)
     assert p1.zs == p2.zs
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_point_built_at_default_precision(ell):
+    # the w_j are summed at the point's precision, not mpmath's ambient one
+    pt = random_admissible_point(ell, mp.mpc(0, 1), random.Random(5), 256)
+    quad = F_ls_multivar_quadrature(ell, 0, pt, prec=256)
+    dec = F_ls_decomposed(ell, 0, pt, 256)
+    assert abs(quad - dec) <= mp.mpf("1e-60") * abs(quad)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(0, 2), st.sampled_from(("0.35", "0.65")),
+       st.integers(0, 10**6))
+def test_quadrature_certificate_bounds_doubled_rule(ell, s, height, seed):
+    # Q_N against Q_2N at prec + 64: discretisation and node error together
+    prec = PREC
+    pt = random_admissible_point(ell, mp.mpc(0, 1), random.Random(seed), prec)
+    with mp.workprec(prec + 64 + _GUARD_BITS):
+        c = pt.contour_height_range()[1] * mp.mpf(height)
+        cert = multivar_quadrature_plan(ell, s, pt, c, prec)
+        got = F_ls_multivar_quadrature(ell, s, pt, c, prec)
+
+        def f(x):
+            z = x + 1j * c
+            return F_ell_product(list(pt.zs) + [z], pt.tau, prec + 64) \
+                * mp.exp(-2j * mp.pi * s * z)
+
+        ref = periodic_trapezoid(f, 2 * cert.nodes)
+    assert abs(got - ref) <= cert.bound <= mp.mpf(2) ** -prec
+    assert abs(cert.h * cert.nodes - 1) < 1e-30 and cert.X == 1
+    assert cert.prec >= prec and cert.seconds >= 0
+
+
+def test_quadrature_plan_raises_on_a_thin_strip():
+    pt = fixture_point(3)
+    hi = pt.contour_height_range()[1]
+    for c in (hi * mp.mpf("1e-9"), hi * (1 - mp.mpf("1e-9"))):
+        with pytest.raises(NearPoleError):
+            multivar_quadrature_plan(3, 1, pt, c, PREC)
