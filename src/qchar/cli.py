@@ -145,6 +145,28 @@ def cmd_verify_routes(args) -> int:
     return 1 if failures else 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low; anything else is a usage error (2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _sl2_matrix(text: str) -> modular_transform.SL2Matrix:
+    """argparse type: "a,b,c,d" with ad - bc = 1 and c > 0."""
+    try:
+        gamma = modular_transform.SL2Matrix(*(int(x) for x in text.split(",")))
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"need four integers a,b,c,d with ad - bc = 1: {exc}")
+    if gamma.c <= 0:
+        raise argparse.ArgumentTypeError("need c > 0")
+    return gamma
+
+
 def _parse_mpc(text: str):
     return mp.mpc(complex(text.replace(" ", "")))
 
@@ -193,14 +215,14 @@ def cmd_verify_modular(args) -> int:
     tau = _parse_mpc(args.tau)
     z = _parse_mpc(args.z)
     tol = mp.mpf(args.tol)
-    a, b, c, d = (int(x) for x in args.matrix.split(","))
-    gamma = modular_transform.SL2Matrix(a, b, c, d)
+    gamma = args.matrix
     params = PartialThetaParams(Fraction(args.r), args.eps, Fraction(args.M))
     report = modular_transform.verify_general_transform(params, z, tau,
                                                         gamma, prec)
     ok = report["abs_err"] <= tol
     _emit({"schema": 1, "command": "verify-modular", "ok": bool(ok),
-           "matrix": [a, b, c, d], "r": args.r, "eps": args.eps, "M": args.M,
+           "matrix": [gamma.a, gamma.b, gamma.c, gamma.d], "r": args.r,
+           "eps": args.eps, "M": args.M,
            "abs_err": _numstr(report["abs_err"], prec),
            "diagnostics": {"nodes": report["nodes"],
                            "bound": _numstr(report["bound"], prec)}})
@@ -238,20 +260,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="exact F series head")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--trunc", type=int, default=20)
+    p.add_argument("--ell", type=_int_at_least(2), required=True)
+    p.add_argument("--s", type=_int_at_least(0), required=True)
+    p.add_argument("--trunc", type=_int_at_least(1), default=20)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("char", help="character series head")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--trunc", type=int, default=20)
+    p.add_argument("--ell", type=_int_at_least(2), required=True)
+    p.add_argument("--s", type=_int_at_least(0), required=True)
+    p.add_argument("--trunc", type=_int_at_least(1), default=20)
     p.set_defaults(func=cmd_char)
 
     p = sub.add_parser("asym", help="asymptotic comparison table")
-    p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--s", type=int, default=0)
+    p.add_argument("--ell", type=_int_at_least(3), default=3)
+    p.add_argument("--s", type=_int_at_least(0), default=0)
     p.add_argument("--t", type=str, default="0.1,0.05")
     p.add_argument("--N", type=int, default=3)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -288,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-modular",
                        help="partial-theta modular transformation law")
-    p.add_argument("--matrix", type=str, default="0,-1,1,0",
-                   help="a,b,c,d")
+    p.add_argument("--matrix", type=_sl2_matrix, default="0,-1,1,0",
+                   help="a,b,c,d with ad - bc = 1 and c > 0")
     p.add_argument("--M", type=str, default="3/2")
     p.add_argument("--r", type=str, default="3/2")
     p.add_argument("--eps", type=int, default=1)

@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
+from mpmath.libmp import to_fixed as _mpf_to_fixed
 
 from .bernoulli_euler import bernoulli_number
 from .exact_series import ExactQSeries
@@ -48,6 +49,40 @@ def fraction_mpf(x):
     """The rational x as an mpf: its numerator over its denominator, rounded
     at the working precision."""
     return mp.mpf(x.numerator) / x.denominator
+
+
+# Fixed-point complex numbers: a pair (re, im) of ints standing for
+# (re + i im) 2^-wp, the idiom of mpmath's own jtheta.  Each right shift or
+# floor division rounds every part down by less than one unit, so a result
+# lies within sqrt(2) 2^-wp of the exact value of its integer inputs.
+
+def to_fixed(z, wp: int):
+    """The complex z on the grid 2^-wp, each part rounded down."""
+    z = mp.mpc(z)
+    return _mpf_to_fixed(z.real._mpf_, wp), _mpf_to_fixed(z.imag._mpf_, wp)
+
+
+def from_fixed(x, wp: int, shift: int = 0):
+    """The mpc (re + i im) 2^(shift - wp), rounded at the working
+    precision."""
+    return mp.mpc(mp.ldexp(x[0], shift - wp), mp.ldexp(x[1], shift - wp))
+
+
+def fixed_mul(x, y, wp: int):
+    """x y on the grid 2^-wp."""
+    xr, xi = x
+    yr, yi = y
+    return (xr * yr - xi * yi) >> wp, (xr * yi + xi * yr) >> wp
+
+
+def fixed_div(x, y, wp: int):
+    """x / y on the grid 2^-wp, from one exact product and one floor
+    division per part; y must not be 0."""
+    xr, xi = x
+    yr, yi = y
+    den = yr * yr + yi * yi
+    return (((xr * yr + xi * yi) << wp) // den,
+            ((xi * yr - xr * yi) << wp) // den)
 
 
 @dataclass(frozen=True)
@@ -219,8 +254,10 @@ def qpoch_inf(a, q, tol):
             raise RuntimeError("qpoch_inf failed to converge")
 
 
+@lru_cache(maxsize=16)
 def eta(tau, prec: int = DEFAULT_PREC):
-    """Dedekind eta, q^{1/24}(q)_infty."""
+    """Dedekind eta, q^{1/24}(q)_infty; cached per (tau, prec), since the
+    contour nodes of g_ell all share one tau."""
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
         q = cexp(tau)

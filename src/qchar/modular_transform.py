@@ -16,7 +16,8 @@ from fractions import Fraction
 import mpmath as mp
 
 from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, Certificate,
-                              _require_upper_half, cexp, fraction_mpf, theta)
+                              _require_upper_half, cexp, fixed_div, fixed_mul,
+                              fraction_mpf, from_fixed, theta, to_fixed)
 from .partial_theta import PartialThetaParams, partial_theta
 
 
@@ -68,9 +69,26 @@ def _line_trapezoid(A, B, zeta, kappa, prec: int):
       (Trefethen & Weideman, SIAM Rev. 56, 2014, Thm 5.1), where M bounds
       the integral of |f| along each line of the strip in closed form;
     * the dropped Gaussian tail beyond X, summed against its tangent line;
-    * rounding of the node recurrences E_{k+1} = E_k R_k, R_{k+1} = R_k
-      e^{2 A h^2}, W_{k+1} = W_k e^{i kappa h}, whose relative error grows
-      like k^2 ulps; they run with enough extra bits to absorb it.
+    * rounding of the node recurrences E_{k+1} = E_k R_k, R_{k+1} = R_k Q
+      (Q = e^{2 A h^2}), W_{k+1} = W_k e^{i kappa h} and of the sum of
+      E_k/(1 - W_k), run in fixed point on the grid u = 2^-wp.
+
+    The rounding, in units u and to first order in u: Q, R_0, e^{i kappa h}
+    enter within 2 and zeta within 2 + |zeta|, and every product or
+    quotient truncates by less than sqrt(2).  With rho = e^{|Re B| h} >=
+    |R_k|, G = e^{(Re B)^2/(4 |Re A|)} >= |E_k| and L = 1 - e^{-kappa d} <=
+    |1 - W_k|:
+    R_k is within (k+1) r, r = 2 rho + 1.5, as |Q| < 1; E_k within
+    G^2 r (k+1)^2/2, since |E_k/E_j| <= G for j <= k (log|E| is concave and
+    E_0 = 1); W_k within (k+1) z, z = 2|zeta| + 2; so the k-th quotient is
+    within G^2 r (k+1)^2/L + 2 G z (k+1)/L^2 + 1.5, and the sum over both
+    sides within
+
+        T = 2 (G^2 r (K+2)^3/(3 L) + G z (K+2)^2/L^2 + 1.5 (K+2)).
+
+    wp is the least precision (at least prec + _GUARD_BITS) with
+    (h T + mass) 2^-wp below the quarter, mass >= |value| paying for the
+    final scaling by h.
     """
     start = time.perf_counter()
     with mp.workprec(prec + _GUARD_BITS):
@@ -102,27 +120,34 @@ def _line_trapezoid(A, B, zeta, kappa, prec: int):
         while tail(X) > eps:
             X += 1
         K = int(mp.floor(X / h))
+        G = mp.exp(Br * Br / (4 * Ar))
         # h sum |f(kh)| <= (integral + h max) of |num| over R, / low_real
-        mass = ((mp.sqrt(mp.pi / Ar) + h) * mp.exp(Br * Br / (4 * Ar))
-                / low_real)
-        growth = (8 * (K + 2) ** 2 / low_real + 2 * K + 8) * mass
-        extra = max(0, int(mp.ceil(mp.log(growth / eps, 2))) - prec
-                    - _GUARD_BITS)
+        mass = (mp.sqrt(mp.pi / Ar) + h) * G / low_real
+        r = 2 * mp.exp(abs(Br) * h) + mp.mpf(1.5)
+        n = K + 2
+        T = 2 * (G * G * r * n ** 3 / (3 * low_real)
+                 + G * (2 * abs(zeta) + 2) * n * n / low_real ** 2 + 1.5 * n)
+        wp = max(prec + _GUARD_BITS,
+                 int(mp.ceil(mp.log((h * T + mass) / eps, 2))))
         bound = disc + tail(X) + eps
-    with mp.workprec(prec + _GUARD_BITS + extra):
-        Q = mp.exp(2 * A * h * h)
-        total = 1 / (1 - zeta)
+    with mp.workprec(wp + _GUARD_BITS):
+        one = 1 << wp
+        Q = to_fixed(mp.exp(2 * A * h * h), wp)
+        zf = to_fixed(zeta, wp)
+        tr, ti = fixed_div((one, 0), (one - zf[0], -zf[1]), wp)
         for sgn in (1, -1):
-            E = mp.mpc(1)
-            R = mp.exp(A * h * h + sgn * B * h)
-            Zw = zeta
-            w = mp.exp(sgn * 1j * kappa * h)
+            E = (one, 0)
+            R = to_fixed(mp.exp(A * h * h + sgn * B * h), wp)
+            Zw = zf
+            w = to_fixed(mp.expj(sgn * kappa * h), wp)
             for _ in range(K):
-                E *= R
-                R *= Q
-                Zw *= w
-                total += E / (1 - Zw)
-        value = h * total
+                E = fixed_mul(E, R, wp)
+                R = fixed_mul(R, Q, wp)
+                Zw = fixed_mul(Zw, w, wp)
+                t = fixed_div(E, (one - Zw[0], -Zw[1]), wp)
+                tr += t[0]
+                ti += t[1]
+        value = h * from_fixed((tr, ti), wp)
     return value, Certificate(2 * K + 1, h, X, bound, prec,
                               time.perf_counter() - start)
 

@@ -87,6 +87,26 @@ def test_usage_error_exit_two():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--ell", "3", "--s", "0", "--trunc", "0"],
+    ["coeffs", "--ell", "3", "--s", "-1"],
+    ["asym", "--ell", "2"],
+    ["verify-modular", "--matrix", "1,1,1,1"],
+])
+def test_invalid_argument_exit_two(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+def test_verification_error_exit_one(capsys):
+    # a degenerate w-vector is a failed verification, not a usage error
+    code, out = run(capsys, "--prec", "64", "verify-decomposition", "--ell",
+                    "3", "--s", "0", "--z", "1e-30j", "0.1+0.1j")
+    assert code == 1
+    assert "collide" in json.loads(out)["error"]
+
+
 def test_runtime_error_exit_one(capsys):
     # an invalid parameter that passes argparse surfaces as a failure report
     code, out = run(capsys, "verify-decomposition", "--ell", "3", "--s", "0",

@@ -1,15 +1,17 @@
+import math
 import random
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar.decomposition import (DegenerateWVectorError, F_ell_product,
-                                 F_ls_decomposed, F_ls_multivar_quadrature,
-                                 MultivarPoint, multivar_quadrature_plan,
+from qchar.decomposition import (_PRODUCT_BITS, DegenerateWVectorError,
+                                 F_ell_product, F_ls_decomposed,
+                                 F_ls_multivar_quadrature, MultivarPoint,
+                                 _product_rounding, multivar_quadrature_plan,
                                  random_admissible_point, script_F_value)
 from qchar.modular_objects import (_GUARD_BITS, NearPoleError, _tol, cexp,
-                                   eta, euler_phi_numeric,
+                                   eta, euler_phi_numeric, log_poch_lower,
                                    periodic_trapezoid, theta)
 
 PREC = 128
@@ -113,6 +115,35 @@ def test_product_matches_oracle_off_the_strip():
             want = F_ell_product_per_factor([z1, z2], tau, 256)
             got = F_ell_product([z1, z2], tau, 256)
             assert abs(got - want) <= mp.mpf("1e-70") * abs(want)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.sampled_from((128, 256, 384)),
+       st.sampled_from(("1j", "0.3+0.7j")), st.integers(0, 10**6),
+       st.integers(0, 96), st.integers(-12, 27))
+def test_product_kernel_against_per_factor_oracle(ell, prec, tau, seed, x,
+                                                  height):
+    # z_ell = x/97 + i (height + 1/2) Im(tau)/20 crosses the strip and leaves
+    # it on both sides (|Z_ell| > 1 below it, |Z_ell| < |q| above Im tau)
+    # without landing on a line of poles of the j = ell factors
+    tau = mp.mpc(complex(tau))
+    pt = random_admissible_point(ell, tau, random.Random(seed), prec)
+    v = float(tau.imag)
+    with mp.workprec(prec + 64 + _GUARD_BITS):
+        zs = list(pt.zs) + [mp.mpc(x / 97, (height + 0.5) * v / 20)]
+        want = F_ell_product_per_factor(zs, tau, prec + 64)
+        got = F_ell_product(zs, tau, prec)
+        rel = abs(got - want) / abs(want)
+    # the node error multivar_quadrature_plan certifies, at this node
+    log_q = -2 * math.pi * v
+    log_Zs = [-2 * math.pi * float(sum(zs[j:], mp.mpc(0)).imag)
+              for j in range(ell)]
+    rounding = _product_rounding(log_Zs, log_q, prec) * 2.0 ** -_PRODUCT_BITS
+    node_err = (2 * ell + 2 * math.exp(-log_poch_lower(log_q, log_q)) + 1
+                + rounding)
+    assert rel <= node_err * mp.mpf(2) ** -prec
+    if prec >= 256:
+        assert rel <= mp.mpf("1e-70")
 
 
 def test_product_raises_at_a_pole():

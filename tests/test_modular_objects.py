@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchar.modular_objects import (NearPoleError, QuasimodularPoly, cexp,
                                    divisor_sigma_list, eisenstein_G2k, eta,
-                                   eta_qseries, euler_phi_numeric, g_ell,
-                                   ghat_qseries, ghat_value,
-                                   laurent_coefficients_D, qpoch_inf, theta,
-                                   theta_product)
+                                   eta_qseries, euler_phi_numeric, fixed_div,
+                                   fixed_mul, from_fixed, g_ell, ghat_qseries,
+                                   ghat_value, laurent_coefficients_D,
+                                   qpoch_inf, theta, theta_product, to_fixed)
 
 PREC = 128
 TOL = mp.mpf(2) ** (-PREC + 20)
@@ -120,13 +121,12 @@ def test_laurent_coefficients_by_contour():
         tau = mp.mpc("0.1", "0.9")
         r = mp.mpf("0.05")
         N = 256
+        zs = [r * cexp(mp.mpf(k) / N) for k in range(N)]
         for ell in (2, 3, 4, 5):
             D = laurent_coefficients_D(ell)
+            gs = [g_ell(z, tau, ell, prec) for z in zs]
             for j in range(1, ell + 1):
-                nodes = []
-                for k in range(N):
-                    z = r * cexp(mp.mpf(k) / N)
-                    nodes.append(g_ell(z, tau, ell, prec) * z ** j)
+                nodes = [g * z ** j for g, z in zip(gs, zs)]
                 got = (2j * mp.pi) ** j * mp.fsum(
                     [mp.re(x) for x in nodes]) / N \
                     + 1j * (2j * mp.pi) ** j * mp.fsum(
@@ -192,3 +192,37 @@ def test_euler_phi_and_qpoch():
                    for e, c in series.terms()), mp.mpf(0))
         assert abs(phi - val) <= mp.mpf("1e-25")
         assert abs(qpoch_inf(q, q, tol) - phi) <= tol * 10
+
+
+def test_eta_cached_per_tau_and_prec():
+    tau = mp.mpc("0.1", "0.9")
+    a = eta(tau, 96)
+    assert eta(tau, 96) is a
+    # the cached value is the uncached computation, bit for bit
+    fresh = eta.__wrapped__(tau, 96)
+    assert (a.real._mpf_, a.imag._mpf_) == (fresh.real._mpf_,
+                                            fresh.imag._mpf_)
+    assert eta.cache_info().maxsize <= 16
+
+
+_parts = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_parts, _parts, _parts, _parts, st.sampled_from((64, 200, 300)))
+def test_fixed_point_helpers_against_mpc(xr, xi, yr, yi, wp):
+    # every result within sqrt(2) 2^-wp of the exact value of its integer
+    # inputs, checked in mpc arithmetic 64 bits finer
+    with mp.workprec(wp + 64):
+        # sqrt(2) ulps, and the rounding of this check's own mpc arithmetic
+        err = mp.sqrt(2) * mp.mpf(2) ** -wp * (1 + mp.mpf(2) ** -32)
+        x, y = mp.mpc(xr, xi), mp.mpc(yr, yi)
+        X, Y = to_fixed(x, wp), to_fixed(y, wp)
+        assert abs(from_fixed(X, wp) - x) <= err
+        assert X[0] <= xr * 2 ** wp < X[0] + 1
+        fx, fy = from_fixed(X, wp), from_fixed(Y, wp)
+        assert abs(from_fixed(fixed_mul(X, Y, wp), wp) - fx * fy) <= err
+        if abs(fy) > 1e-3:
+            assert abs(from_fixed(fixed_div(X, Y, wp), wp) - fx / fy) \
+                <= err
+        assert from_fixed(X, wp, 5) == 32 * fx

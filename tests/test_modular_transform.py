@@ -48,6 +48,43 @@ def test_line_trapezoid_against_higher_precision_and_quad(
                 <= mp.mpf("1e-30")
 
 
+def line_trapezoid_mpmath(A, B, zeta, kappa, h, K, prec):
+    """The node loop of _line_trapezoid in mpc arithmetic, as it ran before
+    the fixed-point kernel: the oracle for that kernel's rounding."""
+    with mp.workprec(prec):
+        Q = mp.exp(2 * A * h * h)
+        total = 1 / (1 - zeta)
+        for sgn in (1, -1):
+            E = mp.mpc(1)
+            R = mp.exp(A * h * h + sgn * B * h)
+            Zw = zeta
+            w = mp.exp(sgn * 1j * kappa * h)
+            for _ in range(K):
+                E *= R
+                R *= Q
+                Zw *= w
+                total += E / (1 - Zw)
+        return h * total
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.floats(1.5, 4), st.floats(-1, 1), st.floats(-1, 1),
+       st.floats(-6, 6), st.floats(4, 12), st.floats(0.15, 0.8),
+       st.sampled_from((1, -1)), st.floats(0, 6.25))
+def test_line_trapezoid_rounding_against_mpmath_recurrence(
+        a_re, a_im, b_re, b_im, kappa, dist, side, phase):
+    # same nodes, recurrences 128 bits finer: what is left is the rounding,
+    # which the certificate budgets at a quarter of 2^-(prec + guard)
+    with mp.workprec(400):
+        A, B = mp.mpc(-a_re, a_im), mp.mpc(b_re, b_im)
+        kappa = mp.mpf(kappa)
+        zeta = mp.expj(phase) * mp.exp(side * kappa * dist)
+        got, cert = _line_trapezoid(A, B, zeta, kappa, 160)
+        want = line_trapezoid_mpmath(A, B, zeta, kappa, cert.h,
+                                     (cert.nodes - 1) // 2, 160 + 128)
+        assert abs(got - want) <= mp.mpf(2) ** -(160 + _GUARD_BITS) / 4
+
+
 def test_certificate_bounds_observed_error():
     # z = 0.2 + 0.05i puts the kernel poles 0.12 from the path, where the
     # tanh-sinh route was off by about 6e-35; z = 0.12 - 0.18i is the
