@@ -13,37 +13,38 @@ import mpmath as mp
 from .bernoulli_euler import euler_poly, higher_bernoulli_poly
 from .characters import H_value, central_charge, h_s
 from .modular_objects import DEFAULT_PREC, _GUARD_BITS
-from .partial_theta import AsympExpansion, GradedCoeff, PiGradedRational
+from .partial_theta import AsympExpansion, GradedCoeff
 
 __all__ = [
-    "PiGradedRational", "C_ell", "C_ell_star", "binomial_reciprocal_identity",
-    "exp_pole_residue", "exp_pole_residue_I", "verify_appendix",
+    "C_ell", "C_ell_star", "binomial_reciprocal_identity", "exp_pole_residue",
+    "exp_pole_residue_I", "verify_appendix",
     "leading_asym_F", "first_correction_F", "leading_asym_ch",
     "sl3_bracket_coefficient", "sl3_bracket_expansion", "full_expansion_sl3",
     "sl3_bracket_value", "qdim_ratio", "qdim_slope_exact", "qdim_slope_report",
 ]
 
 
-def C_ell(ell: int) -> PiGradedRational:
+def C_ell(ell: int) -> GradedCoeff:
     """2^{1-2 ell} (ell-1)! / Gamma((ell+1)/2)^2, kept exact.
 
     Odd ell: Gamma((ell+1)/2) is an integer factorial, so the value is a
     plain rational.  Even ell: Gamma((ell+1)/2)^2 = pi * (odd factorial
-    ratio)^2, so the value carries pi^{-1}.
+    ratio)^2, so the value carries pi^{-1}.  The grade of 2 stays 0 and pi
+    is transcendental, so equal constants have equal fields.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
     base = Fraction(factorial(ell - 1), 2 ** (2 * ell - 1))
     if ell % 2:
         m = (ell - 1) // 2
-        return PiGradedRational(base / Fraction(factorial(m)) ** 2, 0)
+        return GradedCoeff(base / Fraction(factorial(m)) ** 2)
     m = ell // 2
     # Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!)
     g = Fraction(factorial(2 * m), 4 ** m * factorial(m))
-    return PiGradedRational(base / g ** 2, -1)
+    return GradedCoeff(base / g ** 2, Fraction(0), Fraction(-1))
 
 
-def C_ell_star(ell: int) -> PiGradedRational:
+def C_ell_star(ell: int) -> GradedCoeff:
     """Higher-order-Bernoulli form of the same constant:
 
     odd ell:  (-1)^{(ell-1)/2} B^{(ell)}_{ell-1}(ell/2) / (2 (ell-1)!),
@@ -56,12 +57,12 @@ def C_ell_star(ell: int) -> PiGradedRational:
         val = (Fraction((-1) ** ((ell - 1) // 2))
                * higher_bernoulli_poly(ell - 1, ell, x)
                / (2 * factorial(ell - 1)))
-        return PiGradedRational(val, 0)
+        return GradedCoeff(val)
     if ell < 2:
         raise ValueError("even branch needs ell >= 2")
     val = (Fraction((-1) ** (ell // 2 + 1), 2)
            * higher_bernoulli_poly(ell - 2, ell, x) / factorial(ell - 2))
-    return PiGradedRational(val, -1)
+    return GradedCoeff(val, Fraction(0), Fraction(-1))
 
 
 def binomial_reciprocal_identity(n: int, c: int) -> bool:
@@ -105,9 +106,10 @@ def verify_appendix(ell_max: int = 20) -> dict:
             raise AssertionError(f"C_ell != C_ell_star at ell={ell}")
         report["equal"].append(ell)
     for ell in range(1, ell_max - 1):
-        lhs = C_ell(ell + 2)
-        rhs = PiGradedRational(Fraction(ell, 4 * (ell + 1))) * C_ell(ell)
-        if lhs != rhs:
+        C = C_ell(ell)
+        rhs = GradedCoeff(C.rat * Fraction(ell, 4 * (ell + 1)), C.two_pow,
+                          C.pi_pow)
+        if C_ell(ell + 2) != rhs:
             raise AssertionError(f"recurrence fails at ell={ell}")
         report["recurrence"].append(ell)
     for n in range(0, 21):
@@ -141,7 +143,7 @@ def leading_asym_F(ell: int, s: int) -> AsympExpansion:
         raise ValueError("ell must be >= 3")
     C = C_ell(ell)
     p = Fraction(2 - ell * ell, 2)  # 1 - ell^2/2
-    coeff = GradedCoeff(C.rat, -p, Fraction(C.pi_pow) - p)
+    coeff = GradedCoeff(C.rat, C.two_pow - p, C.pi_pow - p)
     return AsympExpansion(a_rat=-Fraction(ell * ell - 2 * ell, 6), a_pi_pow=2,
                           terms={p: coeff}, order=p + 1)
 
@@ -177,7 +179,7 @@ def leading_asym_ch(ell: int, s: int) -> AsympExpansion:
         raise ValueError("ell must be >= 3")
     C = C_ell(ell)
     p = Fraction(1, 2)
-    coeff = GradedCoeff(C.rat, -p, Fraction(C.pi_pow) - p)
+    coeff = GradedCoeff(C.rat, C.two_pow - p, C.pi_pow - p)
     return AsympExpansion(a_rat=Fraction(2 * ell - 1, 6), a_pi_pow=2,
                           terms={p: coeff}, order=p + 1)
 

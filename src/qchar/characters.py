@@ -24,9 +24,10 @@ from .exact_series import (ExactQSeries, euler_product, euler_product_pow,
                            poch_ratio_bivariate)
 from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, Certificate,
                               NearPoleError, _require_upper_half, _tol, cexp,
-                              euler_phi_numeric, g_ell, laurent_coefficients_D,
-                              log_poch_lower, periodic_trapezoid,
-                              plan_periodic_trapezoid, qpoch_inf)
+                              certified_gaussian_sum, euler_phi_numeric,
+                              g_ell, laurent_coefficients_D, log_poch_lower,
+                              periodic_trapezoid, plan_periodic_trapezoid,
+                              qpoch_inf)
 
 
 class RouteMismatchError(ValueError):
@@ -185,30 +186,18 @@ def character_ch(params: CharacterParams) -> ExactQSeries:
 def H_value(ell: int, s: int, tau, prec: int = DEFAULT_PREC):
     """H_{s + ell/2}(tau) = (-1)^ell sum_{j = ell (mod 2)} D_{-j}(tau)/(j-1)!
     * sum_{n>=0} (-1)^{n eps} (ell n + ell/2 - s)^{j-1}
-      e^{2 pi i tau (ell n + ell/2 - s)^2 / (2 ell)},  eps = ell mod 2."""
+      e^{2 pi i tau (ell n + ell/2 - s)^2 / (2 ell)},  eps = ell mod 2.
+
+    As one Gaussian sum in x = n + 1/2 - s/ell: (-1)^ell sum_n (-1)^{n eps}
+    P(x) e^{pi i tau ell x^2}, P(x) = sum_j D_{-j} (ell x)^{j-1}/(j-1)!."""
     _require_upper_half(tau)
-    eps = ell % 2
     D_polys = laurent_coefficients_D(ell)
     with mp.workprec(prec + _GUARD_BITS):
-        v = mp.im(tau)
-        log_tol = -(prec + 8) * mp.log(2)
-        acc = mp.mpc(0)
-        for j in range(1, ell + 1):
-            if (ell - j) % 2:
-                continue
-            Dval = D_polys[j - 1].evaluate(tau, prec)
-            inner = mp.mpc(0)
-            n = 0
-            while True:
-                a = mp.mpf(2 * ell * n + ell - 2 * s) / 2
-                inner += (-1) ** (n * eps) * a ** (j - 1) * mp.exp(
-                    2j * mp.pi * tau * a * a / (2 * ell))
-                log_bound = (-2 * mp.pi * v * a * a / (2 * ell)
-                             + (j - 1) * mp.log(abs(a) + 2))
-                if a > 0 and log_bound < log_tol:
-                    break
-                n += 1
-            acc += Dval / factorial(j - 1) * inner
+        poly = [D.evaluate(tau, prec) * mp.mpf(ell) ** k / factorial(k)
+                for k, D in enumerate(D_polys)]
+        acc, _ = certified_gaussian_sum(
+            mp.pi * 1j * tau * ell, 0, Fraction(1, 2) - Fraction(s, ell),
+            (-1) ** (ell % 2), poly, prec)
         return (-1) ** ell * acc
 
 

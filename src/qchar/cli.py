@@ -171,18 +171,25 @@ def _parse_mpc(text: str):
     return mp.mpc(complex(text.replace(" ", "")))
 
 
+def _upper_half(text: str):
+    """argparse type: a complex tau with Im tau > 0."""
+    tau = _parse_mpc(text)
+    if not mp.im(tau) > 0:
+        raise argparse.ArgumentTypeError("need Im tau > 0")
+    return tau
+
+
 def cmd_verify_decomposition(args) -> int:
     prec = args.prec
-    tau = _parse_mpc(args.tau)
     tol = mp.mpf(args.tol)
     rng = random.Random(args.seed)
     points = []
     if args.z:
         points.append(decomposition.MultivarPoint(
-            tuple(_parse_mpc(z) for z in args.z), tau, prec))
+            tuple(_parse_mpc(z) for z in args.z), args.tau, prec))
     else:
-        points = [decomposition.random_admissible_point(args.ell, tau, rng,
-                                                        prec)
+        points = [decomposition.random_admissible_point(args.ell, args.tau,
+                                                        rng, prec)
                   for _ in range(args.points)]
     results = []
     ok = True
@@ -212,12 +219,11 @@ def cmd_verify_decomposition(args) -> int:
 
 def cmd_verify_modular(args) -> int:
     prec = args.prec
-    tau = _parse_mpc(args.tau)
     z = _parse_mpc(args.z)
     tol = mp.mpf(args.tol)
     gamma = args.matrix
     params = PartialThetaParams(Fraction(args.r), args.eps, Fraction(args.M))
-    report = modular_transform.verify_general_transform(params, z, tau,
+    report = modular_transform.verify_general_transform(params, z, args.tau,
                                                         gamma, prec)
     ok = report["abs_err"] <= tol
     _emit({"schema": 1, "command": "verify-modular", "ok": bool(ok),
@@ -280,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("qdim", help="quantum-dimension ratio table")
-    p.add_argument("--ell", type=int, default=3)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--ell", type=_int_at_least(2), default=3)
+    p.add_argument("--s", type=_int_at_least(0), default=1)
     p.add_argument("--t", type=str, default="0.2,0.1,0.05")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_qdim)
@@ -298,12 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-decomposition",
                        help="quadrature vs residue-sum decomposition")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--tau", type=str, default="1j")
+    p.add_argument("--ell", type=_int_at_least(2), required=True)
+    p.add_argument("--s", type=_int_at_least(0), required=True)
+    p.add_argument("--tau", type=_upper_half, default="1j")
     p.add_argument("--z", type=str, nargs="*", default=None,
                    help="explicit z_1..z_{ell-1} (else seeded random points)")
-    p.add_argument("--points", type=int, default=5)
+    p.add_argument("--points", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--tol", type=str, default="1e-10")
     p.set_defaults(func=cmd_verify_decomposition)
@@ -314,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a,b,c,d with ad - bc = 1 and c > 0")
     p.add_argument("--M", type=str, default="3/2")
     p.add_argument("--r", type=str, default="3/2")
-    p.add_argument("--eps", type=int, default=1)
+    p.add_argument("--eps", type=int, choices=(0, 1), default=1)
     p.add_argument("--z", type=str, default="0.12+0.18j")
-    p.add_argument("--tau", type=str, default="1j")
+    p.add_argument("--tau", type=_upper_half, default="1j")
     p.add_argument("--tol", type=str, default="1e-12")
     p.set_defaults(func=cmd_verify_modular)
 

@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -245,23 +244,6 @@ class ExactQSeries:
                          for e, c in sorted(self.coeffs.items())[:6])
         return f"ExactQSeries({head}{', ...' if len(self.coeffs) > 6 else ''}; O(q^{Fraction(self.trunc, self.D)}))"
 
-    # -------------------------------------------------------- serialization
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "D": self.D,
-            "min_exp": self.min_exp,
-            "trunc": self.trunc,
-            "coeffs": [[e, f"{c.numerator}/{c.denominator}"]
-                       for e, c in sorted(self.coeffs.items())],
-        })
-
-    @classmethod
-    def from_json(cls, s: str) -> "ExactQSeries":
-        d = json.loads(s)
-        return cls(d["D"], {int(e): Fraction(c) for e, c in d["coeffs"]},
-                   d["trunc"])
-
 
 # ------------------------------------------------------------------ helpers
 
@@ -405,27 +387,6 @@ class ZetaQSeries:
         lo = self.zeta_lo_base
         return ExactQSeries(1, {n: self.rows[n][m + n - lo]
                                 for n in range(max(0, lo - m), trunc)}, trunc)
-
-
-def pochhammer_inf(zeta_pow: int, q_pow: int, power: int, trunc: int,
-                   zeta_lo_base: int = 0,
-                   zeta_hi_base: int | None = None) -> ZetaQSeries:
-    """Expansion of ``(zeta^zeta_pow q^q_pow; q)_infinity^power``.
-
-    Valid in the region ``|q| < |zeta| < 1`` (each factor is expanded by the
-    binomial/geometric series in its own monomial).  ``q_pow = 0`` is allowed
-    only when ``zeta_pow != 0``.
-    """
-    if zeta_hi_base is None:
-        zeta_hi_base = trunc - 1
-    if q_pow < 0:
-        raise ValueError("q_pow must be nonnegative")
-    if q_pow == 0 and zeta_pow == 0:
-        raise ValueError("divergent configuration")
-    state = ZetaQSeries.unit(trunc, zeta_lo_base, zeta_hi_base)
-    for j in range(trunc - q_pow):
-        state = state.mul_factor(zeta_pow, q_pow + j, power)
-    return state
 
 
 def poch_ratio_bivariate(ell: int, s_max: int, trunc: int) -> ZetaQSeries:

@@ -87,18 +87,92 @@ def fixed_div(x, y, wp: int):
 
 @dataclass(frozen=True)
 class Certificate:
-    """How a certified quadrature value was reached: trapezoid nodes, step
-    ``h``, the length ``X`` the nodes cover (the cutoff half-width on R, or
-    the period 1 of a periodic integrand), the a-priori absolute error
-    bound, the precision in bits it was certified at (for a periodic plan,
-    the precision its nodes are evaluated at), and the seconds it took (for a
-    periodic plan, the planning, before any node is evaluated)."""
+    """How a certified quadrature value or series sum was reached: nodes or
+    terms, step ``h`` (1 for a series), the length ``X`` the nodes cover (the
+    cutoff half-width on R, the period 1 of a periodic integrand, or the last
+    x of a series), the a-priori absolute error bound, the precision in bits
+    it was certified at (for a periodic plan, that of its nodes; for a
+    series, that of its recurrence), and the seconds it took (for a periodic
+    plan, the planning, before any node is evaluated)."""
     nodes: int
     h: object
     X: object
     bound: object
     prec: int
     seconds: float
+
+
+def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
+    """(sum_{n>=0} sign^n P(x_n) e^{alpha x_n^2 + beta x_n}, Certificate),
+    x_n = n + r, P(x) = sum_k poly[k] x^k of degree d, sign = +-1, r
+    rational, Re alpha < 0 (else ValueError); certified for alpha, beta and
+    poly as given and r exact.
+
+    With a = -Re alpha, b = Re beta and Pbar(y) = sum_k |poly[k]| y^k, term
+    n is at most B_n = Pbar(|x_n|) e^{-a x_n^2 + b x_n}; for x_n > 0 the
+    ratio B_{n+1}/B_n is at most rho_n = (1 + 1/x_n)^d e^{-a(2x_n + 1) + b},
+    which falls as x_n grows, so the tail from n is below T = B_n/(1 - rho_n).
+    Planned in doubles, the sum stops before the first n >= 1 with x_n > 0,
+    rho_n < e^(-10^-6) and T <= 2^-(prec + _GUARD_BITS), the callers'
+    precision; the bound counts T twice for the doubles' rounding.  (Halving
+    bounds, rho_n <= 1/2, would cost about 0.36/a terms at small a.)
+
+    Terms come from E_{n+1} = E_n R_n, R_{n+1} = R_n Q, E_0 = e^{alpha r^2 +
+    beta r}, R_0 = sign e^{alpha (2r+1) + beta}, Q = e^{2 alpha}: three exps,
+    formed at extra bits to enter within u = 2^(1-wp), which bounds one
+    rounding of an mpf, or of each part of an mpc, relative to its modulus.
+    To first order, R_n is then within (2n + 1) u and E_n within (n + 1)^2 u,
+    relative; x_n is off by u (|x_n| + 2|r|), moving P by d (1 + 2|r|) u
+    Pbar(y_n), y_n = |x_n| + 1; Horner's rule (mp.polyval) adds 2 d u
+    Pbar(y_n) (Higham, Accuracy and Stability, 2002, eq. 5.3), the product
+    P E_n u and the sum (N - 1) u sum |terms|.  With G = e^{b^2/(4a)} >=
+    |E_n| and Y = max y_n, the rounding is below K u, K = 2 N G Pbar(Y) (d
+    (2|r| + 4) + N^2 + N + 1), the 2 covering higher orders; wp keeps K u <=
+    2^-(prec + _GUARD_BITS).  Returns the value at wp bits and
+    Certificate(N, 1, the last x, 2 T + K u, wp, seconds).
+    """
+    start = time.perf_counter()
+    r = Fraction(r)
+    a, b, rf = -float(mp.re(alpha)), float(mp.re(beta)), float(r)
+    if not a > 0:
+        raise ValueError("a Gaussian sum needs Re alpha < 0")
+    d = len(poly) - 1
+    abs_coeffs = [float(abs(c)) for c in poly]
+
+    def log_pbar(y):
+        return math.log(sum(c * y ** k for k, c in enumerate(abs_coeffs)))
+
+    for N in range(max(1, math.floor(-r) + 1), 10_000_000):
+        x = N + rf
+        log_rho = d * math.log1p(1 / x) - a * (2 * x + 1) + b
+        if log_rho < -1e-6:
+            log_T = (log_pbar(x) - a * x * x + b * x
+                     - math.log(-math.expm1(log_rho)))
+            if log_T <= -(prec + _GUARD_BITS) * math.log(2):
+                break
+    else:
+        raise RuntimeError("Gaussian sum needs too many terms")
+    Y = max(abs(rf), abs(N - 1 + rf)) + 1
+    log2_K = (math.log2(2 * N * (d * (2 * abs(rf) + 4) + N * N + N + 1))
+              + (b * b / (4 * a) + log_pbar(Y)) / math.log(2))
+    wp = prec + _GUARD_BITS + 1 + max(0, math.ceil(log2_K))
+    # each exp's argument is below span: log2(span) + 12 bits past wp keep
+    # its rounding far below u
+    span = 4 * (float(abs(alpha)) + float(abs(beta)) + 1) * (abs(rf) + 1) ** 2
+    with mp.workprec(wp + 12 + math.ceil(math.log2(span))):
+        rr = fraction_mpf(r)
+        E = mp.exp((alpha * rr + beta) * rr)
+        R = sign * mp.exp(alpha * (2 * rr + 1) + beta)
+        Q = mp.exp(2 * alpha)
+    with mp.workprec(wp):
+        acc = 0
+        for n in range(N):
+            acc += mp.polyval(poly[::-1], n + rr) * E
+            E *= R
+            R *= Q
+        bound = 2 * mp.exp(log_T) + mp.ldexp(1, math.ceil(log2_K) + 1 - wp)
+    return acc, Certificate(N, 1, N - 1 + r, bound, wp,
+                            time.perf_counter() - start)
 
 
 def log_poch_lower(log_f0, log_q) -> float:
@@ -274,23 +348,12 @@ def theta(z, tau, prec: int = DEFAULT_PREC):
     """Odd Jacobi theta, sum over n in 1/2+Z of q^{n^2/2} e^{2 pi i n(z+1/2)}."""
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
-        tol = _tol(prec)
-        v = mp.im(tau)
-        y = abs(mp.im(z))
-        total = mp.mpc(0)
-        m = 0
-        while True:
-            n = m + mp.mpf(1) / 2
-            for sgn in (1, -1):
-                nn = sgn * n
-                total += mp.exp(mp.pi * 1j * tau * nn * nn
-                                + 2j * mp.pi * nn * (z + mp.mpf(1) / 2))
-            # |term| <= e^{-pi v n^2 + 2 pi y n}; ratio of consecutive bounds
-            # is e^{-pi v (2n+1) + 2 pi y}, eventually < 1/2
-            bound = 2 * mp.exp(-mp.pi * v * n * n + 2 * mp.pi * y * n)
-            if m > (2 * y + 1) / v and bound < tol:
-                return total
-            m += 1
+        alpha = mp.pi * 1j * tau
+        beta = 2j * mp.pi * (z + mp.mpf(1) / 2)
+        half = Fraction(1, 2)
+        plus, _ = certified_gaussian_sum(alpha, beta, half, 1, (1,), prec)
+        minus, _ = certified_gaussian_sum(alpha, -beta, half, 1, (1,), prec)
+        return plus + minus
 
 
 def theta_product(z, tau, prec: int = DEFAULT_PREC):
@@ -441,37 +504,9 @@ class QuasimodularPoly:
             acc = acc + term
         return acc
 
-    def __eq__(self, other):
-        if not isinstance(other, QuasimodularPoly):
-            return NotImplemented
-        if self.is_zero and other.is_zero:
-            return self.weight == other.weight
-        return (self.weight == other.weight
-                and self.i_power == other.i_power
-                and self.monomials == other.monomials)
-
     def __repr__(self):
         return (f"QuasimodularPoly(weight={self.weight}, "
                 f"i_power={self.i_power}, monomials={self.monomials})")
-
-    def to_json(self) -> dict:
-        return {
-            "weight": self.weight,
-            "i_power": self.i_power,
-            "monomials": [
-                {"coeff": f"{c.numerator}/{c.denominator}",
-                 "powers": {f"G{k2}": m for k2, m in mono}}
-                for mono, c in sorted(self.monomials.items())],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuasimodularPoly":
-        monos = {}
-        for entry in obj["monomials"]:
-            mono = tuple(sorted((int(name[1:]), int(m))
-                                for name, m in entry["powers"].items()))
-            monos[mono] = Fraction(entry["coeff"])
-        return cls(obj["weight"], obj["i_power"], monos)
 
 
 @lru_cache(maxsize=32)

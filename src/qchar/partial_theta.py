@@ -1,13 +1,14 @@
-"""Partial (false) theta functions and the Euler--Maclaurin expansion engine.
+"""Partial (false) theta functions and the script-F/G sum families.
 
 The one-sided theta sum
 
     theta_plus_{r,eps,M}(z; tau) = sum_{n>=0} (-1)^{n eps}
         zeta^{2Mn - r} q^{(2Mn - r)^2 / (4M)}
 
-is evaluated by direct summation with a certified Gaussian tail bound.  The
-small-t expansion families F_{j,r}(t) and G_{j,r}(t) are driven by an exact
-Euler--Maclaurin formula whose coefficients are Bernoulli-polynomial values.
+and the small-t families F_{j,r}(t) and G_{j,r}(t) are Gaussian sums,
+evaluated by the certified summation of ``certified_gaussian_sum``.  The
+small-t expansions of F and G are Euler--Maclaurin expansions whose exact
+coefficients are Bernoulli-polynomial values, written out in closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import mpmath as mp
 
 from .bernoulli_euler import bernoulli_poly
 from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, _require_upper_half,
-                              _tol, fraction_mpf)
+                              certified_gaussian_sum, fraction_mpf)
 
 
 @dataclass(frozen=True)
@@ -47,122 +48,21 @@ class PartialThetaParams:
 
 def partial_theta(params: PartialThetaParams, z, tau,
                   prec: int = DEFAULT_PREC):
-    """Direct summation of theta_plus with a certified tail cutoff.
+    """Direct summation of theta_plus with a certified tail cutoff: with
+    x = n - r/(2M), term n is (-1)^{n eps} e^{2 pi i tau M x^2 + 4 pi i M z x}.
 
     Exponentials are built from tau and z directly; no fractional powers of
     a complex q are ever taken.
     """
     _require_upper_half(tau)
-    r, eps, M = params.r, params.epsilon, params.M
     with mp.workprec(prec + _GUARD_BITS):
-        v = mp.im(tau)
-        y = mp.im(z)
-        log_tol = -(prec + 8) * mp.log(2)
-        M4 = 4 * fraction_mpf(M)
-        total = mp.mpc(0)
-        n = 0
-        prev_log_bound = mp.inf
-        while True:
-            a = 2 * M * n - r  # rational
-            af = fraction_mpf(a)
-            total += (-1) ** (n * eps) * mp.exp(
-                2j * mp.pi * z * af + 2j * mp.pi * tau * af * af / M4)
-            # log|term| = -2 pi y a - 2 pi v a^2/(4M); quadratic wins
-            log_bound = -2 * mp.pi * y * af - 2 * mp.pi * v * af * af / M4
-            if af > 0 and log_bound < log_tol and \
-                    log_bound < prev_log_bound - mp.log(2):
-                # bounds now halve (at least) per step: remaining sum is
-                # below twice the next bound, i.e. below tolerance
-                return total
-            prev_log_bound = log_bound
-            n += 1
-            if n > 10_000_000:
-                raise RuntimeError("partial theta not converging")
+        M = fraction_mpf(params.M)
+        return certified_gaussian_sum(
+            2j * mp.pi * tau * M, 4j * mp.pi * M * z,
+            -params.r / (2 * params.M), (-1) ** params.epsilon, (1,), prec)[0]
 
 
-def euler_maclaurin_sum(derivs_at_0, I_f, alpha, t, N: int):
-    """Truncated expansion of sum_{n>=0} f((n+alpha)t):
-
-        I_f / t - sum_{n=0}^{N} B_{n+1}(alpha)/(n+1)! f^(n)(0) t^n.
-
-    ``derivs_at_0[n]`` must be f^(n)(0) for n = 0..N (rationals or floats);
-    ``I_f`` is the integral of f over [0, infinity).
-    """
-    if len(derivs_at_0) < N + 1:
-        raise ValueError("need derivatives up to order N")
-    alpha = Fraction(alpha)
-    t = mp.mpf(t)
-    acc = mp.mpf(I_f) / t
-    for n in range(N + 1):
-        b = bernoulli_poly(n + 1, alpha) / factorial(n + 1)
-        d = derivs_at_0[n]
-        if isinstance(d, Fraction):
-            d = fraction_mpf(d)
-        acc -= fraction_mpf(b) * d * t ** n
-    return acc
-
-
-def gaussian_monomial_derivs(k: int, N: int) -> list[Fraction]:
-    """Exact derivatives at 0 of x^k e^{-x^2}, orders 0..N."""
-    out = []
-    for n in range(N + 1):
-        # coefficient of x^n in x^k sum (-x^2)^m/m!
-        if n < k or (n - k) % 2:
-            out.append(Fraction(0))
-        else:
-            m = (n - k) // 2
-            out.append(Fraction((-1) ** m * factorial(n), factorial(m)))
-    return out
-
-
-# ------------------------------------------------------- pi-graded constants
-
-
-@dataclass(frozen=True)
-class PiGradedRational:
-    """Exact constant rat * pi^pi_pow; arithmetic stays in one grade."""
-    rat: Fraction
-    pi_pow: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "rat", Fraction(self.rat))
-
-    def __mul__(self, other):
-        if isinstance(other, PiGradedRational):
-            return PiGradedRational(self.rat * other.rat,
-                                    self.pi_pow + other.pi_pow)
-        return PiGradedRational(self.rat * Fraction(other), self.pi_pow)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, PiGradedRational):
-            other = PiGradedRational(Fraction(other))
-        if self.rat == 0:
-            return other
-        if other.rat == 0:
-            return self
-        if self.pi_pow != other.pi_pow:
-            raise ValueError(
-                f"cannot add pi^{self.pi_pow} and pi^{other.pi_pow} terms "
-                "exactly")
-        return PiGradedRational(self.rat + other.rat, self.pi_pow)
-
-    def __eq__(self, other):
-        if not isinstance(other, PiGradedRational):
-            return NotImplemented
-        if self.rat == 0 and other.rat == 0:
-            return True
-        return self.rat == other.rat and self.pi_pow == other.pi_pow
-
-    def value(self, prec: int = DEFAULT_PREC):
-        with mp.workprec(prec + _GUARD_BITS):
-            return fraction_mpf(self.rat) * mp.pi ** self.pi_pow
-
-    def __repr__(self):
-        if self.pi_pow == 0:
-            return f"{self.rat}"
-        return f"{self.rat}*pi^{self.pi_pow}"
+# ------------------------------------------------------- graded constants
 
 
 @dataclass(frozen=True)
@@ -229,39 +129,16 @@ class AsympExpansion:
                 and self.order == other.order
                 and self.terms == other.terms)
 
-    def to_json(self) -> dict:
-        def frac(f):
-            return f"{f.numerator}/{f.denominator}"
-        return {
-            "a": {"rat": frac(self.a_rat), "pi_pow": self.a_pi_pow},
-            "order": None if self.order is None else frac(self.order),
-            "terms": [
-                {"t_pow": frac(e),
-                 "coeffs": [{"rat": frac(c.rat), "two_pow": frac(c.two_pow),
-                             "pi_pow": frac(c.pi_pow)} for c in cs]}
-                for e, cs in sorted(self.terms.items())],
-        }
-
 
 # ----------------------------------------------- the script-F/G sum families
 
 
 def script_F(j: int, r, t, prec: int = DEFAULT_PREC):
-    """2^{-2j} t^j sum_{n>=0} (-1)^n (n+r)^{2j} e^{-(n+r)^2 t/4}."""
-    r = Fraction(r)
+    """2^{-2j} t^j sum_{n>=0} (-1)^n (n+r)^{2j} e^{-(n+r)^2 t/4}, t > 0."""
     with mp.workprec(prec + _GUARD_BITS):
         t = mp.mpf(t)
-        rf = fraction_mpf(r)
-        cutoff = (prec + 8) * mp.log(2)
-        acc = mp.mpf(0)
-        n = 0
-        while True:
-            x = n + rf
-            expo = x * x * t / 4
-            acc += (-1) ** n * x ** (2 * j) * mp.exp(-expo)
-            if x > 0 and expo > cutoff + 2 * j * mp.log(abs(x) + 2):
-                break
-            n += 1
+        acc, _ = certified_gaussian_sum(-t / 4, 0, r, -1,
+                                        (0,) * (2 * j) + (1,), prec)
         return mp.mpf(2) ** (-2 * j) * t ** j * acc
 
 
@@ -282,23 +159,13 @@ def script_F_expansion(j: int, r, N: int) -> AsympExpansion:
 
 
 def script_G(j: int, r, t, prec: int = DEFAULT_PREC):
-    """t^{j-1/2} sum_{n>=0} (n+r)^{2j-1} e^{-(n+r)^2 t}."""
+    """t^{j-1/2} sum_{n>=0} (n+r)^{2j-1} e^{-(n+r)^2 t}, for t > 0."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    r = Fraction(r)
     with mp.workprec(prec + _GUARD_BITS):
         t = mp.mpf(t)
-        rf = fraction_mpf(r)
-        cutoff = (prec + 8) * mp.log(2)
-        acc = mp.mpf(0)
-        n = 0
-        while True:
-            x = n + rf
-            expo = x * x * t
-            acc += x ** (2 * j - 1) * mp.exp(-expo)
-            if x > 0 and expo > cutoff + 2 * j * mp.log(abs(x) + 2):
-                break
-            n += 1
+        acc, _ = certified_gaussian_sum(-t, 0, r, 1,
+                                        (0,) * (2 * j - 1) + (1,), prec)
         return t ** (j - mp.mpf(1) / 2) * acc
 
 

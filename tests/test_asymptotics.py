@@ -11,23 +11,25 @@ from qchar.asymptotics import (C_ell, C_ell_star,
                                qdim_slope_report, sl3_bracket_expansion, sl3_bracket_value,
                                verify_appendix)
 from qchar.characters import F_ls_numeric
-from qchar.partial_theta import GradedCoeff, PiGradedRational
+from qchar.partial_theta import GradedCoeff
 
 PREC = 128
 
 
 def test_C_ell_small_values():
-    assert C_ell(1) == PiGradedRational(Fraction(1, 2), 0)
-    assert C_ell(3) == PiGradedRational(Fraction(1, 16), 0)
-    assert C_ell(4) == PiGradedRational(Fraction(1, 12), -1)  # 1/(12 pi)
+    assert C_ell(1) == GradedCoeff(Fraction(1, 2))
+    assert C_ell(3) == GradedCoeff(Fraction(1, 16))
+    # 1/(12 pi)
+    assert C_ell(4) == GradedCoeff(Fraction(1, 12), Fraction(0), Fraction(-1))
 
 
 def test_C_star_equality_and_recurrence():
     for ell in range(1, 21):
         assert C_ell(ell) == C_ell_star(ell)
     for ell in range(1, 19):
-        assert C_ell(ell + 2) == \
-            PiGradedRational(Fraction(ell, 4 * (ell + 1))) * C_ell(ell)
+        C = C_ell(ell)
+        assert C_ell(ell + 2) == GradedCoeff(
+            C.rat * Fraction(ell, 4 * (ell + 1)), C.two_pow, C.pi_pow)
 
 
 def test_binomial_identity_spot():

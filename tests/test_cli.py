@@ -92,6 +92,15 @@ def test_usage_error_exit_two():
     ["coeffs", "--ell", "3", "--s", "-1"],
     ["asym", "--ell", "2"],
     ["verify-modular", "--matrix", "1,1,1,1"],
+    ["verify-decomposition", "--ell", "3", "--s", "0", "--points", "0"],
+    ["verify-decomposition", "--ell", "1", "--s", "0"],
+    ["verify-decomposition", "--ell", "3", "--s", "-1"],
+    ["verify-decomposition", "--ell", "3", "--s", "0", "--tau=-1j"],
+    ["verify-decomposition", "--ell", "3", "--s", "0", "--tau", "x"],
+    ["verify-modular", "--tau=-1j"],
+    ["verify-modular", "--eps", "3"],
+    ["qdim", "--s", "-1"],
+    ["qdim", "--ell", "1"],
 ])
 def test_invalid_argument_exit_two(argv):
     with pytest.raises(SystemExit) as err:
@@ -105,14 +114,6 @@ def test_verification_error_exit_one(capsys):
                     "3", "--s", "0", "--z", "1e-30j", "0.1+0.1j")
     assert code == 1
     assert "collide" in json.loads(out)["error"]
-
-
-def test_runtime_error_exit_one(capsys):
-    # an invalid parameter that passes argparse surfaces as a failure report
-    code, out = run(capsys, "verify-decomposition", "--ell", "3", "--s", "0",
-                    "--tau=-1j")
-    assert code == 1
-    assert json.loads(out)["ok"] is False
 
 
 def test_verify_modular_diagnostics(capsys):

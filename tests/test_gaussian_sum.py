@@ -1,0 +1,229 @@
+"""certified_gaussian_sum and its five callers.
+
+The oracles below are the per-term loops that theta, partial_theta, H_value,
+script_F and script_G ran before they became callers of the helper: one
+mp.exp per term and a stopping rule of their own.
+"""
+
+from fractions import Fraction
+from math import factorial
+
+import mpmath as mp
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qchar.characters import H_value
+from qchar.modular_objects import (_GUARD_BITS, _require_upper_half, _tol,
+                                   certified_gaussian_sum, fraction_mpf,
+                                   laurent_coefficients_D, theta)
+from qchar.partial_theta import (PartialThetaParams, partial_theta, script_F,
+                                 script_G)
+
+PREC = 128
+TOL = mp.mpf(2) ** -(PREC - 8)
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def theta_loop(z, tau, prec):
+    _require_upper_half(tau)
+    with mp.workprec(prec + _GUARD_BITS):
+        tol = _tol(prec)
+        v = mp.im(tau)
+        y = abs(mp.im(z))
+        total = mp.mpc(0)
+        m = 0
+        while True:
+            n = m + mp.mpf(1) / 2
+            for sgn in (1, -1):
+                nn = sgn * n
+                total += mp.exp(mp.pi * 1j * tau * nn * nn
+                                + 2j * mp.pi * nn * (z + mp.mpf(1) / 2))
+            # |term| <= e^{-pi v n^2 + 2 pi y n}; ratio of consecutive bounds
+            # is e^{-pi v (2n+1) + 2 pi y}, eventually < 1/2
+            bound = 2 * mp.exp(-mp.pi * v * n * n + 2 * mp.pi * y * n)
+            if m > (2 * y + 1) / v and bound < tol:
+                return total
+            m += 1
+
+
+def partial_theta_loop(params, z, tau, prec):
+    _require_upper_half(tau)
+    r, eps, M = params.r, params.epsilon, params.M
+    with mp.workprec(prec + _GUARD_BITS):
+        v = mp.im(tau)
+        y = mp.im(z)
+        log_tol = -(prec + 8) * mp.log(2)
+        M4 = 4 * fraction_mpf(M)
+        total = mp.mpc(0)
+        n = 0
+        prev_log_bound = mp.inf
+        while True:
+            a = 2 * M * n - r  # rational
+            af = fraction_mpf(a)
+            total += (-1) ** (n * eps) * mp.exp(
+                2j * mp.pi * z * af + 2j * mp.pi * tau * af * af / M4)
+            # log|term| = -2 pi y a - 2 pi v a^2/(4M); quadratic wins
+            log_bound = -2 * mp.pi * y * af - 2 * mp.pi * v * af * af / M4
+            if af > 0 and log_bound < log_tol and \
+                    log_bound < prev_log_bound - mp.log(2):
+                # bounds now halve (at least) per step: remaining sum is
+                # below twice the next bound, i.e. below tolerance
+                return total
+            prev_log_bound = log_bound
+            n += 1
+            if n > 10_000_000:
+                raise RuntimeError("partial theta not converging")
+
+
+def H_value_loop(ell, s, tau, prec):
+    _require_upper_half(tau)
+    eps = ell % 2
+    D_polys = laurent_coefficients_D(ell)
+    with mp.workprec(prec + _GUARD_BITS):
+        v = mp.im(tau)
+        log_tol = -(prec + 8) * mp.log(2)
+        acc = mp.mpc(0)
+        for j in range(1, ell + 1):
+            if (ell - j) % 2:
+                continue
+            Dval = D_polys[j - 1].evaluate(tau, prec)
+            inner = mp.mpc(0)
+            n = 0
+            while True:
+                a = mp.mpf(2 * ell * n + ell - 2 * s) / 2
+                inner += (-1) ** (n * eps) * a ** (j - 1) * mp.exp(
+                    2j * mp.pi * tau * a * a / (2 * ell))
+                log_bound = (-2 * mp.pi * v * a * a / (2 * ell)
+                             + (j - 1) * mp.log(abs(a) + 2))
+                if a > 0 and log_bound < log_tol:
+                    break
+                n += 1
+            acc += Dval / factorial(j - 1) * inner
+        return (-1) ** ell * acc
+
+
+def script_F_loop(j, r, t, prec):
+    r = Fraction(r)
+    with mp.workprec(prec + _GUARD_BITS):
+        t = mp.mpf(t)
+        rf = fraction_mpf(r)
+        cutoff = (prec + 8) * mp.log(2)
+        acc = mp.mpf(0)
+        n = 0
+        while True:
+            x = n + rf
+            expo = x * x * t / 4
+            acc += (-1) ** n * x ** (2 * j) * mp.exp(-expo)
+            if x > 0 and expo > cutoff + 2 * j * mp.log(abs(x) + 2):
+                break
+            n += 1
+        return mp.mpf(2) ** (-2 * j) * t ** j * acc
+
+
+def script_G_loop(j, r, t, prec):
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    r = Fraction(r)
+    with mp.workprec(prec + _GUARD_BITS):
+        t = mp.mpf(t)
+        rf = fraction_mpf(r)
+        cutoff = (prec + 8) * mp.log(2)
+        acc = mp.mpf(0)
+        n = 0
+        while True:
+            x = n + rf
+            expo = x * x * t
+            acc += x ** (2 * j - 1) * mp.exp(-expo)
+            if x > 0 and expo > cutoff + 2 * j * mp.log(abs(x) + 2):
+                break
+            n += 1
+        return t ** (j - mp.mpf(1) / 2) * acc
+
+
+# -------------------------------------------------- callers against oracles
+
+re_st = st.floats(min_value=-0.5, max_value=0.5)
+im_st = st.floats(min_value=0.05, max_value=2.0)
+frac_st = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def tau_z(draw):
+    """(tau, z) with Im tau in [0.05, 2] and |Im z| <= Im tau."""
+    v = draw(im_st)
+    tau = mp.mpc(draw(re_st), v)
+    z = mp.mpc(draw(re_st), v * draw(st.floats(min_value=-1, max_value=1)))
+    return tau, z
+
+
+def close(got, want):
+    return abs(got - want) <= TOL * max(1, abs(want))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tau_z())
+def test_theta_against_loop(point):
+    tau, z = point
+    assert close(theta(z, tau, PREC), theta_loop(z, tau, PREC))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tau_z(), frac_st, st.sampled_from((0, 1)),
+       st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3, 2), 2)))
+def test_partial_theta_against_loop(point, r, eps, M):
+    tau, z = point
+    params = PartialThetaParams(r, eps, M)
+    assert close(partial_theta(params, z, tau, PREC),
+                 partial_theta_loop(params, z, tau, PREC))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(tau_z(), st.sampled_from((2, 3, 4)), st.integers(0, 4))
+def test_H_value_against_loop(point, ell, s):
+    tau, _ = point
+    assert close(H_value(ell, s, tau, PREC), H_value_loop(ell, s, tau, PREC))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.05, max_value=1.0), st.sampled_from((1, 2, 3)),
+       frac_st)
+def test_script_FG_against_loops(t, j, r):
+    assert close(script_F(j, r, t, PREC), script_F_loop(j, r, t, PREC))
+    assert close(script_G(j, r, t, PREC), script_G_loop(j, r, t, PREC))
+
+
+# ------------------------------------------------------------ the certificate
+
+# (alpha, beta, r, sign, poly): a theta side at tau = i, where each term is
+# far above the next, a tilted one with a complex polynomial, a partial-theta
+# side whose early terms grow, and an alternating script-F sum at t = 1e-3,
+# whose terms reach 1e11 before they decay
+CASES = [
+    (-mp.pi, 0, Fraction(1, 2), 1, (1,)),
+    (mp.mpc(-0.7, 2.1), mp.mpc(1.3, -0.4), Fraction(-5, 3), -1,
+     (mp.mpc(0.5, -1), 0, 3)),
+    (mp.mpc(-1.2, 0.3), mp.mpc(2.5, 1.0), Fraction(-3), 1, (1,)),
+    (mp.mpf("-0.00025"), 0, Fraction(1, 3), -1, (0,) * 6 + (1,)),
+]
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("prec", (64, 128, 256))
+def test_certificate_bounds_error_against_higher_precision(case, prec):
+    alpha, beta, r, sign, poly = case
+    with mp.workprec(prec + 96):
+        value, cert = certified_gaussian_sum(alpha, beta, r, sign, poly, prec)
+        fine, fine_cert = certified_gaussian_sum(alpha, beta, r, sign, poly,
+                                                 prec + 64)
+        assert abs(value - fine) <= cert.bound + fine_cert.bound
+        assert cert.bound <= mp.mpf(2) ** -(prec + _GUARD_BITS - 2)
+        assert cert.nodes >= 1 and cert.h == 1 and cert.prec > prec
+        assert cert.X == cert.nodes - 1 + r
+
+
+@pytest.mark.parametrize("family,t", [(script_F, 0), (script_G, "-0.1")])
+def test_nonpositive_t_raises(family, t):
+    with pytest.raises(ValueError):
+        family(1, Fraction(1, 3), t, 64)

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -6,10 +5,10 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar.modular_objects import (NearPoleError, QuasimodularPoly, cexp,
-                                   divisor_sigma_list, eisenstein_G2k, eta,
-                                   eta_qseries, euler_phi_numeric, fixed_div,
-                                   fixed_mul, from_fixed, g_ell, ghat_qseries,
+from qchar.modular_objects import (NearPoleError, cexp, divisor_sigma_list,
+                                   eisenstein_G2k, eta, eta_qseries,
+                                   euler_phi_numeric, fixed_div, fixed_mul,
+                                   from_fixed, g_ell, ghat_qseries,
                                    ghat_value, laurent_coefficients_D,
                                    qpoch_inf, theta, theta_product, to_fixed)
 
@@ -165,13 +164,6 @@ def test_D_growth_law():
                 vals.append(abs(D[j - 1].evaluate(tau, prec)))
             order = mp.log(vals[0] / vals[1]) / mp.log(2)
             assert order >= (j - ell) - mp.mpf("0.5")
-
-
-def test_quasimodular_json_roundtrip():
-    for ell in (3, 6):
-        for P in laurent_coefficients_D(ell):
-            blob = json.loads(json.dumps(P.to_json()))
-            assert QuasimodularPoly.from_json(blob) == P
 
 
 def test_g_ell_near_pole_raises():
