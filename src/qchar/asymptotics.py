@@ -280,18 +280,22 @@ def qdim_slope_exact(ell: int, s: int) -> tuple:
     return tuple(GradedCoeff(r, *grade) for grade, r in parts.items() if r)
 
 
+# the two t of the Richardson slope estimate in qdim_slope_report
+_SLOPE_T_PAIR = ("0.02", "0.01")
+
+
 def qdim_slope_report(ell: int = 3, s: int = 1,
-                      t_pair=("0.02", "0.01"),
                       prec: int = DEFAULT_PREC) -> dict:
     """Richardson estimate of the small-t slope of the quantum-dimension
-    ratio, compared against the reference value -s^2 (pi^2 - 1)/(3 pi).
+    ratio at the t of _SLOPE_T_PAIR, compared against the reference value
+    -s^2 (pi^2 - 1)/(3 pi).
 
     For ell = 3 the report also holds ``exact_slope`` from
     :func:`qdim_slope_exact` (-pi s^2/3).  The comparison with the reference
     is reported, not asserted.
     """
     with mp.workprec(prec + _GUARD_BITS):
-        t1, t2 = (mp.mpf(x) for x in t_pair)
+        t1, t2 = (mp.mpf(x) for x in _SLOPE_T_PAIR)
         s1 = (qdim_ratio(ell, s, t1, prec) - 1) / t1
         s2 = (qdim_ratio(ell, s, t2, prec) - 1) / t2
         # slope(t) = a + b t + ...; eliminate b with the two-point rule

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 import mpmath as mp
@@ -25,21 +25,10 @@ from .exact_series import (ExactQSeries, euler_product, euler_product_pow,
 from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, Certificate,
                               NearPoleError, _require_upper_half, _tol, cexp,
                               certified_gaussian_sum, euler_phi_numeric,
-                              g_ell, laurent_coefficients_D, log_poch_lower,
+                              g_ell, ghat_qseries, ghat_value,
+                              laurent_coefficients_D, log_poch_lower,
                               periodic_trapezoid, plan_periodic_trapezoid,
                               qpoch_inf)
-
-
-class RouteMismatchError(ValueError):
-    """The two exact routes to F_{ell,s} disagree."""
-
-    def __init__(self, ell, s, first_exponent):
-        self.ell = ell
-        self.s = s
-        self.first_exponent = first_exponent
-        super().__init__(
-            f"route mismatch for ell={ell}, s={s}: first differing "
-            f"q-exponent {first_exponent}")
 
 
 @dataclass(frozen=True)
@@ -118,15 +107,15 @@ def _lattice_exponent(ell: int, s: int, n: int) -> int:
 
 
 def _F_ls_via_H_series(ell: int, s: int, trunc: int) -> ExactQSeries:
-    """The partial-theta route without the cross-check (see F_ls_via_H)."""
+    """F_{ell,s} by the partial-theta route (see F_ls_via_H)."""
     T2 = trunc + s + 1
-    D_polys = laurent_coefficients_D(ell)
+    # i^ell D_{-j}, rational: the phases cancel exactly
+    D = laurent_coefficients_D(ell, partial(ghat_qseries, trunc=T2),
+                               ExactQSeries.one(T2))
     total = ExactQSeries.zero(trunc)
     for j in range(1, ell + 1):
         if (ell - j) % 2:
             continue
-        # rational part of i^ell D_{-j}: the phases cancel exactly
-        ehat = D_polys[j - 1].as_qseries(T2)
         inner: dict[int, Fraction] = {}
         n = 0
         while True:
@@ -138,23 +127,15 @@ def _F_ls_via_H_series(ell: int, s: int, trunc: int) -> ExactQSeries:
             inner[e] = inner.get(e, Fraction(0)) + c
             n += 1
         S_j = ExactQSeries(1, inner, T2)
-        total = total + (ehat * S_j) * Fraction(1, factorial(j - 1))
+        total = total + (D[j - 1] * S_j) * Fraction(1, factorial(j - 1))
     out = total * euler_product_pow(ell * ell - 2 * ell, trunc + s + 1)
     return out.truncate(trunc)
 
 
 def F_ls_via_H(params: CharacterParams) -> ExactQSeries:
-    """F_{ell,s} via the quasimodular/partial-theta representation.
-
-    Asserted identical to the extraction route; a mismatch raises
-    :class:`RouteMismatchError` carrying the first differing exponent.
-    """
-    out = _F_ls_via_H_series(params.ell, params.s, params.trunc)
-    ref = F_ls_exact(params)
-    diff = out.first_difference(ref)
-    if diff is not None:
-        raise RouteMismatchError(params.ell, params.s, diff)
-    return out
+    """F_{ell,s} via the quasimodular/partial-theta representation, an
+    independent check of F_ls_exact: callers compare the two."""
+    return _F_ls_via_H_series(params.ell, params.s, params.trunc)
 
 
 # ----------------------------------------------------------------- character
@@ -191,14 +172,15 @@ def H_value(ell: int, s: int, tau, prec: int = DEFAULT_PREC):
     As one Gaussian sum in x = n + 1/2 - s/ell: (-1)^ell sum_n (-1)^{n eps}
     P(x) e^{pi i tau ell x^2}, P(x) = sum_j D_{-j} (ell x)^{j-1}/(j-1)!."""
     _require_upper_half(tau)
-    D_polys = laurent_coefficients_D(ell)
     with mp.workprec(prec + _GUARD_BITS):
-        poly = [D.evaluate(tau, prec) * mp.mpf(ell) ** k / factorial(k)
-                for k, D in enumerate(D_polys)]
+        D = laurent_coefficients_D(
+            ell, partial(ghat_value, tau=tau, prec=prec), mp.mpc(1))
+        poly = [d * mp.mpf(ell) ** k / factorial(k) for k, d in enumerate(D)]
         acc, _ = certified_gaussian_sum(
             mp.pi * 1j * tau * ell, 0, Fraction(1, 2) - Fraction(s, ell),
             (-1) ** (ell % 2), poly, prec)
-        return (-1) ** ell * acc
+        # (-1)^ell times the phase (-i)^ell the D_{-j} share
+        return (1j) ** ell * acc
 
 
 def _fourier_contour(ell: int, s: int, tau, z0_imag):
@@ -276,8 +258,12 @@ def fourier_coeff_by_quadrature(ell: int, s: int, tau, z0_imag=None,
         return mp.exp(2j * mp.pi * tau * r * r / (2 * ell)) * est
 
 
-def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC,
-                 rel_tol=mp.mpf("1e-12")):
+# F_ls_numeric doubles its truncation until the certified tail bound is
+# this small relative to the value
+_NUMERIC_REL_TOL = mp.mpf("1e-12")
+
+
+def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
     """Certified numeric value of F_{ell,s}(e^{-t}) for real t > 0.
 
     The head comes from the exact partial-theta-route series; the dropped
@@ -315,7 +301,7 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC,
                     / (1 - q / q1))
             value = phi ** (ell * ell) * head
             bound = phi ** (ell * ell) * tail
-            if bound <= rel_tol * abs(value):
+            if bound <= _NUMERIC_REL_TOL * abs(value):
                 return value, bound
             if T > 100_000:
                 raise RuntimeError("tail bound not met at feasible order")

@@ -4,7 +4,8 @@ Subcommands compute series heads and asymptotic tables, and run the
 verification suites.  Output is machine-readable (JSON with ``"schema": 1``,
 or CSV for tables); all floating-point values are serialized as decimal
 strings at working precision.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error (also for a --z that is not a complex number, lies
+outside the admissible strip or puts a kernel pole on the contour).
 """
 
 from __future__ import annotations
@@ -32,6 +33,11 @@ def _dps(prec: int) -> int:
 
 def _numstr(x, prec: int) -> str:
     return mp.nstr(x, _dps(prec), strip_zeros=False)
+
+
+class UsageError(Exception):
+    """Bad input that only a subcommand can detect; exits 2 like argparse's
+    own errors."""
 
 
 def _emit(obj) -> None:
@@ -134,11 +140,12 @@ def cmd_verify_routes(args) -> int:
     failures = []
     for ell in ells:
         for s in ss:
-            try:
-                characters.F_ls_via_H(CharacterParams(ell, s, args.trunc))
-            except characters.RouteMismatchError as exc:
+            params = CharacterParams(ell, s, args.trunc)
+            diff = characters.F_ls_via_H(params).first_difference(
+                characters.F_ls_exact(params))
+            if diff is not None:
                 failures.append({"ell": ell, "s": s,
-                                 "first_exponent": str(exc.first_exponent)})
+                                 "first_exponent": str(diff)})
     _emit({"schema": 1, "command": "verify-routes", "ok": not failures,
            "ells": ells, "ss": ss, "trunc": args.trunc,
            "failures": failures})
@@ -168,7 +175,11 @@ def _sl2_matrix(text: str) -> modular_transform.SL2Matrix:
 
 
 def _parse_mpc(text: str):
-    return mp.mpc(complex(text.replace(" ", "")))
+    """argparse type: a complex number such as 0.1+0.2j."""
+    try:
+        return mp.mpc(complex(text.replace(" ", "")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
 
 
 def _upper_half(text: str):
@@ -183,10 +194,13 @@ def cmd_verify_decomposition(args) -> int:
     prec = args.prec
     tol = mp.mpf(args.tol)
     rng = random.Random(args.seed)
-    points = []
     if args.z:
-        points.append(decomposition.MultivarPoint(
-            tuple(_parse_mpc(z) for z in args.z), args.tau, prec))
+        if len(args.z) != args.ell - 1:
+            raise UsageError(f"--z needs ell - 1 = {args.ell - 1} values")
+        v = mp.im(args.tau)
+        if not all(0 < mp.im(z) < v / args.ell for z in args.z):
+            raise UsageError("--z needs 0 < Im z < Im(tau)/ell")
+        points = [decomposition.MultivarPoint(tuple(args.z), args.tau, prec)]
     else:
         points = [decomposition.random_admissible_point(args.ell, args.tau,
                                                         rng, prec)
@@ -219,12 +233,14 @@ def cmd_verify_decomposition(args) -> int:
 
 def cmd_verify_modular(args) -> int:
     prec = args.prec
-    z = _parse_mpc(args.z)
     tol = mp.mpf(args.tol)
     gamma = args.matrix
     params = PartialThetaParams(Fraction(args.r), args.eps, Fraction(args.M))
-    report = modular_transform.verify_general_transform(params, z, args.tau,
-                                                        gamma, prec)
+    try:
+        report = modular_transform.verify_general_transform(
+            params, args.z, args.tau, gamma, prec)
+    except modular_transform.PoleNearContourError as exc:
+        raise UsageError(f"--z: {exc}") from exc
     ok = report["abs_err"] <= tol
     _emit({"schema": 1, "command": "verify-modular", "ok": bool(ok),
            "matrix": [gamma.a, gamma.b, gamma.c, gamma.d], "r": args.r,
@@ -307,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=_int_at_least(2), required=True)
     p.add_argument("--s", type=_int_at_least(0), required=True)
     p.add_argument("--tau", type=_upper_half, default="1j")
-    p.add_argument("--z", type=str, nargs="*", default=None,
+    p.add_argument("--z", type=_parse_mpc, nargs="*", default=None,
                    help="explicit z_1..z_{ell-1} (else seeded random points)")
     p.add_argument("--points", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -321,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=str, default="3/2")
     p.add_argument("--r", type=str, default="3/2")
     p.add_argument("--eps", type=int, choices=(0, 1), default=1)
-    p.add_argument("--z", type=str, default="0.12+0.18j")
+    p.add_argument("--z", type=_parse_mpc, default="0.12+0.18j")
     p.add_argument("--tau", type=_upper_half, default="1j")
     p.add_argument("--tol", type=str, default="1e-12")
     p.set_defaults(func=cmd_verify_modular)
@@ -338,6 +354,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (ValueError, RuntimeError, AssertionError) as exc:
         _emit({"schema": 1, "command": args.command, "ok": False,
                "error": str(exc)})

@@ -377,13 +377,16 @@ def F_ls_decomposed(ell: int, s: int, point: MultivarPoint,
         return pref * total
 
 
+_MAX_POINT_TRIES = 200
+
+
 def random_admissible_point(ell: int, tau, rng: random.Random,
-                            prec: int = DEFAULT_PREC,
-                            max_tries: int = 200) -> MultivarPoint:
+                            prec: int = DEFAULT_PREC) -> MultivarPoint:
     """Rejection-sample z_j with 0 < Im z_j < Im(tau)/ell and
-    non-degenerate w-vector, deterministically from ``rng``."""
+    non-degenerate w-vector, deterministically from ``rng``, in at most
+    _MAX_POINT_TRIES draws."""
     v = float(mp.im(tau))
-    for _ in range(max_tries):
+    for _ in range(_MAX_POINT_TRIES):
         zs = [mp.mpc(rng.uniform(-0.45, 0.45),
                      rng.uniform(0.08, 0.92) * v / ell)
               for _ in range(ell - 1)]

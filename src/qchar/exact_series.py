@@ -291,15 +291,22 @@ def euler_product(trunc: int) -> ExactQSeries:
     return ExactQSeries(1, coeffs, trunc)
 
 
+def divisor_sigma_list(power: int, n_max: int) -> list[int]:
+    """[sigma_power(0..n_max)] by sieve; index 0 unused (set to 0)."""
+    out = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        dp = d ** power
+        for n in range(d, n_max + 1, d):
+            out[n] += dp
+    return out
+
+
 def euler_product_pow(power: int, trunc: int) -> ExactQSeries:
     """(q; q)_infinity^power (any integer power) to the stated order, by
     the recurrence n P_n = -power sum_{k=1}^{n} sigma(k) P_{n-k} that follows
     from q d/dq log (q; q)_inf = -sum_k sigma(k) q^k (J.C.P. Miller; Knuth,
     TAOCP Vol. 2, 4.7).  Every division is exact."""
-    sigma = [0] * trunc
-    for d in range(1, trunc):
-        for k in range(d, trunc, d):
-            sigma[k] += d
+    sigma = divisor_sigma_list(1, trunc - 1)
     P = [1] + [0] * (trunc - 1)
     for n in range(1, trunc):
         quo, rem = divmod(-power * sum(map(mul, sigma[1:n + 1],

@@ -21,7 +21,7 @@ import mpmath as mp
 from mpmath.libmp import to_fixed as _mpf_to_fixed
 
 from .bernoulli_euler import bernoulli_number
-from .exact_series import ExactQSeries
+from .exact_series import ExactQSeries, divisor_sigma_list
 
 DEFAULT_PREC = 256
 _GUARD_BITS = 24
@@ -280,16 +280,6 @@ def periodic_trapezoid(f, N: int):
     return mp.fsum(f(mp.mpf(k) / N) for k in range(N)) / N
 
 
-def divisor_sigma_list(power: int, n_max: int) -> list[int]:
-    """[sigma_power(0..n_max)] by sieve; index 0 unused (set to 0)."""
-    out = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        dp = d ** power
-        for n in range(d, n_max + 1, d):
-            out[n] += dp
-    return out
-
-
 def euler_phi_numeric(q, tol):
     """(q)_infty via the pentagonal-number sum, tail-certified."""
     total = mp.mpf(1)
@@ -437,120 +427,27 @@ def ghat_qseries(k2: int, trunc: int) -> ExactQSeries:
     return ExactQSeries(1, coeffs, trunc)
 
 
-_MONO_EMPTY: tuple = ()
+def laurent_coefficients_D(ell: int, ghat, one) -> tuple:
+    """(i^ell D_{-1}, ..., i^ell D_{-ell}) for g_ell(z) = sum_j D_{-j}/(2 pi i
+    z)^j + O(1), in the ring of ``one``: ``ghat(k2)`` is Ghat_{k2} =
+    G_{k2}/(2 pi i)^{k2} there, an exact q-series or a number.
 
-
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    d: dict[int, int] = {}
-    for k, m in a:
-        d[k] = d.get(k, 0) + m
-    for k, m in b:
-        d[k] = d.get(k, 0) + m
-    return tuple(sorted(d.items()))
-
-
-def _mono_weight(mono: tuple) -> int:
-    return sum(k * m for k, m in mono)
-
-
-class QuasimodularPoly:
-    """Polynomial in normalized Eisenstein series Ghat_{2k} = G_{2k}/(2 pi i)^{2k},
-    with rational coefficients and a global phase i^i_power.
-
-    A monomial key is a sorted tuple of (2k, multiplicity) pairs; every
-    monomial must have total weight (sum of 2k*multiplicity) equal to the
-    declared weight.
-    """
-
-    __slots__ = ("weight", "i_power", "monomials")
-
-    def __init__(self, weight: int, i_power: int, monomials: dict):
-        self.weight = int(weight)
-        self.i_power = int(i_power) % 4
-        clean = {}
-        for mono, coeff in monomials.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if _mono_weight(mono) != self.weight:
-                raise ValueError(
-                    f"monomial {mono} has weight {_mono_weight(mono)}, "
-                    f"declared {self.weight}")
-            clean[tuple(mono)] = coeff
-        self.monomials = clean
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    def evaluate(self, tau, prec: int = DEFAULT_PREC):
-        with mp.workprec(prec + _GUARD_BITS):
-            acc = mp.mpc(0)
-            for mono, coeff in sorted(self.monomials.items()):
-                term = fraction_mpf(coeff)
-                for k2, mult in mono:
-                    term *= ghat_value(k2, tau, prec) ** mult
-                acc += term
-            return (1j) ** self.i_power * acc
-
-    def as_qseries(self, trunc: int) -> ExactQSeries:
-        """Exact rational q-expansion, dropping the i^i_power phase
-        (the caller owns the phase; see i_power)."""
-        acc = ExactQSeries.zero(trunc)
-        for mono, coeff in sorted(self.monomials.items()):
-            term = ExactQSeries.one(trunc) * coeff
-            for k2, mult in mono:
-                term = term * (ghat_qseries(k2, trunc) ** mult)
-            acc = acc + term
-        return acc
-
-    def __repr__(self):
-        return (f"QuasimodularPoly(weight={self.weight}, "
-                f"i_power={self.i_power}, monomials={self.monomials})")
-
-
-@lru_cache(maxsize=32)
-def laurent_coefficients_D(ell: int) -> tuple[QuasimodularPoly, ...]:
-    """(D_{-1}, ..., D_{-ell}) for g_ell(z) = sum_j D_{-j}/(2 pi i z)^j + O(1).
-
-    Derived from theta(z) = -2 pi z eta^3 exp(-sum G_{2k}/(2k) z^{2k}):
-    D_{-j} = (-i)^ell * [u^{ell-j}] exp(ell * sum_k Ghat_{2k} u^{2k}/(2k)),
-    so each D_{-j} is i^{-ell} times a rational polynomial in the Ghat's,
-    homogeneous of weight ell - j, and vanishes unless j = ell (mod 2).
+    From theta(z) = -2 pi z eta^3 exp(-sum G_{2k}/(2k) z^{2k}): D_{-j} =
+    (-i)^ell E_{ell-j} with E(u) = exp(ell sum_k Ghat_{2k} u^{2k}/(2k)), whose
+    logarithmic derivative gives m E_m = ell sum_{k2 = 2, 4, ...} Ghat_{k2}
+    E_{m-k2} (Knuth, TAOCP Vol. 2, 4.7).  So E_{ell-j} is a rational
+    polynomial in the Ghat's, homogeneous of weight ell - j, and vanishes
+    unless j = ell (mod 2).
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    L = ell  # track u-powers 0..ell-1
-    # A(u) = ell * sum Ghat_{2k} u^{2k}/(2k)
-    A: list[dict] = [dict() for _ in range(L)]
-    for k2 in range(2, L, 2):
-        A[k2] = {((k2, 1),): Fraction(ell, k2)}
-    E: list[dict] = [dict() for _ in range(L)]
-    E[0] = {_MONO_EMPTY: Fraction(1)}
-    Apow: list[dict] = [dict() for _ in range(L)]
-    Apow[0] = {_MONO_EMPTY: Fraction(1)}
-    for p in range(1, L):
-        new: list[dict] = [dict() for _ in range(L)]
-        for i, layer in enumerate(Apow):
-            for mono1, c1 in layer.items():
-                for j2 in range(2, L - i):
-                    for mono2, c2 in A[j2].items():
-                        mono = _mono_mul(mono1, mono2)
-                        tgt = new[i + j2]
-                        tgt[mono] = tgt.get(mono, Fraction(0)) + c1 * c2
-        Apow = new
-        fp = Fraction(1, factorial(p))
-        for i in range(L):
-            for mono, c in Apow[i].items():
-                E[i][mono] = E[i].get(mono, Fraction(0)) + c * fp
-    i_power = (-ell) % 4
-    out = []
-    for j in range(1, ell + 1):
-        if (ell - j) % 2:
-            out.append(QuasimodularPoly(ell - j, i_power, {}))
-        else:
-            out.append(QuasimodularPoly(ell - j, i_power, E[ell - j]))
-    return tuple(out)
+    G = {k2: ghat(k2) for k2 in range(2, ell, 2)}
+    zero = one * 0
+    E = {0: one}
+    for m in range(2, ell, 2):
+        E[m] = sum((G[k2] * E[m - k2] for k2 in range(2, m + 1, 2)),
+                   zero) * Fraction(ell, m)
+    return tuple(E.get(ell - j, zero) for j in range(1, ell + 1))
 
 
 def g_ell(z, tau, ell: int, prec: int = DEFAULT_PREC):

@@ -209,7 +209,7 @@ def general_transform_rhs(params: PartialThetaParams, z, tau,
     c = gamma.c
     with mp.workprec(prec + _GUARD_BITS):
         if mp.im(z) == 0:
-            raise ValueError("z must not be real")
+            raise PoleNearContourError("z is real: kernel poles on the path")
         wall = mp.im(z) < 0
         ctd = c * tau + gamma.d
         cM = Fraction(c) * M

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar.characters import (CharacterParams, F_ls_exact, F_ls_numeric,
-                              F_ls_via_H, H_value, RouteMismatchError,
-                              central_charge, character_ch,
+                              F_ls_via_H, H_value, central_charge,
+                              character_ch,
                               coeff_series_exact,
                               fourier_coeff_by_quadrature,
                               fourier_quadrature_plan, h_s)
@@ -60,12 +60,6 @@ def test_character_leading_and_positivity():
         assert ch.coefficient(lead) == comb(s + ell - 1, ell - 1)
         for _, c in ch.terms():
             assert c.denominator == 1 and c >= 0
-
-
-def test_route_mismatch_error_payload():
-    err = RouteMismatchError(3, 1, Fraction(7))
-    assert err.ell == 3 and err.s == 1 and err.first_exponent == 7
-    assert "ell=3" in str(err)
 
 
 def test_H_value_matches_quadrature():

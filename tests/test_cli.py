@@ -3,7 +3,9 @@ import json
 import mpmath as mp
 import pytest
 
+from qchar import characters
 from qchar.cli import main
+from qchar.exact_series import ExactQSeries
 
 
 def run(capsys, *argv):
@@ -48,6 +50,23 @@ def test_verify_routes_small(capsys):
                     "--ss", "0,1", "--trunc", "15")
     assert code == 0
     assert json.loads(out)["failures"] == []
+
+
+def test_verify_routes_reports_a_mismatch(capsys, monkeypatch):
+    # verify-routes compares the routes itself: one changed coefficient of
+    # the partial-theta route is a failure at that exponent
+    series = characters._F_ls_via_H_series
+
+    def off_by_one_at_q7(ell, s, trunc):
+        return series(ell, s, trunc) + ExactQSeries(1, {7: 1}, trunc)
+
+    monkeypatch.setattr(characters, "_F_ls_via_H_series", off_by_one_at_q7)
+    code, out = run(capsys, "verify-routes", "--ells", "3", "--ss", "0",
+                    "--trunc", "15")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["failures"] == [{"ell": 3, "s": 0, "first_exponent": "7"}]
 
 
 def test_qdim_csv(capsys):
@@ -99,6 +118,15 @@ def test_usage_error_exit_two():
     ["verify-decomposition", "--ell", "3", "--s", "0", "--tau", "x"],
     ["verify-modular", "--tau=-1j"],
     ["verify-modular", "--eps", "3"],
+    ["verify-modular", "--z", "0.1"],
+    ["verify-modular", "--z", "0.1+0.001j"],
+    ["verify-modular", "--z", "x"],
+    ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "x", "0.1j"],
+    ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "0.1+0.1j"],
+    ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "0.1+0.1j",
+     "0.1+0.4j"],
+    ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "0.1-0.1j",
+     "0.1+0.1j"],
     ["qdim", "--s", "-1"],
     ["qdim", "--ell", "1"],
 ])

@@ -6,6 +6,7 @@ mp.exp per term and a stopping rule of their own.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 import mpmath as mp
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from qchar.characters import H_value
 from qchar.modular_objects import (_GUARD_BITS, _require_upper_half, _tol,
                                    certified_gaussian_sum, fraction_mpf,
-                                   laurent_coefficients_D, theta)
+                                   ghat_value, laurent_coefficients_D, theta)
 from qchar.partial_theta import (PartialThetaParams, partial_theta, script_F,
                                  script_G)
 
@@ -80,15 +81,17 @@ def partial_theta_loop(params, z, tau, prec):
 def H_value_loop(ell, s, tau, prec):
     _require_upper_half(tau)
     eps = ell % 2
-    D_polys = laurent_coefficients_D(ell)
     with mp.workprec(prec + _GUARD_BITS):
+        # i^ell D_{-j}
+        D = laurent_coefficients_D(
+            ell, partial(ghat_value, tau=tau, prec=prec), mp.mpc(1))
         v = mp.im(tau)
         log_tol = -(prec + 8) * mp.log(2)
         acc = mp.mpc(0)
         for j in range(1, ell + 1):
             if (ell - j) % 2:
                 continue
-            Dval = D_polys[j - 1].evaluate(tau, prec)
+            Dval = (-1j) ** ell * D[j - 1]
             inner = mp.mpc(0)
             n = 0
             while True:

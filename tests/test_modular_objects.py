@@ -1,19 +1,30 @@
 import random
 from fractions import Fraction
+from functools import partial
+from math import factorial
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar.modular_objects import (NearPoleError, cexp, divisor_sigma_list,
-                                   eisenstein_G2k, eta, eta_qseries,
-                                   euler_phi_numeric, fixed_div, fixed_mul,
-                                   from_fixed, g_ell, ghat_qseries,
+from qchar.exact_series import ExactQSeries
+from qchar.modular_objects import (_GUARD_BITS, NearPoleError, cexp,
+                                   divisor_sigma_list, eisenstein_G2k, eta,
+                                   eta_qseries, euler_phi_numeric, fixed_div,
+                                   fixed_mul, from_fixed, g_ell, ghat_qseries,
                                    ghat_value, laurent_coefficients_D,
                                    qpoch_inf, theta, theta_product, to_fixed)
 
 PREC = 128
 TOL = mp.mpf(2) ** (-PREC + 20)
+
+
+def D_values(ell, tau, prec):
+    """[D_{-1}(tau), ..., D_{-ell}(tau)], the phase (-i)^ell included."""
+    with mp.workprec(prec + _GUARD_BITS):
+        E = laurent_coefficients_D(
+            ell, partial(ghat_value, tau=tau, prec=prec), mp.mpc(1))
+        return [(-1j) ** ell * e for e in E]
 
 
 def random_tau_z(rng):
@@ -122,7 +133,7 @@ def test_laurent_coefficients_by_contour():
         N = 256
         zs = [r * cexp(mp.mpf(k) / N) for k in range(N)]
         for ell in (2, 3, 4, 5):
-            D = laurent_coefficients_D(ell)
+            D = D_values(ell, tau, prec)
             gs = [g_ell(z, tau, ell, prec) for z in zs]
             for j in range(1, ell + 1):
                 nodes = [g * z ** j for g, z in zip(gs, zs)]
@@ -130,8 +141,8 @@ def test_laurent_coefficients_by_contour():
                     [mp.re(x) for x in nodes]) / N \
                     + 1j * (2j * mp.pi) ** j * mp.fsum(
                     [mp.im(x) for x in nodes]) / N
-                want = D[j - 1].evaluate(tau, prec)
-                if D[j - 1].is_zero:
+                want = D[j - 1]
+                if (ell - j) % 2:
                     assert abs(got) < mp.mpf("1e-15")
                 else:
                     assert abs(got - want) <= mp.mpf("1e-15") * \
@@ -139,16 +150,21 @@ def test_laurent_coefficients_by_contour():
 
 
 def test_D_weight_and_parity_bookkeeping():
+    # weight ell - j: scaling each Ghat_{k2} by lam^{k2} scales D_{-j} by
+    # lam^{ell - j}, checked exactly in the rationals
+    ghat = {k2: Fraction(3 - k2 * k2, 7 + k2) for k2 in range(2, 8, 2)}
+    lam = Fraction(-5, 3)
     for ell in range(1, 9):
-        D = laurent_coefficients_D(ell)
-        assert len(D) == ell
+        D = laurent_coefficients_D(ell, ghat.get, Fraction(1))
+        scaled = laurent_coefficients_D(
+            ell, lambda k2: lam ** k2 * ghat[k2], Fraction(1))
+        assert len(D) == len(scaled) == ell
         for j in range(1, ell + 1):
-            assert D[j - 1].weight == ell - j
+            assert scaled[j - 1] == lam ** (ell - j) * D[j - 1]
             if (ell - j) % 2:
-                assert D[j - 1].is_zero
+                assert D[j - 1] == 0
     # D_{-ell} is the pure constant (-i)^ell
-    assert laurent_coefficients_D(3)[2].evaluate(mp.mpc(0, 1), 64) == \
-        pytest.approx((-1j) ** 3)
+    assert D_values(3, mp.mpc(0, 1), 64)[2] == pytest.approx((-1j) ** 3)
 
 
 def test_D_growth_law():
@@ -156,14 +172,85 @@ def test_D_growth_law():
     prec = 96
     with mp.workprec(prec + 16):
         ell = 5
-        D = laurent_coefficients_D(ell)
         for j in (1, 3, 5):
             vals = []
             for t in (mp.mpf("0.2"), mp.mpf("0.1")):
                 tau = 1j * t / (2 * mp.pi)
-                vals.append(abs(D[j - 1].evaluate(tau, prec)))
+                vals.append(abs(D_values(ell, tau, prec)[j - 1]))
             order = mp.log(vals[0] / vals[1]) / mp.log(2)
             assert order >= (j - ell) - mp.mpf("0.5")
+
+
+# The monomial expansion the recurrence replaced: [u^m] exp(A(u)) with
+# A(u) = ell sum_k Ghat_{2k} u^{2k}/(2k), summed as sum_p A^p/p!, each
+# coefficient a {monomial: rational} dict and a monomial a sorted tuple of
+# (k2, multiplicity) pairs.
+
+def _mono_mul(a, b):
+    d = dict(a)
+    for k2, m in b:
+        d[k2] = d.get(k2, 0) + m
+    return tuple(sorted(d.items()))
+
+
+def monomial_expansion(ell):
+    """[E_0, ..., E_{ell-1}], E_m = [u^m] exp(A(u)) as monomial dicts."""
+    A = {k2: {((k2, 1),): Fraction(ell, k2)} for k2 in range(2, ell, 2)}
+    E = [{} for _ in range(ell)]
+    E[0] = {(): Fraction(1)}
+    power = {0: {(): Fraction(1)}}  # A^p by u-degree
+    for p in range(1, ell):
+        nxt = {}
+        for i, layer in power.items():
+            for k2, term in A.items():
+                if i + k2 >= ell:
+                    continue
+                tgt = nxt.setdefault(i + k2, {})
+                for m1, c1 in layer.items():
+                    for m2, c2 in term.items():
+                        mono = _mono_mul(m1, m2)
+                        tgt[mono] = tgt.get(mono, 0) + c1 * c2
+        power = nxt
+        for i, layer in power.items():
+            for mono, c in layer.items():
+                E[i][mono] = E[i].get(mono, 0) + c / factorial(p)
+    return E
+
+
+def expand_monomials(poly, ghat, one):
+    acc = one * 0
+    for mono, c in sorted(poly.items()):
+        term = one * c
+        for k2, m in mono:
+            term = term * ghat(k2) ** m
+        acc = acc + term
+    return acc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 60))
+def test_recurrence_matches_monomial_expansion_series(ell, T):
+    one = ExactQSeries.one(T)
+    ghat = partial(ghat_qseries, trunc=T)
+    got = laurent_coefficients_D(ell, ghat, one)
+    E = monomial_expansion(ell)
+    for j in range(1, ell + 1):
+        want = expand_monomials(E[ell - j], ghat, one)
+        assert got[j - 1].trunc == want.trunc == T
+        assert got[j - 1].coeffs == want.coeffs
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.floats(-0.5, 0.5), st.floats(0.3, 1.6))
+def test_recurrence_matches_monomial_expansion_values(ell, x, y):
+    tau = mp.mpc(x, y)
+    with mp.workprec(PREC + _GUARD_BITS):
+        ghat = partial(ghat_value, tau=tau, prec=PREC)
+        got = laurent_coefficients_D(ell, ghat, mp.mpc(1))
+        E = monomial_expansion(ell)
+        for j in range(1, ell + 1):
+            want = expand_monomials(E[ell - j], ghat, mp.mpc(1))
+            assert abs(got[j - 1] - want) <= TOL * max(1, abs(want))
 
 
 def test_g_ell_near_pole_raises():
