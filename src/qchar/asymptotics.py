@@ -144,7 +144,7 @@ def leading_asym_F(ell: int, s: int) -> AsympExpansion:
     C = C_ell(ell)
     p = Fraction(2 - ell * ell, 2)  # 1 - ell^2/2
     coeff = GradedCoeff(C.rat, C.two_pow - p, C.pi_pow - p)
-    return AsympExpansion(a_rat=-Fraction(ell * ell - 2 * ell, 6), a_pi_pow=2,
+    return AsympExpansion(a_rat=-Fraction(ell * ell - 2 * ell, 6),
                           terms={p: coeff}, order=p + 1)
 
 
@@ -180,7 +180,7 @@ def leading_asym_ch(ell: int, s: int) -> AsympExpansion:
     C = C_ell(ell)
     p = Fraction(1, 2)
     coeff = GradedCoeff(C.rat, C.two_pow - p, C.pi_pow - p)
-    return AsympExpansion(a_rat=Fraction(2 * ell - 1, 6), a_pi_pow=2,
+    return AsympExpansion(a_rat=Fraction(2 * ell - 1, 6),
                           terms={p: coeff}, order=p + 1)
 
 
@@ -231,7 +231,7 @@ def full_expansion_sl3(s: int, N: int) -> AsympExpansion:
         terms[Fraction(m) + shift] = tuple(
             GradedCoeff(c.rat, c.two_pow - shift, c.pi_pow - shift)
             for c in cs)
-    return AsympExpansion(a_rat=Fraction(5, 6), a_pi_pow=2, terms=terms,
+    return AsympExpansion(a_rat=Fraction(5, 6), terms=terms,
                           order=shift + N + 1)
 
 

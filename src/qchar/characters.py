@@ -23,7 +23,7 @@ import mpmath as mp
 from .exact_series import (ExactQSeries, euler_product, euler_product_pow,
                            poch_ratio_bivariate)
 from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, Certificate,
-                              NearPoleError, _require_upper_half, _tol, cexp,
+                              _require_upper_half, _tol,
                               certified_gaussian_sum, euler_phi_numeric,
                               g_ell, ghat_qseries, ghat_value,
                               laurent_coefficients_D, log_poch_lower,
@@ -271,9 +271,12 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
 
         sum_{n>=T} b_n q^n <= q1^{-s/2} Phi(q1) (q/q1)^T / (1 - q/q1),
 
-    with q1 = sqrt(q) and Phi(q1) = (q1; q1^2)_inf^{-2 ell}, valid because
-    b_n <= x^{-s} q1^{-n} * [value of the bivariate product at (x, q1)] for
-    any admissible x; x = q1^{1/2} keeps every factor convergent.
+    with q1 = sqrt(q) and Phi(q1) = (q1^{1/2}; q1)_inf^{-2 ell}, valid
+    because b_n <= x^{-s} q1^{-n} * [value of the bivariate product at
+    (x, q1)] for any admissible x; x = q1^{1/2} keeps every factor
+    convergent, and the product is then Phi(q1).  qpoch_inf stops where the
+    factors left multiply to at least 1 - 2^-(prec+1), so its value times
+    1 - 2^-prec is below the infinite product and Phi stays an upper bound.
     Returns (value, certified absolute error bound).
     """
     with mp.workprec(prec + _GUARD_BITS):
@@ -283,7 +286,8 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
         q = mp.exp(-t)
         q1 = mp.sqrt(q)
         phi = euler_phi_numeric(q, _tol(prec))
-        Phi = qpoch_inf(q1 ** mp.mpf("0.5"), q1, _tol(prec)) ** (-2 * ell)
+        Phi = (qpoch_inf(q1 ** mp.mpf("0.5"), q1, _tol(prec))
+               * (1 - _tol(prec))) ** (-2 * ell)
         T = max(40, int(8 / t))
         while True:
             series = _F_ls_via_H_series(ell, s, T)

@@ -4,15 +4,15 @@ Subcommands compute series heads and asymptotic tables, and run the
 verification suites.  Output is machine-readable (JSON with ``"schema": 1``,
 or CSV for tables); all floating-point values are serialized as decimal
 strings at working precision.  Exit codes: 0 success, 1 verification
-failure, 2 usage error (also for a --z that is not a complex number, lies
-outside the admissible strip or puts a kernel pole on the contour).
+failure, 2 usage error: any bad value, a --z that is not a complex number,
+lies outside the admissible strip or puts a kernel pole on the contour
+included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -50,30 +50,35 @@ def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def cmd_coeffs(args) -> int:
-    series = characters.F_ls_exact(
-        CharacterParams(args.ell, args.s, args.trunc))
-    _emit({"schema": 1, "command": "coeffs", "ell": args.ell, "s": args.s,
-           "trunc": args.trunc,
+def cmd_series(args) -> int:
+    """`coeffs` and `char`, which differ in args.build and args.exp_text."""
+    series = args.build(CharacterParams(args.ell, args.s, args.trunc))
+    _emit({"schema": 1, "command": args.command, "ell": args.ell,
+           "s": args.s, "trunc": args.trunc,
            "leading_exp": _frac(Fraction(series.min_exp, series.D)),
-           "coeffs": [[str(e), str(c)] for e, c in series.terms()]})
+           "coeffs": [[args.exp_text(e), str(c)] for e, c in series.terms()]})
     return 0
 
 
-def cmd_char(args) -> int:
-    series = characters.character_ch(
-        CharacterParams(args.ell, args.s, args.trunc))
-    _emit({"schema": 1, "command": "char", "ell": args.ell, "s": args.s,
-           "trunc": args.trunc,
-           "leading_exp": _frac(Fraction(series.min_exp, series.D)),
-           "coeffs": [[_frac(e), str(c)] for e, c in series.terms()]})
+def _emit_rows(args, columns, rows, **extra) -> int:
+    """The rows as CSV under a header of ``columns``, or as JSON objects
+    keyed by them next to ``extra``; numbers at working precision."""
+    text = [[_numstr(x, args.prec) for x in row] for row in rows]
+    if args.format == "json":
+        _emit({"schema": 1, "command": args.command, "ell": args.ell,
+               "s": args.s, **extra,
+               "rows": [dict(zip(columns, row)) for row in text]})
+    else:
+        print(",".join(columns))
+        for row in text:
+            print(",".join(row))
     return 0
 
 
 def cmd_asym(args) -> int:
     prec = args.prec
     with mp.workprec(prec):
-        ts = [mp.mpf(x) for x in args.t.split(",")]
+        ts = [mp.mpf(x) for x in args.t]
     if args.ell == 3:
         expn = asymptotics.sl3_bracket_expansion(args.s, args.N)
     else:
@@ -87,59 +92,33 @@ def cmd_asym(args) -> int:
         model = expn.evaluate(t, prec)
         with mp.workprec(prec):  # abs_err is printed with _dps(prec) digits
             rows.append((t, exact, model, abs(exact - model)))
-    if args.format == "json":
-        _emit({"schema": 1, "command": "asym", "ell": args.ell, "s": args.s,
-               "N": args.N,
-               "rows": [{"t": _numstr(r[0], prec),
-                         "exact": _numstr(r[1], prec),
-                         "expansion": _numstr(r[2], prec),
-                         "abs_err": _numstr(r[3], prec)} for r in rows]})
-    else:
-        print("t,exact,expansion,abs_err")
-        for r in rows:
-            print(",".join(_numstr(x, prec) for x in r))
-    return 0
+    return _emit_rows(args, ("t", "exact", "expansion", "abs_err"), rows,
+                      N=args.N)
 
 
 def cmd_qdim(args) -> int:
     prec = args.prec
     with mp.workprec(prec):
-        ts = [mp.mpf(x) for x in args.t.split(",")]
-    rows = [(t, asymptotics.qdim_ratio(args.ell, args.s, t, prec))
-            for t in ts]
+        ts = [mp.mpf(x) for x in args.t]
+    ratios = [asymptotics.qdim_ratio(args.ell, args.s, t, prec) for t in ts]
     slope = asymptotics.qdim_slope_report(args.ell, args.s, prec=prec)
-    if args.format == "json":
-        _emit({"schema": 1, "command": "qdim", "ell": args.ell, "s": args.s,
-               "rows": [{"t": _numstr(t, prec), "ratio": _numstr(r, prec),
-                         "deviation": _numstr(abs(r - 1), prec)}
-                        for t, r in rows],
-               "slope": {k: (_numstr(v, prec) if not isinstance(v, bool)
-                             else v) for k, v in slope.items()}})
-    else:
-        print("t,ratio,deviation")
-        for t, r in rows:
-            print(",".join(_numstr(x, prec) for x in (t, r, abs(r - 1))))
-    return 0
+    return _emit_rows(args, ("t", "ratio", "deviation"),
+                      [(t, r, abs(r - 1)) for t, r in zip(ts, ratios)],
+                      slope={k: (_numstr(v, prec) if not isinstance(v, bool)
+                                 else v) for k, v in slope.items()})
 
 
 def cmd_verify_appendix(args) -> int:
-    try:
-        report = asymptotics.verify_appendix(args.ell_max)
-    except AssertionError as exc:
-        _emit({"schema": 1, "command": "verify-appendix", "ok": False,
-               "error": str(exc)})
-        return 1
+    report = asymptotics.verify_appendix(args.ell_max)
     _emit({"schema": 1, "command": "verify-appendix", "ok": True,
            "ell_max": report["ell_max"]})
     return 0
 
 
 def cmd_verify_routes(args) -> int:
-    ells = [int(x) for x in args.ells.split(",")]
-    ss = [int(x) for x in args.ss.split(",")]
     failures = []
-    for ell in ells:
-        for s in ss:
+    for ell in args.ells:
+        for s in args.ss:
             params = CharacterParams(ell, s, args.trunc)
             diff = characters.F_ls_via_H(params).first_difference(
                 characters.F_ls_exact(params))
@@ -147,7 +126,7 @@ def cmd_verify_routes(args) -> int:
                 failures.append({"ell": ell, "s": s,
                                  "first_exponent": str(diff)})
     _emit({"schema": 1, "command": "verify-routes", "ok": not failures,
-           "ells": ells, "ss": ss, "trunc": args.trunc,
+           "ells": args.ells, "ss": args.ss, "trunc": args.trunc,
            "failures": failures})
     return 1 if failures else 0
 
@@ -160,6 +139,39 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return parse
+
+
+def _comma_list(item):
+    """argparse type: comma-separated values, each parsed by ``item``."""
+    def parse(text: str) -> list:
+        return [item(x) for x in text.split(",")]
+    return parse
+
+
+def _positive_decimal(text: str) -> str:
+    """argparse type: a finite decimal > 0, kept as text so that it is
+    rounded at the working precision and echoed as given."""
+    value = mp.mpf(text)  # its ValueError is a usage error too
+    if not (value > 0 and mp.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"need a finite value > 0: {text}")
+    return text
+
+
+def _rational(text: str) -> str:
+    """argparse type: a rational such as 3/2 or 0.5, kept as text."""
+    try:
+        Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator: {text}")
+    return text
+
+
+def _half_integer(text: str) -> str:
+    """argparse type: a positive half-integer such as 3/2, kept as text."""
+    twice = 2 * Fraction(_rational(text))
+    if not (twice > 0 and twice.denominator == 1):
+        raise argparse.ArgumentTypeError(f"need M > 0 in Z/2: {text}")
+    return text
 
 
 def _sl2_matrix(text: str) -> modular_transform.SL2Matrix:
@@ -275,47 +287,46 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qchar",
         description="Exact q-series characters, partial theta functions, "
                     "and their asymptotic/modular verification suites.")
-    parser.add_argument("--prec", type=int,
-                        default=int(os.environ.get("QCHAR_PREC", "256")),
-                        help="working precision in bits (default 256, "
-                             "env QCHAR_PREC)")
+    parser.add_argument("--prec", type=_int_at_least(53), default=256,
+                        help="working precision in bits (default 256)")
     sub = parser.add_subparsers(dest="command", required=True)
+    decimals = _comma_list(_positive_decimal)
 
-    p = sub.add_parser("coeffs", help="exact F series head")
-    p.add_argument("--ell", type=_int_at_least(2), required=True)
-    p.add_argument("--s", type=_int_at_least(0), required=True)
-    p.add_argument("--trunc", type=_int_at_least(1), default=20)
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("char", help="character series head")
-    p.add_argument("--ell", type=_int_at_least(2), required=True)
-    p.add_argument("--s", type=_int_at_least(0), required=True)
-    p.add_argument("--trunc", type=_int_at_least(1), default=20)
-    p.set_defaults(func=cmd_char)
+    for name, help_text, build, exp_text in (
+            ("coeffs", "exact F series head", characters.F_ls_exact, str),
+            ("char", "character series head", characters.character_ch,
+             _frac)):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--ell", type=_int_at_least(2), required=True)
+        p.add_argument("--s", type=_int_at_least(0), required=True)
+        p.add_argument("--trunc", type=_int_at_least(1), default=20)
+        p.set_defaults(func=cmd_series, build=build, exp_text=exp_text)
 
     p = sub.add_parser("asym", help="asymptotic comparison table")
     p.add_argument("--ell", type=_int_at_least(3), default=3)
     p.add_argument("--s", type=_int_at_least(0), default=0)
-    p.add_argument("--t", type=str, default="0.1,0.05")
-    p.add_argument("--N", type=int, default=3)
+    p.add_argument("--t", type=decimals, default="0.1,0.05")
+    p.add_argument("--N", type=_int_at_least(0), default=3)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_asym)
 
     p = sub.add_parser("qdim", help="quantum-dimension ratio table")
     p.add_argument("--ell", type=_int_at_least(2), default=3)
     p.add_argument("--s", type=_int_at_least(0), default=1)
-    p.add_argument("--t", type=str, default="0.2,0.1,0.05")
+    p.add_argument("--t", type=decimals, default="0.2,0.1,0.05")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_qdim)
 
     p = sub.add_parser("verify-appendix", help="exact constant identities")
-    p.add_argument("--ell-max", type=int, default=20)
+    p.add_argument("--ell-max", type=_int_at_least(1), default=20)
     p.set_defaults(func=cmd_verify_appendix)
 
     p = sub.add_parser("verify-routes", help="exact route equivalence")
-    p.add_argument("--ells", type=str, default="3,4,5,6")
-    p.add_argument("--ss", type=str, default="0,1,2,3")
-    p.add_argument("--trunc", type=int, default=40)
+    p.add_argument("--ells", type=_comma_list(_int_at_least(2)),
+                   default="3,4,5,6")
+    p.add_argument("--ss", type=_comma_list(_int_at_least(0)),
+                   default="0,1,2,3")
+    p.add_argument("--trunc", type=_int_at_least(1), default=40)
     p.set_defaults(func=cmd_verify_routes)
 
     p = sub.add_parser("verify-decomposition",
@@ -327,24 +338,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit z_1..z_{ell-1} (else seeded random points)")
     p.add_argument("--points", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=str, default="1e-10")
+    p.add_argument("--tol", type=_positive_decimal, default="1e-10")
     p.set_defaults(func=cmd_verify_decomposition)
 
     p = sub.add_parser("verify-modular",
                        help="partial-theta modular transformation law")
     p.add_argument("--matrix", type=_sl2_matrix, default="0,-1,1,0",
                    help="a,b,c,d with ad - bc = 1 and c > 0")
-    p.add_argument("--M", type=str, default="3/2")
-    p.add_argument("--r", type=str, default="3/2")
+    p.add_argument("--M", type=_half_integer, default="3/2")
+    p.add_argument("--r", type=_rational, default="3/2")
     p.add_argument("--eps", type=int, choices=(0, 1), default=1)
     p.add_argument("--z", type=_parse_mpc, default="0.12+0.18j")
     p.add_argument("--tau", type=_upper_half, default="1j")
-    p.add_argument("--tol", type=str, default="1e-12")
+    p.add_argument("--tol", type=_positive_decimal, default="1e-12")
     p.set_defaults(func=cmd_verify_modular)
 
     p = sub.add_parser("verify-em",
                        help="Bernoulli/Euler identities and expansion orders")
-    p.add_argument("--tol-order", type=str, default="0.3")
+    p.add_argument("--tol-order", type=_positive_decimal, default="0.3")
     p.set_defaults(func=cmd_verify_em)
     return parser
 

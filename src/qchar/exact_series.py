@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul
 from types import MappingProxyType
 
 
@@ -24,12 +24,8 @@ def _lcm(a: int, b: int) -> int:
 
 
 def _norm(c):
-    """An exact coefficient as an int when its denominator is 1."""
-    if type(c) is int:
-        return c
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    """An int or Fraction coefficient, as an int when it is whole."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 def _cleared(coeffs: dict):
@@ -59,19 +55,6 @@ class ExactQSeries:
                        if c and e < trunc}
 
     # ---------------------------------------------------------- constructors
-
-    @classmethod
-    def from_terms(cls, terms: dict, trunc, D: int = 1) -> "ExactQSeries":
-        """Build from a map ``Fraction exponent -> coefficient``.
-
-        ``D`` is enlarged as needed so every exponent lands on the lattice.
-        """
-        terms = {Fraction(e): c for e, c in terms.items()}
-        trunc = Fraction(trunc)
-        for e in (*terms, trunc):
-            D = _lcm(D, e.denominator)
-        return cls(D, {int(e * D): c for e, c in terms.items()},
-                   int(trunc * D))
 
     @classmethod
     def one(cls, trunc: int, D: int = 1) -> "ExactQSeries":
@@ -144,9 +127,6 @@ class ExactQSeries:
 
     def __sub__(self, other) -> "ExactQSeries":
         return self + (-other)
-
-    def __rsub__(self, other) -> "ExactQSeries":
-        return (-self) + other
 
     def __mul__(self, other) -> "ExactQSeries":
         if isinstance(other, (int, Fraction)):
@@ -225,9 +205,6 @@ class ExactQSeries:
             return NotImplemented
         return self.first_difference(other) is None
 
-    def __hash__(self):
-        return hash((self.D, self.trunc, tuple(sorted(self.coeffs.items()))))
-
     def first_difference(self, other) -> Fraction | None:
         """Smallest exponent where the two series differ, or None."""
         a, b = self._common(other)
@@ -238,11 +215,6 @@ class ExactQSeries:
             if a.coeffs.get(e, 0) != b.coeffs.get(e, 0):
                 return Fraction(e, a.D)
         return None
-
-    def __repr__(self):
-        head = ", ".join(f"{c}*q^({Fraction(e, self.D)})"
-                         for e, c in sorted(self.coeffs.items())[:6])
-        return f"ExactQSeries({head}{', ...' if len(self.coeffs) > 6 else ''}; O(q^{Fraction(self.trunc, self.D)}))"
 
 
 # ------------------------------------------------------------------ helpers
@@ -255,8 +227,6 @@ def exp_series(a: ExactQSeries) -> ExactQSeries:
     result = term = ExactQSeries.one(a.trunc, a.D)
     for k in range(1, a.trunc // max(a.min_exp, 1) + 2):
         term = term * a * Fraction(1, k)
-        if term.is_zero():
-            break
         result = result + term
     return ExactQSeries(a.D, result.coeffs, a.trunc)
 
@@ -268,8 +238,6 @@ def log1p_series(a: ExactQSeries) -> ExactQSeries:
     term = ExactQSeries.one(a.trunc, a.D)
     for k in range(1, a.trunc // max(a.min_exp, 1) + 2):
         term = term * a
-        if term.is_zero():
-            break
         result = result + term * Fraction((-1) ** (k + 1), k)
     return ExactQSeries(a.D, result.coeffs, a.trunc)
 
@@ -358,34 +326,29 @@ class ZetaQSeries:
         return self._data
 
     def mul_factor(self, zeta_pow: int, q_pow: int, power: int) -> "ZetaQSeries":
-        """Multiply by ``(1 - zeta^zeta_pow q^q_pow)^power``.
+        """Multiply by ``(1 - zeta^zeta_pow q^q_pow)^power`` for ``power < 0``.
 
-        Power ``-P`` is ``P`` geometric passes ``row[n][d] += row[n-j][d-a-j]``
-        and power ``P >= 0`` is ``P`` difference passes; the factor must not
-        lower the diagonal (``zeta_pow + q_pow >= 0``).
+        That is ``-power`` geometric passes ``row[n][d] += row[n-j][d-a-j]``;
+        the factor must neither lower the diagonal (``zeta_pow + q_pow >=
+        0``) nor the q order (``q_pow >= 0``).
         """
         step, T = zeta_pow + q_pow, self.q_trunc
-        if step < 0:
-            raise ValueError("factor lowers the diagonal m + n")
-        if (zeta_pow, q_pow) == (0, 0) and power < 0:
+        if power >= 0 or q_pow < 0 or step < 0:
+            raise ValueError("need power < 0, q_pow >= 0 and "
+                             "zeta_pow + q_pow >= 0")
+        if step == 0 and q_pow == 0:
             raise ValueError("divergent factor: (1 - 1) to a negative power")
         rows = [row[:] for row in self.rows]
-        geometric = power < 0
-        op = add if geometric else sub
-        # a geometric pass reads source rows already updated, a difference
-        # pass reads them before they are updated
-        order = [n for n in range(T) if 0 <= n - q_pow < T]
-        if (q_pow > 0) != geometric:
-            order.reverse()
-        for _ in range(abs(power)):
-            if q_pow == 0 and geometric:
+        for _ in range(-power):
+            if q_pow == 0:
                 for row in rows:
                     for r in range(step):
                         row[r::step] = accumulate(row[r::step])
                 continue
-            for n in order:
+            # ascending n: each pass reads source rows it already updated
+            for n in range(q_pow, T):
                 dst = rows[n]
-                dst[step:] = map(op, dst[step:], rows[n - q_pow])
+                dst[step:] = map(add, dst[step:], rows[n - q_pow])
         return ZetaQSeries(rows, T, self.zeta_lo_base, self.zeta_hi_base)
 
     def zeta_coefficient(self, m: int) -> ExactQSeries:

@@ -201,7 +201,47 @@ def log_poch_lower(log_f0, log_q) -> float:
 # discretisation error falls like e^{-2 pi fraction d N}, so the least N
 # comes from a fraction close to 1.
 _STRIP_FRACTIONS = (0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99)
-_MAX_PERIODIC_NODES = 1 << 16
+_MAX_STRIP_NODES = 1 << 16
+
+
+def least_strip_nodes(d_lo: float, d_hi: float, log_bound, log_target: float,
+                      extra) -> tuple:
+    """(N, total): the least N over _STRIP_FRACTIONS with total = extra(N) +
+    (M_lo/(e^{2 pi a_lo N} - 1) + M_hi/(e^{2 pi a_hi N} - 1))/target <= 1:
+    the trapezoid rule's error with step 1/N on an f analytic on the strip
+    -d_lo < Im x < d_hi (Trefethen & Weideman, SIAM Rev. 56, 2014, Thms 3.2
+    and 5.1, one side at a time), relative to target = e^{log_target}.
+
+    a = fraction * d on each side; log M = log_bound(y) + log 2 at y = -a_lo
+    and y = a_hi, the 2 absorbing the rounding of the doubles.  M bounds |f|
+    on that line for a 1-periodic f, and the integral of |f| along it for an
+    f on R.  extra(N) is the caller's other error, relative to the target.
+    Raises NearPoleError when no fraction reaches it within _MAX_STRIP_NODES.
+    """
+    def rel(log_x):  # e^{log_x} / target, without overflow
+        return math.exp(min(log_x - log_target, 700.0))
+
+    best = None
+    for frac in _STRIP_FRACTIONS:
+        sides = [(2 * math.pi * frac * d, log_bound(y) + math.log(2))
+                 for d, y in ((d_lo, -frac * d_lo), (d_hi, frac * d_hi))]
+        if not all(t > 0 and L < math.inf for t, L in sides):
+            continue
+        # each side alone must reach the target: e^{t N} > M / target
+        N = max(1, max(math.floor((L - log_target) / t) for t, L in sides))
+        while N <= _MAX_STRIP_NODES:
+            total = extra(N) + sum(
+                rel(L - t * N - math.log(-math.expm1(-t * N)))
+                for t, L in sides)
+            if total <= 1:
+                break
+            N += 1
+        if N <= _MAX_STRIP_NODES and (best is None or N < best[0]):
+            best = (N, total)
+    if best is None:
+        raise NearPoleError("integration path too close to a pole to plan "
+                            "the trapezoid rule")
+    return best
 
 
 def plan_periodic_trapezoid(d_lo: float, d_hi: float, log_bound,
@@ -213,29 +253,22 @@ def plan_periodic_trapezoid(d_lo: float, d_hi: float, log_bound,
     f is analytic on the strip -d_lo < Im x < d_hi around its contour (its
     poles sit at those distances below and above), ``log_bound(y)`` bounds
     log|f| on the line at height y above the contour, and one node evaluated
-    at p bits is within node_err * 2^-p * |f| of f.  The Fourier coefficients
-    of f, moved to the line -a_lo for k > 0 and to +a_hi for k < 0, give
-
-        |I_N - I| <= M_lo/(e^{2 pi a_lo N} - 1) + M_hi/(e^{2 pi a_hi N} - 1)
-
-    (Trefethen & Weideman, SIAM Rev. 56, 2014, Thm 3.2, one side at a time),
-    with M the line bounds at a = fraction * d for the fraction in
-    _STRIP_FRACTIONS that gives the least N.  With M_0 = e^{log_bound(0)}
-    the bound on the contour, the nodes are evaluated at the precision p that
-    keeps their error node_err 2^-p M_0 below a quarter of the target; the
-    caller sums them and scales the mean at p + _GUARD_BITS bits, which adds
-    at most N 2^-(p + _GUARD_BITS) M_0.
+    at p bits is within node_err * 2^-p * |f| of f.  least_strip_nodes
+    bounds the discretisation error.  With M_0 = e^{log_bound(0)} the bound
+    on the contour, the nodes are evaluated at the precision p that keeps
+    their error node_err 2^-p M_0 below a quarter of the target; the caller
+    sums them and scales the mean at p + _GUARD_BITS bits, which adds at
+    most N 2^-(p + _GUARD_BITS) M_0.
 
     Returns Certificate(N, 1/N, 1, bound, p, seconds) with bound <=
     2^-target_bits; raises NearPoleError when the strip is too thin for
-    _MAX_PERIODIC_NODES nodes to reach the target.
+    _MAX_STRIP_NODES nodes to reach the target.
     """
     start = time.perf_counter()
     ln2 = math.log(2)
     log_target = -target_bits * ln2
-    # a factor 2 on every bound absorbs the rounding of the doubles
-    slack = ln2
-    log_c = log_bound(0) + slack
+    # a factor 2 absorbs the rounding of the doubles
+    log_c = log_bound(0) + ln2
     if not log_c < math.inf:
         raise NearPoleError("contour on a line of poles")
     p = max(53, math.ceil(target_bits + 2
@@ -244,31 +277,8 @@ def plan_periodic_trapezoid(d_lo: float, d_hi: float, log_bound,
     # at most 1/4 and the second at most 2^-26 per node
     fixed = math.exp(math.log(node_err) - p * ln2 + log_c - log_target)
     per_node = math.exp(-(p + _GUARD_BITS) * ln2 + log_c - log_target)
-
-    def rel(log_x):  # e^{log_x} / target, without overflow
-        return math.exp(min(log_x - log_target, 700.0))
-
-    best = None
-    for frac in _STRIP_FRACTIONS:
-        sides = [(2 * math.pi * frac * d, log_bound(y) + slack)
-                 for d, y in ((d_lo, -frac * d_lo), (d_hi, frac * d_hi))]
-        if not all(t > 0 and L < math.inf for t, L in sides):
-            continue
-        # each side alone must reach the target: e^{t N} > M / target
-        N = max(1, max(math.floor((L - log_target) / t) for t, L in sides))
-        while N <= _MAX_PERIODIC_NODES:
-            total = fixed + N * per_node + sum(
-                rel(L - t * N - math.log(-math.expm1(-t * N)))
-                for t, L in sides)
-            if total <= 1:
-                break
-            N += 1
-        if N <= _MAX_PERIODIC_NODES and (best is None or N < best[0]):
-            best = (N, total)
-    if best is None:
-        raise NearPoleError("contour too close to a pole to plan the "
-                            "trapezoid rule")
-    N, total = best
+    N, total = least_strip_nodes(d_lo, d_hi, log_bound, log_target,
+                                 lambda n: fixed + n * per_node)
     return Certificate(N, mp.mpf(1) / N, mp.mpf(1),
                        mp.mpf(total) * mp.mpf(2) ** -target_bits, p,
                        time.perf_counter() - start)
@@ -360,12 +370,12 @@ def theta_product(z, tau, prec: int = DEFAULT_PREC):
 
 
 def _G2k_series_value(k: int, tau, prec: int):
+    """(2 pi i)^{2k} times ghat_qseries(2k) summed to q^N, by Horner's rule
+    on its coefficients over their common denominator."""
     tol = _tol(prec)
     q = cexp(tau)
     absq = abs(q)
     two_pi_i = 2j * mp.pi
-    const = -(two_pi_i ** (2 * k)) * fraction_mpf(bernoulli_number(2 * k)) \
-        / factorial(2 * k)
     # choose N with sigma_{2k-1}(n) <= n^{2k} and n^{2k}|q|^n geometric beyond N
     N = 8
     while True:
@@ -379,13 +389,10 @@ def _G2k_series_value(k: int, tau, prec: int):
         N *= 2
         if N > 60_000_000:
             raise RuntimeError("Eisenstein series not converging; transform tau")
-    sig = divisor_sigma_list(2 * k - 1, N)
-    qn = mp.mpc(1)
-    acc = mp.mpc(0)
-    for n in range(1, N + 1):
-        qn *= q
-        acc += sig[n] * qn
-    return const + 2 * two_pi_i ** (2 * k) / factorial(2 * k - 1) * acc
+    ghat = ghat_qseries(2 * k, N + 1).coeffs
+    den = math.lcm(*(Fraction(c).denominator for c in ghat.values()))
+    acc = mp.polyval([int(ghat.get(n, 0) * den) for n in range(N, -1, -1)], q)
+    return two_pi_i ** (2 * k) * acc / den
 
 
 def eisenstein_G2k(k: int, tau, prec: int = DEFAULT_PREC, _depth: int = 0):

@@ -9,6 +9,7 @@ side from a certified real-line trapezoid rule.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,8 @@ import mpmath as mp
 
 from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, Certificate,
                               _require_upper_half, cexp, fixed_div, fixed_mul,
-                              fraction_mpf, from_fixed, theta, to_fixed)
+                              fraction_mpf, from_fixed, least_strip_nodes,
+                              theta, to_fixed)
 from .partial_theta import PartialThetaParams, partial_theta
 
 
@@ -50,24 +52,18 @@ def _gauss_cutoff(decay_rate, prec: int):
     return mp.sqrt(((prec + 32) * mp.log(2)) / decay_rate) + 1
 
 
-# The strip of analyticity used by the error bound reaches this fraction of
-# the way from R to the kernel's poles; the node count grows only with the
-# log of the bound constant as the fraction nears 1.
-_STRIP_FRACTION = mp.mpf(3) / 4
-
-
 def _line_trapezoid(A, B, zeta, kappa, prec: int):
     """(integral over R of e^{A x^2 + B x} / (1 - zeta e^{i kappa x}) dx,
     Certificate), with absolute error below 2^-(prec + _GUARD_BITS).
 
     Needs Re A < 0, kappa > 0 and |zeta| != 1, so that the kernel's poles lie
-    on the line Im x = log|zeta|/kappa at distance d from R.  The truncated
-    trapezoid rule h sum_{|kh| <= X} f(kh) then has three certified error
-    parts, each kept below a quarter of the target:
+    on the line Im x = y_p = log|zeta|/kappa at distance d = |y_p| from R.
+    The truncated trapezoid rule h sum_{|kh| <= X} f(kh), h = 1/N, then has
+    three certified error parts, each kept below a quarter of the target:
 
-    * discretisation, 2M/(e^{2 pi a/h} - 1) on the strip |Im x| <= a
-      (Trefethen & Weideman, SIAM Rev. 56, 2014, Thm 5.1), where M bounds
-      the integral of |f| along each line of the strip in closed form;
+    * discretisation, planned in doubles by least_strip_nodes on the strip
+      |Im x| < d: the integral of |f| along Im x = y is at most the
+      Gaussian's line mass over |1 - e^{kappa (y_p - y)}|;
     * the dropped Gaussian tail beyond X, summed against its tangent line;
     * rounding of the node recurrences E_{k+1} = E_k R_k, R_{k+1} = R_k Q
       (Q = e^{2 A h^2}), W_{k+1} = W_k e^{i kappa h} and of the sum of
@@ -91,23 +87,25 @@ def _line_trapezoid(A, B, zeta, kappa, prec: int):
     final scaling by h.
     """
     start = time.perf_counter()
+    ar, ai = -float(mp.re(A)), float(mp.im(A))
+    br, bi = float(mp.re(B)), float(mp.im(B))
+    kap = float(kappa)
+    y_p = float(mp.log(abs(zeta))) / kap
+
+    def log_line_mass(y):  # log of the integral of |f| along Im x = y
+        return (0.5 * math.log(math.pi / ar) + ar * y * y - bi * y
+                + (br - 2 * ai * y) ** 2 / (4 * ar)
+                - math.log(-math.expm1(-kap * abs(y_p - y))))
+
+    log_eps = -(prec + _GUARD_BITS + 2) * math.log(2)  # log of eps below
+    # disc: the discretisation error bound over eps, at most 1
+    N, disc = least_strip_nodes(abs(y_p), abs(y_p), log_line_mass, log_eps,
+                                lambda n: 0.0)
     with mp.workprec(prec + _GUARD_BITS):
         eps = mp.mpf(2) ** -(prec + _GUARD_BITS) / 4
-        Ar, Ai = -mp.re(A), mp.im(A)
-        Br, Bi = mp.re(B), mp.im(B)
-        d = abs(mp.log(abs(zeta))) / kappa
-        a = _STRIP_FRACTION * d
-        # |1 - zeta e^{i kappa x}| >= 1 - e^{-kappa (d - |Im x|)}
-        low_strip = -mp.expm1(-kappa * (d - a))
-        low_real = -mp.expm1(-kappa * d)
-
-        def line_mass(y):  # integral over x of |e^{A z^2 + B z}|, z = x + iy
-            return mp.sqrt(mp.pi / Ar) * mp.exp(
-                Ar * y * y - Bi * y + (Br - 2 * Ai * y) ** 2 / (4 * Ar))
-
-        M = max(line_mass(a), line_mass(-a)) / low_strip
-        h = 2 * mp.pi * a / mp.log1p(2 * M / eps)
-        disc = 2 * M / mp.expm1(2 * mp.pi * a / h)
+        Ar, Br = -mp.re(A), mp.re(B)
+        h = mp.mpf(1) / N
+        low_real = -mp.expm1(-abs(mp.log(abs(zeta))))  # 1 - e^{-kappa d}
 
         def tail(X):  # tangent-line bound of e^{-Ar x^2 + |Br| x} past X
             slope = -2 * Ar * X + abs(Br)
@@ -129,7 +127,7 @@ def _line_trapezoid(A, B, zeta, kappa, prec: int):
                  + G * (2 * abs(zeta) + 2) * n * n / low_real ** 2 + 1.5 * n)
         wp = max(prec + _GUARD_BITS,
                  int(mp.ceil(mp.log((h * T + mass) / eps, 2))))
-        bound = disc + tail(X) + eps
+        bound = disc * eps + tail(X) + eps
     with mp.workprec(wp + _GUARD_BITS):
         one = 1 << wp
         Q = to_fixed(mp.exp(2 * A * h * h), wp)
@@ -208,8 +206,6 @@ def general_transform_rhs(params: PartialThetaParams, z, tau,
     r, eps, M = params.r, params.epsilon, params.M
     c = gamma.c
     with mp.workprec(prec + _GUARD_BITS):
-        if mp.im(z) == 0:
-            raise PoleNearContourError("z is real: kernel poles on the path")
         wall = mp.im(z) < 0
         ctd = c * tau + gamma.d
         cM = Fraction(c) * M
@@ -277,8 +273,6 @@ def s_transform_rhs(ell: int, s: int, z, tau, prec: int = DEFAULT_PREC):
     """
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
-        if mp.im(z) == 0:
-            raise ValueError("z must not be real")
         sl = mp.sqrt(mp.mpf(ell))
         if sl * abs(mp.im(z)) < _POLE_DISTANCE_MIN:
             raise PoleNearContourError("kernel pole near the path; shift z")

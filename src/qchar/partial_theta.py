@@ -86,15 +86,13 @@ class GradedCoeff:
 class AsympExpansion:
     """e^{a/t} * sum over terms c * t^e, valid up to O(t^order).
 
-    The exponential rate a is exact: a = a_rat * pi^a_pi_pow.  Each term
-    coefficient is a sum of :class:`GradedCoeff` values, so mixed constants
-    like (2 pi)^{-5/2} pi^2 / 4 stay exact until final evaluation.
+    The exponential rate a = a_rat * pi^2 is exact.  Each term coefficient
+    is a sum of :class:`GradedCoeff` values, so mixed constants like
+    (2 pi)^{-5/2} pi^2 / 4 stay exact until final evaluation.
     """
 
-    def __init__(self, a_rat=Fraction(0), a_pi_pow: int = 0, terms=None,
-                 order=None):
+    def __init__(self, a_rat=Fraction(0), terms=None, order=None):
         self.a_rat = Fraction(a_rat)
-        self.a_pi_pow = int(a_pi_pow)
         # terms: dict Fraction exponent -> tuple of GradedCoeff
         self.terms: dict[Fraction, tuple] = {}
         for e, cs in (terms or {}).items():
@@ -117,16 +115,13 @@ class AsympExpansion:
                 c = mp.fsum(c.value(prec) for c in cs)
                 acc += c * t ** fraction_mpf(e)
             if self.a_rat:
-                acc *= mp.exp(fraction_mpf(self.a_rat)
-                              * mp.pi ** self.a_pi_pow / t)
+                acc *= mp.exp(fraction_mpf(self.a_rat) * mp.pi ** 2 / t)
             return acc
 
     def __eq__(self, other):
         if not isinstance(other, AsympExpansion):
             return NotImplemented
-        return (self.a_rat == other.a_rat
-                and (self.a_rat == 0 or self.a_pi_pow == other.a_pi_pow)
-                and self.order == other.order
+        return (self.a_rat == other.a_rat and self.order == other.order
                 and self.terms == other.terms)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +8,7 @@ from qchar.bernoulli_euler import (_bernoulli_table, bernoulli_number,
                                    check_euler_bernoulli_identity,
                                    euler_number, euler_poly,
                                    higher_bernoulli_poly, verify_S_identity)
+from qchar.exact_series import ExactQSeries
 
 
 def test_bernoulli_numbers_table():
@@ -53,6 +55,16 @@ def test_euler_numbers_table():
         assert euler_number(k) == v
     for k in (1, 3, 5, 7):
         assert euler_number(k) == 0
+
+
+def test_euler_numbers_against_sech_series():
+    # independent route: sech(w) = 2/(e^w + e^{-w}) = sum E_n w^n / n!
+    trunc = 31
+    cosh = ExactQSeries(1, {2 * m: Fraction(1, factorial(2 * m))
+                            for m in range(trunc // 2 + 1)}, trunc)
+    sech = cosh.invert()
+    for n in range(trunc):
+        assert euler_number(n) == sech.coefficient(n) * factorial(n)
 
 
 @settings(max_examples=30, deadline=None)

@@ -77,6 +77,17 @@ def test_qdim_csv(capsys):
     assert len(lines) == 3
 
 
+def test_asym_csv(capsys):
+    code, out = run(capsys, "--prec", "96", "asym", "--t", "0.5,0.25", "--N",
+                    "2")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "t,exact,expansion,abs_err"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [mp.mpf(r[0]) for r in rows] == [mp.mpf("0.5"), mp.mpf("0.25")]
+    assert all(len(r) == 4 and float(r[3]) < 1e-3 for r in rows)
+
+
 def test_asym_json(capsys):
     code, out = run(capsys, "--prec", "96", "asym", "--t", "0.5", "--N", "2",
                     "--format", "json")
@@ -129,6 +140,26 @@ def test_usage_error_exit_two():
      "0.1+0.1j"],
     ["qdim", "--s", "-1"],
     ["qdim", "--ell", "1"],
+    ["qdim", "--t", "-1"],
+    ["qdim", "--t", "x"],
+    ["--prec", "0", "qdim"],
+    ["--prec", "-5", "asym"],
+    ["asym", "--t", "x"],
+    ["asym", "--t", "-1"],
+    ["asym", "--t", "0"],
+    ["asym", "--N", "-3"],
+    ["verify-routes", "--ells", "1"],
+    ["verify-routes", "--ells", "x"],
+    ["verify-routes", "--ss", "-1"],
+    ["verify-routes", "--trunc", "0"],
+    ["verify-modular", "--M", "0"],
+    ["verify-modular", "--M", "x"],
+    ["verify-modular", "--r", "x"],
+    ["verify-modular", "--tol", "x"],
+    ["verify-decomposition", "--ell", "3", "--s", "0", "--tol", "x"],
+    ["verify-em", "--tol-order", "x"],
+    ["verify-appendix", "--ell-max", "-1"],
+    ["verify-appendix", "--ell-max", "0"],
 ])
 def test_invalid_argument_exit_two(argv):
     with pytest.raises(SystemExit) as err:

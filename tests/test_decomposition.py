@@ -107,11 +107,14 @@ def test_product_matches_per_factor_oracle():
 
 
 def test_product_matches_oracle_off_the_strip():
-    # |Z_2| > 1 and |Z_2| < |q| need more factor pairs than the cached powers
+    # |Z_2| > 1 and |Z_2| < |q| need more factor pairs than the cached powers;
+    # a real z_2 puts the factor 1 - Z_2 on the unit circle away from 1, the
+    # path that multiplies near-unit factors on mpmath one by one
     tau = mp.mpc("0.3", "0.7")
     with mp.workprec(256 + 16):
         z1 = mp.mpc("0.2", "0.1")
-        for z2 in (mp.mpc("0.15", "-0.4"), mp.mpc("-0.35", "1.1")):
+        for z2 in (mp.mpc("0.15", "-0.4"), mp.mpc("-0.35", "1.1"),
+                   mp.mpc("0.3"), mp.mpc("-0.35")):
             want = F_ell_product_per_factor([z1, z2], tau, 256)
             got = F_ell_product([z1, z2], tau, 256)
             assert abs(got - want) <= mp.mpf("1e-70") * abs(want)

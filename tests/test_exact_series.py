@@ -18,7 +18,7 @@ coeff_st = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 def small_series(trunc=8):
     return st.dictionaries(st.integers(min_value=0, max_value=trunc - 1),
                            coeff_st, max_size=5).map(
-        lambda d: ExactQSeries.from_terms(d, trunc))
+        lambda d: ExactQSeries(1, d, trunc))
 
 
 @settings(max_examples=60, deadline=None)
@@ -42,8 +42,8 @@ def test_add_neg_is_zero(a):
 
 
 def test_mul_truncation_rule():
-    a = ExactQSeries.from_terms({2: Fraction(1)}, 10)
-    b = ExactQSeries.from_terms({3: Fraction(1)}, 7)
+    a = ExactQSeries(1, {2: Fraction(1)}, 10)
+    b = ExactQSeries(1, {3: Fraction(1)}, 7)
     # min(a.trunc + b.min_exp, b.trunc + a.min_exp) = min(13, 9) = 9
     assert (a * b).trunc_exponent() == 9
     assert (a * b).coefficient(5) == 1
@@ -74,12 +74,12 @@ def test_euler_product_pow_consistency():
 
 
 def test_exp_log_inverse():
-    a = ExactQSeries.from_terms({1: Fraction(2), 3: Fraction(-1, 3)}, 12)
+    a = ExactQSeries(1, {1: Fraction(2), 3: Fraction(-1, 3)}, 12)
     assert log1p_series(exp_series(a) - ExactQSeries.one(12)) == a
 
 
 def test_shift_rescale_roundtrip():
-    a = ExactQSeries.from_terms({0: Fraction(1), 2: Fraction(5)}, 6)
+    a = ExactQSeries(1, {0: Fraction(1), 2: Fraction(5)}, 6)
     b = a.shift(Fraction(1, 3))
     assert b.coefficient(Fraction(7, 3)) == 5
     assert b.shift(Fraction(-1, 3)) == a
@@ -105,7 +105,7 @@ def test_golden_F_heads():
 
 
 def test_trunc_validity_enforced():
-    a = ExactQSeries.from_terms({0: Fraction(1)}, 5)
+    a = ExactQSeries(1, {0: Fraction(1)}, 5)
     with pytest.raises(Exception):
         a.coefficient(5)
 
@@ -174,6 +174,16 @@ def test_mul_factor_rejects_diagonal_lowering_factor():
     state = poch_ratio_bivariate(2, 1, 6)
     with pytest.raises(ValueError):
         state.mul_factor(-3, 2, -1)
+
+
+@pytest.mark.parametrize("zeta_pow, q_pow, power", [
+    (1, 1, 0), (1, 1, 2), (2, -1, -1)])
+def test_mul_factor_rejects_difference_passes_and_lowering_q(zeta_pow, q_pow,
+                                                             power):
+    # only geometric passes (power < 0) with q_pow >= 0 are supported
+    state = poch_ratio_bivariate(2, 1, 6)
+    with pytest.raises(ValueError):
+        state.mul_factor(zeta_pow, q_pow, power)
 
 
 int_coeffs = st.dictionaries(st.integers(min_value=1, max_value=7),
