@@ -45,24 +45,19 @@ def C_ell(ell: int) -> GradedCoeff:
 
 
 def C_ell_star(ell: int) -> GradedCoeff:
-    """Higher-order-Bernoulli form of the same constant:
+    """Higher-order-Bernoulli form of the same constant, from the residues
+    of :func:`exp_pole_residue` and :func:`exp_pole_residue_I`:
 
     odd ell:  (-1)^{(ell-1)/2} B^{(ell)}_{ell-1}(ell/2) / (2 (ell-1)!),
     even ell: (-1)^{ell/2+1} (1/(2 pi)) B^{(ell)}_{ell-2}(ell/2) / (ell-2)!.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    x = Fraction(ell, 2)
     if ell % 2:
-        val = (Fraction((-1) ** ((ell - 1) // 2))
-               * higher_bernoulli_poly(ell - 1, ell, x)
-               / (2 * factorial(ell - 1)))
-        return GradedCoeff(val)
-    if ell < 2:
-        raise ValueError("even branch needs ell >= 2")
-    val = (Fraction((-1) ** (ell // 2 + 1), 2)
-           * higher_bernoulli_poly(ell - 2, ell, x) / factorial(ell - 2))
-    return GradedCoeff(val, Fraction(0), Fraction(-1))
+        return GradedCoeff((-1) ** ((ell - 1) // 2) * exp_pole_residue(ell)
+                           / 2)
+    return GradedCoeff(Fraction((-1) ** (ell // 2 + 1), 2)
+                       * exp_pole_residue_I(ell), Fraction(0), Fraction(-1))
 
 
 def binomial_reciprocal_identity(n: int, c: int) -> bool:
@@ -225,12 +220,9 @@ def full_expansion_sl3(s: int, N: int) -> AsympExpansion:
                                              + O(t^{N+1}) ].
     """
     shift = Fraction(5, 2)
-    terms = {}
-    for m in range(-2, N + 1):
-        cs = sl3_bracket_coefficient(s, m)
-        terms[Fraction(m) + shift] = tuple(
-            GradedCoeff(c.rat, c.two_pow - shift, c.pi_pow - shift)
-            for c in cs)
+    terms = {m + shift: tuple(GradedCoeff(c.rat, c.two_pow - shift,
+                                          c.pi_pow - shift) for c in cs)
+             for m, cs in sl3_bracket_expansion(s, N).terms.items()}
     return AsympExpansion(a_rat=Fraction(5, 6), terms=terms,
                           order=shift + N + 1)
 

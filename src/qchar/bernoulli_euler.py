@@ -8,17 +8,10 @@ independent oracles.  All values are rational and exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 from .exact_series import ExactQSeries, log1p_series
-
-
-def _exp_w(x: Fraction, trunc: int) -> ExactQSeries:
-    """Series of e^{x w} to order w^trunc."""
-    x = Fraction(x)
-    return ExactQSeries(1, {n: x ** n / factorial(n) for n in range(trunc)},
-                        trunc)
 
 
 def _expm1_over_w(trunc: int) -> ExactQSeries:
@@ -27,43 +20,59 @@ def _expm1_over_w(trunc: int) -> ExactQSeries:
                             for n in range(trunc)}, trunc)
 
 
-@lru_cache(maxsize=16)
-def _bernoulli_table(n: int) -> tuple[Fraction, ...]:
-    """(B_0, ..., B_{n-1}) from one inversion of (e^w - 1)/w."""
-    gen = _expm1_over_w(n + 1).invert()
+@lru_cache(maxsize=32)
+def _bernoulli_table(n: int, r: int = 1) -> tuple[Fraction, ...]:
+    """(B_0^{(r)}, ..., B_{n-1}^{(r)}), the w^j/j! coefficients of
+    (w/(e^w - 1))^r: for r = 1 from one inversion of (e^w - 1)/w, else the
+    r-th power of that table's series."""
+    if r == 1:
+        gen = _expm1_over_w(n + 1).invert()
+    else:
+        gen = ExactQSeries(1, {j: Fraction(b, factorial(j))
+                               for j, b in enumerate(_bernoulli_table(n))},
+                           n) ** r
     return tuple(gen.coefficient(j) * factorial(j) for j in range(n))
+
+
+@lru_cache(maxsize=16)
+def _euler_table(n: int) -> tuple[Fraction, ...]:
+    """(E_0(0), ..., E_{n-1}(0)) from one inversion of (e^w + 1)/2."""
+    gen = (ExactQSeries(1, {m: Fraction(1, 2 * factorial(m))
+                            for m in range(n)}, n) + Fraction(1, 2)).invert()
+    return tuple(gen.coefficient(j) * factorial(j) for j in range(n))
+
+
+def _appell(table, n: int, x) -> Fraction:
+    """sum_k C(n, k) a_k x^{n-k}, the w^n/n! coefficient of A(w) e^{xw} for
+    A(w) = sum_k a_k w^k/k!, with a_k = table(size)[k] and tables of 16, 32,
+    64, ... entries, so that n up to 2^16 needs 13 tables at most."""
+    a, x = table(max(16, 1 << n.bit_length())), Fraction(x)
+    return sum((comb(n, k) * a[k] * x ** (n - k) for k in range(n + 1)),
+               Fraction(0))
 
 
 def bernoulli_number(k: int) -> Fraction:
     """B_k, from the generating function w/(e^w - 1)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    # tables of 16, 32, 64, ... entries, so k up to 2^16 needs at most 13
     return _bernoulli_table(max(16, 1 << k.bit_length()))[k]
 
 
 def bernoulli_poly(n: int, x) -> Fraction:
-    x = Fraction(x)
-    return sum((comb(n, j) * bernoulli_number(j) * x ** (n - j)
-                for j in range(n + 1)), Fraction(0))
+    """B_n(x), coefficient of w^n/n! in w e^{xw}/(e^w - 1)."""
+    return _appell(_bernoulli_table, n, x)
 
 
 def higher_bernoulli_poly(n: int, r: int, x) -> Fraction:
     """B_n^{(r)}(x), coefficient of w^n/n! in (w/(e^w-1))^r e^{xw}."""
     if r < 1:
         raise ValueError("order r must be a positive integer")
-    base = _expm1_over_w(n + 1).invert() ** r
-    series = base * _exp_w(Fraction(x), n + 1)
-    return series.coefficient(n) * factorial(n)
+    return _appell(partial(_bernoulli_table, r=r), n, x)
 
 
 def euler_poly(n: int, x) -> Fraction:
     """E_n(x), coefficient of w^n/n! in 2 e^{xw}/(e^w + 1)."""
-    half = ExactQSeries(1, {m: Fraction(1, 2 * factorial(m))
-                            for m in range(n + 1)}, n + 1)
-    half = half + Fraction(1, 2)  # (e^w + 1)/2
-    series = half.invert() * _exp_w(Fraction(x), n + 1)
-    return series.coefficient(n) * factorial(n)
+    return _appell(_euler_table, n, x)
 
 
 def euler_number(n: int) -> Fraction:

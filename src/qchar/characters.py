@@ -258,16 +258,17 @@ def fourier_coeff_by_quadrature(ell: int, s: int, tau, z0_imag=None,
         return mp.exp(2j * mp.pi * tau * r * r / (2 * ell)) * est
 
 
-# F_ls_numeric doubles its truncation until the certified tail bound is
-# this small relative to the value
+# F_ls_numeric plans its truncation so that the certified tail bound is at
+# most this fraction of the value
 _NUMERIC_REL_TOL = mp.mpf("1e-12")
 
 
 def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
-    """Certified numeric value of F_{ell,s}(e^{-t}) for real t > 0.
+    """Certified numeric value of F_{ell,s}(e^{-t}) for real t > 0, as
+    (value, absolute error bound), the bound at most _NUMERIC_REL_TOL value.
 
-    The head comes from the exact partial-theta-route series; the dropped
-    tail of the nonnegative-coefficient extraction series G_s is bounded by
+    F = (q)_inf^{ell^2} G_s, G_s = sum b_n q^n with integers b_n >= 0 (both
+    asserted) summed exactly to q^T; the dropped tail is bounded by
 
         sum_{n>=T} b_n q^n <= q1^{-s/2} Phi(q1) (q/q1)^T / (1 - q/q1),
 
@@ -277,7 +278,12 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
     convergent, and the product is then Phi(q1).  qpoch_inf stops where the
     factors left multiply to at least 1 - 2^-(prec+1), so its value times
     1 - 2^-prec is below the infinite product and Phi stays an upper bound.
-    Returns (value, certified absolute error bound).
+
+    T is planned before the sum: as b_n >= 0, the head to q^T0, T0 = max(40,
+    ell pi^2/(6 t^2)), half the saddle point of b_n e^{-tn} (G_s grows like
+    e^{ell pi^2/(3t)}), is below every longer head, so the least T whose
+    tail bound is _NUMERIC_REL_TOL times it (less 2^-32 for its rounding)
+    meets the target.  The head is reused when T <= T0.
     """
     with mp.workprec(prec + _GUARD_BITS):
         t = mp.mpf(t)
@@ -288,25 +294,30 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
         phi = euler_phi_numeric(q, _tol(prec))
         Phi = (qpoch_inf(q1 ** mp.mpf("0.5"), q1, _tol(prec))
                * (1 - _tol(prec))) ** (-2 * ell)
-        T = max(40, int(8 / t))
-        while True:
-            series = _F_ls_via_H_series(ell, s, T)
-            # G_s = F / (q)^{ell^2}; recovered cheaply and positivity-checked
-            G = (series * euler_product_pow(-ell * ell, T)).truncate(T)
+        pref = q1 ** (-mp.mpf(s) / 2) * Phi / (1 - q / q1)  # tail / (q/q1)^T
+
+        def head(T):  # sum_{n<T} b_n q^n
+            if T > 100_000:
+                raise RuntimeError("tail bound not met at feasible order")
+            G = (_F_ls_via_H_series(ell, s, T)
+                 * euler_product_pow(-ell * ell, T)).truncate(T)
             bad = [e for e, c in G.coeffs.items()
                    if c.denominator != 1 or c < 0]
             if bad:
-                raise AssertionError(
-                    f"extraction series has unexpected coefficient at "
-                    f"q^{min(bad)}")
-            head = mp.fsum(
-                mp.mpf(c.numerator) * q ** e for e, c in sorted(G.coeffs.items()))
-            tail = (q1 ** (-mp.mpf(s) / 2) * Phi * (q / q1) ** T
-                    / (1 - q / q1))
-            value = phi ** (ell * ell) * head
-            bound = phi ** (ell * ell) * tail
-            if bound <= _NUMERIC_REL_TOL * abs(value):
-                return value, bound
-            if T > 100_000:
-                raise RuntimeError("tail bound not met at feasible order")
-            T *= 2
+                raise AssertionError(f"extraction series has unexpected "
+                                     f"coefficient at q^{min(bad)}")
+            return mp.fsum(mp.mpf(c.numerator) * q ** e
+                           for e, c in sorted(G.coeffs.items()))
+
+        T0 = max(40, int(ell * mp.pi ** 2 / (6 * t * t)))
+        total = head(T0)
+        target = _NUMERIC_REL_TOL * total * (1 - mp.mpf(2) ** -32)
+        T = int(mp.ceil(mp.log(pref / target) / (t / 2)))  # q/q1 = e^{-t/2}
+        if T > T0:
+            total = head(T)
+        T = max(T, T0)
+        value = phi ** (ell * ell) * total
+        bound = phi ** (ell * ell) * pref * (q / q1) ** T
+        if not bound <= _NUMERIC_REL_TOL * value:
+            raise AssertionError("planned truncation missed its tail target")
+        return value, bound

@@ -101,7 +101,8 @@ def cmd_qdim(args) -> int:
     with mp.workprec(prec):
         ts = [mp.mpf(x) for x in args.t]
     ratios = [asymptotics.qdim_ratio(args.ell, args.s, t, prec) for t in ts]
-    slope = asymptotics.qdim_slope_report(args.ell, args.s, prec=prec)
+    slope = (asymptotics.qdim_slope_report(args.ell, args.s, prec=prec)
+             if args.format == "json" else {})  # CSV prints the rows only
     return _emit_rows(args, ("t", "ratio", "deviation"),
                       [(t, r, abs(r - 1)) for t, r in zip(ts, ratios)],
                       slope={k: (_numstr(v, prec) if not isinstance(v, bool)

@@ -220,16 +220,6 @@ class ExactQSeries:
 # ------------------------------------------------------------------ helpers
 
 
-def exp_series(a: ExactQSeries) -> ExactQSeries:
-    """exp of a series with positive valuation."""
-    if not a.is_zero() and a.min_exp <= 0:
-        raise ValueError("exp requires positive valuation")
-    result = term = ExactQSeries.one(a.trunc, a.D)
-    for k in range(1, a.trunc // max(a.min_exp, 1) + 2):
-        term = term * a * Fraction(1, k)
-        result = result + term
-    return ExactQSeries(a.D, result.coeffs, a.trunc)
-
 def log1p_series(a: ExactQSeries) -> ExactQSeries:
     """log(1 + a) for a series with positive valuation."""
     if not a.is_zero() and a.min_exp <= 0:

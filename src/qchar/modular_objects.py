@@ -1,8 +1,8 @@
 """Numeric eta/theta/Eisenstein evaluation and quasimodular Laurent data.
 
 Numeric routines work at a caller-chosen binary precision (default 256 bits)
-and stop their series/products only once a certified geometric tail bound
-drops below the target tolerance.
+and plan the length of each series or product before they sum it, in
+doubles, from a certified geometric tail bound below the target tolerance.
 
 Branch rule used throughout: powers q^x with non-integer x are never formed
 from a complex q; exponentials are always assembled as e^{2*pi*i*tau*x}.
@@ -290,42 +290,53 @@ def periodic_trapezoid(f, N: int):
     return mp.fsum(f(mp.mpf(k) / N) for k in range(N)) / N
 
 
+def _pentagonal_terms(q, tol) -> int:
+    """The least K >= 1 with 2|q|^m/(1 - |q|) < tol/2, m = (K+1)(3K+2)/2,
+    the bound on the terms euler_phi_numeric drops; planned in doubles, the
+    2 absorbing their rounding."""
+    # m > log(tol (1 - |q|)/4)/log|q| = need: K > (sqrt(1 + 24 need) - 5)/6
+    need = float(mp.log(tol / 4 * (1 - abs(q))) / mp.log(abs(q)))
+    return max(1, math.floor((math.sqrt(1 + 24 * max(need, 0)) - 5) / 6) + 1)
+
+
 def euler_phi_numeric(q, tol):
-    """(q)_infty via the pentagonal-number sum, tail-certified."""
-    total = mp.mpf(1)
-    k = 1
-    absq = abs(q)
-    if not absq < 1:
+    """(q)_infty by the pentagonal-number sum 1 + sum_{k<=K} (-1)^k
+    (q^{k(3k-1)/2} + q^{k(3k+1)/2}), K from _pentagonal_terms: the exponents
+    left are at least (K+1)(3K+2)/2, so geometric domination bounds them."""
+    if not abs(q) < 1:
         raise ValueError("need |q| < 1")
-    while True:
+    total = mp.mpf(1)
+    for k in range(1, _pentagonal_terms(q, tol) + 1):
         e1 = k * (3 * k - 1) // 2
         e2 = k * (3 * k + 1) // 2
         total += (-1) ** k * (q ** e1 + q ** e2)
-        # remaining exponents are >= (k+1)(3k+2)/2; geometric domination
-        bound = 2 * absq ** ((k + 1) * (3 * k + 2) // 2) / (1 - absq)
-        if bound < tol:
-            return total
-        k += 1
+    return total
+
+
+def _qpoch_factors(a, q, tol) -> int:
+    """The least J >= 1 with |a| |q|^J/(1 - |q|) < tol/4, so that the factors
+    qpoch_inf drops multiply to within tol/2 of 1 (log(1 - x) ~ -x); planned
+    in doubles, the 2 absorbing their rounding."""
+    if a == 0 or q == 0:
+        return 1
+    need = mp.log(tol / 4 * (1 - abs(q)) / abs(a))  # > J log|q|
+    return max(1, math.floor(float(need / mp.log(abs(q)))) + 1)
 
 
 def qpoch_inf(a, q, tol):
-    """(a; q)_infty = prod_{j>=0} (1 - a q^j), tail-certified."""
-    absq = abs(q)
-    if not absq < 1:
+    """(a; q)_infty = prod_{j>=0} (1 - a q^j) by its first J factors, J from
+    _qpoch_factors."""
+    if not abs(q) < 1:
         raise ValueError("need |q| < 1")
+    J = _qpoch_factors(a, q, tol)
+    if J > 10_000_000:
+        raise RuntimeError("qpoch_inf failed to converge")
     total = mp.mpf(1)
     fac = mp.mpf(1) * a
-    j = 0
-    while True:
+    for _ in range(J):
         total *= 1 - fac
         fac *= q
-        j += 1
-        bound = abs(fac) / (1 - absq)
-        if bound < tol / 2:
-            # log(1-x) ~ -x domination for the remaining factors
-            return total
-        if j > 10_000_000:
-            raise RuntimeError("qpoch_inf failed to converge")
+    return total
 
 
 @lru_cache(maxsize=16)
@@ -336,12 +347,6 @@ def eta(tau, prec: int = DEFAULT_PREC):
     with mp.workprec(prec + _GUARD_BITS):
         q = cexp(tau)
         return cexp(tau / 24) * euler_phi_numeric(q, _tol(prec))
-
-
-def eta_qseries(trunc: int) -> ExactQSeries:
-    """Exact series q^{1/24} prod (1-q^n), on the 1/24 lattice."""
-    from .exact_series import euler_product
-    return euler_product(trunc).shift(Fraction(1, 24))
 
 
 def theta(z, tau, prec: int = DEFAULT_PREC):
@@ -356,43 +361,35 @@ def theta(z, tau, prec: int = DEFAULT_PREC):
         return plus + minus
 
 
-def theta_product(z, tau, prec: int = DEFAULT_PREC):
-    """Triple-product route: -i q^{1/8} zeta^{-1/2} (q)(zeta)(zeta^{-1}q)."""
-    _require_upper_half(tau)
-    with mp.workprec(prec + _GUARD_BITS):
-        tol = _tol(prec)
-        q = cexp(tau)
-        zeta = cexp(z)
-        return (-1j * cexp(tau / 8) * cexp(-z / 2)
-                * euler_phi_numeric(q, tol)
-                * qpoch_inf(zeta, q, tol)
-                * qpoch_inf(q / zeta, q, tol))
+def _G2k_terms(k: int, tau, prec: int) -> int:
+    """The least N with N + 1 > 4k/L, L = -log|q|, and c (N+1)^{2k} |q|^{N+1}
+    /(1 - sqrt|q|) < 2^-(prec + _GUARD_BITS)/2, c = 2 (2 pi)^{2k}/(2k-1)!,
+    planned in doubles (the 2 absorbs their rounding).  As sigma_{2k-1}(n)
+    <= n^{2k}, the terms _G2k_series_value drops are below c (n+1)^{2k}
+    |q|^{n+1}, in ratio below sqrt|q| past 4k/L, where the bound falls with
+    N; it needs (N+1) L > log(c 2^(prec + _GUARD_BITS)) first."""
+    L = 2 * math.pi * float(mp.im(tau))
+    log_c = (math.log(4) + 2 * k * math.log(2 * math.pi)
+             - math.lgamma(2 * k) - math.log(-math.expm1(-L / 2)))
+    log_tol = -(prec + _GUARD_BITS) * math.log(2)
+    N = max(math.floor(4 * k / L), math.ceil((log_c - log_tol) / L) - 1)
+    if N > 60_000_000:
+        raise RuntimeError("Eisenstein series not converging; transform tau")
+    while log_c + 2 * k * math.log(N + 1) - (N + 1) * L >= log_tol:
+        N += 1
+    return N
 
 
 def _G2k_series_value(k: int, tau, prec: int):
-    """(2 pi i)^{2k} times ghat_qseries(2k) summed to q^N, by Horner's rule
-    on its coefficients over their common denominator."""
-    tol = _tol(prec)
-    q = cexp(tau)
-    absq = abs(q)
-    two_pi_i = 2j * mp.pi
-    # choose N with sigma_{2k-1}(n) <= n^{2k} and n^{2k}|q|^n geometric beyond N
-    N = 8
-    while True:
-        bound = (2 * abs(two_pi_i ** (2 * k)) / factorial(2 * k - 1)
-                 * mp.mpf(N + 1) ** (2 * k) * absq ** (N + 1)
-                 / (1 - absq ** mp.mpf("0.5")))
-        # successive-term ratio <= e^{2k/(N+1)} |q| must stay below sqrt|q|
-        if bound < tol and mp.exp(mp.mpf(2 * k) / (N + 1)) * absq \
-                <= absq ** mp.mpf("0.5"):
-            break
-        N *= 2
-        if N > 60_000_000:
-            raise RuntimeError("Eisenstein series not converging; transform tau")
+    """(2 pi i)^{2k} times ghat_qseries(2k) summed to q^N, N from
+    _G2k_terms, by Horner's rule on its coefficients over their common
+    denominator."""
+    N = _G2k_terms(k, tau, prec)
     ghat = ghat_qseries(2 * k, N + 1).coeffs
     den = math.lcm(*(Fraction(c).denominator for c in ghat.values()))
-    acc = mp.polyval([int(ghat.get(n, 0) * den) for n in range(N, -1, -1)], q)
-    return two_pi_i ** (2 * k) * acc / den
+    acc = mp.polyval([int(ghat.get(n, 0) * den) for n in range(N, -1, -1)],
+                     cexp(tau))
+    return (2j * mp.pi) ** (2 * k) * acc / den
 
 
 def eisenstein_G2k(k: int, tau, prec: int = DEFAULT_PREC, _depth: int = 0):

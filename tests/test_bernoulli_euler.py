@@ -41,7 +41,7 @@ def test_bernoulli_poly_basics():
         assert bernoulli_poly(n, Fraction(1)) == bernoulli_number(n)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(min_value=1, max_value=12),
        st.fractions(min_value=-2, max_value=2, max_denominator=6))
 def test_bernoulli_difference(n, x):
@@ -67,11 +67,47 @@ def test_euler_numbers_against_sech_series():
         assert euler_number(n) == sech.coefficient(n) * factorial(n)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=12),
        st.fractions(min_value=-2, max_value=2, max_denominator=6))
 def test_euler_poly_sum_rule(n, x):
     assert euler_poly(n, x + 1) + euler_poly(n, x) == 2 * x ** n
+
+
+def exp_w(x, trunc):
+    """Series of e^{x w} to order w^trunc."""
+    return ExactQSeries(1, {n: Fraction(x) ** n / factorial(n)
+                            for n in range(trunc)}, trunc)
+
+
+def higher_bernoulli_by_inversion(n, r, x):
+    """B_n^{(r)}(x) as it was computed: (e^w - 1)/w inverted afresh, raised
+    to the r-th power and multiplied by e^{xw}."""
+    expm1_over_w = ExactQSeries(1, {m: Fraction(1, factorial(m + 1))
+                                    for m in range(n + 1)}, n + 1)
+    series = expm1_over_w.invert() ** r * exp_w(x, n + 1)
+    return series.coefficient(n) * factorial(n)
+
+
+def euler_poly_by_inversion(n, x):
+    """E_n(x) as it was computed: (e^w + 1)/2 inverted afresh and multiplied
+    by e^{xw}."""
+    half = ExactQSeries(1, {m: Fraction(1, 2 * factorial(m))
+                            for m in range(n + 1)}, n + 1) + Fraction(1, 2)
+    series = half.invert() * exp_w(x, n + 1)
+    return series.coefficient(n) * factorial(n)
+
+
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 40), st.integers(1, 20), _rationals)
+def test_cached_tables_against_fresh_inversion(n, r, x):
+    assert higher_bernoulli_poly(n, r, x) == \
+        higher_bernoulli_by_inversion(n, r, x)
+    assert euler_poly(n, x) == euler_poly_by_inversion(n, x)
+    assert bernoulli_poly(n, x) == higher_bernoulli_by_inversion(n, 1, x)
 
 
 def test_higher_bernoulli_reduces_to_ordinary():

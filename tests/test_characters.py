@@ -71,7 +71,7 @@ def test_H_value_matches_quadrature():
             assert abs(a - b) <= mp.mpf("1e-30") * max(1, abs(a))
 
 
-@settings(max_examples=6, deadline=None, derandomize=True)
+@settings(max_examples=6)
 @given(st.integers(2, 4), st.integers(0, 2), st.sampled_from(("0.35", "0.65")),
        st.sampled_from(((0, 1), ("0.3", "0.9"))))
 def test_fourier_certificate_bounds_observed_error(ell, s, height, tau):

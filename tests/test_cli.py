@@ -77,6 +77,17 @@ def test_qdim_csv(capsys):
     assert len(lines) == 3
 
 
+def test_qdim_csv_skips_the_slope(capsys, monkeypatch):
+    # CSV prints the rows only, so it must not compute the JSON-only slope
+    def unused(*args, **kwargs):
+        raise AssertionError("qdim_slope_report called for CSV output")
+
+    monkeypatch.setattr("qchar.asymptotics.qdim_slope_report", unused)
+    code, out = run(capsys, "--prec", "80", "qdim", "--t", "0.2,0.1")
+    assert code == 0
+    assert out.splitlines()[0] == "t,ratio,deviation"
+
+
 def test_asym_csv(capsys):
     code, out = run(capsys, "--prec", "96", "asym", "--t", "0.5,0.25", "--N",
                     "2")

@@ -120,7 +120,7 @@ def test_product_matches_oracle_off_the_strip():
             assert abs(got - want) <= mp.mpf("1e-70") * abs(want)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(st.integers(2, 5), st.sampled_from((128, 256, 384)),
        st.sampled_from(("1j", "0.3+0.7j")), st.integers(0, 10**6),
        st.integers(0, 96), st.integers(-12, 27))
@@ -226,7 +226,7 @@ def test_point_built_at_default_precision(ell):
     assert abs(quad - dec) <= mp.mpf("1e-60") * abs(quad)
 
 
-@settings(max_examples=6, deadline=None, derandomize=True)
+@settings(max_examples=6)
 @given(st.integers(2, 4), st.integers(0, 2), st.sampled_from(("0.35", "0.65")),
        st.integers(0, 10**6))
 def test_quadrature_certificate_bounds_doubled_rule(ell, s, height, seed):

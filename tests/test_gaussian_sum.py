@@ -165,14 +165,14 @@ def close(got, want):
     return abs(got - want) <= TOL * max(1, abs(want))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(tau_z())
 def test_theta_against_loop(point):
     tau, z = point
     assert close(theta(z, tau, PREC), theta_loop(z, tau, PREC))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(tau_z(), frac_st, st.sampled_from((0, 1)),
        st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3, 2), 2)))
 def test_partial_theta_against_loop(point, r, eps, M):
@@ -182,14 +182,14 @@ def test_partial_theta_against_loop(point, r, eps, M):
                  partial_theta_loop(params, z, tau, PREC))
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(tau_z(), st.sampled_from((2, 3, 4)), st.integers(0, 4))
 def test_H_value_against_loop(point, ell, s):
     tau, _ = point
     assert close(H_value(ell, s, tau, PREC), H_value_loop(ell, s, tau, PREC))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.floats(min_value=0.05, max_value=1.0), st.sampled_from((1, 2, 3)),
        frac_st)
 def test_script_FG_against_loops(t, j, r):

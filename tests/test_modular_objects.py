@@ -7,13 +7,13 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar.exact_series import ExactQSeries
-from qchar.modular_objects import (_GUARD_BITS, NearPoleError, cexp,
+from qchar.exact_series import ExactQSeries, euler_product
+from qchar.modular_objects import (_GUARD_BITS, NearPoleError, _tol, cexp,
                                    divisor_sigma_list, eisenstein_G2k, eta,
-                                   eta_qseries, euler_phi_numeric, fixed_div,
-                                   fixed_mul, from_fixed, g_ell, ghat_qseries,
+                                   euler_phi_numeric, fixed_div, fixed_mul,
+                                   from_fixed, g_ell, ghat_qseries,
                                    ghat_value, laurent_coefficients_D,
-                                   qpoch_inf, theta, theta_product, to_fixed)
+                                   qpoch_inf, theta, to_fixed)
 
 PREC = 128
 TOL = mp.mpf(2) ** (-PREC + 20)
@@ -25,6 +25,25 @@ def D_values(ell, tau, prec):
         E = laurent_coefficients_D(
             ell, partial(ghat_value, tau=tau, prec=prec), mp.mpc(1))
         return [(-1j) ** ell * e for e in E]
+
+
+def theta_product(z, tau, prec):
+    """Triple-product route to theta, the oracle of its Gaussian sum:
+    -i q^{1/8} zeta^{-1/2} (q)(zeta)(zeta^{-1}q)."""
+    with mp.workprec(prec + _GUARD_BITS):
+        tol = _tol(prec)
+        q = cexp(tau)
+        zeta = cexp(z)
+        return (-1j * cexp(tau / 8) * cexp(-z / 2)
+                * euler_phi_numeric(q, tol)
+                * qpoch_inf(zeta, q, tol)
+                * qpoch_inf(q / zeta, q, tol))
+
+
+def eta_qseries(trunc):
+    """Exact series q^{1/24} prod (1-q^n), on the 1/24 lattice: the oracle
+    of the numeric eta and (q)_inf."""
+    return euler_product(trunc).shift(Fraction(1, 24))
 
 
 def random_tau_z(rng):
@@ -227,7 +246,7 @@ def expand_monomials(poly, ghat, one):
     return acc
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.integers(1, 8), st.integers(1, 60))
 def test_recurrence_matches_monomial_expansion_series(ell, T):
     one = ExactQSeries.one(T)
@@ -240,7 +259,7 @@ def test_recurrence_matches_monomial_expansion_series(ell, T):
         assert got[j - 1].coeffs == want.coeffs
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(st.integers(1, 8), st.floats(-0.5, 0.5), st.floats(0.3, 1.6))
 def test_recurrence_matches_monomial_expansion_values(ell, x, y):
     tau = mp.mpc(x, y)
@@ -287,7 +306,7 @@ def test_eta_cached_per_tau_and_prec():
 _parts = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(_parts, _parts, _parts, _parts, st.sampled_from((64, 200, 300)))
 def test_fixed_point_helpers_against_mpc(xr, xi, yr, yi, wp):
     # every result within sqrt(2) 2^-wp of the exact value of its integer

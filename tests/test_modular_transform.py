@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar.modular_objects import _GUARD_BITS
+from qchar.modular_objects import _GUARD_BITS, fraction_mpf
 from qchar.modular_transform import (PoleNearContourError, S_MATRIX,
                                      SL2Matrix, _gauss_cutoff,
                                      _line_trapezoid,
@@ -26,24 +26,53 @@ def quad_oracle(A, B, zeta, kappa, prec):
                        [-X, -X / 3, 0, X / 3, X])
 
 
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(st.floats(1.5, 4), st.floats(-1, 1), st.floats(-1, 1),
-       st.floats(-6, 6), st.floats(4, 12), st.floats(0.15, 0.8),
-       st.sampled_from((1, -1)), st.floats(0, 6.25))
-def test_line_trapezoid_against_higher_precision_and_quad(
+_line_examples = (st.floats(1.5, 4), st.floats(-1, 1), st.floats(-1, 1),
+                  st.floats(-6, 6), st.floats(4, 12), st.floats(0.15, 0.8),
+                  st.sampled_from((1, -1)), st.floats(0, 6.25))
+
+
+def line_problem(a_re, a_im, b_re, b_im, kappa, dist, side, phase):
+    """(A, B, zeta, kappa) with the kernel poles on Im x = side * dist."""
+    kappa = mp.mpf(kappa)
+    return (mp.mpc(-a_re, a_im), mp.mpc(b_re, b_im), kappa,
+            mp.expj(phase) * mp.exp(side * kappa * dist))
+
+
+def gaussian(A, B):
+    """The integral over R of e^{A x^2 + B x}, Re A < 0."""
+    return mp.sqrt(mp.pi / -A) * mp.exp(-B * B / (4 * A))
+
+
+@settings(max_examples=10)
+@given(*_line_examples)
+def test_line_trapezoid_against_higher_precision_and_shift_identity(
         a_re, a_im, b_re, b_im, kappa, dist, side, phase):
-    # poles on Im x = side * dist: above and below the real line
+    # I(A, B) - zeta I(A, B + i kappa) is the Gaussian integral, since
+    # 1/(1 - u) - u/(1 - u) = 1: an exact oracle, within both certificates
     with mp.workprec(400):
-        A, B = mp.mpc(-a_re, a_im), mp.mpc(b_re, b_im)
-        kappa = mp.mpf(kappa)
-        zeta = mp.expj(phase) * mp.exp(side * kappa * dist)
+        A, B, kappa, zeta = line_problem(a_re, a_im, b_re, b_im, kappa, dist,
+                                         side, phase)
         lo, lo_cert = _line_trapezoid(A, B, zeta, kappa, 160)
         hi, hi_cert = _line_trapezoid(A, B, zeta, kappa, 320)
-        err = abs(lo - hi)
-        assert err <= lo_cert.bound + hi_cert.bound
+        assert abs(lo - hi) <= lo_cert.bound + hi_cert.bound
         assert lo_cert.bound < mp.mpf(2) ** -(160 + _GUARD_BITS)
         assert lo_cert.nodes == 2 * int(lo_cert.X / lo_cert.h) + 1
-        if dist >= 0.3:
+        shifted, sh_cert = _line_trapezoid(A, B + 1j * kappa, zeta, kappa,
+                                           160)
+        assert abs(lo - zeta * shifted - gaussian(A, B)) \
+            <= lo_cert.bound + abs(zeta) * sh_cert.bound
+
+
+def test_line_trapezoid_against_higher_precision_and_quad():
+    # the independent mp.quad route, on two fixed examples: poles above and
+    # below the line, pole distance at least 0.3
+    for example in ((2.0, 0.5, 0.3, -2.0, 6.0, 0.5, 1, 1.0),
+                    (3.5, -0.7, -0.8, 4.0, 10.0, 0.35, -1, 5.0)):
+        with mp.workprec(400):
+            A, B, kappa, zeta = line_problem(*example)
+            lo, lo_cert = _line_trapezoid(A, B, zeta, kappa, 160)
+            hi, hi_cert = _line_trapezoid(A, B, zeta, kappa, 320)
+            assert abs(lo - hi) <= lo_cert.bound + hi_cert.bound
             assert abs(lo - quad_oracle(A, B, zeta, kappa, 160)) \
                 <= mp.mpf("1e-30")
 
@@ -67,18 +96,15 @@ def line_trapezoid_mpmath(A, B, zeta, kappa, h, K, prec):
         return h * total
 
 
-@settings(max_examples=8, deadline=None, derandomize=True)
-@given(st.floats(1.5, 4), st.floats(-1, 1), st.floats(-1, 1),
-       st.floats(-6, 6), st.floats(4, 12), st.floats(0.15, 0.8),
-       st.sampled_from((1, -1)), st.floats(0, 6.25))
+@settings(max_examples=8)
+@given(*_line_examples)
 def test_line_trapezoid_rounding_against_mpmath_recurrence(
         a_re, a_im, b_re, b_im, kappa, dist, side, phase):
     # same nodes, recurrences 128 bits finer: what is left is the rounding,
     # which the certificate budgets at a quarter of 2^-(prec + guard)
     with mp.workprec(400):
-        A, B = mp.mpc(-a_re, a_im), mp.mpc(b_re, b_im)
-        kappa = mp.mpf(kappa)
-        zeta = mp.expj(phase) * mp.exp(side * kappa * dist)
+        A, B, kappa, zeta = line_problem(a_re, a_im, b_re, b_im, kappa, dist,
+                                         side, phase)
         got, cert = _line_trapezoid(A, B, zeta, kappa, 160)
         want = line_trapezoid_mpmath(A, B, zeta, kappa, cert.h,
                                      (cert.nodes - 1) // 2, 160 + 128)
@@ -105,6 +131,38 @@ def test_certificate_bounds_observed_error():
         ref = quad_oracle(mp.pi * 1j * tau / 2, mp.pi * 1j / scM * 3 / 2,
                           mp.expj(12 * mp.pi * z), 4 * mp.pi * scM, 160)
         assert abs(lo - ref) <= mp.mpf("1e-45")
+
+
+@settings(max_examples=8)
+@given(st.sampled_from((SL2Matrix(1, 0, 1, 1), SL2Matrix(1, 1, 2, 3),
+                        S_MATRIX)),
+       st.integers(0, 1), st.sampled_from((Fraction(1, 2), Fraction(3, 2),
+                                           Fraction(-1), Fraction(2))),
+       st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3, 2))),
+       st.floats(-0.5, 0.5), st.floats(0.05, 0.3), st.sampled_from((1, -1)),
+       st.floats(-0.3, 0.3), st.floats(0.7, 1.5))
+def test_mordell_integral_shift_identity(gamma, j, r, M, x, y, side, u, v):
+    # j and j + 2c differ by i kappa in the linear coefficient, so
+    # I_j - e^{8 pi i cM z} I_{j+2c} is the Gaussian integral of the
+    # numerator.  The certificates cover the integrals of the coefficients
+    # mordell_integral forms at prec + _GUARD_BITS bits, not their rounding,
+    # which moves each integral by up to about 16 |I| 2^-(prec + _GUARD_BITS)
+    # here; 2^-prec (|I_j| + |zeta I_{j+2c}|) allows for it.
+    params = PartialThetaParams(r, 1, M)
+    z, tau = mp.mpc(x, side * y), mp.mpc(u, v)
+    prec = 160
+    with mp.workprec(400):
+        lo, lo_cert = mordell_integral(params, z, tau, j, gamma, prec)
+        hi, hi_cert = mordell_integral(params, z, tau, j + 2 * gamma.c, gamma,
+                                       prec)
+        cM = fraction_mpf(gamma.c * M)
+        zeta = mp.exp(8j * mp.pi * cM * z)
+        rj = fraction_mpf(r - 2 * M * j)
+        A = mp.pi * 1j * (gamma.c * tau + gamma.d) / 2
+        B = -mp.pi * 1j / mp.sqrt(cM) * rj
+        assert abs(lo - zeta * hi - gaussian(A, B)) \
+            <= lo_cert.bound + abs(zeta) * hi_cert.bound \
+            + mp.mpf(2) ** -prec * (abs(lo) + abs(zeta * hi))
 
 
 def test_sl2_matrix_validation_and_action():
