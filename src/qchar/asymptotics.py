@@ -11,8 +11,9 @@ from math import comb, factorial
 import mpmath as mp
 
 from .bernoulli_euler import euler_poly, higher_bernoulli_poly
+from .certified import _GUARD_BITS
 from .characters import H_value, central_charge, h_s
-from .modular_objects import DEFAULT_PREC, _GUARD_BITS
+from .modular_objects import DEFAULT_PREC
 from .partial_theta import AsympExpansion, GradedCoeff
 
 __all__ = [

@@ -22,13 +22,12 @@ import mpmath as mp
 
 from .exact_series import (ExactQSeries, euler_product, euler_product_pow,
                            poch_ratio_bivariate)
-from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, Certificate,
-                              _require_upper_half, _tol,
-                              certified_gaussian_sum, euler_phi_numeric,
-                              g_ell, ghat_qseries, ghat_value,
-                              laurent_coefficients_D, log_poch_lower,
-                              periodic_trapezoid, plan_periodic_trapezoid,
-                              qpoch_inf)
+from .certified import (_GUARD_BITS, Certificate, certified_gaussian_sum,
+                        log_poch_lower, periodic_trapezoid,
+                        plan_periodic_trapezoid)
+from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol,
+                              euler_phi_numeric, g_ell, ghat_qseries,
+                              ghat_value, laurent_coefficients_D, qpoch_inf)
 
 
 @dataclass(frozen=True)

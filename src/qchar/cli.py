@@ -4,9 +4,9 @@ Subcommands compute series heads and asymptotic tables, and run the
 verification suites.  Output is machine-readable (JSON with ``"schema": 1``,
 or CSV for tables); all floating-point values are serialized as decimal
 strings at working precision.  Exit codes: 0 success, 1 verification
-failure, 2 usage error: any bad value, a --z that is not a complex number,
-lies outside the admissible strip or puts a kernel pole on the contour
-included.
+failure, 2 usage error: any bad value, a --z or --tau that is not a finite
+complex number and a --z outside the admissible strip or putting a kernel
+pole on the contour included.
 """
 
 from __future__ import annotations
@@ -103,8 +103,9 @@ def cmd_qdim(args) -> int:
     ratios = [asymptotics.qdim_ratio(args.ell, args.s, t, prec) for t in ts]
     slope = (asymptotics.qdim_slope_report(args.ell, args.s, prec=prec)
              if args.format == "json" else {})  # CSV prints the rows only
-    return _emit_rows(args, ("t", "ratio", "deviation"),
-                      [(t, r, abs(r - 1)) for t, r in zip(ts, ratios)],
+    with mp.workprec(prec):  # deviation is printed with _dps(prec) digits
+        rows = [(t, r, abs(r - 1)) for t, r in zip(ts, ratios)]
+    return _emit_rows(args, ("t", "ratio", "deviation"), rows,
                       slope={k: (_numstr(v, prec) if not isinstance(v, bool)
                                  else v) for k, v in slope.items()})
 
@@ -188,11 +189,14 @@ def _sl2_matrix(text: str) -> modular_transform.SL2Matrix:
 
 
 def _parse_mpc(text: str):
-    """argparse type: a complex number such as 0.1+0.2j."""
+    """argparse type: a finite complex number such as 0.1+0.2j."""
     try:
-        return mp.mpc(complex(text.replace(" ", "")))
+        value = mp.mpc(complex(text.replace(" ", "")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
+    if not mp.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite value: {text!r}")
+    return value
 
 
 def _upper_half(text: str):
@@ -368,7 +372,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ValueError, RuntimeError, AssertionError) as exc:
+    except (ValueError, OverflowError, RuntimeError, AssertionError) as exc:
         _emit({"schema": 1, "command": args.command, "ok": False,
                "error": str(exc)})
         return 1

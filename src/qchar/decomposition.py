@@ -23,11 +23,11 @@ from functools import lru_cache
 import mpmath as mp
 
 from .characters import central_charge, h_s
-from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, Certificate,
-                              NearPoleError, _require_upper_half, _tol, cexp,
-                              eta, euler_phi_numeric, fixed_mul, fraction_mpf,
-                              from_fixed, log_poch_lower, periodic_trapezoid,
-                              plan_periodic_trapezoid, theta, to_fixed)
+from .certified import (_GUARD_BITS, Certificate, NearPoleError, fixed_mul,
+                        fraction_mpf, from_fixed, log_poch_lower,
+                        periodic_trapezoid, plan_periodic_trapezoid, to_fixed)
+from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol, cexp,
+                              eta, euler_phi_numeric, theta)
 from .partial_theta import PartialThetaParams, partial_theta
 
 

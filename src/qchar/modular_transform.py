@@ -4,22 +4,18 @@ The transformed partial theta equals a sum of Mordell-type integrals
 (Gaussian against a trigonometric kernel) plus, when Im z < 0, explicit
 theta-function correction terms.  Everything here is verified numerically:
 the left side by direct summation at the transformed argument, the right
-side from a certified real-line trapezoid rule.
+side from the certified real-line trapezoid rule certified.line_trapezoid.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, Certificate,
-                              _require_upper_half, cexp, fixed_div, fixed_mul,
-                              fraction_mpf, from_fixed, least_strip_nodes,
-                              theta, to_fixed)
+from .certified import _GUARD_BITS, fraction_mpf, line_trapezoid
+from .modular_objects import DEFAULT_PREC, _require_upper_half, cexp, theta
 from .partial_theta import PartialThetaParams, partial_theta
 
 
@@ -47,109 +43,6 @@ S_MATRIX = SL2Matrix(0, -1, 1, 0)
 _POLE_DISTANCE_MIN = mp.mpf("0.01")
 
 
-def _gauss_cutoff(decay_rate, prec: int):
-    """Half-width X with e^{-decay_rate X^2} below the working tolerance."""
-    return mp.sqrt(((prec + 32) * mp.log(2)) / decay_rate) + 1
-
-
-def _line_trapezoid(A, B, zeta, kappa, prec: int):
-    """(integral over R of e^{A x^2 + B x} / (1 - zeta e^{i kappa x}) dx,
-    Certificate), with absolute error below 2^-(prec + _GUARD_BITS).
-
-    Needs Re A < 0, kappa > 0 and |zeta| != 1, so that the kernel's poles lie
-    on the line Im x = y_p = log|zeta|/kappa at distance d = |y_p| from R.
-    The truncated trapezoid rule h sum_{|kh| <= X} f(kh), h = 1/N, then has
-    three certified error parts, each kept below a quarter of the target:
-
-    * discretisation, planned in doubles by least_strip_nodes on the strip
-      |Im x| < d: the integral of |f| along Im x = y is at most the
-      Gaussian's line mass over |1 - e^{kappa (y_p - y)}|;
-    * the dropped Gaussian tail beyond X, summed against its tangent line;
-    * rounding of the node recurrences E_{k+1} = E_k R_k, R_{k+1} = R_k Q
-      (Q = e^{2 A h^2}), W_{k+1} = W_k e^{i kappa h} and of the sum of
-      E_k/(1 - W_k), run in fixed point on the grid u = 2^-wp.
-
-    The rounding, in units u and to first order in u: Q, R_0, e^{i kappa h}
-    enter within 2 and zeta within 2 + |zeta|, and every product or
-    quotient truncates by less than sqrt(2).  With rho = e^{|Re B| h} >=
-    |R_k|, G = e^{(Re B)^2/(4 |Re A|)} >= |E_k| and L = 1 - e^{-kappa d} <=
-    |1 - W_k|:
-    R_k is within (k+1) r, r = 2 rho + 1.5, as |Q| < 1; E_k within
-    G^2 r (k+1)^2/2, since |E_k/E_j| <= G for j <= k (log|E| is concave and
-    E_0 = 1); W_k within (k+1) z, z = 2|zeta| + 2; so the k-th quotient is
-    within G^2 r (k+1)^2/L + 2 G z (k+1)/L^2 + 1.5, and the sum over both
-    sides within
-
-        T = 2 (G^2 r (K+2)^3/(3 L) + G z (K+2)^2/L^2 + 1.5 (K+2)).
-
-    wp is the least precision (at least prec + _GUARD_BITS) with
-    (h T + mass) 2^-wp below the quarter, mass >= |value| paying for the
-    final scaling by h.
-    """
-    start = time.perf_counter()
-    ar, ai = -float(mp.re(A)), float(mp.im(A))
-    br, bi = float(mp.re(B)), float(mp.im(B))
-    kap = float(kappa)
-    y_p = float(mp.log(abs(zeta))) / kap
-
-    def log_line_mass(y):  # log of the integral of |f| along Im x = y
-        return (0.5 * math.log(math.pi / ar) + ar * y * y - bi * y
-                + (br - 2 * ai * y) ** 2 / (4 * ar)
-                - math.log(-math.expm1(-kap * abs(y_p - y))))
-
-    log_eps = -(prec + _GUARD_BITS + 2) * math.log(2)  # log of eps below
-    # disc: the discretisation error bound over eps, at most 1
-    N, disc = least_strip_nodes(abs(y_p), abs(y_p), log_line_mass, log_eps,
-                                lambda n: 0.0)
-    with mp.workprec(prec + _GUARD_BITS):
-        eps = mp.mpf(2) ** -(prec + _GUARD_BITS) / 4
-        Ar, Br = -mp.re(A), mp.re(B)
-        h = mp.mpf(1) / N
-        low_real = -mp.expm1(-abs(mp.log(abs(zeta))))  # 1 - e^{-kappa d}
-
-        def tail(X):  # tangent-line bound of e^{-Ar x^2 + |Br| x} past X
-            slope = -2 * Ar * X + abs(Br)
-            if slope >= 0:
-                return mp.inf
-            return (2 * h * mp.exp(-Ar * X * X + abs(Br) * X)
-                    / (-mp.expm1(slope * h) * low_real))
-
-        X = _gauss_cutoff(Ar, prec)
-        while tail(X) > eps:
-            X += 1
-        K = int(mp.floor(X / h))
-        G = mp.exp(Br * Br / (4 * Ar))
-        # h sum |f(kh)| <= (integral + h max) of |num| over R, / low_real
-        mass = (mp.sqrt(mp.pi / Ar) + h) * G / low_real
-        r = 2 * mp.exp(abs(Br) * h) + mp.mpf(1.5)
-        n = K + 2
-        T = 2 * (G * G * r * n ** 3 / (3 * low_real)
-                 + G * (2 * abs(zeta) + 2) * n * n / low_real ** 2 + 1.5 * n)
-        wp = max(prec + _GUARD_BITS,
-                 int(mp.ceil(mp.log((h * T + mass) / eps, 2))))
-        bound = disc * eps + tail(X) + eps
-    with mp.workprec(wp + _GUARD_BITS):
-        one = 1 << wp
-        Q = to_fixed(mp.exp(2 * A * h * h), wp)
-        zf = to_fixed(zeta, wp)
-        tr, ti = fixed_div((one, 0), (one - zf[0], -zf[1]), wp)
-        for sgn in (1, -1):
-            E = (one, 0)
-            R = to_fixed(mp.exp(A * h * h + sgn * B * h), wp)
-            Zw = zf
-            w = to_fixed(mp.expj(sgn * kappa * h), wp)
-            for _ in range(K):
-                E = fixed_mul(E, R, wp)
-                R = fixed_mul(R, Q, wp)
-                Zw = fixed_mul(Zw, w, wp)
-                t = fixed_div(E, (one - Zw[0], -Zw[1]), wp)
-                tr += t[0]
-                ti += t[1]
-        value = h * from_fixed((tr, ti), wp)
-    return value, Certificate(2 * K + 1, h, X, bound, prec,
-                              time.perf_counter() - start)
-
-
 def mordell_integral(params: PartialThetaParams, z, tau, j: int,
                      gamma: SL2Matrix, prec: int = DEFAULT_PREC):
     """(integral over R of
@@ -173,17 +66,14 @@ def mordell_integral(params: PartialThetaParams, z, tau, j: int,
                 "denominator pole within {} of the real axis; shift z"
                 .format(mp.nstr(pole_im, 3)))
         ctd = gamma.c * tau + gamma.d
-        rj = Fraction(r) - 2 * Fraction(M) * j
-        rjf = fraction_mpf(rj)
-        return _line_trapezoid(mp.pi * 1j * ctd / 2, -mp.pi * 1j / scM * rjf,
-                               cexp(4 * z * cM), 4 * mp.pi * scM, prec)
+        rjf = fraction_mpf(Fraction(r) - 2 * Fraction(M) * j)
+        return line_trapezoid(mp.pi * 1j * ctd / 2, -mp.pi * 1j / scM * rjf,
+                              cexp(4 * z * cM), 4 * mp.pi * scM, prec)
 
 
 def _root_of_unity(exponent: Fraction):
     """e^{2 pi i exponent} with the rational exponent reduced mod 1 first."""
-    exponent = Fraction(exponent)
-    exponent -= exponent.numerator // exponent.denominator
-    return cexp(fraction_mpf(exponent))
+    return cexp(fraction_mpf(Fraction(exponent) % 1))
 
 
 def general_transform_rhs(params: PartialThetaParams, z, tau,
@@ -284,7 +174,7 @@ def s_transform_rhs(ell: int, s: int, z, tau, prec: int = DEFAULT_PREC):
             zeta = -zeta
         else:
             pref = -pref
-        integral, cert = _line_trapezoid(
+        integral, cert = line_trapezoid(
             mp.pi * 1j * tau, 2j * mp.pi / sl * (s + ell) + 1j * mp.pi * sl,
             zeta, 2 * mp.pi * sl, prec)
         val = pref * integral

@@ -20,8 +20,8 @@ from math import factorial
 import mpmath as mp
 
 from .bernoulli_euler import bernoulli_poly
-from .modular_objects import (DEFAULT_PREC, _GUARD_BITS, _require_upper_half,
-                              certified_gaussian_sum, fraction_mpf)
+from .certified import _GUARD_BITS, certified_gaussian_sum, fraction_mpf
+from .modular_objects import DEFAULT_PREC, _require_upper_half
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,14 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar.certified import _GUARD_BITS, NearPoleError
 from qchar.characters import (CharacterParams, F_ls_exact, F_ls_numeric,
                               F_ls_via_H, H_value, central_charge,
                               character_ch,
                               coeff_series_exact,
                               fourier_coeff_by_quadrature,
                               fourier_quadrature_plan, h_s)
-from qchar.modular_objects import _GUARD_BITS, NearPoleError, cexp, eta
+from qchar.modular_objects import cexp, eta
 
 PREC = 128
 

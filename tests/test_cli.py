@@ -119,6 +119,18 @@ def test_asym_abs_err_at_working_precision(capsys):
         assert abs(mp.mpf(row["abs_err"]) - want) <= mp.mpf("1e-30") * want
 
 
+def test_qdim_deviation_at_working_precision(capsys):
+    # deviation is printed with 75 digits at --prec 256, so it must be
+    # |1 - ratio| of the printed ratio to that accuracy, not to 53 bits
+    code, out = run(capsys, "--prec", "256", "qdim", "--t", "0.2,0.1")
+    assert code == 0
+    for line in out.strip().splitlines()[1:]:
+        _, ratio, deviation = line.split(",")
+        with mp.workprec(320):
+            want = abs(1 - mp.mpf(ratio))
+            assert abs(mp.mpf(deviation) - want) <= mp.mpf("1e-60")
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["coeffs", "--ell", "3"])  # missing required --s
@@ -143,6 +155,14 @@ def test_usage_error_exit_two():
     ["verify-modular", "--z", "0.1"],
     ["verify-modular", "--z", "0.1+0.001j"],
     ["verify-modular", "--z", "x"],
+    ["verify-modular", "--z", "nan"],
+    ["verify-modular", "--z", "0.1+infj"],
+    ["verify-modular", "--z", "0.1+1e400j"],
+    ["verify-modular", "--tau=nan+1j"],
+    ["verify-modular", "--tau=0+infj"],
+    ["verify-decomposition", "--ell", "3", "--s", "0", "--tau=nan+1j"],
+    ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "0.1+0.1j",
+     "nan"],
     ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "x", "0.1j"],
     ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "0.1+0.1j"],
     ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "0.1+0.1j",
@@ -184,6 +204,16 @@ def test_verification_error_exit_one(capsys):
                     "3", "--s", "0", "--z", "1e-30j", "0.1+0.1j")
     assert code == 1
     assert "collide" in json.loads(out)["error"]
+
+
+def test_huge_z_is_a_reported_failure(capsys):
+    # finite, so not a usage error; its Gaussian sums cannot be planned in
+    # doubles, which is a failed verification, reported without a traceback
+    code = main(["verify-modular", "--z", "0.1+1e300j"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False and "overflows" in doc["error"]
 
 
 def test_verify_modular_diagnostics(capsys):

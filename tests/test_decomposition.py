@@ -5,14 +5,14 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar.certified import (_GUARD_BITS, NearPoleError, log_poch_lower,
+                             periodic_trapezoid)
 from qchar.decomposition import (_PRODUCT_BITS, DegenerateWVectorError,
                                  F_ell_product, F_ls_decomposed,
                                  F_ls_multivar_quadrature, MultivarPoint,
                                  _product_rounding, multivar_quadrature_plan,
                                  random_admissible_point, script_F_value)
-from qchar.modular_objects import (_GUARD_BITS, NearPoleError, _tol, cexp,
-                                   eta, euler_phi_numeric, log_poch_lower,
-                                   periodic_trapezoid, theta)
+from qchar.modular_objects import _tol, cexp, eta, euler_phi_numeric, theta
 
 PREC = 128
 

@@ -5,6 +5,7 @@ script_F and script_G ran before they became callers of the helper: one
 mp.exp per term and a stopping rule of their own.
 """
 
+import time
 from fractions import Fraction
 from functools import partial
 from math import factorial
@@ -13,10 +14,10 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar.certified import _GUARD_BITS, certified_gaussian_sum, fraction_mpf
 from qchar.characters import H_value
-from qchar.modular_objects import (_GUARD_BITS, _require_upper_half, _tol,
-                                   certified_gaussian_sum, fraction_mpf,
-                                   ghat_value, laurent_coefficients_D, theta)
+from qchar.modular_objects import (_require_upper_half, _tol, ghat_value,
+                                   laurent_coefficients_D, theta)
 from qchar.partial_theta import (PartialThetaParams, partial_theta, script_F,
                                  script_G)
 
@@ -230,3 +231,19 @@ def test_certificate_bounds_error_against_higher_precision(case, prec):
 def test_nonpositive_t_raises(family, t):
     with pytest.raises(ValueError):
         family(1, Fraction(1, 3), t, 64)
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    (-1, mp.nan),
+    (mp.mpc(-1, mp.nan), 0),
+    (-mp.inf, 0),
+    (mp.mpc(-1, 1), mp.mpc(0.5, mp.inf)),
+    (-1, mp.mpf("1e400")),  # finite, but not as a double
+    (-1, mp.mpc("-6e300", 1)),  # b^2/(4a) overflows the plan's doubles
+])
+def test_nonfinite_or_overflowing_plan_raises_at_once(alpha, beta):
+    # a NaN once kept the planning loop running for its 10^7 steps
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        certified_gaussian_sum(alpha, beta, Fraction(1, 2), 1, (1,), 64)
+    assert time.perf_counter() - start < 0.5

@@ -7,13 +7,13 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar.certified import (_GUARD_BITS, NearPoleError, fixed_div,
+                             fixed_mul, from_fixed, to_fixed)
 from qchar.exact_series import ExactQSeries, euler_product
-from qchar.modular_objects import (_GUARD_BITS, NearPoleError, _tol, cexp,
-                                   divisor_sigma_list, eisenstein_G2k, eta,
-                                   euler_phi_numeric, fixed_div, fixed_mul,
-                                   from_fixed, g_ell, ghat_qseries,
-                                   ghat_value, laurent_coefficients_D,
-                                   qpoch_inf, theta, to_fixed)
+from qchar.modular_objects import (_tol, cexp, divisor_sigma_list,
+                                   eisenstein_G2k, eta, euler_phi_numeric,
+                                   g_ell, ghat_qseries, ghat_value,
+                                   laurent_coefficients_D, qpoch_inf, theta)
 
 PREC = 128
 TOL = mp.mpf(2) ** (-PREC + 20)

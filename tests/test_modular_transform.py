@@ -4,11 +4,9 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar.modular_objects import _GUARD_BITS, fraction_mpf
+from qchar.certified import _GUARD_BITS, fraction_mpf, line_trapezoid
 from qchar.modular_transform import (PoleNearContourError, S_MATRIX,
-                                     SL2Matrix, _gauss_cutoff,
-                                     _line_trapezoid,
-                                     half_index_identity_check,
+                                     SL2Matrix, half_index_identity_check,
                                      mordell_integral,
                                      verify_S_transform,
                                      verify_general_transform)
@@ -18,9 +16,10 @@ PREC = 128
 
 
 def quad_oracle(A, B, zeta, kappa, prec):
-    """mp.quad over five tanh-sinh panels, the route the trapezoid replaced."""
+    """mp.quad over five tanh-sinh panels, the route the trapezoid replaced,
+    on [-X, X] with e^{Re A X^2} below 2^-(prec + 32)."""
     with mp.workprec(prec + _GUARD_BITS):
-        X = _gauss_cutoff(-mp.re(A), prec)
+        X = mp.sqrt((prec + 32) * mp.log(2) / -mp.re(A)) + 1
         return mp.quad(lambda x: mp.exp(A * x * x + B * x)
                        / (1 - zeta * mp.exp(1j * kappa * x)),
                        [-X, -X / 3, 0, X / 3, X])
@@ -52,12 +51,12 @@ def test_line_trapezoid_against_higher_precision_and_shift_identity(
     with mp.workprec(400):
         A, B, kappa, zeta = line_problem(a_re, a_im, b_re, b_im, kappa, dist,
                                          side, phase)
-        lo, lo_cert = _line_trapezoid(A, B, zeta, kappa, 160)
-        hi, hi_cert = _line_trapezoid(A, B, zeta, kappa, 320)
+        lo, lo_cert = line_trapezoid(A, B, zeta, kappa, 160)
+        hi, hi_cert = line_trapezoid(A, B, zeta, kappa, 320)
         assert abs(lo - hi) <= lo_cert.bound + hi_cert.bound
         assert lo_cert.bound < mp.mpf(2) ** -(160 + _GUARD_BITS)
         assert lo_cert.nodes == 2 * int(lo_cert.X / lo_cert.h) + 1
-        shifted, sh_cert = _line_trapezoid(A, B + 1j * kappa, zeta, kappa,
+        shifted, sh_cert = line_trapezoid(A, B + 1j * kappa, zeta, kappa,
                                            160)
         assert abs(lo - zeta * shifted - gaussian(A, B)) \
             <= lo_cert.bound + abs(zeta) * sh_cert.bound
@@ -70,15 +69,53 @@ def test_line_trapezoid_against_higher_precision_and_quad():
                     (3.5, -0.7, -0.8, 4.0, 10.0, 0.35, -1, 5.0)):
         with mp.workprec(400):
             A, B, kappa, zeta = line_problem(*example)
-            lo, lo_cert = _line_trapezoid(A, B, zeta, kappa, 160)
-            hi, hi_cert = _line_trapezoid(A, B, zeta, kappa, 320)
+            lo, lo_cert = line_trapezoid(A, B, zeta, kappa, 160)
+            hi, hi_cert = line_trapezoid(A, B, zeta, kappa, 320)
             assert abs(lo - hi) <= lo_cert.bound + hi_cert.bound
             assert abs(lo - quad_oracle(A, B, zeta, kappa, 160)) \
                 <= mp.mpf("1e-30")
 
 
+def line_tail(A, B, zeta, h, X):
+    """The tangent-line bound of the Gaussian tail line_trapezoid drops past
+    X, or inf where the tangent does not fall."""
+    Ar, Br = -mp.re(A), abs(mp.re(B))
+    slope = Br - 2 * Ar * X
+    if slope >= 0:
+        return mp.inf
+    return (2 * h * mp.exp(-Ar * X * X + Br * X)
+            / (-mp.expm1(slope * h) * -mp.expm1(-abs(mp.log(abs(zeta))))))
+
+
+def old_cutoff(A, B, zeta, h, prec):
+    """The cutoff line_trapezoid searched for before it was planned: from
+    sqrt((prec + 32) log 2/|Re A|) + 1 in steps of 1 until the tail bound is
+    below eps = 2^-(prec + _GUARD_BITS)/4."""
+    eps = mp.mpf(2) ** -(prec + _GUARD_BITS) / 4
+    X = mp.sqrt((prec + 32) * mp.log(2) / -mp.re(A)) + 1
+    while line_tail(A, B, zeta, h, X) > eps:
+        X += 1
+    return X
+
+
+@settings(max_examples=25)
+@given(*_line_examples)
+def test_line_trapezoid_cutoff_planned_within_old_search(
+        a_re, a_im, b_re, b_im, kappa, dist, side, phase):
+    # the planned X is never past the old search's, and its tail bound,
+    # recomputed in mpf, meets the target
+    prec = 160
+    with mp.workprec(prec + _GUARD_BITS):
+        A, B, kappa, zeta = line_problem(a_re, a_im, b_re, b_im, kappa, dist,
+                                         side, phase)
+        _, cert = line_trapezoid(A, B, zeta, kappa, prec)
+        assert cert.X <= old_cutoff(A, B, zeta, cert.h, prec)
+        assert line_tail(A, B, zeta, cert.h, cert.X) \
+            <= mp.mpf(2) ** -(prec + _GUARD_BITS) / 4
+
+
 def line_trapezoid_mpmath(A, B, zeta, kappa, h, K, prec):
-    """The node loop of _line_trapezoid in mpc arithmetic, as it ran before
+    """The node loop of line_trapezoid in mpc arithmetic, as it ran before
     the fixed-point kernel: the oracle for that kernel's rounding."""
     with mp.workprec(prec):
         Q = mp.exp(2 * A * h * h)
@@ -105,7 +142,7 @@ def test_line_trapezoid_rounding_against_mpmath_recurrence(
     with mp.workprec(400):
         A, B, kappa, zeta = line_problem(a_re, a_im, b_re, b_im, kappa, dist,
                                          side, phase)
-        got, cert = _line_trapezoid(A, B, zeta, kappa, 160)
+        got, cert = line_trapezoid(A, B, zeta, kappa, 160)
         want = line_trapezoid_mpmath(A, B, zeta, kappa, cert.h,
                                      (cert.nodes - 1) // 2, 160 + 128)
         assert abs(got - want) <= mp.mpf(2) ** -(160 + _GUARD_BITS) / 4
