@@ -89,8 +89,11 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
     which falls as x_n grows, so the tail from n is below T = B_n/(1 - rho_n).
     Planned in doubles, the sum stops before the first n >= 1 with x_n > 0,
     rho_n < e^(-10^-6) and T <= 2^-(prec + _GUARD_BITS), the callers'
-    precision; the bound counts T twice for the doubles' rounding.  (Halving
-    bounds, rho_n <= 1/2, would cost about 0.36/a terms at small a.)
+    precision; the bound counts T twice for the doubles' rounding.  As
+    rho_n < 1 needs x_n > (b - a)/(2a), the search starts there (one step
+    early, for the doubles), and a start beyond its 10^7 terms raises at
+    once.  (Halving bounds, rho_n <= 1/2, would cost about 0.36/a terms at
+    small a.)
 
     Terms come from E_{n+1} = E_n R_n, R_{n+1} = R_n Q, E_0 = e^{alpha r^2 +
     beta r}, R_0 = sign e^{alpha (2r+1) + beta}, Q = e^{2 alpha}: three exps,
@@ -119,7 +122,11 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
     def log_pbar(y):
         return math.log(sum(c * y ** k for k, c in enumerate(abs_coeffs)))
 
-    for N in range(max(1, math.floor(-r) + 1), 10_000_000):
+    first = (b - a) / (2 * a) - rf  # rho_n < 1 needs n > first
+    if not first < 10_000_000:
+        raise RuntimeError("Gaussian sum needs too many terms")
+    for N in range(max(1, math.floor(-r) + 1, math.floor(first)),
+                   10_000_000):
         x = N + rf
         log_rho = d * math.log1p(1 / x) - a * (2 * x + 1) + b
         if log_rho < -1e-6:

@@ -365,6 +365,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_of_range(args, exc: OverflowError) -> str:
+    """The error text of an OverflowError: it names the complex option of
+    largest modulus, the input whose size overflowed mpmath's integers."""
+    best = None
+    for name, value in vars(args).items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, mp.mpc) and (best is None or abs(v) > best[0]):
+                best = (abs(v), name, v)
+    if best is None:
+        return f"an input is out of range ({exc})"
+    _, name, v = best
+    return (f"an input is out of range: --{name.replace('_', '-')} = "
+            f"{mp.nstr(v, 6)} is too large to evaluate ({exc})")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -373,8 +388,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         parser.error(str(exc))
     except (ValueError, OverflowError, RuntimeError, AssertionError) as exc:
+        error = (_out_of_range(args, exc) if isinstance(exc, OverflowError)
+                 else str(exc))
         _emit({"schema": 1, "command": args.command, "ok": False,
-               "error": str(exc)})
+               "error": error})
         return 1
 
 

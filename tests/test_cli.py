@@ -1,4 +1,5 @@
 import json
+import time
 
 import mpmath as mp
 import pytest
@@ -214,6 +215,25 @@ def test_huge_z_is_a_reported_failure(capsys):
     assert code == 1 and captured.err == ""
     doc = json.loads(captured.out)
     assert doc["ok"] is False and "overflows" in doc["error"]
+
+
+@pytest.mark.parametrize("option,value", [("--z", "0.1+1e30j"),
+                                          ("--tau", "0+1e300j")])
+def test_out_of_range_input_names_its_option(capsys, option, value):
+    # mpmath overflows its integers on these; the error names the input
+    code = main(["verify-modular", f"{option}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False
+    assert "out of range" in doc["error"] and option in doc["error"]
+
+
+def test_far_gaussian_sum_fails_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["verify-modular", "--z=0.1-1e30j"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_verify_modular_diagnostics(capsys):

@@ -1,16 +1,19 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qchar.certified import (_GUARD_BITS, NearPoleError, log_poch_lower,
+from qchar import certified, decomposition, modular_objects, partial_theta
+from qchar.certified import (_GUARD_BITS, NearPoleError, from_fixed,
                              periodic_trapezoid)
-from qchar.decomposition import (_PRODUCT_BITS, DegenerateWVectorError,
-                                 F_ell_product, F_ls_decomposed,
-                                 F_ls_multivar_quadrature, MultivarPoint,
-                                 _product_rounding, multivar_quadrature_plan,
+from qchar.decomposition import (DegenerateWVectorError, F_ell_product,
+                                 F_ls_decomposed, F_ls_multivar_quadrature,
+                                 MultivarPoint, _coefficient_degree,
+                                 _node_error, _pair_coefficients, _pair_count,
+                                 multivar_quadrature_plan,
                                  random_admissible_point, script_F_value)
 from qchar.modular_objects import _tol, cexp, eta, euler_phi_numeric, theta
 
@@ -107,9 +110,9 @@ def test_product_matches_per_factor_oracle():
 
 
 def test_product_matches_oracle_off_the_strip():
-    # |Z_2| > 1 and |Z_2| < |q| need more factor pairs than the cached powers;
-    # a real z_2 puts the factor 1 - Z_2 on the unit circle away from 1, the
-    # path that multiplies near-unit factors on mpmath one by one
+    # |Z_2| > 1 and |Z_2| < |q| are first regrouped onto the annulus; a real
+    # z_2 puts the factor 1 - Z_2 on the unit circle away from 1, the path
+    # that checks near-unit factors on mpmath
     tau = mp.mpc("0.3", "0.7")
     with mp.workprec(256 + 16):
         z1 = mp.mpc("0.2", "0.1")
@@ -137,14 +140,8 @@ def test_product_kernel_against_per_factor_oracle(ell, prec, tau, seed, x,
         want = F_ell_product_per_factor(zs, tau, prec + 64)
         got = F_ell_product(zs, tau, prec)
         rel = abs(got - want) / abs(want)
-    # the node error multivar_quadrature_plan certifies, at this node
-    log_q = -2 * math.pi * v
-    log_Zs = [-2 * math.pi * float(sum(zs[j:], mp.mpc(0)).imag)
-              for j in range(ell)]
-    rounding = _product_rounding(log_Zs, log_q, prec) * 2.0 ** -_PRODUCT_BITS
-    node_err = (2 * ell + 2 * math.exp(-log_poch_lower(log_q, log_q)) + 1
-                + rounding)
-    assert rel <= node_err * mp.mpf(2) ** -prec
+    # the node error multivar_quadrature_plan certifies
+    assert rel <= _node_error(ell, -2 * math.pi * v) * mp.mpf(2) ** -prec
     if prec >= 256:
         assert rel <= mp.mpf("1e-70")
 
@@ -226,13 +223,21 @@ def test_point_built_at_default_precision(ell):
     assert abs(quad - dec) <= mp.mpf("1e-60") * abs(quad)
 
 
-@settings(max_examples=6)
-@given(st.integers(2, 4), st.integers(0, 2), st.sampled_from(("0.35", "0.65")),
+# the per-factor reference costs 0.5 s (ell = 2 at tau = i) to 5 s (ell = 4
+# at 0.3 + 0.7i, 144 nodes) an example
+@settings(max_examples=1)
+@given(st.integers(2, 5), st.integers(0, 2),
+       st.sampled_from(("1j", "0.3+0.7j")), st.sampled_from(("0.35", "0.65")),
        st.integers(0, 10**6))
-def test_quadrature_certificate_bounds_doubled_rule(ell, s, height, seed):
-    # Q_N against Q_2N at prec + 64: discretisation and node error together
+@example(5, 2, "0.3+0.7j", "0.35", 7)
+@example(3, 1, "1j", "0.65", 11)
+def test_quadrature_certificate_bounds_doubled_rule(ell, s, tau, height, seed):
+    # Q_N against the per-factor product's Q_2N at prec + 64: discretisation
+    # and node error together, from a route that shares nothing with the
+    # kernel under test
     prec = PREC
-    pt = random_admissible_point(ell, mp.mpc(0, 1), random.Random(seed), prec)
+    tau = mp.mpc(complex(tau))
+    pt = random_admissible_point(ell, tau, random.Random(seed), prec)
     with mp.workprec(prec + 64 + _GUARD_BITS):
         c = pt.contour_height_range()[1] * mp.mpf(height)
         cert = multivar_quadrature_plan(ell, s, pt, c, prec)
@@ -240,13 +245,75 @@ def test_quadrature_certificate_bounds_doubled_rule(ell, s, height, seed):
 
         def f(x):
             z = x + 1j * c
-            return F_ell_product(list(pt.zs) + [z], pt.tau, prec + 64) \
+            return F_ell_product_per_factor(list(pt.zs) + [z], pt.tau,
+                                            prec + 64) \
                 * mp.exp(-2j * mp.pi * s * z)
 
         ref = periodic_trapezoid(f, 2 * cert.nodes)
     assert abs(got - ref) <= cert.bound <= mp.mpf(2) ** -prec
     assert abs(cert.h * cert.nodes - 1) < 1e-30 and cert.X == 1
     assert cert.prec >= prec and cert.seconds >= 0
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(3, 2)])
+def test_quadrature_refuses_a_half_integer_s(s):
+    # the product is 1-periodic in z_ell, so with s in Z + 1/2 the integrand
+    # is anti-periodic and no trapezoid bound holds: Q_N and Q_2N differed by
+    # 0.02 to 0.07 where the plan certified 2e-39
+    pt = fixture_point(3)
+    with pytest.raises(ValueError):
+        multivar_quadrature_plan(3, s, pt, prec=PREC)
+    with pytest.raises(ValueError):
+        F_ls_multivar_quadrature(3, s, pt, prec=PREC)
+
+
+def test_product_route_calls_no_theta_series(monkeypatch):
+    # the quadrature checks the residue sum, so it must not reach the theta,
+    # eta or partial-theta series that sum is built from
+    pt = fixture_point(3, tau=mp.mpc("0.1", "1.1"))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the product route called a theta series")
+
+    for name in ("theta", "eta", "partial_theta"):
+        monkeypatch.setattr(decomposition, name, forbidden)
+    for module in (certified, modular_objects, partial_theta):
+        monkeypatch.setattr(module, "certified_gaussian_sum", forbidden)
+    hi = pt.contour_height_range()[1]
+    assert abs(F_ls_multivar_quadrature(3, 1, pt, prec=PREC)) > 0
+    assert abs(F_ell_product(list(pt.zs) + [mp.mpc("0.3") + 1j * hi / 3],
+                             pt.tau, PREC)) > 0
+
+
+@settings(max_examples=15)
+@given(st.floats(min_value=0.2, max_value=1.5),
+       st.floats(min_value=-0.5, max_value=0.5),
+       st.sampled_from((64, 128, 256)), st.integers(0, 10**6))
+def test_coefficient_truncation_within_its_bound(v, re_tau, bits, seed):
+    # the first I + 1 coefficients against the full product of the m pairs,
+    # prod_{k<m} (1 + q^{2k+1} - q^k c), at c on the circle |c| = 1 + |q|
+    # that bounds c on the annulus |q| <= |Z| <= 1
+    tau = mp.mpc(re_tau, v)
+    log_q = -2 * math.pi * v
+    m = _pair_count(log_q, bits)
+    log_target = -bits * math.log(2)
+    I = _coefficient_degree(log_q, m, log_target)
+    wp = bits + 64
+    coeffs = _pair_coefficients(tau, m, I, wp)
+    rng = random.Random(seed)
+    with mp.workprec(wp + 32):
+        q = modular_objects.cexp(tau)
+        S = 1 + abs(q)
+        a = [from_fixed(x, wp) for x in coeffs]
+        # the coefficients' rounding, in the norm sum |e_i| S^i
+        rounding = (1 + 2 * (I + 1) * S ** I) * mp.mpf(2) ** -wp
+        for _ in range(4):
+            c = S * mp.expjpi(rng.uniform(-1, 1))
+            full = mp.mpc(1)
+            for k in range(m):
+                full *= 1 + q ** (2 * k + 1) - q ** k * c
+            assert abs(mp.polyval(a, c) - full) <= \
+                math.exp(log_target) + rounding
 
 
 def test_quadrature_plan_raises_on_a_thin_strip():

@@ -5,6 +5,7 @@ script_F and script_G ran before they became callers of the helper: one
 mp.exp per term and a stopping rule of their own.
 """
 
+import math
 import time
 from fractions import Fraction
 from functools import partial
@@ -246,4 +247,49 @@ def test_nonfinite_or_overflowing_plan_raises_at_once(alpha, beta):
     start = time.perf_counter()
     with pytest.raises(ValueError):
         certified_gaussian_sum(alpha, beta, Fraction(1, 2), 1, (1,), 64)
+    assert time.perf_counter() - start < 0.5
+
+
+# ------------------------------------------------------------ the term count
+
+
+def gaussian_terms_from_one(alpha, beta, r, poly, prec):
+    """The term count of certified_gaussian_sum's plan, searched from the
+    first n >= 1 with x_n > 0, as it was before the search started at
+    x_n > (b - a)/(2a); the oracle for that start."""
+    a, b, rf = -float(mp.re(alpha)), float(mp.re(beta)), float(r)
+    d = len(poly) - 1
+    abs_coeffs = [float(abs(c)) for c in poly]
+    for N in range(max(1, math.floor(-r) + 1), 10_000_000):
+        x = N + rf
+        log_rho = d * math.log1p(1 / x) - a * (2 * x + 1) + b
+        if log_rho < -1e-6:
+            log_T = (math.log(sum(c * x ** k
+                                  for k, c in enumerate(abs_coeffs)))
+                     - a * x * x + b * x - math.log(-math.expm1(log_rho)))
+            if log_T <= -(prec + _GUARD_BITS) * math.log(2):
+                return N
+    raise RuntimeError("Gaussian sum needs too many terms")
+
+
+@settings(max_examples=60)
+@given(st.floats(min_value=0.05, max_value=3.0),
+       st.floats(min_value=-4.0, max_value=4.0),
+       st.floats(min_value=-12.0, max_value=12.0), frac_st,
+       st.sampled_from(((1,), (0, 1), (mp.mpc(0.5, -1), 0, 3),
+                        (0,) * 4 + (1,))),
+       st.sampled_from((64, 128, 256)))
+def test_term_count_equals_search_from_one(a, im_alpha, b, r, poly, prec):
+    alpha, beta = mp.mpc(-a, im_alpha), mp.mpc(b, 0.3)
+    _, cert = certified_gaussian_sum(alpha, beta, r, 1, poly, prec)
+    assert cert.nodes == gaussian_terms_from_one(alpha, beta, r, poly, prec)
+
+
+def test_far_first_term_raises_at_once():
+    # x_n > (b - a)/(2a) only from n ~ 1e30 on: the search from n = 1 took
+    # about 4 s to give up after its 10^7 steps
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError):
+        certified_gaussian_sum(-mp.pi, mp.mpc("2e30", 1), Fraction(1, 2), 1,
+                               (1,), 64)
     assert time.perf_counter() - start < 0.5

@@ -7,8 +7,9 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar.certified import (_GUARD_BITS, NearPoleError, fixed_div,
-                             fixed_mul, from_fixed, to_fixed)
+from qchar.certified import (_GUARD_BITS, NearPoleError,
+                             certified_gaussian_sum, fixed_div, fixed_mul,
+                             from_fixed, to_fixed)
 from qchar.exact_series import ExactQSeries, euler_product
 from qchar.modular_objects import (_tol, cexp, divisor_sigma_list,
                                    eisenstein_G2k, eta, euler_phi_numeric,
@@ -79,6 +80,47 @@ def test_theta_functional_equations():
                 TOL * max(1, abs(shift))
             assert abs(theta(-z, tau, PREC) + t0) <= TOL
         assert abs(theta(mp.mpc(0), mp.mpc(0, 1), PREC)) <= TOL
+
+
+def theta_error_bound(z, tau, prec):
+    """A bound on |theta(z, tau, prec) - theta(z, tau)|: the certificates of
+    its two Gaussian sums, plus, to first order and doubled, what rounding
+    alpha = pi i tau and beta = 2 pi i (z + 1/2) at prec + _GUARD_BITS bits
+    moves their terms by (the term at x by (x^2 |alpha| + x |beta|) u, u =
+    2^(1 - prec - _GUARD_BITS)), plus the rounding of their sum."""
+    with mp.workprec(prec + _GUARD_BITS):
+        alpha = mp.pi * 1j * tau
+        beta = 2j * mp.pi * (z + mp.mpf(1) / 2)
+        u = mp.mpf(2) ** (1 - prec - _GUARD_BITS)
+        total = mp.mpf(0)
+        for sgn in (1, -1):
+            value, cert = certified_gaussian_sum(alpha, sgn * beta,
+                                                 Fraction(1, 2), 1, (1,),
+                                                 prec)
+            total += cert.bound + abs(value) * u
+            for n in range(cert.nodes):
+                x = n + mp.mpf(1) / 2
+                total += 2 * u * (x * x * abs(alpha) + x * abs(beta)) \
+                    * abs(mp.exp(alpha * x * x + sgn * beta * x))
+        return total
+
+
+def test_theta_quasi_periodicity_within_certificates():
+    # theta(z + 1) = -theta(z) and theta(z + tau) = -q^{-1/2} e^{-2 pi i z}
+    # theta(z): exact identities, so the residuals are the two sides' errors
+    rng = random.Random(29)
+    with mp.workprec(PREC + 64):
+        for _ in range(12):
+            tau, z = random_tau_z(rng)
+            t0 = theta(z, tau, PREC)
+            b0 = theta_error_bound(z, tau, PREC)
+            assert abs(theta(z + 1, tau, PREC) + t0) <= \
+                theta_error_bound(z + 1, tau, PREC) + b0
+            factor = -cexp(-tau / 2 - z)
+            shifted = factor * t0
+            assert abs(theta(z + tau, tau, PREC) - shifted) <= \
+                theta_error_bound(z + tau, tau, PREC) + abs(factor) * b0 \
+                + abs(shifted) * mp.mpf(2) ** -(PREC + _GUARD_BITS)
 
 
 def test_eta_special_value_and_laws():
