@@ -18,7 +18,6 @@ import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath as mp
 
@@ -141,7 +140,6 @@ def _coefficient_degree(log_q: float, m: int, log_target: float) -> int:
     return m
 
 
-@lru_cache(maxsize=16)
 def _pair_coefficients(tau, m: int, I: int, wp: int):
     """(a_I, ..., a_0), highest first, on the grid u = 2^-wp: the c^i
     coefficients, i <= I, of prod_{k<m} (1 + q^{2k+1} - q^k c).
@@ -190,7 +188,6 @@ def _pair_coefficients(tau, m: int, I: int, wp: int):
     return tuple((ar >> g, ai >> g) for ar, ai in reversed(a))
 
 
-@lru_cache(maxsize=16)
 def _q_phi(tau, prec: int):
     """(q, (q)_inf) at tau, at prec + _GUARD_BITS bits."""
     with mp.workprec(prec + _GUARD_BITS):
