@@ -75,11 +75,6 @@ def euler_poly(n: int, x) -> Fraction:
     return _appell(_euler_table, n, x)
 
 
-def euler_number(n: int) -> Fraction:
-    """E_n = 2^n E_n(1/2)."""
-    return 2 ** n * euler_poly(n, Fraction(1, 2))
-
-
 def check_euler_bernoulli_identity(n: int, m: int, x) -> bool:
     """E_n(m x) = -(2/(n+1)) m^n sum_{k<m} (-1)^k B_{n+1}(x + k/m), m even."""
     if m % 2:

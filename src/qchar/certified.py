@@ -2,7 +2,9 @@
 mpmath only).  Each sum or quadrature rule plans its terms or nodes once, in
 doubles, from an a-priori bound below its target, and returns its value with
 a Certificate of that plan; both trapezoid rules, periodic and on R, take
-their step from one strip search."""
+their step from one strip search.  Both periodic contour integrals, the
+multivariate product's and H's Fourier coefficient's, run on one Pochhammer
+pair kernel (_pair_sum) under one plan (plan_pair_trapezoid)."""
 
 import math
 import time
@@ -378,3 +380,286 @@ def line_trapezoid(A, B, zeta, kappa, prec: int):
         value = h * from_fixed((tr, ti), wp)
     return value, Certificate(2 * K + 1, h, mp.mpf(X), bound, prec,
                               time.perf_counter() - start)
+
+
+# The Pochhammer pair kernel of both periodic contour integrals: the
+# multivariate product (q)_inf / prod_j P(Z_j) and, by the triple product
+# theta(z) = -i q^{1/8} zeta^{-1/2} (q)_inf P(zeta), the integrand g_ell(z)
+# e^{-2 pi i (s + ell/2) z} = i^ell (q)_inf^{2 ell} zeta^{-s} / P(zeta)^ell of
+# H's Fourier coefficient, with P(Z) = prod_{k>=0} (1 - Z q^k)(1 - q^{k+1}/Z).
+# The factors of P pair up as t_k = (1 - Z q^k)(1 - q^{k+1}/Z) = 1 + q^{2k+1}
+# - c q^k with c = Z + q/Z, so the first m pairs multiply to a polynomial
+# sum_i a_i c^i whose coefficients depend on tau and m alone
+# (_pair_coefficients); every node then costs ell Horner evaluations of
+# degree I << m on the grid 2^-wp.  For |q| <= |Z| <= 1,
+# |c| <= S = 1 + |q|, and Pbar = prod_{k<m} (1 + |q|^{2k+1} + |q|^k S)
+# bounds both |P(c)| and the norm sum_i |a_i| S^i of the polynomial or of
+# any of its partial products.
+
+
+def _pair_count(log_q: float, prec: int) -> int:
+    """The least m >= 1 with |q|^m (1 + |q|)/(1 - |q|) < 2^-prec, from doubles
+    (the 1e-6 margin covers their rounding): for every |q| <= |Z| <= 1 the
+    pairs k >= m then sum |Z q^k| + |q^{k+1}/Z| below 2^-prec."""
+    Q = math.exp(log_q)
+    need = -prec * math.log(2) + math.log1p(-Q) - math.log1p(Q)
+    return max(1, math.floor((need - 1e-6) / log_q) + 1)
+
+
+def _log_pair_norm(log_q: float) -> float:
+    """An upper bound of log Pbar for every m: log(1 + |q| + S) for k = 0,
+    and log(1 + x) <= x for the rest."""
+    Q = math.exp(log_q)
+    return math.log(2 + 2 * Q) + Q ** 3 / (1 - Q * Q) + (1 + Q) * Q / (1 - Q)
+
+
+def _coefficient_degree(log_q: float, m: int, log_target: float) -> int:
+    """The least I <= m whose dropped terms sum_{I < i <= m} |a_i| S^i are
+    at most e^{log_target}, from the a-priori bound
+
+        |a_i| <= beta_i = prod_k (1 + |q|^{2k+1}) |q|^{i(i-1)/2}/(|q|;|q|)_i:
+
+    the c^i coefficient of prod_k (1 + q^{2k+1} - q^k c) is at most
+    prod_k |1 + q^{2k+1}| times the i-th elementary symmetric function of
+    the |q|^k, which is |q|^{i(i-1)/2}/(|q|;|q|)_i by Euler's identity.  The
+    terms beta_i S^i fall in ratio rho_i = |q|^i S/(1 - |q|^{i+1}) from i to
+    i + 1, so the tail past I is below beta_{I+1} S^{I+1}/(1 - rho_{I+1})
+    once rho_{I+1} < 1.  Doubles; the callers' target keeps a factor 2 for
+    their rounding."""
+    Q = math.exp(log_q)
+    log_S = math.log1p(Q)
+
+    def log_rho(i):
+        return i * log_q + log_S - math.log(-math.expm1((i + 1) * log_q))
+
+    log_term = Q / (1 - Q * Q)  # log beta_0 <= sum_k |q|^{2k+1}
+    for i in range(m):
+        log_term += log_rho(i)  # now log(beta_{i+1} S^{i+1})
+        if log_rho(i + 1) < 0 and \
+                log_term - math.log(-math.expm1(log_rho(i + 1))) <= log_target:
+            return i
+    return m
+
+
+def _pair_coefficients(tau, m: int, I: int, wp: int):
+    """(a_I, ..., a_0), highest first, on the grid u = 2^-wp: the c^i
+    coefficients, i <= I, of prod_{k<m} (1 + q^{2k+1} - q^k c).
+
+    The factors are multiplied out on the finer grid v = 2^-(wp + g),
+    keeping the degrees up to I; a factor only raises degrees, so these are
+    the exact coefficients of the full product.  Error, in the norm
+    ||e||_S = sum_i |e_i| S^i: b_k = 1 + q^{2k+1} and q^k come from mpmath
+    at wp + g + 16 bits and enter within 1.5 v, which moves the product by
+    1.5 (1 + S) v times the norm of the partial product, at most Pbar; each
+    new coefficient floors each part once, sqrt(2) v, and sigma = sum_{i<=I}
+    S^i weighs these.  A factor multiplies the earlier error's norm by at
+    most its own, and all factors together by at most Pbar, so to first
+    order the build errs by E v, E = m Pbar (1.5 (1 + S) + sqrt(2) sigma).
+    g makes E v <= u/4, so within u/2 with the higher orders.  The final
+    shift floors each part once more: the coefficients are within (1/2 +
+    sqrt(2) sigma) u in the S-norm.
+    """
+    Q = math.exp(-2 * math.pi * float(mp.im(tau)))
+    S = 1 + Q
+    sigma = (S ** (I + 1) - 1) / Q
+    log2_E = (math.log2(m * (1.5 * (1 + S) + math.sqrt(2) * sigma))
+              + _log_pair_norm(math.log(Q)) / math.log(2))
+    g = 2 + max(0, math.ceil(log2_E))
+    wb = wp + g
+    # q^k by repeated products, each within a relative 2^-(wb + 16 +
+    # bits(m)) of the last
+    with mp.workprec(wb + 16 + m.bit_length()):
+        q = mp.expjpi(2 * tau)
+        qk = mp.mpc(1)
+        a = [(1 << wb, 0)]
+        for _ in range(m):
+            br, bi = to_fixed(1 + qk * qk * q, wb)
+            gr, gi = to_fixed(qk, wb)
+            ur = ui = 0  # a_{i-1}
+            nxt = []
+            for ar, ai in a:  # b a_i - q^k a_{i-1}, one floor per part
+                nxt.append(((br * ar - bi * ai - gr * ur + gi * ui) >> wb,
+                            (br * ai + bi * ar - gr * ui - gi * ur) >> wb))
+                ur, ui = ar, ai
+            if len(a) <= I:
+                nxt.append(((gi * ui - gr * ur) >> wb,
+                            (-gr * ui - gi * ur) >> wb))
+            a = nxt
+            qk *= q
+    return tuple((ar >> g, ai >> g) for ar, ai in reversed(a))
+
+
+def _log_sum(logs) -> float:
+    """log sum_i e^{logs_i}, without overflow."""
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
+
+
+def _pair_sum(tau, args, N: int, s: int, prec: int):
+    """sum_{n<N} e^{-2 pi i s n/N} / prod_j P(Z_j(n)) with Z_j(n) = e^{2 pi i
+    (args_j + n/N)}, P(Z) = prod_{k<m} (1 - Z q^k)(1 - q^{k+1}/Z) and m =
+    _pair_count(log|q|, prec), for |q| <= |Z_j| <= 1 (up to the doubles'
+    rounding); each term is within a relative 2^-prec of its value with P's
+    pairs truncated at m.  NearPoleError when a factor is within
+    2^-(prec//4) of 0.
+
+    |Z_j(n)| is the same at every node, so the lower bound L_j =
+    prod_{k<m} |1 - |Z q^k|| |1 - |q^{k+1}/Z|| <= |P| and the factors whose
+    modulus may lie near 1 (only 1 - Z and 1 - q/Z can) are found once, from
+    doubles.  Where ||f| - 1| >= 2^-(prec//4) the guard |1 - f| >=
+    2^-(prec//4) holds by |1 - f| >= |1 - |f||; a near factor is checked at
+    every node on mpmath, and counts 2^-(prec//4) in L_j.
+
+    The nodes run on the grid u = 2^-wp.  With A_j = Z_j(0), B_j = q/A_j and
+    omega = e^{2 pi i/N}: W <- W omega gives e^{2 pi i n/N}, c_j = A_j W +
+    B_j conj(W) (one floor per part), P(c_j) by Horner's rule on the first
+    I + 1 coefficients, their product D, and the term W_s/D with W_s <- W_s
+    e^{-2 pi i s/N}, summed exactly.  Rounding, in units u and to first
+    order (Higham, Accuracy and Stability, 2002, sec. 5.1 for Horner): A_j,
+    B_j, omega and e^{-2 pi i s/N} come from mpmath at wp + 16 bits and
+    enter within 1.5, so W and W_s are within 3N at every node, as in
+    line_trapezoid, and c_j within 3SN + 5; the coefficients within 1/2 +
+    sqrt(2) sigma in the S-norm (_pair_coefficients); Horner's floors add
+    sqrt(2) sigma; and |P'| <= Pbar/(1 - |q|) carries c_j's error.  So P(c_j)
+    is within e_P = 1/2 + 2 sqrt(2) sigma + Pbar (3SN + 5)/(1 - |q|), a
+    relative e_P/L_j.  Each product into D floors by sqrt(2) on a value of
+    modulus at least prod_j L_j (every L_j <= 1), and the quotient by
+    sqrt(2) on a term of modulus at least Pbar^-ell.  The relative error of
+    a term is therefore at most R u with
+
+        R = 2 (3N + e_P sum_j 1/L_j + (ell - 1) sqrt(2)/prod_j L_j
+               + sqrt(2) Pbar^ell),
+
+    the 2 covering higher orders, and wp = prec + 1 + ceil(log2 R) keeps
+    it below 2^-(prec+1).  I, from _coefficient_degree, keeps the dropped
+    coefficients' share sum_j T_I/L_j below 2^-(prec+1) as well.
+    """
+    log_q = -2 * math.pi * float(mp.im(tau))
+    Q = math.exp(log_q)
+    S = 1 + Q
+    log_thresh = -(prec // 4) * math.log(2)
+    # ||f| - 1| < 2^-(prec//4) <= 1/2 implies |log|f|| < 2^(2 - prec//4);
+    # 1e-9 covers the doubles
+    width = 4 * 2.0 ** -(prec // 4) + 1e-9
+    near, log_L = [], []
+    for j, x in enumerate(args):
+        log_Z = -2 * math.pi * float(mp.im(x))
+        out = (log_poch_lower(log_Z + log_q, log_q)
+               + log_poch_lower(2 * log_q - log_Z, log_q))
+        for kind, log_f in enumerate((log_Z, log_q - log_Z)):
+            if abs(log_f) < width:
+                near.append((j, kind))
+                out += log_thresh
+            else:
+                out += math.log(-math.expm1(-abs(log_f)))
+        log_L.append(out)
+    m = _pair_count(log_q, prec)
+    log_inv_L = _log_sum([-x for x in log_L])
+    I = _coefficient_degree(log_q, m, -(prec + 2) * math.log(2) - log_inv_L)
+    log_P = _log_pair_norm(log_q)
+    sigma = (S ** (I + 1) - 1) / Q
+    e_P = (0.5 + 2 * math.sqrt(2) * sigma
+           + math.exp(log_P) * (3 * S * N + 5) / (1 - Q))
+    ell = len(args)
+    log_R = math.log(2) + _log_sum(
+        [math.log(3 * N), math.log(e_P) + log_inv_L,
+         math.log(math.sqrt(2) * max(ell - 1, 1)) - sum(log_L),
+         math.log(math.sqrt(2)) + ell * log_P])
+    wp = prec + 1 + math.ceil(log_R / math.log(2))
+    coeffs = _pair_coefficients(tau, m, I, wp)
+    top, rest = coeffs[0], coeffs[1:]
+    with mp.workprec(wp + 16):
+        q = mp.expjpi(2 * tau)
+        lines = []
+        for x in args:
+            A = mp.expjpi(2 * x)
+            ar, ai = to_fixed(A, wp)
+            br, bi = to_fixed(q / A, wp)
+            lines.append((ar + br, bi - ai, ai + bi, ar - br))
+        omega = to_fixed(mp.expjpi(mp.mpf(2) / N), wp)
+        omega_s = to_fixed(mp.expjpi(mp.mpf(-2 * s) / N), wp)
+    thresh = mp.mpf(2) ** -(prec // 4)
+    one = 1 << wp
+    W, W_s = (one, 0), (one, 0)
+    acc_r = acc_i = 0
+    for n in range(N):
+        for j, kind in near:
+            Z = mp.expjpi(2 * (args[j] + mp.mpf(n) / N))
+            if abs(1 - (q / Z if kind else Z)) < thresh:
+                raise NearPoleError(
+                    f"Pochhammer factor for j={j+1} vanishes to working "
+                    "precision")
+        wr, wi = W
+        D = None
+        for s1, s2, s3, s4 in lines:
+            cr = (s1 * wr + s2 * wi) >> wp
+            ci = (s3 * wr + s4 * wi) >> wp
+            hr, hi = top
+            for xr, xi in rest:
+                hr, hi = (((hr * cr - hi * ci) >> wp) + xr,
+                          ((hr * ci + hi * cr) >> wp) + xi)
+            D = (hr, hi) if D is None else fixed_mul(D, (hr, hi), wp)
+        tr, ti = fixed_div(W_s, D, wp)
+        acc_r += tr
+        acc_i += ti
+        W = fixed_mul(W, omega, wp)
+        W_s = fixed_mul(W_s, omega_s, wp)
+    return from_fixed((acc_r, acc_i), wp)
+
+
+def _node_error(ell: int, k: int, log_q: float) -> float:
+    """node_err of a node (q)_inf^k / prod_{j<=ell} P(Z_j), in units of 2^-p
+    relative: 2 for each of the ell pair tails (_pair_count); 2k/prod(1 -
+    |q|^n) for (q)_inf summed to within 2^-p, a relative 2^-p/prod(1 -
+    |q|^n) that its k-th power multiplies by k to first order, the 2
+    covering higher orders; 1 for the mpmath steps around the kernel,
+    absorbed by the guard bits; and 1 for the kernel's truncation and
+    rounding (_pair_sum)."""
+    return 2 * ell + 2 * k * math.exp(-log_poch_lower(log_q, log_q)) + 2
+
+
+def plan_pair_trapezoid(tau, im_ws, y, s, k: int,
+                        target_bits: float) -> Certificate:
+    """plan_periodic_trapezoid's Certificate for the mean over x in [0, 1)
+    of the 1-periodic
+
+        f(x) = (q)_inf^k e^{-2 pi i s z} / prod_j P(e^{2 pi i (z - w_j)}),
+        z = x + i y,
+
+    given the Im w_j (im_ws), without evaluating f; the nodes are _pair_sum
+    scaled by (q)_inf^k e^{2 pi s y}.  s must be an integer (else
+    ValueError): P(e^{2 pi i z}) is 1-periodic in z, so for any other s f
+    is not, and no trapezoid bound holds.
+
+    P(e^{2 pi i (z - w)}) vanishes on Im z = Im w - n Im tau and Im w + (n +
+    1) Im tau, n >= 0, so f is analytic on max_j Im w_j < Im z < Im tau +
+    min_j Im w_j.  On Im z = y every |Z_j| = e^{-2 pi (y - Im w_j)} is
+    fixed, and |(q)_inf| <= prod (1 + |q|^n), |1 - f| >= |1 - |f||
+    (log_poch_lower) and |e^{-2 pi i s z}| = e^{2 pi s y} give
+
+        log|f| <= 2 pi s y + k |q|/(1 - |q|)
+                  - sum_j [log_poch_lower(log|Z_j|, log|q|)
+                           + log_poch_lower(log|q| - log|Z_j|, log|q|)].
+
+    A node at p bits is within _node_error(len(im_ws), k, log|q|) 2^-p of
+    f, relative.
+    """
+    if Fraction(s).denominator != 1:
+        raise ValueError("s must be an integer: the product is 1-periodic, "
+                         "so for any other s the integrand is not")
+    v, y, sf = float(mp.im(tau)), float(y), float(s)
+    im_ws = [float(w) for w in im_ws]
+    log_q = -2 * math.pi * v
+    log_phi = k * math.exp(log_q) / -math.expm1(log_q)
+
+    def log_bound(dy):
+        out = log_phi + 2 * math.pi * sf * (y + dy)
+        for im_w in im_ws:
+            log_Z = -2 * math.pi * (y + dy - im_w)
+            out -= (log_poch_lower(log_Z, log_q)
+                    + log_poch_lower(log_q - log_Z, log_q))
+        return out
+
+    return plan_periodic_trapezoid(y - max(im_ws), v + min(im_ws) - y,
+                                   log_bound, target_bits,
+                                   _node_error(len(im_ws), k, log_q))

@@ -22,12 +22,11 @@ import mpmath as mp
 
 from .exact_series import (ExactQSeries, euler_product, euler_product_pow,
                            poch_ratio_bivariate)
-from .certified import (_GUARD_BITS, Certificate, certified_gaussian_sum,
-                        log_poch_lower, periodic_trapezoid,
-                        plan_periodic_trapezoid)
-from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol,
-                              euler_phi_numeric, g_ell, ghat_qseries,
-                              ghat_value, laurent_coefficients_D, qpoch_inf)
+from .certified import (_GUARD_BITS, Certificate, _pair_sum,
+                        certified_gaussian_sum, plan_pair_trapezoid)
+from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol, cexp,
+                              euler_phi_numeric, ghat_qseries, ghat_value,
+                              laurent_coefficients_D, qpoch_inf)
 
 
 @dataclass(frozen=True)
@@ -198,41 +197,20 @@ def fourier_quadrature_plan(ell: int, s: int, tau, z0_imag=None,
     """Certificate of the trapezoid rule fourier_coeff_by_quadrature runs:
     its node count, node precision and an absolute error bound on the
     returned value below 2^-(prec + _GUARD_BITS), planned from the strip
-    0 < Im z < Im tau between the zeros of theta without evaluating g_ell.
+    0 < Im z < Im tau between the zeros of theta without evaluating the
+    integrand.
 
-    On Im z = y: |eta| <= |q|^{1/24} prod (1 + |q|^n); the triple product
-    with |1 - f| >= |1 - |f|| bounds |theta| below by
-    |q|^{1/8} |zeta|^{-1/2} prod (1 - |q|^n) prod |1 - |zeta| |q|^k|
-    prod |1 - |q|^{k+1}/|zeta||, with |zeta| = e^{-2 pi y}; and
-    |e^{-2 pi i r z}| = e^{2 pi r y}.  A node at p bits has relative error
-    at most (6 ell/prod(1 - |q|^n) + 2 ell/|theta|_min + 1) 2^-p, from the
-    2^-p tails of (q)_inf and of theta.
+    By the triple product, g_ell(z) e^{-2 pi i r z} = i^ell (q)_inf^{2 ell}
+    zeta^{-s} / P(zeta)^ell (certified._pair_sum's P, zeta = e^{2 pi i z}),
+    so the plan is plan_pair_trapezoid's with k = 2 ell and every w_j = 0,
+    at a target that leaves room for the factor |q^{r^2/(2 ell)}|.
     """
     with mp.workprec(prec + _GUARD_BITS):
         y0, r = _fourier_contour(ell, s, tau, z0_imag)
-        v, y0, r = float(mp.im(tau)), float(y0), float(r)
-        log_q = -2 * math.pi * v
-        log_phi = log_poch_lower(log_q, log_q)
-        log_eta = log_q / 24 + math.exp(log_q) / -math.expm1(log_q)
-
-        def log_theta(y):  # lower bound of log|theta| on Im z = y
-            log_zeta = -2 * math.pi * y
-            return (log_q / 8 + math.pi * y + log_phi
-                    + log_poch_lower(log_zeta, log_q)
-                    + log_poch_lower(log_q - log_zeta, log_q))
-
-        def log_bound(dy):
-            y = y0 + dy
-            return (3 * ell * log_eta - ell * log_theta(y)
-                    + 2 * math.pi * r * y)
-
-        node_err = (6 * ell * math.exp(-log_phi)
-                    + 2 * ell * math.exp(-log_theta(y0)) + 1)
-        # the returned value carries the factor |q^{r^2/(2 ell)}|
-        log_pref = -math.pi * v * r * r / ell
-        cert = plan_periodic_trapezoid(
-            y0, v - y0, log_bound, prec + _GUARD_BITS + log_pref / math.log(2),
-            node_err)
+        log_pref = -math.pi * float(mp.im(tau) * r * r) / ell
+        cert = plan_pair_trapezoid(
+            tau, [0] * ell, y0, s, 2 * ell,
+            prec + _GUARD_BITS + log_pref / math.log(2))
         return replace(cert, bound=cert.bound * mp.exp(log_pref))
 
 
@@ -241,20 +219,20 @@ def fourier_coeff_by_quadrature(ell: int, s: int, tau, z0_imag=None,
     """q^{r^2/(2 ell)} * integral over [z0, z0+1] of g_ell(z) e^{-2 pi i r z} dz
     with r = s + ell/2, along the horizontal contour Im z = z0_imag.
 
-    The trapezoid rule on the 1-periodic integrand, on the nodes and at the
-    node precision fourier_quadrature_plan certifies to within
-    2^-(prec + _GUARD_BITS).
+    The trapezoid rule on the 1-periodic integrand i^ell (q)_inf^{2 ell}
+    e^{-2 pi i s z} / P(e^{2 pi i z})^ell, on the nodes and at the node
+    precision fourier_quadrature_plan certifies to within
+    2^-(prec + _GUARD_BITS): one _pair_sum scaled by q^{r^2/(2 ell)} i^ell
+    (q)_inf^{2 ell} e^{2 pi s y0}/N.  No theta or eta is evaluated.
     """
     cert = fourier_quadrature_plan(ell, s, tau, z0_imag, prec)
     with mp.workprec(cert.prec + _GUARD_BITS):
         y0, r = _fourier_contour(ell, s, tau, z0_imag)
-
-        def f(x):
-            z = x + 1j * y0
-            return g_ell(z, tau, ell, cert.prec) * mp.exp(-2j * mp.pi * r * z)
-
-        est = periodic_trapezoid(f, cert.nodes)
-        return mp.exp(2j * mp.pi * tau * r * r / (2 * ell)) * est
+        phi = euler_phi_numeric(cexp(tau), _tol(cert.prec))
+        total = _pair_sum(tau, [1j * y0] * ell, cert.nodes, s, cert.prec)
+        return (cexp(tau * r * r / (2 * ell)) * (1j) ** ell
+                * phi ** (2 * ell) * mp.exp(2 * mp.pi * s * y0)
+                * total / cert.nodes)
 
 
 # F_ls_numeric plans its truncation so that the certified tail bound is at

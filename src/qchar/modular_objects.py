@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
@@ -87,10 +86,8 @@ def qpoch_inf(a, q, tol):
     return total
 
 
-@lru_cache(maxsize=16)
 def eta(tau, prec: int = DEFAULT_PREC):
-    """Dedekind eta, q^{1/24}(q)_infty; cached per (tau, prec), since the
-    contour nodes of g_ell all share one tau."""
+    """Dedekind eta, q^{1/24}(q)_infty."""
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
         q = cexp(tau)

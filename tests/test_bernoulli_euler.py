@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from qchar.bernoulli_euler import (_bernoulli_table, bernoulli_number,
                                    bernoulli_poly,
                                    check_euler_bernoulli_identity,
-                                   euler_number, euler_poly,
+                                   euler_poly,
                                    higher_bernoulli_poly, verify_S_identity)
 from qchar.exact_series import ExactQSeries
 
@@ -47,6 +47,11 @@ def test_bernoulli_poly_basics():
 def test_bernoulli_difference(n, x):
     assert bernoulli_poly(n, x + 1) - bernoulli_poly(n, x) == \
         n * x ** (n - 1)
+
+
+def euler_number(n):
+    """E_n = 2^n E_n(1/2)."""
+    return 2 ** n * euler_poly(n, Fraction(1, 2))
 
 
 def test_euler_numbers_table():

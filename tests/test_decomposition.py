@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -6,15 +8,16 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qchar import certified, decomposition, modular_objects, partial_theta
-from qchar.certified import (_GUARD_BITS, NearPoleError, from_fixed,
-                             periodic_trapezoid)
+import qchar
+from qchar import certified, modular_objects, partial_theta
+from qchar.certified import (_GUARD_BITS, NearPoleError, _coefficient_degree,
+                             _node_error, _pair_coefficients, _pair_count,
+                             from_fixed, periodic_trapezoid)
+from qchar.characters import fourier_coeff_by_quadrature
 from qchar.decomposition import (DegenerateWVectorError, F_ell_product,
                                  F_ls_decomposed, F_ls_multivar_quadrature,
-                                 MultivarPoint, _coefficient_degree,
-                                 _node_error, _pair_coefficients, _pair_count,
-                                 multivar_quadrature_plan,
-                                 random_admissible_point, script_F_value)
+                                 MultivarPoint, multivar_quadrature_plan,
+                                 random_admissible_point)
 from qchar.modular_objects import _tol, cexp, eta, euler_phi_numeric, theta
 
 PREC = 128
@@ -44,6 +47,19 @@ def F_ell_product_per_factor(zs_full, tau, prec):
                 if abs(f1) < tol and abs(f2) < tol and \
                         (abs(f1) + abs(f2)) / (1 - absq) < tol:
                     break
+        return val
+
+
+def F_ell_product_by_theta(zs_full, tau, prec):
+    """The product by the triple product, (q)_inf prod_j 1/P(Z_j) with
+    P(Z_j) = i q^{-1/8} e^{pi i x_j} theta(x_j)/(q)_inf, x_j = z_j + ... +
+    z_ell: a reference that shares nothing with the pair kernel."""
+    with mp.workprec(prec + _GUARD_BITS):
+        phi = euler_phi_numeric(cexp(tau), _tol(prec))
+        val = phi
+        for j in range(len(zs_full)):
+            x = sum(zs_full[j:], mp.mpc(0))
+            val *= phi / (1j * cexp((4 * x - tau) / 8) * theta(x, tau, prec))
         return val
 
 
@@ -141,7 +157,7 @@ def test_product_kernel_against_per_factor_oracle(ell, prec, tau, seed, x,
         got = F_ell_product(zs, tau, prec)
         rel = abs(got - want) / abs(want)
     # the node error multivar_quadrature_plan certifies
-    assert rel <= _node_error(ell, -2 * math.pi * v) * mp.mpf(2) ** -prec
+    assert rel <= _node_error(ell, 1, -2 * math.pi * v) * mp.mpf(2) ** -prec
     if prec >= 256:
         assert rel <= mp.mpf("1e-70")
 
@@ -174,7 +190,8 @@ def test_quadrature_contour_independence():
 
 
 def test_script_F_residues_by_small_circle():
-    # residue of script_F at w = w_nu is -1/(2 pi eta^3 prod_{j!=nu} theta)
+    # script_F(w) = (-1)^ell / prod_j theta(w_j - w) has residue
+    # -1/(2 pi eta^3 prod_{j!=nu} theta) at w = w_nu
     pt = fixture_point(3)
     tau = pt.tau
     with mp.workprec(PREC + 16):
@@ -184,8 +201,9 @@ def test_script_F_residues_by_small_circle():
             acc = mp.mpc(0)
             for k in range(N):
                 w = pt.ws[nu] + r * mp.exp(2j * mp.pi * mp.mpf(k) / N)
-                acc += script_F_value(w, pt, PREC) \
-                    * (w - pt.ws[nu])
+                script_F = (-1) ** pt.ell / mp.fprod(
+                    theta(wj - w, tau, PREC) for wj in pt.ws)
+                acc += script_F * (w - pt.ws[nu])
             got = acc / N
             den = mp.mpc(1)
             for j in range(3):
@@ -223,8 +241,8 @@ def test_point_built_at_default_precision(ell):
     assert abs(quad - dec) <= mp.mpf("1e-60") * abs(quad)
 
 
-# the per-factor reference costs 0.4 s (ell = 2 at tau = i) to 3 s (ell = 5
-# at 0.3 + 0.7i) an example
+# the triple-product reference costs about 2.5 ms a node at ell = 2 and 8 ms
+# at ell = 5 (prec + 64 = 192), half the per-factor product's
 @settings(max_examples=6)
 @given(st.integers(2, 5), st.integers(0, 2),
        st.sampled_from(("1j", "0.3+0.7j")), st.sampled_from(("0.35", "0.65")),
@@ -232,9 +250,9 @@ def test_point_built_at_default_precision(ell):
 @example(5, 2, "0.3+0.7j", "0.35", 7)
 @example(3, 1, "1j", "0.65", 11)
 def test_quadrature_certificate_bounds_doubled_rule(ell, s, tau, height, seed):
-    # Q_N against the per-factor product's Q_2N at prec + 64: discretisation
-    # and node error together, from a route that shares nothing with the
-    # kernel under test
+    # Q_N against the triple product's Q_2N at prec + 64: discretisation and
+    # node error together, from a route that shares nothing with the kernel
+    # under test
     prec = PREC
     tau = mp.mpc(complex(tau))
     pt = random_admissible_point(ell, tau, random.Random(seed), prec)
@@ -245,8 +263,8 @@ def test_quadrature_certificate_bounds_doubled_rule(ell, s, tau, height, seed):
 
         def f(x):
             z = x + 1j * c
-            return F_ell_product_per_factor(list(pt.zs) + [z], pt.tau,
-                                            prec + 64) \
+            return F_ell_product_by_theta(list(pt.zs) + [z], pt.tau,
+                                          prec + 64) \
                 * mp.exp(-2j * mp.pi * s * z)
 
         ref = periodic_trapezoid(f, 2 * cert.nodes)
@@ -268,21 +286,28 @@ def test_quadrature_refuses_a_half_integer_s(s):
 
 
 def test_product_route_calls_no_theta_series(monkeypatch):
-    # the quadrature checks the residue sum, so it must not reach the theta,
-    # eta or partial-theta series that sum is built from
+    # both quadratures check a theta/partial-theta sum (the multivariate one
+    # the residue sum, the Fourier one H_value's Gaussian sum), so they must
+    # not reach theta, eta, g_ell, partial_theta or any Gaussian sum
     pt = fixture_point(3, tau=mp.mpc("0.1", "1.1"))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the product route called a theta series")
 
-    for name in ("theta", "eta", "partial_theta"):
-        monkeypatch.setattr(decomposition, name, forbidden)
-    for module in (certified, modular_objects, partial_theta):
-        monkeypatch.setattr(module, "certified_gaussian_sum", forbidden)
+    banned = {id(f) for f in (modular_objects.theta, modular_objects.eta,
+                              modular_objects.g_ell,
+                              partial_theta.partial_theta,
+                              certified.certified_gaussian_sum)}
+    for info in pkgutil.iter_modules(qchar.__path__):
+        module = importlib.import_module(f"qchar.{info.name}")
+        for key, value in list(vars(module).items()):
+            if id(value) in banned:
+                monkeypatch.setattr(module, key, forbidden)
     hi = pt.contour_height_range()[1]
     assert abs(F_ls_multivar_quadrature(3, 1, pt, prec=PREC)) > 0
     assert abs(F_ell_product(list(pt.zs) + [mp.mpc("0.3") + 1j * hi / 3],
                              pt.tau, PREC)) > 0
+    assert abs(fourier_coeff_by_quadrature(3, 1, pt.tau, prec=PREC)) > 0
 
 
 @settings(max_examples=15)

@@ -334,17 +334,6 @@ def test_euler_phi_and_qpoch():
         assert abs(qpoch_inf(q, q, tol) - phi) <= tol * 10
 
 
-def test_eta_cached_per_tau_and_prec():
-    tau = mp.mpc("0.1", "0.9")
-    a = eta(tau, 96)
-    assert eta(tau, 96) is a
-    # the cached value is the uncached computation, bit for bit
-    fresh = eta.__wrapped__(tau, 96)
-    assert (a.real._mpf_, a.imag._mpf_) == (fresh.real._mpf_,
-                                            fresh.imag._mpf_)
-    assert eta.cache_info().maxsize <= 16
-
-
 _parts = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
 
 
