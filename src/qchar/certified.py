@@ -272,12 +272,6 @@ def plan_periodic_trapezoid(d_lo: float, d_hi: float, log_bound,
                        time.perf_counter() - start)
 
 
-def periodic_trapezoid(f, N: int):
-    """Mean of the 1-periodic f over [0, 1) by the trapezoid rule on the N
-    nodes k/N, summed by one fsum; N comes from plan_periodic_trapezoid."""
-    return mp.fsum(f(mp.mpf(k) / N) for k in range(N)) / N
-
-
 def line_trapezoid(A, B, zeta, kappa, prec: int):
     """(integral over R of e^{A x^2 + B x} / (1 - zeta e^{i kappa x}) dx,
     Certificate), with absolute error below 2^-(prec + _GUARD_BITS).

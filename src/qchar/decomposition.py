@@ -40,8 +40,8 @@ class MultivarPoint:
     w_j = -(z_j + ... + z_{ell-1}) for j < ell and w_ell = 0.
 
     Admissibility: 0 < Im z_j < Im(tau)/ell for every j (equivalent to
-    |q| < |zeta_j|^ell < 1), and the w_j pairwise distinct in the
-    theta-metric.
+    |q| < |zeta_j|^ell < 1), which keeps each w_a - w_b off the lattice.
+    No theta is evaluated: F_ls_decomposed checks the w_j for collisions.
     """
     zs: tuple
     tau: complex
@@ -62,14 +62,6 @@ class MultivarPoint:
             ws = [-sum(self.zs[j:], mp.mpc(0)) for j in range(ell - 1)]
             ws.append(mp.mpc(0))
             self.ws = tuple(ws)
-            thresh = mp.mpf(2) ** (-self.prec // 4)
-            for a in range(ell):
-                for b in range(a + 1, ell):
-                    if abs(theta(self.ws[a] - self.ws[b], self.tau,
-                                 self.prec)) < thresh:
-                        raise DegenerateWVectorError(
-                            f"w_{a+1} and w_{b+1} collide in the theta "
-                            "metric")
 
     @property
     def ell(self) -> int:
@@ -199,11 +191,23 @@ def F_ls_decomposed(ell: int, s: int, point: MultivarPoint,
 
     with eps = ell mod 2 and zeta_j^{j s/ell} := e^{2 pi i z_j j s/ell}
     (branch fixed through z_j, not through a root of zeta_j).
+
+    theta(w_a - w_b) is evaluated once per pair a < b (theta is odd); one
+    below 2^(-prec // 4) raises DegenerateWVectorError.
     """
     if point.ell != ell:
         raise ValueError("point dimension does not match ell")
     with mp.workprec(prec + _GUARD_BITS):
         tau = point.tau
+        thresh = mp.mpf(2) ** (-prec // 4)
+        th = {}
+        for a in range(ell):
+            for b in range(a + 1, ell):
+                t = theta(point.ws[a] - point.ws[b], tau, prec)
+                if abs(t) < thresh:
+                    raise DegenerateWVectorError(
+                        f"w_{a+1} and w_{b+1} collide in the theta metric")
+                th[a, b], th[b, a] = t, -t
         eps = ell % 2
         params = PartialThetaParams(Fraction(s) - Fraction(ell, 2), eps,
                                     Fraction(ell, 2))
@@ -219,26 +223,17 @@ def F_ls_decomposed(ell: int, s: int, point: MultivarPoint,
             den = mp.mpc(1)
             for j in range(ell):
                 if j != nu:
-                    den *= theta(point.ws[nu] - point.ws[j], tau, prec)
+                    den *= th[nu, j]
             total += num / den
         return pref * total
 
 
-_MAX_POINT_TRIES = 200
-
-
 def random_admissible_point(ell: int, tau, rng: random.Random,
                             prec: int = DEFAULT_PREC) -> MultivarPoint:
-    """Rejection-sample z_j with 0 < Im z_j < Im(tau)/ell and
-    non-degenerate w-vector, deterministically from ``rng``, in at most
-    _MAX_POINT_TRIES draws."""
+    """One admissible point, deterministically from ``rng``: x_j uniform on
+    [-0.45, 0.45] and Im z_j uniform on [0.08, 0.92] Im(tau)/ell, so every
+    draw lies inside 0 < Im z_j < Im(tau)/ell and none is redrawn."""
     v = float(mp.im(tau))
-    for _ in range(_MAX_POINT_TRIES):
-        zs = [mp.mpc(rng.uniform(-0.45, 0.45),
-                     rng.uniform(0.08, 0.92) * v / ell)
-              for _ in range(ell - 1)]
-        try:
-            return MultivarPoint(tuple(zs), tau, prec)
-        except (ValueError, DegenerateWVectorError):
-            continue
-    raise RuntimeError("could not sample an admissible point")
+    zs = [mp.mpc(rng.uniform(-0.45, 0.45), rng.uniform(0.08, 0.92) * v / ell)
+          for _ in range(ell - 1)]
+    return MultivarPoint(tuple(zs), tau, prec)

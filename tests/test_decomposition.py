@@ -12,7 +12,7 @@ import qchar
 from qchar import certified, modular_objects, partial_theta
 from qchar.certified import (_GUARD_BITS, NearPoleError, _coefficient_degree,
                              _node_error, _pair_coefficients, _pair_count,
-                             from_fixed, periodic_trapezoid)
+                             from_fixed)
 from qchar.characters import fourier_coeff_by_quadrature
 from qchar.decomposition import (DegenerateWVectorError, F_ell_product,
                                  F_ls_decomposed, F_ls_multivar_quadrature,
@@ -63,6 +63,12 @@ def F_ell_product_by_theta(zs_full, tau, prec):
         return val
 
 
+def periodic_trapezoid(f, N: int):
+    """Mean of the 1-periodic f over [0, 1) by the trapezoid rule on the N
+    nodes k/N, summed by one fsum: the doubled-rule test's reference rule."""
+    return mp.fsum(f(mp.mpf(k) / N) for k in range(N)) / N
+
+
 def fixture_point(ell=3, tau=None, prec=PREC):
     rng = random.Random(101)
     if tau is None:
@@ -80,11 +86,59 @@ def test_point_admissibility_enforced():
 
 
 def test_degenerate_w_vector_raises():
-    # Im z_1 barely positive puts w_1 - w_2 = -z_1 at a theta zero
+    # Im z_1 barely positive puts w_1 - w_2 = -z_1 at a theta zero: the
+    # point is admissible, and the residue sum, which divides by
+    # theta(w_1 - w_2), refuses it
     tau = mp.mpc(0, 1)
-    with pytest.raises(DegenerateWVectorError):
-        MultivarPoint((mp.mpc(0, mp.mpf("1e-30")), mp.mpc("0.1", "0.1")),
-                      tau, PREC)
+    pt = MultivarPoint((mp.mpc(0, mp.mpf("1e-30")), mp.mpc("0.1", "0.1")),
+                       tau, PREC)
+    with pytest.raises(DegenerateWVectorError, match="w_1 and w_2 collide"):
+        F_ls_decomposed(3, 0, pt, PREC)
+
+
+def _rebind(monkeypatch, replacements):
+    """In every qchar module, rebind each name bound to a function whose id
+    ``replacements`` maps to a replacement."""
+    for info in pkgutil.iter_modules(qchar.__path__):
+        module = importlib.import_module(f"qchar.{info.name}")
+        for key, value in list(vars(module).items()):
+            if id(value) in replacements:
+                monkeypatch.setattr(module, key, replacements[id(value)])
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_theta_once_per_pair_and_none_for_the_point(monkeypatch, ell):
+    # theta is odd, so the residue sum needs theta(w_a - w_b) for a < b only;
+    # the sampler and the point evaluate none
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return theta(*args, **kwargs)
+
+    _rebind(monkeypatch, {id(theta): counted})
+    pt = random_admissible_point(ell, mp.mpc("0.1", "1.1"),
+                                 random.Random(ell), PREC)
+    assert calls == []
+    F_ls_decomposed(ell, 1, pt, PREC)
+    assert len(calls) == ell * (ell - 1) // 2
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5])
+def test_sampler_takes_one_draw(ell):
+    # every draw is admissible, so the point is the first draw and the
+    # sampler leaves the generator where one draw leaves it
+    for seed, tau in enumerate((mp.mpc(0, 1), mp.mpc("0.3", "0.7"),
+                                mp.mpc("-0.4", "2.5")) * 2):
+        v = float(tau.imag)
+        rng = random.Random(seed)
+        pt = random_admissible_point(ell, tau, rng, PREC)
+        fresh = random.Random(seed)
+        want = tuple(mp.mpc(fresh.uniform(-0.45, 0.45),
+                            fresh.uniform(0.08, 0.92) * v / ell)
+                     for _ in range(ell - 1))
+        assert pt.zs == want
+        assert rng.getstate() == fresh.getstate()
 
 
 def test_w_vector_structure():
@@ -288,21 +342,15 @@ def test_quadrature_refuses_a_half_integer_s(s):
 def test_product_route_calls_no_theta_series(monkeypatch):
     # both quadratures check a theta/partial-theta sum (the multivariate one
     # the residue sum, the Fourier one H_value's Gaussian sum), so they must
-    # not reach theta, eta, g_ell, partial_theta or any Gaussian sum
-    pt = fixture_point(3, tau=mp.mpc("0.1", "1.1"))
-
+    # not reach theta, eta, g_ell, partial_theta or any Gaussian sum; the
+    # point is built under the ban, since it is part of the route's input
     def forbidden(*args, **kwargs):
         raise AssertionError("the product route called a theta series")
 
-    banned = {id(f) for f in (modular_objects.theta, modular_objects.eta,
-                              modular_objects.g_ell,
-                              partial_theta.partial_theta,
-                              certified.certified_gaussian_sum)}
-    for info in pkgutil.iter_modules(qchar.__path__):
-        module = importlib.import_module(f"qchar.{info.name}")
-        for key, value in list(vars(module).items()):
-            if id(value) in banned:
-                monkeypatch.setattr(module, key, forbidden)
+    _rebind(monkeypatch, {id(f): forbidden for f in (
+        modular_objects.theta, modular_objects.eta, modular_objects.g_ell,
+        partial_theta.partial_theta, certified.certified_gaussian_sum)})
+    pt = fixture_point(3, tau=mp.mpc("0.1", "1.1"))
     hi = pt.contour_height_range()[1]
     assert abs(F_ls_multivar_quadrature(3, 1, pt, prec=PREC)) > 0
     assert abs(F_ell_product(list(pt.zs) + [mp.mpc("0.3") + 1j * hi / 3],
