@@ -4,7 +4,7 @@ doubles, from an a-priori bound below its target, and returns its value with
 a Certificate of that plan; both trapezoid rules, periodic and on R, take
 their step from one strip search.  Both periodic contour integrals, the
 multivariate product's and H's Fourier coefficient's, run on one Pochhammer
-pair kernel (_pair_sum) under one plan (plan_pair_trapezoid)."""
+pair kernel (_pair_sum) in one call (pair_trapezoid)."""
 
 import math
 import time
@@ -67,9 +67,9 @@ class Certificate:
     terms, step ``h`` (1 for a series), the length ``X`` the nodes cover (the
     cutoff half-width on R, the period 1 of a periodic integrand, or the last
     x of a series), the a-priori absolute error bound, the precision in bits
-    it was certified at (for a periodic plan, that of its nodes; for a
-    series, that of its recurrence), and the seconds it took (for a periodic
-    plan, the planning, before any node is evaluated)."""
+    it was certified at (for a periodic rule, that of its nodes; for a
+    series, that of its recurrence), and the seconds it took, planning
+    included."""
     nodes: int
     h: object
     X: object
@@ -184,6 +184,29 @@ def log_poch_lower(log_f0, log_q) -> float:
         k += 1
 
 
+def _pentagonal_terms(q, tol) -> int:
+    """The least K >= 1 with 2|q|^m/(1 - |q|) < tol/2, m = (K+1)(3K+2)/2,
+    the bound on the terms euler_phi drops; planned in doubles, the
+    2 absorbing their rounding."""
+    # m > log(tol (1 - |q|)/4)/log|q| = need: K > (sqrt(1 + 24 need) - 5)/6
+    need = float(mp.log(tol / 4 * (1 - abs(q))) / mp.log(abs(q)))
+    return max(1, math.floor((math.sqrt(1 + 24 * max(need, 0)) - 5) / 6) + 1)
+
+
+def euler_phi(q, tol):
+    """(q)_infty by the pentagonal-number sum 1 + sum_{k<=K} (-1)^k
+    (q^{k(3k-1)/2} + q^{k(3k+1)/2}), K from _pentagonal_terms: the exponents
+    left are at least (K+1)(3K+2)/2, so geometric domination bounds them."""
+    if not abs(q) < 1:
+        raise ValueError("need |q| < 1")
+    total = mp.mpf(1)
+    for k in range(1, _pentagonal_terms(q, tol) + 1):
+        e1 = k * (3 * k - 1) // 2
+        e2 = k * (3 * k + 1) // 2
+        total += (-1) ** k * (q ** e1 + q ** e2)
+    return total
+
+
 # Strip half-widths tried, as fractions of the pole distance on each side.
 # The log|f| bound grows like -log(1 - fraction) near the poles while the
 # discretisation error falls like e^{-2 pi fraction d N}, so the least N
@@ -230,46 +253,6 @@ def least_strip_nodes(d_lo: float, d_hi: float, log_bound, log_target: float,
         raise NearPoleError("integration path too close to a pole to plan "
                             "the trapezoid rule")
     return best
-
-
-def plan_periodic_trapezoid(d_lo: float, d_hi: float, log_bound,
-                            target_bits: float, node_err: float
-                            ) -> Certificate:
-    """Certificate of the fewest-node trapezoid mean of a 1-periodic f,
-    planned before any node is evaluated.
-
-    f is analytic on the strip -d_lo < Im x < d_hi around its contour (its
-    poles sit at those distances below and above), ``log_bound(y)`` bounds
-    log|f| on the line at height y above the contour, and one node evaluated
-    at p bits is within node_err * 2^-p * |f| of f.  least_strip_nodes
-    bounds the discretisation error.  With M_0 = e^{log_bound(0)} the bound
-    on the contour, the nodes are evaluated at the precision p that keeps
-    their error node_err 2^-p M_0 below a quarter of the target; the caller
-    sums them and scales the mean at p + _GUARD_BITS bits, which adds at
-    most N 2^-(p + _GUARD_BITS) M_0.
-
-    Returns Certificate(N, 1/N, 1, bound, p, seconds) with bound <=
-    2^-target_bits; raises NearPoleError when the strip is too thin for
-    _MAX_STRIP_NODES nodes to reach the target.
-    """
-    start = time.perf_counter()
-    ln2 = math.log(2)
-    log_target = -target_bits * ln2
-    # a factor 2 absorbs the rounding of the doubles
-    log_c = log_bound(0) + ln2
-    if not log_c < math.inf:
-        raise NearPoleError("contour on a line of poles")
-    p = max(53, math.ceil(target_bits + 2
-                          + (math.log(node_err) + log_c) / ln2))
-    # node and summation errors, relative to the target; p makes the first
-    # at most 1/4 and the second at most 2^-26 per node
-    fixed = math.exp(math.log(node_err) - p * ln2 + log_c - log_target)
-    per_node = math.exp(-(p + _GUARD_BITS) * ln2 + log_c - log_target)
-    N, total = least_strip_nodes(d_lo, d_hi, log_bound, log_target,
-                                 lambda n: fixed + n * per_node)
-    return Certificate(N, mp.mpf(1) / N, mp.mpf(1),
-                       mp.mpf(total) * mp.mpf(2) ** -target_bits, p,
-                       time.perf_counter() - start)
 
 
 def line_trapezoid(A, B, zeta, kappa, prec: int):
@@ -612,48 +595,77 @@ def _node_error(ell: int, k: int, log_q: float) -> float:
     return 2 * ell + 2 * k * math.exp(-log_poch_lower(log_q, log_q)) + 2
 
 
-def plan_pair_trapezoid(tau, im_ws, y, s, k: int,
-                        target_bits: float) -> Certificate:
-    """plan_periodic_trapezoid's Certificate for the mean over x in [0, 1)
+def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
+    """(mean, Certificate): the fewest-node trapezoid mean over x in [0, 1)
     of the 1-periodic
 
         f(x) = (q)_inf^k e^{-2 pi i s z} / prod_j P(e^{2 pi i (z - w_j)}),
         z = x + i y,
 
-    given the Im w_j (im_ws), without evaluating f; the nodes are _pair_sum
-    scaled by (q)_inf^k e^{2 pi s y}.  s must be an integer (else
-    ValueError): P(e^{2 pi i z}) is 1-periodic in z, so for any other s f
-    is not, and no trapezoid bound holds.
+    planned before any node is evaluated, with absolute error below
+    2^-target_bits; the nodes are one _pair_sum scaled by (q)_inf^k e^{2 pi
+    s y}/N.  s must be an integer (else ValueError): P(e^{2 pi i z}) is
+    1-periodic in z, so for any other s f is not, and no trapezoid bound
+    holds.
 
     P(e^{2 pi i (z - w)}) vanishes on Im z = Im w - n Im tau and Im w + (n +
-    1) Im tau, n >= 0, so f is analytic on max_j Im w_j < Im z < Im tau +
-    min_j Im w_j.  On Im z = y every |Z_j| = e^{-2 pi (y - Im w_j)} is
+    1) Im tau, n >= 0, so f is analytic on the strip max_j Im w_j < Im z <
+    Im tau + min_j Im w_j, whose sides lie d_lo below and d_hi above the
+    contour.  On Im z = y + dy every |Z_j| = e^{-2 pi (y + dy - Im w_j)} is
     fixed, and |(q)_inf| <= prod (1 + |q|^n), |1 - f| >= |1 - |f||
-    (log_poch_lower) and |e^{-2 pi i s z}| = e^{2 pi s y} give
+    (log_poch_lower) and |e^{-2 pi i s z}| = e^{2 pi s (y + dy)} give
 
-        log|f| <= 2 pi s y + k |q|/(1 - |q|)
+        log|f| <= 2 pi s (y + dy) + k |q|/(1 - |q|)
                   - sum_j [log_poch_lower(log|Z_j|, log|q|)
-                           + log_poch_lower(log|q| - log|Z_j|, log|q|)].
+                           + log_poch_lower(log|q| - log|Z_j|, log|q|)],
 
-    A node at p bits is within _node_error(len(im_ws), k, log|q|) 2^-p of
-    f, relative.
+    which least_strip_nodes turns into the discretisation error.  A node at
+    p bits is within node_err 2^-p |f| of f, relative, node_err =
+    _node_error(len(ws), k, log|q|).  With M_0 the bound on the contour, p
+    keeps node_err 2^-p M_0 below a quarter of the target; the mean is
+    scaled at p + _GUARD_BITS bits, which adds at most N 2^-(p +
+    _GUARD_BITS) M_0.  Returns Certificate(N, 1/N, 1, bound, p, seconds);
+    raises NearPoleError when the strip is too thin for _MAX_STRIP_NODES
+    nodes to reach the target.
     """
+    start = time.perf_counter()
     if Fraction(s).denominator != 1:
         raise ValueError("s must be an integer: the product is 1-periodic, "
                          "so for any other s the integrand is not")
-    v, y, sf = float(mp.im(tau)), float(y), float(s)
-    im_ws = [float(w) for w in im_ws]
+    s = int(Fraction(s))
+    v, yf = float(mp.im(tau)), float(y)
+    im_ws = [float(mp.im(w)) for w in ws]
+    ln2 = math.log(2)
     log_q = -2 * math.pi * v
     log_phi = k * math.exp(log_q) / -math.expm1(log_q)
 
     def log_bound(dy):
-        out = log_phi + 2 * math.pi * sf * (y + dy)
+        out = log_phi + 2 * math.pi * s * (yf + dy)
         for im_w in im_ws:
-            log_Z = -2 * math.pi * (y + dy - im_w)
+            log_Z = -2 * math.pi * (yf + dy - im_w)
             out -= (log_poch_lower(log_Z, log_q)
                     + log_poch_lower(log_q - log_Z, log_q))
         return out
 
-    return plan_periodic_trapezoid(y - max(im_ws), v + min(im_ws) - y,
-                                   log_bound, target_bits,
-                                   _node_error(len(im_ws), k, log_q))
+    log_target = -target_bits * ln2
+    # a factor 2 absorbs the rounding of the doubles
+    log_c = log_bound(0) + ln2
+    if not log_c < math.inf:
+        raise NearPoleError("contour on a line of poles")
+    node_err = _node_error(len(ws), k, log_q)
+    p = max(53, math.ceil(target_bits + 2
+                          + (math.log(node_err) + log_c) / ln2))
+    # node and summation errors, relative to the target; p makes the first
+    # at most 1/4 and the second at most 2^-26 per node
+    fixed = math.exp(math.log(node_err) - p * ln2 + log_c - log_target)
+    per_node = math.exp(-(p + _GUARD_BITS) * ln2 + log_c - log_target)
+    N, total = least_strip_nodes(yf - max(im_ws), v + min(im_ws) - yf,
+                                 log_bound, log_target,
+                                 lambda n: fixed + n * per_node)
+    with mp.workprec(p + _GUARD_BITS):
+        phi = euler_phi(mp.expjpi(2 * tau), mp.mpf(2) ** -p)
+        mean = (phi ** k * mp.exp(2 * mp.pi * s * y)
+                * _pair_sum(tau, [1j * y - w for w in ws], N, s, p) / N)
+    return mean, Certificate(N, mp.mpf(1) / N, mp.mpf(1),
+                             mp.mpf(total) * mp.mpf(2) ** -target_bits, p,
+                             time.perf_counter() - start)

@@ -22,8 +22,8 @@ import mpmath as mp
 
 from .exact_series import (ExactQSeries, euler_product, euler_product_pow,
                            poch_ratio_bivariate)
-from .certified import (_GUARD_BITS, Certificate, _pair_sum,
-                        certified_gaussian_sum, plan_pair_trapezoid)
+from .certified import (_GUARD_BITS, certified_gaussian_sum, log_poch_lower,
+                        pair_trapezoid)
 from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol, cexp,
                               euler_phi_numeric, ghat_qseries, ghat_value,
                               laurent_coefficients_D, qpoch_inf)
@@ -181,58 +181,39 @@ def H_value(ell: int, s: int, tau, prec: int = DEFAULT_PREC):
         return (1j) ** ell * acc
 
 
-def _fourier_contour(ell: int, s: int, tau, z0_imag):
-    """(y0, r): the contour height, Im(tau)/2 unless given, checked against
-    0 < y0 < Im tau, and r = s + ell/2."""
-    _require_upper_half(tau)
-    v = mp.im(tau)
-    y0 = mp.mpf(z0_imag) if z0_imag is not None else v / 2
-    if not 0 < y0 < v:
-        raise ValueError("contour height must satisfy 0 < y0 < Im tau")
-    return y0, mp.mpf(2 * s + ell) / 2
-
-
-def fourier_quadrature_plan(ell: int, s: int, tau, z0_imag=None,
-                            prec: int = DEFAULT_PREC) -> Certificate:
-    """Certificate of the trapezoid rule fourier_coeff_by_quadrature runs:
-    its node count, node precision and an absolute error bound on the
-    returned value below 2^-(prec + _GUARD_BITS), planned from the strip
-    0 < Im z < Im tau between the zeros of theta without evaluating the
-    integrand.
+def fourier_quadrature(ell: int, s: int, tau, z0_imag=None,
+                       prec: int = DEFAULT_PREC):
+    """(value, Certificate) of q^{r^2/(2 ell)} * integral over [z0, z0+1] of
+    g_ell(z) e^{-2 pi i r z} dz with r = s + ell/2, along the horizontal
+    contour Im z = y0, Im(tau)/2 unless given, 0 < y0 < Im tau (between the
+    zeros of theta); the bound is below 2^-(prec + _GUARD_BITS).
 
     By the triple product, g_ell(z) e^{-2 pi i r z} = i^ell (q)_inf^{2 ell}
     zeta^{-s} / P(zeta)^ell (certified._pair_sum's P, zeta = e^{2 pi i z}),
-    so the plan is plan_pair_trapezoid's with k = 2 ell and every w_j = 0,
-    at a target that leaves room for the factor |q^{r^2/(2 ell)}|.
+    so the integral is certified.pair_trapezoid's mean with k = 2 ell and
+    every w_j = 0, at a target that leaves room for the factor
+    |q^{r^2/(2 ell)}|.  No theta or eta is evaluated.
     """
+    _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
-        y0, r = _fourier_contour(ell, s, tau, z0_imag)
-        log_pref = -math.pi * float(mp.im(tau) * r * r) / ell
-        cert = plan_pair_trapezoid(
+        v = mp.im(tau)
+        y0 = mp.mpf(z0_imag) if z0_imag is not None else v / 2
+        if not 0 < y0 < v:
+            raise ValueError("contour height must satisfy 0 < y0 < Im tau")
+        r = mp.mpf(2 * s + ell) / 2
+        log_pref = -math.pi * float(v * r * r) / ell
+        mean, cert = pair_trapezoid(
             tau, [0] * ell, y0, s, 2 * ell,
             prec + _GUARD_BITS + log_pref / math.log(2))
-        return replace(cert, bound=cert.bound * mp.exp(log_pref))
+    with mp.workprec(cert.prec + _GUARD_BITS):
+        value = cexp(tau * r * r / (2 * ell)) * (1j) ** ell * mean
+    return value, replace(cert, bound=cert.bound * mp.exp(log_pref))
 
 
 def fourier_coeff_by_quadrature(ell: int, s: int, tau, z0_imag=None,
                                 prec: int = DEFAULT_PREC):
-    """q^{r^2/(2 ell)} * integral over [z0, z0+1] of g_ell(z) e^{-2 pi i r z} dz
-    with r = s + ell/2, along the horizontal contour Im z = z0_imag.
-
-    The trapezoid rule on the 1-periodic integrand i^ell (q)_inf^{2 ell}
-    e^{-2 pi i s z} / P(e^{2 pi i z})^ell, on the nodes and at the node
-    precision fourier_quadrature_plan certifies to within
-    2^-(prec + _GUARD_BITS): one _pair_sum scaled by q^{r^2/(2 ell)} i^ell
-    (q)_inf^{2 ell} e^{2 pi s y0}/N.  No theta or eta is evaluated.
-    """
-    cert = fourier_quadrature_plan(ell, s, tau, z0_imag, prec)
-    with mp.workprec(cert.prec + _GUARD_BITS):
-        y0, r = _fourier_contour(ell, s, tau, z0_imag)
-        phi = euler_phi_numeric(cexp(tau), _tol(cert.prec))
-        total = _pair_sum(tau, [1j * y0] * ell, cert.nodes, s, cert.prec)
-        return (cexp(tau * r * r / (2 * ell)) * (1j) ** ell
-                * phi ** (2 * ell) * mp.exp(2 * mp.pi * s * y0)
-                * total / cert.nodes)
+    """fourier_quadrature's value alone."""
+    return fourier_quadrature(ell, s, tau, z0_imag, prec)[0]
 
 
 # F_ls_numeric plans its truncation so that the certified tail bound is at
@@ -256,19 +237,37 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
     factors left multiply to at least 1 - 2^-(prec+1), so its value times
     1 - 2^-prec is below the infinite product and Phi stays an upper bound.
 
+    The bound adds the rounding, rho value.  (q)_inf >= e^{-L}, L =
+    -log_poch_lower(-t, -t), is small for small t, and its ell^2-th power
+    multiplies its relative error by ell^2, so it is summed to within
+    2^-(prec + e) at e more bits, 2^e >= 2 ell^2 e^L: within 2^-prec/(2
+    ell^2), relative.  At u = 2^(1 - prec - _GUARD_BITS), q^n is within (n +
+    1) u of e^{-tn} and each head term within (n + 3) u, and the exact
+    fsum of positive terms rounds once, so to first order the value is
+    within rho = (1 + (T + 6) 2^(2 - _GUARD_BITS)) 2^-prec, relative, the
+    factors 2 covering higher orders.
+
     T is planned before the sum: as b_n >= 0, the head to q^T0, T0 = max(40,
     ell pi^2/(6 t^2)), half the saddle point of b_n e^{-tn} (G_s grows like
     e^{ell pi^2/(3t)}), is below every longer head, so the least T whose
-    tail bound is _NUMERIC_REL_TOL times it (less 2^-32 for its rounding)
-    meets the target.  The head is reused when T <= T0.
+    tail bound is _NUMERIC_REL_TOL less rho (at T = 100,000, the largest T
+    built) times it, less 2^-32 for its rounding, meets the target.  The
+    head is reused when T <= T0.
     """
+    def rho(T):
+        return (1 + (T + 6) * mp.mpf(2) ** (2 - _GUARD_BITS)) \
+            * mp.mpf(2) ** -prec
+
     with mp.workprec(prec + _GUARD_BITS):
         t = mp.mpf(t)
         if t <= 0:
             raise ValueError("t must be positive")
+        L = -log_poch_lower(-float(t), -float(t))
+        extra = math.ceil(L / math.log(2) + 2 * math.log2(ell)) + 1
+        with mp.workprec(prec + extra + _GUARD_BITS):
+            phi = euler_phi_numeric(mp.exp(-t), _tol(prec + extra))
         q = mp.exp(-t)
         q1 = mp.sqrt(q)
-        phi = euler_phi_numeric(q, _tol(prec))
         Phi = (qpoch_inf(q1 ** mp.mpf("0.5"), q1, _tol(prec))
                * (1 - _tol(prec))) ** (-2 * ell)
         pref = q1 ** (-mp.mpf(s) / 2) * Phi / (1 - q / q1)  # tail / (q/q1)^T
@@ -288,13 +287,14 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
 
         T0 = max(40, int(ell * mp.pi ** 2 / (6 * t * t)))
         total = head(T0)
-        target = _NUMERIC_REL_TOL * total * (1 - mp.mpf(2) ** -32)
+        target = ((_NUMERIC_REL_TOL - rho(100_000)) * total
+                  * (1 - mp.mpf(2) ** -32))
         T = int(mp.ceil(mp.log(pref / target) / (t / 2)))  # q/q1 = e^{-t/2}
         if T > T0:
             total = head(T)
         T = max(T, T0)
         value = phi ** (ell * ell) * total
-        bound = phi ** (ell * ell) * pref * (q / q1) ** T
+        bound = phi ** (ell * ell) * pref * (q / q1) ** T + rho(T) * value
         if not bound <= _NUMERIC_REL_TOL * value:
             raise AssertionError("planned truncation missed its tail target")
         return value, bound

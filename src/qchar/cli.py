@@ -226,10 +226,8 @@ def cmd_verify_decomposition(args) -> int:
     results = []
     ok = True
     for i, pt in enumerate(points):
-        cert = decomposition.multivar_quadrature_plan(args.ell, args.s, pt,
-                                                      prec=prec)
-        quad = decomposition.F_ls_multivar_quadrature(args.ell, args.s, pt,
-                                                      prec=prec)
+        quad, cert = decomposition.multivar_quadrature(args.ell, args.s, pt,
+                                                       prec=prec)
         dec = decomposition.F_ls_decomposed(args.ell, args.s, pt, prec)
         rel = abs(quad - dec) / max(abs(quad), mp.mpf("1e-300"))
         ok = ok and rel <= tol

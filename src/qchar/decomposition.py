@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 import random
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
 
 from .characters import central_charge, h_s
-from .certified import (_GUARD_BITS, Certificate, NearPoleError, _pair_sum,
-                        fraction_mpf, plan_pair_trapezoid)
+from .certified import (_GUARD_BITS, NearPoleError, _pair_sum, fraction_mpf,
+                        pair_trapezoid)
 from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol, cexp,
                               eta, euler_phi_numeric, theta)
 from .partial_theta import PartialThetaParams, partial_theta
@@ -77,13 +76,6 @@ class MultivarPoint:
             return mp.mpf(0), c_max
 
 
-def _q_phi(tau, prec: int):
-    """(q, (q)_inf) at tau, at prec + _GUARD_BITS bits."""
-    with mp.workprec(prec + _GUARD_BITS):
-        q = cexp(tau)
-        return q, euler_phi_numeric(q, _tol(prec))
-
-
 def F_ell_product(zs_full, tau, prec: int = DEFAULT_PREC):
     """(q)_inf prod_{j=1}^{ell} prod_{k>=1}
     1/((1 - Z_j^{-1} q^k)(1 - Z_j q^{k-1})) with Z_j = e^{2 pi i
@@ -102,7 +94,8 @@ def F_ell_product(zs_full, tau, prec: int = DEFAULT_PREC):
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
         tau = mp.mpc(tau)
-        q, phi = _q_phi(tau, prec)
+        q = cexp(tau)
+        phi = euler_phi_numeric(q, _tol(prec))
         thresh = mp.mpf(2) ** -(prec // 4)
         ratio = mp.mpc(1)  # prod_j P(Z_j q^r_j)/P(Z_j)
         args = []
@@ -132,53 +125,30 @@ def F_ell_product(zs_full, tau, prec: int = DEFAULT_PREC):
         return phi * ratio * _pair_sum(tau, args, 1, 0, prec)
 
 
-def _contour_height(point: MultivarPoint, contour_imag):
-    """(c, c_max): the contour height, c_max / 2 unless given, checked
-    against the admissible strip (0, c_max)."""
-    lo, hi = point.contour_height_range()
-    c = mp.mpf(contour_imag) if contour_imag is not None else hi / 2
-    if not lo < c < hi:
-        raise ValueError("contour height outside the admissible strip")
-    return c, hi
-
-
-def multivar_quadrature_plan(ell: int, s, point: MultivarPoint,
-                             contour_imag=None,
-                             prec: int = DEFAULT_PREC) -> Certificate:
-    """Certificate of the trapezoid rule F_ls_multivar_quadrature runs: its
-    node count, node precision and an absolute error bound below 2^-prec,
-    planned by plan_pair_trapezoid (k = 1) from the strip 0 < Im z_ell <
-    c_max without evaluating the product.  s must be an integer: the
-    product is 1-periodic in z_ell, and for any other s the integrand is
-    not, so no trapezoid bound holds.
+def multivar_quadrature(ell: int, s, point: MultivarPoint,
+                        contour_imag=None, prec: int = DEFAULT_PREC):
+    """(value, Certificate): the Fourier coefficient at zeta_ell^s (s an
+    integer) of the product, by the trapezoid rule over z_ell = x + i c, x
+    in [0, 1), certified to within 2^-prec.  c is c_max / 2 unless given,
+    and must lie in the admissible strip 0 < c < c_max.  On that line Z_j =
+    e^{2 pi i (z_ell - w_j)}, so this is certified.pair_trapezoid's mean
+    with k = 1.  s must be an integer: the product is 1-periodic in z_ell,
+    and for any other s the integrand is not, so no trapezoid bound holds.
     """
     if point.ell != ell:
         raise ValueError("point dimension does not match ell")
-    start = time.perf_counter()
     with mp.workprec(prec + _GUARD_BITS):
-        c, _ = _contour_height(point, contour_imag)
-        cert = plan_pair_trapezoid(point.tau, [mp.im(w) for w in point.ws],
-                                   c, s, 1, prec)
-        return replace(cert, seconds=time.perf_counter() - start)
+        lo, hi = point.contour_height_range()
+        c = mp.mpf(contour_imag) if contour_imag is not None else hi / 2
+        if not lo < c < hi:
+            raise ValueError("contour height outside the admissible strip")
+        return pair_trapezoid(point.tau, point.ws, c, s, 1, prec)
 
 
 def F_ls_multivar_quadrature(ell: int, s, point: MultivarPoint,
                              contour_imag=None, prec: int = DEFAULT_PREC):
-    """Fourier coefficient at zeta_ell^s (s an integer) of the product, by
-    the trapezoid rule over z_ell = x + i c, x in [0, 1), on the nodes and
-    at the node precision multivar_quadrature_plan certifies to within
-    2^-prec.  On that line Z_j = e^{2 pi i (z_ell - w_j)} and
-    e^{-2 pi i s z_ell} = e^{2 pi s c} e^{-2 pi i s x}, so the nodes are one
-    _pair_sum scaled by (q)_inf e^{2 pi s c}/N.
-    """
-    cert = multivar_quadrature_plan(ell, s, point, contour_imag, prec)
-    with mp.workprec(cert.prec + _GUARD_BITS):
-        c, _ = _contour_height(point, contour_imag)
-        _, phi = _q_phi(point.tau, cert.prec)
-        s = int(Fraction(s))
-        total = _pair_sum(point.tau, [1j * c - w for w in point.ws],
-                          cert.nodes, s, cert.prec)
-        return phi * mp.exp(2 * mp.pi * s * c) * total / cert.nodes
+    """multivar_quadrature's value alone."""
+    return multivar_quadrature(ell, s, point, contour_imag, prec)[0]
 
 
 def F_ls_decomposed(ell: int, s: int, point: MultivarPoint,

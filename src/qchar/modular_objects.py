@@ -17,7 +17,8 @@ from math import factorial
 import mpmath as mp
 
 from .bernoulli_euler import bernoulli_number
-from .certified import _GUARD_BITS, NearPoleError, certified_gaussian_sum
+from .certified import (_GUARD_BITS, NearPoleError, certified_gaussian_sum,
+                        euler_phi)
 from .exact_series import ExactQSeries, divisor_sigma_list
 
 DEFAULT_PREC = 256
@@ -37,27 +38,9 @@ def _tol(prec: int):
     return mp.mpf(2) ** (-prec)
 
 
-def _pentagonal_terms(q, tol) -> int:
-    """The least K >= 1 with 2|q|^m/(1 - |q|) < tol/2, m = (K+1)(3K+2)/2,
-    the bound on the terms euler_phi_numeric drops; planned in doubles, the
-    2 absorbing their rounding."""
-    # m > log(tol (1 - |q|)/4)/log|q| = need: K > (sqrt(1 + 24 need) - 5)/6
-    need = float(mp.log(tol / 4 * (1 - abs(q))) / mp.log(abs(q)))
-    return max(1, math.floor((math.sqrt(1 + 24 * max(need, 0)) - 5) / 6) + 1)
-
-
 def euler_phi_numeric(q, tol):
-    """(q)_infty by the pentagonal-number sum 1 + sum_{k<=K} (-1)^k
-    (q^{k(3k-1)/2} + q^{k(3k+1)/2}), K from _pentagonal_terms: the exponents
-    left are at least (K+1)(3K+2)/2, so geometric domination bounds them."""
-    if not abs(q) < 1:
-        raise ValueError("need |q| < 1")
-    total = mp.mpf(1)
-    for k in range(1, _pentagonal_terms(q, tol) + 1):
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        total += (-1) ** k * (q ** e1 + q ** e2)
-    return total
+    """(q)_infty to within tol, by certified.euler_phi."""
+    return euler_phi(q, tol)
 
 
 def _qpoch_factors(a, q, tol) -> int:
@@ -137,19 +120,20 @@ def _G2k_series_value(k: int, tau, prec: int):
     return (2j * mp.pi) ** (2 * k) * acc / den
 
 
-def eisenstein_G2k(k: int, tau, prec: int = DEFAULT_PREC, _depth: int = 0):
-    """G_{2k}(tau); applies the S-transform when |q| is close to 1.
+def eisenstein_G2k(k: int, tau, prec: int = DEFAULT_PREC):
+    """G_{2k}(tau), summed at tau or, when that gains, at -1/tau.
 
     G_{2k}(tau) = tau^{-2k} G_{2k}(-1/tau), with the extra 2*pi*i/tau
-    anomaly for k = 1.
+    anomaly for k = 1.  As S^2 = 1, one S step is all that can help: it is
+    taken when Im tau < 1/2 and Im(-1/tau) = Im tau/|tau|^2 is larger,
+    that is when |tau| < 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
-        if mp.im(tau) < mp.mpf(1) / 2 and _depth < 3:
-            inner = eisenstein_G2k(k, -1 / tau, prec, _depth + 1)
-            val = tau ** (-2 * k) * inner
+        if mp.im(tau) < mp.mpf(1) / 2 and abs(tau) < 1:
+            val = tau ** (-2 * k) * _G2k_series_value(k, -1 / tau, prec)
             if k == 1:
                 val += 2j * mp.pi / tau
             return val

@@ -33,11 +33,8 @@ from qchar.asymptotics import (C_ell, C_ell_star,
 from qchar.bernoulli_euler import (check_euler_bernoulli_identity,
                                    verify_S_identity)
 from qchar.characters import (CharacterParams, F_ls_exact, F_ls_numeric,
-                              F_ls_via_H, H_value,
-                              fourier_coeff_by_quadrature,
-                              fourier_quadrature_plan)
-from qchar.decomposition import (F_ls_decomposed, F_ls_multivar_quadrature,
-                                 multivar_quadrature_plan,
+                              F_ls_via_H, H_value, fourier_quadrature)
+from qchar.decomposition import (F_ls_decomposed, multivar_quadrature,
                                  random_admissible_point)
 from qchar.modular_transform import (S_MATRIX, SL2Matrix,
                                      half_index_identity_check,
@@ -189,26 +186,28 @@ def test_criterion_07_decomposition(capsys):
     rng = random.Random(SEED)
     ok = True
     worst = mp.mpf(0)
-    nodes, worst_bound = 0, mp.mpf(0)
+    nodes, worst_bound, node_precs, seconds = 0, mp.mpf(0), set(), 0.0
     with mp.workprec(prec + 16):
         tau = mp.mpc(0, 1)
         for ell in (2, 3, 4):
             for s in (0, 1, 2):
                 for _ in range(5):
                     pt = random_admissible_point(ell, tau, rng, prec)
-                    cert = multivar_quadrature_plan(ell, s, pt, prec=prec)
-                    quad = F_ls_multivar_quadrature(ell, s, pt, prec=prec)
+                    quad, cert = multivar_quadrature(ell, s, pt, prec=prec)
                     dec = F_ls_decomposed(ell, s, pt, prec)
                     rel = abs(quad - dec) / abs(quad)
                     worst = max(worst, rel)
                     nodes += cert.nodes
                     worst_bound = max(worst_bound, cert.bound)
+                    node_precs.add(cert.prec)
+                    seconds += cert.seconds
                     # the certificate covers what the independent route sees
                     if rel > tol or abs(quad - dec) > cert.bound:
                         ok = False
     report(capsys, 7, ok,
            f"45 seeded points, worst rel err {mp.nstr(worst, 3)} (tol 1e-10); "
-           f"{nodes} trapezoid nodes, largest certified bound "
+           f"{nodes} trapezoid nodes at {min(node_precs)}-{max(node_precs)} "
+           f"bits in {seconds:.2f} s, largest certified bound "
            f"{mp.nstr(worst_bound, 3)}")
 
 
@@ -216,22 +215,24 @@ def test_criterion_08_fourier_specialization(capsys):
     prec = 160
     ok = True
     worst = mp.mpf(0)
-    nodes, worst_bound = 0, mp.mpf(0)
+    nodes, worst_bound, node_precs, seconds = 0, mp.mpf(0), set(), 0.0
     with mp.workprec(prec + 16):
         tau = mp.mpc(0, 1)
         for s in (0, 1):
-            cert = fourier_quadrature_plan(3, s, tau, prec=prec)
             a = H_value(3, s, tau, prec)
-            b = fourier_coeff_by_quadrature(3, s, tau, prec=prec)
+            b, cert = fourier_quadrature(3, s, tau, prec=prec)
             err = abs(a - b)
             worst = max(worst, err)
             nodes += cert.nodes
             worst_bound = max(worst_bound, cert.bound)
+            node_precs.add(cert.prec)
+            seconds += cert.seconds
             if err > mp.mpf("1e-20") or err > cert.bound:
                 ok = False
     report(capsys, 8, ok,
            f"quadrature vs residue sum at tau=i, worst abs err "
-           f"{mp.nstr(worst, 3)} (tol 1e-20); {nodes} trapezoid nodes, "
+           f"{mp.nstr(worst, 3)} (tol 1e-20); {nodes} trapezoid nodes at "
+           f"{min(node_precs)}-{max(node_precs)} bits in {seconds:.2f} s, "
            f"largest certified bound {mp.nstr(worst_bound, 3)}")
 
 

@@ -11,8 +11,8 @@ from qchar.characters import (CharacterParams, F_ls_exact, F_ls_numeric,
                               character_ch,
                               coeff_series_exact,
                               fourier_coeff_by_quadrature,
-                              fourier_quadrature_plan, h_s)
-from qchar.modular_objects import cexp, eta
+                              fourier_quadrature, h_s)
+from qchar.modular_objects import cexp, eta, euler_phi_numeric
 
 PREC = 128
 
@@ -79,8 +79,7 @@ def test_fourier_certificate_bounds_observed_error(ell, s, height, tau):
     tau = mp.mpc(*tau)
     with mp.workprec(PREC + 64 + _GUARD_BITS):
         y0 = mp.im(tau) * mp.mpf(height)
-        cert = fourier_quadrature_plan(ell, s, tau, y0, PREC)
-        got = fourier_coeff_by_quadrature(ell, s, tau, y0, PREC)
+        got, cert = fourier_quadrature(ell, s, tau, y0, PREC)
         want = H_value(ell, s, tau, PREC + 64)
     assert abs(got - want) <= cert.bound <= mp.mpf(2) ** -(PREC + _GUARD_BITS)
     assert abs(cert.h * cert.nodes - 1) < 1e-30 and cert.prec >= PREC
@@ -88,7 +87,7 @@ def test_fourier_certificate_bounds_observed_error(ell, s, height, tau):
 
 def test_fourier_plan_raises_on_a_thin_strip():
     with pytest.raises(NearPoleError):
-        fourier_quadrature_plan(3, 0, mp.mpc(0, 1), mp.mpf("1e-9"), PREC)
+        fourier_quadrature(3, 0, mp.mpc(0, 1), mp.mpf("1e-9"), PREC)
 
 
 def test_character_value_equals_H_over_eta5():
@@ -115,3 +114,28 @@ def test_F_numeric_certified_against_series():
             # the dropped exact-series tail at trunc 100 is below e^{-90}
             assert abs(value - direct) <= bound + mp.mpf("1e-38")
             assert bound <= mp.mpf("1e-12") * abs(value)
+
+
+def F_by_H(ell, s, t, prec):
+    """F_{ell,s}(e^{-t}) = (-i)^ell q^{-h_s - ell/8} (q)_inf^{ell^2 - 2 ell}
+    H_{s+ell/2}(i t/(2 pi)), q = e^{-t}: the partial-theta route."""
+    with mp.workprec(prec + _GUARD_BITS):
+        h = h_s(ell, s)
+        phi = euler_phi_numeric(mp.exp(-t), mp.mpf(2) ** -(prec + 8))
+        H = H_value(ell, s, 1j * t / (2 * mp.pi), prec)
+        return ((-1j) ** ell * phi ** (ell * ell - 2 * ell) * H
+                * mp.exp(t * (mp.mpf(h.numerator) / h.denominator
+                              + mp.mpf(ell) / 8)))
+
+
+@pytest.mark.parametrize("ell", [3, 4])
+def test_F_numeric_bound_holds_at_low_precision(ell):
+    # at 53 bits the pentagonal sum of the small (q)_inf ~ e^{-pi^2/(6t)}
+    # cancels, and its ell^2-th power multiplies the digits lost: these cost
+    # more than the dropped tail unless (q)_inf is summed at more bits
+    with mp.workprec(53):
+        t = mp.mpf("0.2")
+    value, bound = F_ls_numeric(ell, 0, t, 53)
+    with mp.workprec(400 + _GUARD_BITS):
+        assert abs(value - F_by_H(ell, 0, t, 400)) <= bound
+    assert bound <= mp.mpf("1e-12") * value

@@ -4,7 +4,7 @@ import time
 import mpmath as mp
 import pytest
 
-from qchar import characters
+from qchar import certified, characters
 from qchar.cli import main
 from qchar.exact_series import ExactQSeries
 
@@ -258,3 +258,19 @@ def test_verify_decomposition_diagnostics(capsys):
     assert {"point", "quadrature", "decomposed", "rel_err"} <= set(res)
     assert res["diagnostics"]["nodes"] > 0
     assert 0 < float(res["diagnostics"]["bound"]) <= 2.0 ** -96
+
+
+def test_verify_decomposition_plans_each_quadrature_once(capsys, monkeypatch):
+    # one strip search per point: the quadrature that runs is the one whose
+    # certificate the diagnostics print
+    calls = []
+    search = certified.least_strip_nodes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(certified, "least_strip_nodes", counted)
+    code, _ = run(capsys, "--prec", "96", "verify-decomposition", "--ell",
+                  "3", "--s", "0", "--points", "2")
+    assert code == 0 and len(calls) == 2

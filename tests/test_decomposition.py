@@ -16,7 +16,7 @@ from qchar.certified import (_GUARD_BITS, NearPoleError, _coefficient_degree,
 from qchar.characters import fourier_coeff_by_quadrature
 from qchar.decomposition import (DegenerateWVectorError, F_ell_product,
                                  F_ls_decomposed, F_ls_multivar_quadrature,
-                                 MultivarPoint, multivar_quadrature_plan,
+                                 MultivarPoint, multivar_quadrature,
                                  random_admissible_point)
 from qchar.modular_objects import _tol, cexp, eta, euler_phi_numeric, theta
 
@@ -210,7 +210,7 @@ def test_product_kernel_against_per_factor_oracle(ell, prec, tau, seed, x,
         want = F_ell_product_per_factor(zs, tau, prec + 64)
         got = F_ell_product(zs, tau, prec)
         rel = abs(got - want) / abs(want)
-    # the node error multivar_quadrature_plan certifies
+    # the node error multivar_quadrature certifies
     assert rel <= _node_error(ell, 1, -2 * math.pi * v) * mp.mpf(2) ** -prec
     if prec >= 256:
         assert rel <= mp.mpf("1e-70")
@@ -312,8 +312,7 @@ def test_quadrature_certificate_bounds_doubled_rule(ell, s, tau, height, seed):
     pt = random_admissible_point(ell, tau, random.Random(seed), prec)
     with mp.workprec(prec + 64 + _GUARD_BITS):
         c = pt.contour_height_range()[1] * mp.mpf(height)
-        cert = multivar_quadrature_plan(ell, s, pt, c, prec)
-        got = F_ls_multivar_quadrature(ell, s, pt, c, prec)
+        got, cert = multivar_quadrature(ell, s, pt, c, prec)
 
         def f(x):
             z = x + 1j * c
@@ -334,7 +333,7 @@ def test_quadrature_refuses_a_half_integer_s(s):
     # 0.02 to 0.07 where the plan certified 2e-39
     pt = fixture_point(3)
     with pytest.raises(ValueError):
-        multivar_quadrature_plan(3, s, pt, prec=PREC)
+        multivar_quadrature(3, s, pt, prec=PREC)
     with pytest.raises(ValueError):
         F_ls_multivar_quadrature(3, s, pt, prec=PREC)
 
@@ -394,4 +393,4 @@ def test_quadrature_plan_raises_on_a_thin_strip():
     hi = pt.contour_height_range()[1]
     for c in (hi * mp.mpf("1e-9"), hi * (1 - mp.mpf("1e-9"))):
         with pytest.raises(NearPoleError):
-            multivar_quadrature_plan(3, 1, pt, c, PREC)
+            multivar_quadrature(3, 1, pt, c, PREC)

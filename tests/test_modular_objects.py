@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar import modular_objects
 from qchar.certified import (_GUARD_BITS, NearPoleError,
                              certified_gaussian_sum, fixed_div, fixed_mul,
                              from_fixed, to_fixed)
@@ -172,6 +173,29 @@ def test_eisenstein_small_imaginary_part():
         lhs = eisenstein_G2k(2, tau, PREC)
         rhs = tau ** (-4) * eisenstein_G2k(2, -1 / tau, PREC)
         assert abs(lhs - rhs) <= TOL * abs(lhs)
+
+
+def test_eisenstein_sums_at_tau_when_the_S_step_loses(monkeypatch):
+    # Im(-1/tau) = 0.4/|tau|^2 < Im tau: the series is summed at tau itself
+    # (87 terms for k = 2 at 256 bits, against 374 at -1/tau), and meets
+    # the S-transformed series at 600 bits
+    tau = mp.mpc(2, "0.4")
+    series = modular_objects._G2k_series_value
+    at = []
+
+    def recorded(k, t, prec):
+        at.append(t)
+        return series(k, t, prec)
+
+    monkeypatch.setattr(modular_objects, "_G2k_series_value", recorded)
+    for k in (1, 2, 3):
+        got = eisenstein_G2k(k, tau, 256)
+        with mp.workprec(600 + _GUARD_BITS):
+            want = tau ** (-2 * k) * series(k, -1 / tau, 600)
+            if k == 1:
+                want += 2j * mp.pi / tau
+        assert at.pop() == tau and not at
+        assert abs(got - want) <= mp.mpf(2) ** -256 * abs(want)
 
 
 def test_ghat_qseries_matches_value():

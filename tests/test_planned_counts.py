@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar import characters
-from qchar.certified import _GUARD_BITS
+from qchar.certified import _GUARD_BITS, _pentagonal_terms
 from qchar.characters import _NUMERIC_REL_TOL, F_ls_numeric
 from qchar.exact_series import euler_product_pow
 from qchar.modular_objects import (_G2k_series_value, _G2k_terms,
-                                   _pentagonal_terms, _qpoch_factors, cexp,
-                                   euler_phi_numeric, qpoch_inf)
+                                   _qpoch_factors, cexp, euler_phi_numeric,
+                                   qpoch_inf)
 
 PREC = 128
 
