@@ -26,7 +26,7 @@ from .certified import (_GUARD_BITS, certified_gaussian_sum, log_poch_lower,
                         pair_trapezoid)
 from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol, cexp,
                               euler_phi_numeric, ghat_qseries, ghat_value,
-                              laurent_coefficients_D, qpoch_inf)
+                              laurent_coefficients_D)
 
 
 @dataclass(frozen=True)
@@ -233,9 +233,10 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
     with q1 = sqrt(q) and Phi(q1) = (q1^{1/2}; q1)_inf^{-2 ell}, valid
     because b_n <= x^{-s} q1^{-n} * [value of the bivariate product at
     (x, q1)] for any admissible x; x = q1^{1/2} keeps every factor
-    convergent, and the product is then Phi(q1).  qpoch_inf stops where the
-    factors left multiply to at least 1 - 2^-(prec+1), so its value times
-    1 - 2^-prec is below the infinite product and Phi stays an upper bound.
+    convergent, and the product is then Phi(q1).  Phi = e^{-2 ell (P - m)}
+    with P = log_poch_lower(-t/4, -t/2), the doubles' lower bound of log
+    (q1^{1/2}; q1)_inf that the quadrature plans use, and m = 2^-40 (1 +
+    |P|) covering their rounding, so Phi stays an upper bound.
 
     The bound adds the rounding, rho value.  (q)_inf >= e^{-L}, L =
     -log_poch_lower(-t, -t), is small for small t, and its ell^2-th power
@@ -268,8 +269,8 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
             phi = euler_phi_numeric(mp.exp(-t), _tol(prec + extra))
         q = mp.exp(-t)
         q1 = mp.sqrt(q)
-        Phi = (qpoch_inf(q1 ** mp.mpf("0.5"), q1, _tol(prec))
-               * (1 - _tol(prec))) ** (-2 * ell)
+        P = log_poch_lower(-float(t) / 4, -float(t) / 2)
+        Phi = mp.exp(-2 * ell * (P - 2.0 ** -40 * (1 + abs(P))))
         pref = q1 ** (-mp.mpf(s) / 2) * Phi / (1 - q / q1)  # tail / (q/q1)^T
 
         def head(T):  # sum_{n<T} b_n q^n

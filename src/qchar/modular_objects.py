@@ -1,8 +1,9 @@
 """Numeric eta/theta/Eisenstein evaluation and quasimodular Laurent data.
 
 Numeric routines work at a caller-chosen binary precision (default 256 bits)
-and plan each series or product before they sum it, in doubles, from a
-certified tail bound; theta sums by certified.certified_gaussian_sum.
+and plan each series before they sum it, in doubles, from a certified tail
+bound: (q)_inf by certified.euler_phi's pentagonal sum, theta by
+certified.certified_gaussian_sum.
 
 Branch rule used throughout: powers q^x with non-integer x are never formed
 from a complex q; exponentials are always assembled as e^{2*pi*i*tau*x}.
@@ -41,32 +42,6 @@ def _tol(prec: int):
 def euler_phi_numeric(q, tol):
     """(q)_infty to within tol, by certified.euler_phi."""
     return euler_phi(q, tol)
-
-
-def _qpoch_factors(a, q, tol) -> int:
-    """The least J >= 1 with |a| |q|^J/(1 - |q|) < tol/4, so that the factors
-    qpoch_inf drops multiply to within tol/2 of 1 (log(1 - x) ~ -x); planned
-    in doubles, the 2 absorbing their rounding."""
-    if a == 0 or q == 0:
-        return 1
-    need = mp.log(tol / 4 * (1 - abs(q)) / abs(a))  # > J log|q|
-    return max(1, math.floor(float(need / mp.log(abs(q)))) + 1)
-
-
-def qpoch_inf(a, q, tol):
-    """(a; q)_infty = prod_{j>=0} (1 - a q^j) by its first J factors, J from
-    _qpoch_factors."""
-    if not abs(q) < 1:
-        raise ValueError("need |q| < 1")
-    J = _qpoch_factors(a, q, tol)
-    if J > 10_000_000:
-        raise RuntimeError("qpoch_inf failed to converge")
-    total = mp.mpf(1)
-    fac = mp.mpf(1) * a
-    for _ in range(J):
-        total *= 1 - fac
-        fac *= q
-    return total
 
 
 def eta(tau, prec: int = DEFAULT_PREC):
@@ -121,18 +96,20 @@ def _G2k_series_value(k: int, tau, prec: int):
 
 
 def eisenstein_G2k(k: int, tau, prec: int = DEFAULT_PREC):
-    """G_{2k}(tau), summed at tau or, when that gains, at -1/tau.
+    """G_{2k}(tau), summed at tau - round(Re tau) (G_{2k} has period 1) or,
+    when that point has Im tau < 1/2, at -1/tau of it.
 
     G_{2k}(tau) = tau^{-2k} G_{2k}(-1/tau), with the extra 2*pi*i/tau
-    anomaly for k = 1.  As S^2 = 1, one S step is all that can help: it is
-    taken when Im tau < 1/2 and Im(-1/tau) = Im tau/|tau|^2 is larger,
-    that is when |tau| < 1.
+    anomaly for k = 1.  As S^2 = 1, one S step is all that can help.  With
+    |Re tau| <= 1/2 and Im tau < 1/2, |tau|^2 < 1/2, so Im(-1/tau) = Im
+    tau/|tau|^2 is more than twice Im tau.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
-        if mp.im(tau) < mp.mpf(1) / 2 and abs(tau) < 1:
+        tau = tau - round(mp.re(tau))
+        if mp.im(tau) < mp.mpf(1) / 2:
             val = tau ** (-2 * k) * _G2k_series_value(k, -1 / tau, prec)
             if k == 1:
                 val += 2j * mp.pi / tau

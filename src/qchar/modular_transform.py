@@ -2,9 +2,10 @@
 
 The transformed partial theta equals a sum of Mordell-type integrals
 (Gaussian against a trigonometric kernel) plus, when Im z < 0, explicit
-theta-function correction terms.  Everything here is verified numerically:
-the left side by direct summation at the transformed argument, the right
-side from the certified real-line trapezoid rule certified.line_trapezoid.
+theta-function correction terms.  Each law is one verify_* function that
+sums the left side directly at the transformed argument and builds the
+right side in place, its integrals by the certified real-line trapezoid
+rule certified.line_trapezoid.
 """
 
 from __future__ import annotations
@@ -76,9 +77,11 @@ def _root_of_unity(exponent: Fraction):
     return cexp(fraction_mpf(Fraction(exponent) % 1))
 
 
-def general_transform_rhs(params: PartialThetaParams, z, tau,
-                          gamma: SL2Matrix, prec: int = DEFAULT_PREC):
-    """Right side of the general transformation law:
+def verify_general_transform(params: PartialThetaParams, z, tau,
+                             gamma: SL2Matrix,
+                             prec: int = DEFAULT_PREC) -> dict:
+    """Compare direct summation at gamma(tau) with the right side of the
+    general transformation law:
 
     sqrt(-i (c tau + d)/2) * sum_{j=0}^{2c-1} (-1)^{j eps}
       e^{2 pi i a (2Mj - r)^2/(4cM)} *
@@ -88,14 +91,15 @@ def general_transform_rhs(params: PartialThetaParams, z, tau,
           * theta((c tau+d)/2 (z - 1/(8cM)) - 1/2 + (r-2Mj)/(4cM);
                   (c tau+d)/(8cM)) ).
 
-    Returns (value, trapezoid nodes, certified bound on the error the
-    integrals contribute to value).
+    ``nodes`` counts the trapezoid nodes and ``bound`` certifies the error
+    the integrals contribute to ``rhs``.
     """
     if gamma.c <= 0:
         raise ValueError("need c > 0")
     r, eps, M = params.r, params.epsilon, params.M
     c = gamma.c
     with mp.workprec(prec + _GUARD_BITS):
+        lhs = partial_theta(params, z, gamma.act(tau), prec)
         wall = mp.im(z) < 0
         ctd = c * tau + gamma.d
         cM = Fraction(c) * M
@@ -121,23 +125,15 @@ def general_transform_rhs(params: PartialThetaParams, z, tau,
                          * mp.exp(2j * mp.pi * cMf * ctd * (z - shift) ** 2)
                          * theta(arg, ctd / (8 * cMf), prec))
             total += phase * term
-        return pref * total, nodes, bound
-
-
-def verify_general_transform(params: PartialThetaParams, z, tau,
-                             gamma: SL2Matrix,
-                             prec: int = DEFAULT_PREC) -> dict:
-    """Compare direct summation at gamma(tau) with the integral formula;
-    ``nodes`` and ``bound`` certify the quadrature on the right side."""
-    with mp.workprec(prec + _GUARD_BITS):
-        lhs = partial_theta(params, z, gamma.act(tau), prec)
-        rhs, nodes, bound = general_transform_rhs(params, z, tau, gamma, prec)
+        rhs = pref * total
         return {"lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs),
                 "nodes": nodes, "bound": bound}
 
 
-def s_transform_rhs(ell: int, s: int, z, tau, prec: int = DEFAULT_PREC):
-    """Right side of the S-transform specialization
+def verify_S_transform(ell: int, s: int, z, tau,
+                       prec: int = DEFAULT_PREC) -> dict:
+    """Compare both sides of the S-transform specialization
+
     (-i tau)^{-1/2} theta_plus_{s+ell/2, eps, ell/2}(z; -1/tau) = ...
 
     odd ell (cosine kernel):
@@ -153,19 +149,24 @@ def s_transform_rhs(ell: int, s: int, z, tau, prec: int = DEFAULT_PREC):
               e^{pi i ell tau (z - 1/(2 ell))^2}
               theta(tau z + s/ell - tau/(2 ell); tau/ell)
 
-    With u = sqrt(ell) pi (x - sqrt(ell) z), 1/cos u = 2 e^{iu}/(1 + e^{2iu})
-    and 1/sin u = -2i e^{iu}/(1 - e^{2iu}), so either integral is
-    +-e^{C} times a Mordell-type integral with kernel
+    with eps = ell mod 2 on the partial-theta side (the odd case uses the
+    alternating sum).  With u = sqrt(ell) pi (x - sqrt(ell) z), 1/cos u =
+    2 e^{iu}/(1 + e^{2iu}) and 1/sin u = -2i e^{iu}/(1 - e^{2iu}), so either
+    integral is +-e^{C} times a Mordell-type integral with kernel
     1/(1 -+ e^{-2 pi i ell z} e^{2 pi i sqrt(ell) x}).
 
-    Returns (value, trapezoid nodes, certified bound on the error the
-    integral contributes to value).
+    ``nodes`` counts the trapezoid nodes and ``bound`` certifies the error
+    the integral contributes to ``rhs``.
     """
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
         sl = mp.sqrt(mp.mpf(ell))
         if sl * abs(mp.im(z)) < _POLE_DISTANCE_MIN:
             raise PoleNearContourError("kernel pole near the path; shift z")
+        params = PartialThetaParams(Fraction(s) + Fraction(ell, 2), ell % 2,
+                                    Fraction(ell, 2))
+        lhs = (-1j * tau) ** (-mp.mpf(1) / 2) \
+            * partial_theta(params, z, -1 / tau, prec)
         wall = mp.im(z) < 0
         # e^{C} collects the x-free parts of the numerator and of e^{iu}
         pref = mp.exp(-2j * mp.pi * (s + ell) * z - 1j * mp.pi * ell * z)
@@ -177,34 +178,19 @@ def s_transform_rhs(ell: int, s: int, z, tau, prec: int = DEFAULT_PREC):
         integral, cert = line_trapezoid(
             mp.pi * 1j * tau, 2j * mp.pi / sl * (s + ell) + 1j * mp.pi * sl,
             zeta, 2 * mp.pi * sl, prec)
-        val = pref * integral
+        rhs = pref * integral
         if wall:
             if ell % 2:
-                val += (1 / sl * mp.exp(mp.pi * 1j * ell * tau * z * z)
+                rhs += (1 / sl * mp.exp(mp.pi * 1j * ell * tau * z * z)
                         * theta(tau * z + mp.mpf(s) / ell, tau / ell, prec))
             else:
                 zs = z - mp.mpf(1) / (2 * ell)
-                val += (1 / (1j * sl) * mp.exp(-mp.pi * 1j * s / ell)
+                rhs += (1 / (1j * sl) * mp.exp(-mp.pi * 1j * s / ell)
                         * mp.exp(mp.pi * 1j * ell * tau * zs * zs)
                         * theta(tau * z + mp.mpf(s) / ell
                                 - tau / (2 * ell), tau / ell, prec))
-        return val, cert.nodes, abs(pref) * cert.bound
-
-
-def verify_S_transform(ell: int, s: int, z, tau,
-                       prec: int = DEFAULT_PREC) -> dict:
-    """Compare both sides of the S-transform law; eps = ell mod 2 on the
-    partial-theta side (the odd case uses the alternating sum).  ``nodes``
-    and ``bound`` certify the quadrature on the right side."""
-    with mp.workprec(prec + _GUARD_BITS):
-        eps = ell % 2
-        params = PartialThetaParams(Fraction(s) + Fraction(ell, 2), eps,
-                                    Fraction(ell, 2))
-        lhs = (-1j * tau) ** (-mp.mpf(1) / 2) \
-            * partial_theta(params, z, -1 / tau, prec)
-        rhs, nodes, bound = s_transform_rhs(ell, s, z, tau, prec)
         return {"lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs),
-                "nodes": nodes, "bound": bound}
+                "nodes": cert.nodes, "bound": abs(pref) * cert.bound}
 
 
 def half_index_identity_check(z, tau, prec: int = DEFAULT_PREC):

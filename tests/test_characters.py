@@ -5,6 +5,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar import characters
 from qchar.certified import _GUARD_BITS, NearPoleError
 from qchar.characters import (CharacterParams, F_ls_exact, F_ls_numeric,
                               F_ls_via_H, H_value, central_charge,
@@ -139,3 +140,38 @@ def test_F_numeric_bound_holds_at_low_precision(ell):
     with mp.workprec(400 + _GUARD_BITS):
         assert abs(value - F_by_H(ell, 0, t, 400)) <= bound
     assert bound <= mp.mpf("1e-12") * value
+
+
+class _FirstBuild(Exception):
+    """Raised in place of F_ls_numeric's first series build."""
+
+
+def padded_Phi(ell, t, prec, monkeypatch):
+    """The Phi(q1) of F_ls_numeric(ell, 0, t, prec), read from its frame at
+    its first series build, which is stopped there."""
+    def stop(*args):
+        raise _FirstBuild
+
+    monkeypatch.setattr(characters, "_F_ls_via_H_series", stop)
+    with pytest.raises(_FirstBuild) as info:
+        F_ls_numeric(ell, 0, t, prec)
+    monkeypatch.undo()
+    tb = info.tb
+    while tb.tb_frame.f_code is not F_ls_numeric.__code__:
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals["Phi"]
+
+
+def test_F_numeric_Phi_is_an_upper_bound(monkeypatch):
+    # the doubles' log_poch_lower alone fell up to 4.4e-12 below the true
+    # Phi; its margin must lift it to or above, by at most 1e-8
+    for t in (0.05, 0.1, 0.2, 0.5, 0.9, 2, 5):
+        with mp.workprec(256 + 64):
+            q1 = mp.exp(-mp.mpf(t) / 2)
+            poch = mp.qp(mp.sqrt(q1), q1)
+        for ell in (3, 4, 5, 6):
+            for prec in (53, 128, 256):
+                Phi = padded_Phi(ell, t, prec, monkeypatch)
+                with mp.workprec(256 + 64):
+                    ratio = Phi * poch ** (2 * ell)
+                assert 1 <= ratio <= 1 + mp.mpf("1e-8"), (ell, t, prec)

@@ -15,7 +15,7 @@ from qchar.exact_series import ExactQSeries, euler_product
 from qchar.modular_objects import (_tol, cexp, divisor_sigma_list,
                                    eisenstein_G2k, eta, euler_phi_numeric,
                                    g_ell, ghat_qseries, ghat_value,
-                                   laurent_coefficients_D, qpoch_inf, theta)
+                                   laurent_coefficients_D, theta)
 
 PREC = 128
 TOL = mp.mpf(2) ** (-PREC + 20)
@@ -31,15 +31,15 @@ def D_values(ell, tau, prec):
 
 def theta_product(z, tau, prec):
     """Triple-product route to theta, the oracle of its Gaussian sum:
-    -i q^{1/8} zeta^{-1/2} (q)(zeta)(zeta^{-1}q)."""
+    -i q^{1/8} zeta^{-1/2} (q)(zeta)(zeta^{-1}q), the Pochhammer symbols
+    from mpmath's qp."""
     with mp.workprec(prec + _GUARD_BITS):
         tol = _tol(prec)
         q = cexp(tau)
         zeta = cexp(z)
         return (-1j * cexp(tau / 8) * cexp(-z / 2)
                 * euler_phi_numeric(q, tol)
-                * qpoch_inf(zeta, q, tol)
-                * qpoch_inf(q / zeta, q, tol))
+                * mp.qp(zeta, q) * mp.qp(q / zeta, q))
 
 
 def eta_qseries(trunc):
@@ -176,10 +176,11 @@ def test_eisenstein_small_imaginary_part():
 
 
 def test_eisenstein_sums_at_tau_when_the_S_step_loses(monkeypatch):
-    # Im(-1/tau) = 0.4/|tau|^2 < Im tau: the series is summed at tau itself
-    # (87 terms for k = 2 at 256 bits, against 374 at -1/tau), and meets
-    # the S-transformed series at 600 bits
-    tau = mp.mpc(2, "0.4")
+    # at tau - 2 = 0.4 + 0.95i, Im(-1/(tau - 2)) = 0.89 < Im tau: the series
+    # is summed at tau - 2 itself (36 terms for k = 2 at 256 bits, against
+    # 38 at -1/(tau - 2) and 250 at -1/tau), and meets the series summed at
+    # -1/tau at 600 bits
+    tau = mp.mpc("2.4", "0.95")
     series = modular_objects._G2k_series_value
     at = []
 
@@ -194,8 +195,32 @@ def test_eisenstein_sums_at_tau_when_the_S_step_loses(monkeypatch):
             want = tau ** (-2 * k) * series(k, -1 / tau, 600)
             if k == 1:
                 want += 2j * mp.pi / tau
-        assert at.pop() == tau and not at
+        assert at.pop() == tau - 2 and not at
         assert abs(got - want) <= mp.mpf(2) ** -256 * abs(want)
+
+
+def test_eisenstein_T_step(monkeypatch):
+    # the terms are planned at tau - round(Re tau): at 1 + 0.02i that is
+    # one S step to 50i and 0 terms, where the series summed at tau itself
+    # takes 1,011 (k = 1) or 1,140 (k = 2) at prec 128; the value meets
+    # that series summed at 600 bits
+    planned = []
+    terms = modular_objects._G2k_terms
+
+    def recorded(k, t, prec):
+        planned.append(terms(k, t, prec))
+        return planned[-1]
+
+    monkeypatch.setattr(modular_objects, "_G2k_terms", recorded)
+    for k in (1, 2):
+        for tau in (mp.mpc(1, "0.02"), mp.mpc(5, "0.02"), mp.mpc(-3, "0.3")):
+            got = eisenstein_G2k(k, tau, PREC)
+            at_tau = planned.pop()
+            eisenstein_G2k(k, tau - round(mp.re(tau)), PREC)
+            assert at_tau <= planned.pop()
+            with mp.workprec(600 + _GUARD_BITS):
+                want = modular_objects._G2k_series_value(k, tau, 600)
+            assert abs(got - want) <= mp.mpf(2) ** -PREC * abs(want)
 
 
 def test_ghat_qseries_matches_value():
@@ -355,7 +380,7 @@ def test_euler_phi_and_qpoch():
                            - mp.mpf(1) / 24)
                    for e, c in series.terms()), mp.mpf(0))
         assert abs(phi - val) <= mp.mpf("1e-25")
-        assert abs(qpoch_inf(q, q, tol) - phi) <= tol * 10
+        assert abs(mp.qp(q, q) - phi) <= tol * 10
 
 
 _parts = st.floats(-4, 4, allow_nan=False, allow_infinity=False)

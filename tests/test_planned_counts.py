@@ -11,9 +11,8 @@ from qchar import characters
 from qchar.certified import _GUARD_BITS, _pentagonal_terms
 from qchar.characters import _NUMERIC_REL_TOL, F_ls_numeric
 from qchar.exact_series import euler_product_pow
-from qchar.modular_objects import (_G2k_series_value, _G2k_terms,
-                                   _qpoch_factors, cexp, euler_phi_numeric,
-                                   qpoch_inf)
+from qchar.modular_objects import (_G2k_series_value, _G2k_terms, cexp,
+                                   euler_phi_numeric)
 
 PREC = 128
 
@@ -39,18 +38,6 @@ def pentagonal_loop(q, tol):
         k += 1
 
 
-def qpoch_loop(a, q, tol):
-    """(J, value): qpoch_inf's old loop, which multiplied factors until
-    |a q^j|/(1 - |q|) < tol/2."""
-    total, fac, j, absq = mp.mpf(1), mp.mpf(1) * a, 0, abs(q)
-    while True:
-        total *= 1 - fac
-        fac *= q
-        j += 1
-        if abs(fac) / (1 - absq) < tol / 2:
-            return j, total
-
-
 @settings(max_examples=60)
 @given(_log10_q, _phase, _prec)
 def test_pentagonal_terms_never_fewer_than_the_loop(log10_q, phase, prec):
@@ -62,28 +49,10 @@ def test_pentagonal_terms_never_fewer_than_the_loop(log10_q, phase, prec):
         assert abs(euler_phi_numeric(q, tol) - old) <= tol
 
 
-@settings(max_examples=80)
-@given(st.one_of(st.just(None), st.floats(-120, 3)), _phase, _log10_q,
-       _phase, _prec)
-def test_qpoch_factors_never_fewer_than_the_loop(log10_a, a_phase, log10_q,
-                                                 q_phase, prec):
-    # a = 0, |a| far below 1 and |a| > 1; |q| down to 1e-150
-    with mp.workprec(prec + _GUARD_BITS):
-        a = 0 if log10_a is None else _point(log10_a, a_phase)
-        q, tol = _point(log10_q, q_phase), mp.mpf(2) ** -prec
-        J_old, old = qpoch_loop(a, q, tol)
-        J = _qpoch_factors(a, q, tol)
-        assert J_old <= J <= J_old + 1
-        assert abs(qpoch_inf(a, q, tol) - old) <= tol * max(1, abs(old))
-
-
 def test_counts_at_zero():
     tol = mp.mpf(2) ** -PREC
     assert _pentagonal_terms(mp.mpf(0), tol) == 1
-    assert _qpoch_factors(0, mp.mpf(0), tol) == 1
-    assert _qpoch_factors(mp.mpf(5), mp.mpf(0), tol) == 1
     assert euler_phi_numeric(mp.mpf(0), tol) == 1
-    assert qpoch_inf(mp.mpf("0.5"), mp.mpf(0), tol) == mp.mpf("0.5")
 
 
 def G2k_least_terms(k, tau, target):
@@ -147,8 +116,7 @@ def F_ls_doubling(ell, s, t, prec):
         q1 = mp.sqrt(q)
         tol = mp.mpf(2) ** -prec
         phi = euler_phi_numeric(q, tol)
-        Phi = (qpoch_inf(q1 ** mp.mpf("0.5"), q1, tol)
-               * (1 - tol)) ** (-2 * ell)
+        Phi = mp.qp(q1 ** mp.mpf("0.5"), q1) ** (-2 * ell)
         T = max(40, int(8 / t))
         while True:
             G = G_series(ell, s, T)
