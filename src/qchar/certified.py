@@ -21,6 +21,14 @@ class NearPoleError(ValueError):
     """Evaluation point too close to a pole/zero for the working precision."""
 
 
+class PoleNearContourError(ValueError):
+    """A kernel pole sits too close to the integration path; perturb z."""
+
+
+# line_trapezoid refuses kernel poles closer than this to R
+_POLE_DISTANCE_MIN = 0.01
+
+
 def fraction_mpf(x):
     """The rational x as an mpf: its numerator over its denominator, rounded
     at the working precision."""
@@ -259,8 +267,9 @@ def line_trapezoid(A, B, zeta, kappa, prec: int):
     """(integral over R of e^{A x^2 + B x} / (1 - zeta e^{i kappa x}) dx,
     Certificate), with absolute error below 2^-(prec + _GUARD_BITS).
 
-    Needs Re A < 0, kappa > 0 and |zeta| != 1, so that the kernel's poles lie
-    on the line Im x = y_p = log|zeta|/kappa at distance d = |y_p| from R.
+    Needs Re A < 0 and kappa > 0.  The kernel's poles lie on the line Im x =
+    y_p = log|zeta|/kappa at distance d = |y_p| from R; PoleNearContourError
+    when d < _POLE_DISTANCE_MIN, before anything is planned.
     The truncated trapezoid rule h sum_{|kh| <= X} f(kh), h = 1/N, then has
     three certified error parts, each kept below a quarter of the target:
 
@@ -297,6 +306,9 @@ def line_trapezoid(A, B, zeta, kappa, prec: int):
     br, bi = float(mp.re(B)), float(mp.im(B))
     kap = float(kappa)
     y_p = float(mp.log(abs(zeta))) / kap
+    if abs(y_p) < _POLE_DISTANCE_MIN:
+        raise PoleNearContourError(
+            f"kernel pole within {abs(y_p):.3g} of the real axis; shift z")
 
     def log_line_mass(y):  # log of the integral of |f| along Im x = y
         return (0.5 * math.log(math.pi / ar) + ar * y * y - bi * y
@@ -611,9 +623,11 @@ def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
     P(e^{2 pi i (z - w)}) vanishes on Im z = Im w - n Im tau and Im w + (n +
     1) Im tau, n >= 0, so f is analytic on the strip max_j Im w_j < Im z <
     Im tau + min_j Im w_j, whose sides lie d_lo below and d_hi above the
-    contour.  On Im z = y + dy every |Z_j| = e^{-2 pi (y + dy - Im w_j)} is
-    fixed, and |(q)_inf| <= prod (1 + |q|^n), |1 - f| >= |1 - |f||
-    (log_poch_lower) and |e^{-2 pi i s z}| = e^{2 pi s (y + dy)} give
+    contour; a y off it (compared at the working precision) raises
+    ValueError before any planning.  On Im z = y + dy every |Z_j| = e^{-2
+    pi (y + dy - Im w_j)} is fixed, and |(q)_inf| <= prod (1 + |q|^n), |1 -
+    f| >= |1 - |f|| (log_poch_lower) and |e^{-2 pi i s z}| = e^{2 pi s (y +
+    dy)} give
 
         log|f| <= 2 pi s (y + dy) + k |q|/(1 - |q|)
                   - sum_j [log_poch_lower(log|Z_j|, log|q|)
@@ -633,8 +647,11 @@ def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
         raise ValueError("s must be an integer: the product is 1-periodic, "
                          "so for any other s the integrand is not")
     s = int(Fraction(s))
+    im_ws = [mp.im(w) for w in ws]
+    if not max(im_ws) < y < mp.im(tau) + min(im_ws):
+        raise ValueError("contour height outside the admissible strip")
     v, yf = float(mp.im(tau)), float(y)
-    im_ws = [float(mp.im(w)) for w in ws]
+    im_ws = [float(x) for x in im_ws]
     ln2 = math.log(2)
     log_q = -2 * math.pi * v
     log_phi = k * math.exp(log_q) / -math.expm1(log_q)

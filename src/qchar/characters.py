@@ -94,16 +94,6 @@ def F_ls_exact(params: CharacterParams) -> ExactQSeries:
 # ------------------------------------- route 2: partial theta / quasimodular
 
 
-def _lattice_exponent(ell: int, s: int, n: int) -> int:
-    """Exponent of q in q^{-h_s - ell/8} q^{(ell n + ell/2 - s)^2/(2 ell)};
-    always an integer."""
-    a = Fraction(2 * ell * n + ell - 2 * s, 2)  # ell n + ell/2 - s
-    e = a * a / (2 * ell) - h_s(ell, s) - Fraction(ell, 8)
-    assert e.denominator == 1, "lattice exponent not integral"
-    assert e == Fraction((ell * n - 2 * s) * (n + 1), 2)
-    return int(e)
-
-
 def _F_ls_via_H_series(ell: int, s: int, trunc: int) -> ExactQSeries:
     """F_{ell,s} by the partial-theta route (see F_ls_via_H)."""
     T2 = trunc + s + 1
@@ -117,10 +107,12 @@ def _F_ls_via_H_series(ell: int, s: int, trunc: int) -> ExactQSeries:
         inner: dict[int, Fraction] = {}
         n = 0
         while True:
-            e = _lattice_exponent(ell, s, n)
+            # the exponent of q in q^{-h_s - ell/8} q^{a^2/(2 ell)}: (ell n
+            # - 2s) and (n + 1) are never both odd
+            e = (ell * n - 2 * s) * (n + 1) // 2
             if e >= T2:
                 break
-            a = Fraction(2 * ell * n + ell - 2 * s, 2)
+            a = Fraction(2 * ell * n + ell - 2 * s, 2)  # ell n + ell/2 - s
             c = Fraction((-1) ** (n * ell)) * a ** (j - 1)
             inner[e] = inner.get(e, Fraction(0)) + c
             n += 1
@@ -186,7 +178,8 @@ def fourier_quadrature(ell: int, s: int, tau, z0_imag=None,
     """(value, Certificate) of q^{r^2/(2 ell)} * integral over [z0, z0+1] of
     g_ell(z) e^{-2 pi i r z} dz with r = s + ell/2, along the horizontal
     contour Im z = y0, Im(tau)/2 unless given, 0 < y0 < Im tau (between the
-    zeros of theta); the bound is below 2^-(prec + _GUARD_BITS).
+    zeros of theta, pair_trapezoid's strip, which it checks); the bound is
+    below 2^-(prec + _GUARD_BITS).
 
     By the triple product, g_ell(z) e^{-2 pi i r z} = i^ell (q)_inf^{2 ell}
     zeta^{-s} / P(zeta)^ell (certified._pair_sum's P, zeta = e^{2 pi i z}),
@@ -198,8 +191,6 @@ def fourier_quadrature(ell: int, s: int, tau, z0_imag=None,
     with mp.workprec(prec + _GUARD_BITS):
         v = mp.im(tau)
         y0 = mp.mpf(z0_imag) if z0_imag is not None else v / 2
-        if not 0 < y0 < v:
-            raise ValueError("contour height must satisfy 0 < y0 < Im tau")
         r = mp.mpf(2 * s + ell) / 2
         log_pref = -math.pi * float(v * r * r) / ell
         mean, cert = pair_trapezoid(

@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands compute series heads and asymptotic tables, and run the
-verification suites.  Output is machine-readable (JSON with ``"schema": 1``,
-or CSV for tables); all floating-point values are serialized as decimal
-strings at working precision.  Exit codes: 0 success, 1 verification
-failure, 2 usage error: any bad value, a --z or --tau that is not a finite
-complex number and a --z outside the admissible strip or putting a kernel
-pole on the contour included.
+verification suites.  Output is CSV for tables, else one JSON report that
+_emit heads with ``"schema": 1`` and the subcommand (``"command"``), plus
+a boolean ``"ok"`` from _verdict in the verify-* and error reports; all
+floating-point values are serialized as decimal strings at working
+precision.  Exit codes: 0 success, 1 verification failure, 2 usage error:
+any bad value, a --z or --tau that is not a finite complex number, a
+--matrix without c > 0 and a --z outside the admissible strip or putting a
+kernel pole on the contour included.
 """
 
 from __future__ import annotations
@@ -40,9 +42,17 @@ class UsageError(Exception):
     own errors."""
 
 
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
+def _emit(args, **fields) -> None:
+    """The report of subcommand args.command, as JSON with schema 1."""
+    json.dump({"schema": 1, "command": args.command, **fields}, sys.stdout,
+              indent=2, sort_keys=True)
     sys.stdout.write("\n")
+
+
+def _verdict(args, ok, **fields) -> int:
+    """_emit with a boolean ``ok``; returns the exit code, 0 if ok else 1."""
+    _emit(args, ok=bool(ok), **fields)
+    return 0 if ok else 1
 
 
 def _frac(f: Fraction) -> str:
@@ -53,10 +63,9 @@ def _frac(f: Fraction) -> str:
 def cmd_series(args) -> int:
     """`coeffs` and `char`, which differ in args.build and args.exp_text."""
     series = args.build(CharacterParams(args.ell, args.s, args.trunc))
-    _emit({"schema": 1, "command": args.command, "ell": args.ell,
-           "s": args.s, "trunc": args.trunc,
-           "leading_exp": _frac(Fraction(series.min_exp, series.D)),
-           "coeffs": [[args.exp_text(e), str(c)] for e, c in series.terms()]})
+    _emit(args, ell=args.ell, s=args.s, trunc=args.trunc,
+          leading_exp=_frac(Fraction(series.min_exp, series.D)),
+          coeffs=[[args.exp_text(e), str(c)] for e, c in series.terms()])
     return 0
 
 
@@ -65,9 +74,8 @@ def _emit_rows(args, columns, rows, **extra) -> int:
     keyed by them next to ``extra``; numbers at working precision."""
     text = [[_numstr(x, args.prec) for x in row] for row in rows]
     if args.format == "json":
-        _emit({"schema": 1, "command": args.command, "ell": args.ell,
-               "s": args.s, **extra,
-               "rows": [dict(zip(columns, row)) for row in text]})
+        _emit(args, ell=args.ell, s=args.s, **extra,
+              rows=[dict(zip(columns, row)) for row in text])
     else:
         print(",".join(columns))
         for row in text:
@@ -112,9 +120,7 @@ def cmd_qdim(args) -> int:
 
 def cmd_verify_appendix(args) -> int:
     report = asymptotics.verify_appendix(args.ell_max)
-    _emit({"schema": 1, "command": "verify-appendix", "ok": True,
-           "ell_max": report["ell_max"]})
-    return 0
+    return _verdict(args, True, ell_max=report["ell_max"])
 
 
 def cmd_verify_routes(args) -> int:
@@ -127,10 +133,8 @@ def cmd_verify_routes(args) -> int:
             if diff is not None:
                 failures.append({"ell": ell, "s": s,
                                  "first_exponent": str(diff)})
-    _emit({"schema": 1, "command": "verify-routes", "ok": not failures,
-           "ells": args.ells, "ss": args.ss, "trunc": args.trunc,
-           "failures": failures})
-    return 1 if failures else 0
+    return _verdict(args, not failures, ells=args.ells, ss=args.ss,
+                    trunc=args.trunc, failures=failures)
 
 
 def _int_at_least(low: int):
@@ -179,13 +183,10 @@ def _half_integer(text: str) -> str:
 def _sl2_matrix(text: str) -> modular_transform.SL2Matrix:
     """argparse type: "a,b,c,d" with ad - bc = 1 and c > 0."""
     try:
-        gamma = modular_transform.SL2Matrix(*(int(x) for x in text.split(",")))
+        return modular_transform.SL2Matrix(*(int(x) for x in text.split(",")))
     except (TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(
             f"need four integers a,b,c,d with ad - bc = 1: {exc}")
-    if gamma.c <= 0:
-        raise argparse.ArgumentTypeError("need c > 0")
-    return gamma
 
 
 def _parse_mpc(text: str):
@@ -241,10 +242,8 @@ def cmd_verify_decomposition(args) -> int:
             "rel_err": _numstr(rel, prec),
             "diagnostics": {"nodes": cert.nodes,
                             "bound": _numstr(cert.bound, prec)}})
-    _emit({"schema": 1, "command": "verify-decomposition", "ok": ok,
-           "ell": args.ell, "s": args.s, "tol": args.tol, "seed": args.seed,
-           "results": results})
-    return 0 if ok else 1
+    return _verdict(args, ok, ell=args.ell, s=args.s, tol=args.tol,
+                    seed=args.seed, results=results)
 
 
 def cmd_verify_modular(args) -> int:
@@ -257,14 +256,12 @@ def cmd_verify_modular(args) -> int:
             params, args.z, args.tau, gamma, prec)
     except modular_transform.PoleNearContourError as exc:
         raise UsageError(f"--z: {exc}") from exc
-    ok = report["abs_err"] <= tol
-    _emit({"schema": 1, "command": "verify-modular", "ok": bool(ok),
-           "matrix": [gamma.a, gamma.b, gamma.c, gamma.d], "r": args.r,
-           "eps": args.eps, "M": args.M,
-           "abs_err": _numstr(report["abs_err"], prec),
-           "diagnostics": {"nodes": report["nodes"],
-                           "bound": _numstr(report["bound"], prec)}})
-    return 0 if ok else 1
+    return _verdict(args, report["abs_err"] <= tol,
+                    matrix=[gamma.a, gamma.b, gamma.c, gamma.d], r=args.r,
+                    eps=args.eps, M=args.M,
+                    abs_err=_numstr(report["abs_err"], prec),
+                    diagnostics={"nodes": report["nodes"],
+                                 "bound": _numstr(report["bound"], prec)})
 
 
 def cmd_verify_em(args) -> int:
@@ -282,8 +279,7 @@ def cmd_verify_em(args) -> int:
         rows.append({"family": row["family"], "j": row["j"], "N": row["N"],
                      "order": _numstr(row["order"], 64),
                      "expected": _numstr(want, 64), "ok": bool(good)})
-    _emit({"schema": 1, "command": "verify-em", "ok": bool(ok), "rows": rows})
-    return 0 if ok else 1
+    return _verdict(args, ok, rows=rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,9 +385,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, RuntimeError, AssertionError) as exc:
         error = (_out_of_range(args, exc) if isinstance(exc, OverflowError)
                  else str(exc))
-        _emit({"schema": 1, "command": args.command, "ok": False,
-               "error": error})
-        return 1
+        return _verdict(args, False, error=error)
 
 
 if __name__ == "__main__":

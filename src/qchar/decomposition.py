@@ -130,18 +130,17 @@ def multivar_quadrature(ell: int, s, point: MultivarPoint,
     """(value, Certificate): the Fourier coefficient at zeta_ell^s (s an
     integer) of the product, by the trapezoid rule over z_ell = x + i c, x
     in [0, 1), certified to within 2^-prec.  c is c_max / 2 unless given,
-    and must lie in the admissible strip 0 < c < c_max.  On that line Z_j =
-    e^{2 pi i (z_ell - w_j)}, so this is certified.pair_trapezoid's mean
-    with k = 1.  s must be an integer: the product is 1-periodic in z_ell,
-    and for any other s the integrand is not, so no trapezoid bound holds.
+    and must lie in the admissible strip 0 < c < c_max, which
+    pair_trapezoid checks.  On that line Z_j = e^{2 pi i (z_ell - w_j)}, so
+    this is certified.pair_trapezoid's mean with k = 1.  s must be an
+    integer: the product is 1-periodic in z_ell, and for any other s the
+    integrand is not, so no trapezoid bound holds.
     """
     if point.ell != ell:
         raise ValueError("point dimension does not match ell")
     with mp.workprec(prec + _GUARD_BITS):
-        lo, hi = point.contour_height_range()
+        hi = point.contour_height_range()[1]
         c = mp.mpf(contour_imag) if contour_imag is not None else hi / 2
-        if not lo < c < hi:
-            raise ValueError("contour height outside the admissible strip")
         return pair_trapezoid(point.tau, point.ws, c, s, 1, prec)
 
 

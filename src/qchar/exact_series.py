@@ -14,13 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
+from math import lcm
 from operator import add, mul
 from types import MappingProxyType
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def _norm(c):
@@ -32,7 +28,7 @@ def _cleared(coeffs: dict):
     """``(L, [(e, L c)])`` with ``L`` the lcm of the denominators: all ints."""
     L = 1
     for c in coeffs.values():
-        L = _lcm(L, c.denominator)
+        L = lcm(L, c.denominator)
     return L, [(e, c.numerator * (L // c.denominator))
                for e, c in coeffs.items()]
 
@@ -104,7 +100,7 @@ class ExactQSeries:
                             self.trunc * f)
 
     def _common(self, other: "ExactQSeries"):
-        D = _lcm(self.D, other.D)
+        D = lcm(self.D, other.D)
         return self.rescale(D), other.rescale(D)
 
     # ----------------------------------------------------------- arithmetic
@@ -157,7 +153,7 @@ class ExactQSeries:
     def shift(self, exp) -> "ExactQSeries":
         """Multiply by the monomial ``q^exp``."""
         exp = Fraction(exp)
-        D = _lcm(self.D, exp.denominator)
+        D = lcm(self.D, exp.denominator)
         s = self.rescale(D)
         d = int(exp * D)
         return ExactQSeries(D, {e + d: c for e, c in s.coeffs.items()},

@@ -5,7 +5,10 @@ The transformed partial theta equals a sum of Mordell-type integrals
 theta-function correction terms.  Each law is one verify_* function that
 sums the left side directly at the transformed argument and builds the
 right side in place, its integrals by the certified real-line trapezoid
-rule certified.line_trapezoid.
+rule certified.line_trapezoid, which also refuses a kernel pole within
+0.01 of the path (PoleNearContourError, re-exported here for the callers
+that catch it).  SL2Matrix admits only c > 0, which every law here needs
+for a convergent Gaussian.
 """
 
 from __future__ import annotations
@@ -15,13 +18,10 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .certified import _GUARD_BITS, fraction_mpf, line_trapezoid
+from .certified import (_GUARD_BITS, PoleNearContourError,  # noqa: F401
+                        fraction_mpf, line_trapezoid)
 from .modular_objects import DEFAULT_PREC, _require_upper_half, cexp, theta
 from .partial_theta import PartialThetaParams, partial_theta
-
-
-class PoleNearContourError(ValueError):
-    """A kernel pole sits too close to the integration path; perturb z."""
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,14 @@ class SL2Matrix:
     def __post_init__(self):
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("determinant must be 1")
+        if self.c <= 0:
+            raise ValueError("need c > 0 for a convergent Gaussian")
 
     def act(self, tau):
         return (self.a * tau + self.b) / (self.c * tau + self.d)
 
 
 S_MATRIX = SL2Matrix(0, -1, 1, 0)
-
-_POLE_DISTANCE_MIN = mp.mpf("0.01")
 
 
 def mordell_integral(params: PartialThetaParams, z, tau, j: int,
@@ -52,20 +52,21 @@ def mordell_integral(params: PartialThetaParams, z, tau, j: int,
         / (1 - e^{2 pi i z 4cM} e^{4 pi i sqrt(cM) x}) dx,  Certificate).
 
     Denominator zeros sit at Im x = -2 sqrt(cM) Im z, so z off the real
-    axis keeps the path clear; checked before integrating.
+    axis keeps the path clear; line_trapezoid refuses them within 0.01.
+
+    line_trapezoid certifies the integral of the Gaussian's A, B and the
+    kernel's zeta as passed, so they are formed at prec + 2 _GUARD_BITS
+    bits: to first order their relative rounding u =
+    2^(1 - prec - 2 _GUARD_BITS) moves the integral by at most u (|A| int
+    x^2 |f| + |B| int |x| |f| + |zeta| int |f|/L), f the integrand and L =
+    |1 - |zeta||: 2^-_GUARD_BITS of the shift at prec + _GUARD_BITS bits,
+    which exceeded the certificate.
     """
-    if gamma.c <= 0:
-        raise ValueError("need c > 0 for a convergent Gaussian")
     _require_upper_half(tau)
     r, M, c = params.r, params.M, gamma.c
-    with mp.workprec(prec + _GUARD_BITS):
+    with mp.workprec(prec + 2 * _GUARD_BITS):
         cM = fraction_mpf(c * M)
         scM = mp.sqrt(cM)
-        pole_im = 2 * scM * abs(mp.im(z))
-        if pole_im < _POLE_DISTANCE_MIN:
-            raise PoleNearContourError(
-                "denominator pole within {} of the real axis; shift z"
-                .format(mp.nstr(pole_im, 3)))
         ctd = gamma.c * tau + gamma.d
         rjf = fraction_mpf(Fraction(r) - 2 * Fraction(M) * j)
         return line_trapezoid(mp.pi * 1j * ctd / 2, -mp.pi * 1j / scM * rjf,
@@ -94,8 +95,6 @@ def verify_general_transform(params: PartialThetaParams, z, tau,
     ``nodes`` counts the trapezoid nodes and ``bound`` certifies the error
     the integrals contribute to ``rhs``.
     """
-    if gamma.c <= 0:
-        raise ValueError("need c > 0")
     r, eps, M = params.r, params.epsilon, params.M
     c = gamma.c
     with mp.workprec(prec + _GUARD_BITS):
@@ -156,28 +155,25 @@ def verify_S_transform(ell: int, s: int, z, tau,
     1/(1 -+ e^{-2 pi i ell z} e^{2 pi i sqrt(ell) x}).
 
     ``nodes`` counts the trapezoid nodes and ``bound`` certifies the error
-    the integral contributes to ``rhs``.
+    the integral contributes to ``rhs``.  The integral comes first, from
+    coefficients formed at prec + 2 _GUARD_BITS bits as in mordell_integral,
+    so that a pole near the path is refused before the left side is summed.
     """
     _require_upper_half(tau)
-    with mp.workprec(prec + _GUARD_BITS):
+    with mp.workprec(prec + 2 * _GUARD_BITS):
         sl = mp.sqrt(mp.mpf(ell))
-        if sl * abs(mp.im(z)) < _POLE_DISTANCE_MIN:
-            raise PoleNearContourError("kernel pole near the path; shift z")
+        integral, cert = line_trapezoid(
+            mp.pi * 1j * tau, 2j * mp.pi / sl * (s + ell) + 1j * mp.pi * sl,
+            (-1) ** ell * cexp(-ell * z), 2 * mp.pi * sl, prec)
+    with mp.workprec(prec + _GUARD_BITS):
         params = PartialThetaParams(Fraction(s) + Fraction(ell, 2), ell % 2,
                                     Fraction(ell, 2))
         lhs = (-1j * tau) ** (-mp.mpf(1) / 2) \
             * partial_theta(params, z, -1 / tau, prec)
         wall = mp.im(z) < 0
         # e^{C} collects the x-free parts of the numerator and of e^{iu}
-        pref = mp.exp(-2j * mp.pi * (s + ell) * z - 1j * mp.pi * ell * z)
-        zeta = cexp(-ell * z)
-        if ell % 2:
-            zeta = -zeta
-        else:
-            pref = -pref
-        integral, cert = line_trapezoid(
-            mp.pi * 1j * tau, 2j * mp.pi / sl * (s + ell) + 1j * mp.pi * sl,
-            zeta, 2 * mp.pi * sl, prec)
+        pref = (-1) ** (ell + 1) * mp.exp(-2j * mp.pi * (s + ell) * z
+                                          - 1j * mp.pi * ell * z)
         rhs = pref * integral
         if wall:
             if ell % 2:

@@ -91,6 +91,15 @@ def test_fourier_plan_raises_on_a_thin_strip():
         fourier_quadrature(3, 0, mp.mpc(0, 1), mp.mpf("1e-9"), PREC)
 
 
+def test_fourier_refuses_heights_off_the_strip():
+    # pair_trapezoid checks 0 < y0 < Im tau itself: off the strip is a
+    # ValueError, not a NearPoleError from a plan that failed
+    for y0 in ("0", "-0.1", "1", "1.2"):
+        with pytest.raises(ValueError, match="admissible strip") as err:
+            fourier_quadrature(3, 0, mp.mpc(0, 1), mp.mpf(y0), PREC)
+        assert not isinstance(err.value, NearPoleError)
+
+
 def test_character_value_equals_H_over_eta5():
     # degree 3: ch = i H_{s+3/2} / eta^5, checked numerically at tau = i
     with mp.workprec(PREC + 16):
@@ -175,3 +184,16 @@ def test_F_numeric_Phi_is_an_upper_bound(monkeypatch):
                 with mp.workprec(256 + 64):
                     ratio = Phi * poch ** (2 * ell)
                 assert 1 <= ratio <= 1 + mp.mpf("1e-8"), (ell, t, prec)
+
+
+def test_lattice_exponent_closed_form():
+    # _F_ls_via_H_series takes the exponent of q in q^{-h_s - ell/8}
+    # q^{a^2/(2 ell)}, a = ell n + ell/2 - s, as the integer (ell n - 2s)(n
+    # + 1)/2
+    for ell in range(2, 9):
+        for s in range(7):
+            for n in range(41):
+                a = Fraction(2 * ell * n + ell - 2 * s, 2)
+                e = a * a / (2 * ell) - h_s(ell, s) - Fraction(ell, 8)
+                assert e == Fraction((ell * n - 2 * s) * (n + 1), 2)
+                assert e.denominator == 1

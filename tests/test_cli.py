@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -5,7 +6,7 @@ import mpmath as mp
 import pytest
 
 from qchar import certified, characters
-from qchar.cli import main
+from qchar.cli import build_parser, main
 from qchar.exact_series import ExactQSeries
 
 
@@ -274,3 +275,48 @@ def test_verify_decomposition_plans_each_quadrature_once(capsys, monkeypatch):
     code, _ = run(capsys, "--prec", "96", "verify-decomposition", "--ell",
                   "3", "--s", "0", "--points", "2")
     assert code == 0 and len(calls) == 2
+
+
+_ENVELOPE_RUNS = [
+    ["coeffs", "--ell", "3", "--s", "0", "--trunc", "5"],
+    ["char", "--ell", "3", "--s", "1", "--trunc", "5"],
+    ["--prec", "64", "asym", "--t", "0.5", "--N", "0", "--format", "json"],
+    ["--prec", "64", "qdim", "--t", "0.5", "--format", "json"],
+    ["verify-appendix", "--ell-max", "2"],
+    ["verify-routes", "--ells", "3", "--ss", "0", "--trunc", "5"],
+    ["--prec", "64", "verify-decomposition", "--ell", "2", "--s", "0",
+     "--points", "1"],
+    ["--prec", "64", "verify-modular", "--matrix", "1,0,1,1"],
+    ["--prec", "64", "verify-em"],
+    ["verify-modular", "--z", "0.1+1e300j"],  # the reported-failure path
+]
+
+
+def test_every_report_has_one_envelope(capsys):
+    # every JSON report carries schema 1 and its subcommand; every verify-*
+    # report and the error report carry a boolean ok that sets the exit code
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    seen = set()
+    for argv in _ENVELOPE_RUNS:
+        command = parser.parse_args(argv).command
+        seen.add(command)
+        code, out = run(capsys, *argv)
+        doc = json.loads(out)
+        assert doc["schema"] == 1 and doc["command"] == command, argv
+        if command.startswith("verify-") or "error" in doc:
+            assert isinstance(doc["ok"], bool), argv
+            assert (code == 0) == doc["ok"], argv
+        else:
+            assert code == 0, argv
+    assert seen == set(sub.choices)
+    assert code == 1 and "error" in doc  # the last run is the failure path
+
+
+def test_matrix_without_positive_c_is_a_usage_error(capsys):
+    # SL2Matrix refuses c <= 0; the CLI turns that into exit 2
+    with pytest.raises(SystemExit) as err:
+        main(["verify-modular", "--matrix", "1,0,0,1"])
+    assert err.value.code == 2
+    assert "c > 0" in capsys.readouterr().err

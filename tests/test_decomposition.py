@@ -394,3 +394,16 @@ def test_quadrature_plan_raises_on_a_thin_strip():
     for c in (hi * mp.mpf("1e-9"), hi * (1 - mp.mpf("1e-9"))):
         with pytest.raises(NearPoleError):
             multivar_quadrature(3, 1, pt, c, PREC)
+
+
+def test_quadrature_refuses_heights_off_the_strip():
+    # pair_trapezoid checks 0 < c < c_max itself: off the strip is a
+    # ValueError, not a NearPoleError from a plan that failed
+    pt = fixture_point(3)
+    hi = pt.contour_height_range()[1]
+    with mp.workprec(PREC + 64):
+        heights = (mp.mpf(0), -hi / 10, hi, hi * 6 / 5)
+    for c in heights:
+        with pytest.raises(ValueError, match="admissible strip") as err:
+            multivar_quadrature(3, 1, pt, c, PREC)
+        assert not isinstance(err.value, NearPoleError)

@@ -4,6 +4,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar import modular_transform
 from qchar.certified import _GUARD_BITS, fraction_mpf, line_trapezoid
 from qchar.modular_transform import (PoleNearContourError, S_MATRIX,
                                      SL2Matrix, half_index_identity_check,
@@ -181,10 +182,10 @@ def test_certificate_bounds_observed_error():
 def test_mordell_integral_shift_identity(gamma, j, r, M, x, y, side, u, v):
     # j and j + 2c differ by i kappa in the linear coefficient, so
     # I_j - e^{8 pi i cM z} I_{j+2c} is the Gaussian integral of the
-    # numerator.  The certificates cover the integrals of the coefficients
-    # mordell_integral forms at prec + _GUARD_BITS bits, not their rounding,
-    # which moves each integral by up to about 16 |I| 2^-(prec + _GUARD_BITS)
-    # here; 2^-prec (|I_j| + |zeta I_{j+2c}|) allows for it.
+    # numerator, within both certificates: mordell_integral forms its
+    # coefficients at prec + 2 _GUARD_BITS bits, so their rounding moves
+    # each integral by about 16 |I| 2^-(prec + 2 _GUARD_BITS), far below
+    # the certificates' 2^-(prec + _GUARD_BITS)
     params = PartialThetaParams(r, 1, M)
     z, tau = mp.mpc(x, side * y), mp.mpc(u, v)
     prec = 160
@@ -198,13 +199,15 @@ def test_mordell_integral_shift_identity(gamma, j, r, M, x, y, side, u, v):
         A = mp.pi * 1j * (gamma.c * tau + gamma.d) / 2
         B = -mp.pi * 1j / mp.sqrt(cM) * rj
         assert abs(lo - zeta * hi - gaussian(A, B)) \
-            <= lo_cert.bound + abs(zeta) * hi_cert.bound \
-            + mp.mpf(2) ** -prec * (abs(lo) + abs(zeta * hi))
+            <= lo_cert.bound + abs(zeta) * hi_cert.bound
 
 
 def test_sl2_matrix_validation_and_action():
     with pytest.raises(ValueError):
         SL2Matrix(1, 1, 1, 1)
+    for c in (0, -1):  # every law here needs c > 0
+        with pytest.raises(ValueError, match="c > 0"):
+            SL2Matrix(1, 0, c, 1)
     g = SL2Matrix(1, 0, 1, 1)
     tau = mp.mpc(0, 1)
     assert abs(g.act(tau) - tau / (tau + 1)) == 0
@@ -259,3 +262,20 @@ def test_pole_preflight():
     with pytest.raises(ValueError):
         mordell_integral(params, mp.mpc("0.2", "0.2"), mp.mpc(0, 1), 0,
                          SL2Matrix(0, 1, -1, 0), 64)
+
+
+@pytest.mark.parametrize("side", (1, -1))
+def test_line_trapezoid_refuses_a_pole_near_the_path(side):
+    # poles 0.005 from R: the strip search alone would still plan a rule
+    A, B, kappa, zeta = line_problem(2, 0, 0, 0, 6, 0.005, side, 1)
+    with pytest.raises(PoleNearContourError):
+        line_trapezoid(A, B, zeta, kappa, 160)
+
+
+def test_S_transform_refuses_a_pole_before_its_left_side(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("partial_theta ran before the pole check")
+
+    monkeypatch.setattr(modular_transform, "partial_theta", unreachable)
+    with pytest.raises(PoleNearContourError):
+        verify_S_transform(3, 0, mp.mpc("0.2", "0.001"), mp.mpc(0, 1), 64)
