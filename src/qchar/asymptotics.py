@@ -285,7 +285,8 @@ def qdim_slope_report(ell: int = 3, s: int = 1,
 
     For ell = 3 the report also holds ``exact_slope`` from
     :func:`qdim_slope_exact` (-pi s^2/3).  The comparison with the reference
-    is reported, not asserted.
+    is reported, not asserted.  At s = 0, where the reference is 0 (the
+    ratio is identically 1), ``relative_deviation`` is the absolute one.
     """
     with mp.workprec(prec + _GUARD_BITS):
         t1, t2 = (mp.mpf(x) for x in _SLOPE_T_PAIR)
@@ -294,7 +295,7 @@ def qdim_slope_report(ell: int = 3, s: int = 1,
         # slope(t) = a + b t + ...; eliminate b with the two-point rule
         richardson = (t1 * s2 - t2 * s1) / (t1 - t2)
         reference = -s * s * (mp.pi ** 2 - 1) / (3 * mp.pi)
-        rel_dev = abs(richardson - reference) / abs(reference)
+        rel_dev = abs(richardson - reference) / (abs(reference) or 1)
         report = {
             "measured_slope": richardson,
             "reference_slope": reference,

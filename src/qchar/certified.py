@@ -4,7 +4,7 @@ doubles, from an a-priori bound below its target, and returns its value with
 a Certificate of that plan; both trapezoid rules, periodic and on R, take
 their step from one strip search.  Both periodic contour integrals, the
 multivariate product's and H's Fourier coefficient's, run on one Pochhammer
-pair kernel (_pair_sum) in one call (pair_trapezoid)."""
+pair kernel (_pair_sum), whose one caller pair_trapezoid keeps it off poles."""
 
 import math
 import time
@@ -46,10 +46,9 @@ def to_fixed(z, wp: int):
     return _mpf_to_fixed(z.real._mpf_, wp), _mpf_to_fixed(z.imag._mpf_, wp)
 
 
-def from_fixed(x, wp: int, shift: int = 0):
-    """The mpc (re + i im) 2^(shift - wp), rounded at the working
-    precision."""
-    return mp.mpc(mp.ldexp(x[0], shift - wp), mp.ldexp(x[1], shift - wp))
+def from_fixed(x, wp: int):
+    """The mpc (re + i im) 2^-wp, rounded at the working precision."""
+    return mp.mpc(mp.ldexp(x[0], -wp), mp.ldexp(x[1], -wp))
 
 
 def fixed_mul(x, y, wp: int):
@@ -487,17 +486,14 @@ def _log_sum(logs) -> float:
 def _pair_sum(tau, args, N: int, s: int, prec: int):
     """sum_{n<N} e^{-2 pi i s n/N} / prod_j P(Z_j(n)) with Z_j(n) = e^{2 pi i
     (args_j + n/N)}, P(Z) = prod_{k<m} (1 - Z q^k)(1 - q^{k+1}/Z) and m =
-    _pair_count(log|q|, prec), for |q| <= |Z_j| <= 1 (up to the doubles'
-    rounding); each term is within a relative 2^-prec of its value with P's
-    pairs truncated at m.  NearPoleError when a factor is within
-    2^-(prec//4) of 0.
+    _pair_count(log|q|, prec), for |q| < |Z_j| < 1 strictly, which
+    pair_trapezoid, the one caller, checks before any node runs; each term
+    is within a relative 2^-prec of its value with P's pairs truncated at m.
 
-    |Z_j(n)| is the same at every node, so the lower bound L_j =
-    prod_{k<m} |1 - |Z q^k|| |1 - |q^{k+1}/Z|| <= |P| and the factors whose
-    modulus may lie near 1 (only 1 - Z and 1 - q/Z can) are found once, from
-    doubles.  Where ||f| - 1| >= 2^-(prec//4) the guard |1 - f| >=
-    2^-(prec//4) holds by |1 - f| >= |1 - |f||; a near factor is checked at
-    every node on mpmath, and counts 2^-(prec//4) in L_j.
+    |Z_j(n)| is the same at every node, so the lower bound 0 < L_j <= |P|,
+    log L_j = log_poch_lower(log|Z_j|, log|q|) + log_poch_lower(log|q| -
+    log|Z_j|, log|q|) (pair_trapezoid's per-line sum), is found once, from
+    doubles; a line near a line of poles costs more bits, never a wrong bound.
 
     The nodes run on the grid u = 2^-wp.  With A_j = Z_j(0), B_j = q/A_j and
     omega = e^{2 pi i/N}: W <- W omega gives e^{2 pi i n/N}, c_j = A_j W +
@@ -526,22 +522,11 @@ def _pair_sum(tau, args, N: int, s: int, prec: int):
     log_q = -2 * math.pi * float(mp.im(tau))
     Q = math.exp(log_q)
     S = 1 + Q
-    log_thresh = -(prec // 4) * math.log(2)
-    # ||f| - 1| < 2^-(prec//4) <= 1/2 implies |log|f|| < 2^(2 - prec//4);
-    # 1e-9 covers the doubles
-    width = 4 * 2.0 ** -(prec // 4) + 1e-9
-    near, log_L = [], []
-    for j, x in enumerate(args):
+    log_L = []
+    for x in args:
         log_Z = -2 * math.pi * float(mp.im(x))
-        out = (log_poch_lower(log_Z + log_q, log_q)
-               + log_poch_lower(2 * log_q - log_Z, log_q))
-        for kind, log_f in enumerate((log_Z, log_q - log_Z)):
-            if abs(log_f) < width:
-                near.append((j, kind))
-                out += log_thresh
-            else:
-                out += math.log(-math.expm1(-abs(log_f)))
-        log_L.append(out)
+        log_L.append(log_poch_lower(log_Z, log_q)
+                     + log_poch_lower(log_q - log_Z, log_q))
     m = _pair_count(log_q, prec)
     log_inv_L = _log_sum([-x for x in log_L])
     I = _coefficient_degree(log_q, m, -(prec + 2) * math.log(2) - log_inv_L)
@@ -567,17 +552,10 @@ def _pair_sum(tau, args, N: int, s: int, prec: int):
             lines.append((ar + br, bi - ai, ai + bi, ar - br))
         omega = to_fixed(mp.expjpi(mp.mpf(2) / N), wp)
         omega_s = to_fixed(mp.expjpi(mp.mpf(-2 * s) / N), wp)
-    thresh = mp.mpf(2) ** -(prec // 4)
     one = 1 << wp
     W, W_s = (one, 0), (one, 0)
     acc_r = acc_i = 0
-    for n in range(N):
-        for j, kind in near:
-            Z = mp.expjpi(2 * (args[j] + mp.mpf(n) / N))
-            if abs(1 - (q / Z if kind else Z)) < thresh:
-                raise NearPoleError(
-                    f"Pochhammer factor for j={j+1} vanishes to working "
-                    "precision")
+    for _ in range(N):
         wr, wi = W
         D = None
         for s1, s2, s3, s4 in lines:
@@ -623,11 +601,11 @@ def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
     P(e^{2 pi i (z - w)}) vanishes on Im z = Im w - n Im tau and Im w + (n +
     1) Im tau, n >= 0, so f is analytic on the strip max_j Im w_j < Im z <
     Im tau + min_j Im w_j, whose sides lie d_lo below and d_hi above the
-    contour; a y off it (compared at the working precision) raises
-    ValueError before any planning.  On Im z = y + dy every |Z_j| = e^{-2
-    pi (y + dy - Im w_j)} is fixed, and |(q)_inf| <= prod (1 + |q|^n), |1 -
-    f| >= |1 - |f|| (log_poch_lower) and |e^{-2 pi i s z}| = e^{2 pi s (y +
-    dy)} give
+    contour; y = None takes its midpoint.  A y off it (compared at the
+    working precision) raises ValueError before any planning.  On Im z = y + dy
+    every |Z_j| = e^{-2 pi (y + dy - Im w_j)} is fixed, and |(q)_inf| <=
+    prod (1 + |q|^n), |1 - f| >= |1 - |f|| (log_poch_lower) and |e^{-2 pi i
+    s z}| = e^{2 pi s (y + dy)} give
 
         log|f| <= 2 pi s (y + dy) + k |q|/(1 - |q|)
                   - sum_j [log_poch_lower(log|Z_j|, log|q|)
@@ -638,9 +616,10 @@ def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
     _node_error(len(ws), k, log|q|).  With M_0 the bound on the contour, p
     keeps node_err 2^-p M_0 below a quarter of the target; the mean is
     scaled at p + _GUARD_BITS bits, which adds at most N 2^-(p +
-    _GUARD_BITS) M_0.  Returns Certificate(N, 1/N, 1, bound, p, seconds);
-    raises NearPoleError when the strip is too thin for _MAX_STRIP_NODES
-    nodes to reach the target.
+    _GUARD_BITS) M_0.  Returns Certificate(N, 1/N, 1, bound, p, seconds).
+    Before any node runs, so that _pair_sum's |q| < |Z_j| < 1 holds, raises
+    NearPoleError when y's double lies on a line of poles or the strip is
+    too thin for _MAX_STRIP_NODES nodes to reach the target.
     """
     start = time.perf_counter()
     if Fraction(s).denominator != 1:
@@ -648,6 +627,8 @@ def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
                          "so for any other s the integrand is not")
     s = int(Fraction(s))
     im_ws = [mp.im(w) for w in ws]
+    y = ((max(im_ws) + mp.im(tau) + min(im_ws)) / 2 if y is None
+         else mp.mpf(y))
     if not max(im_ws) < y < mp.im(tau) + min(im_ws):
         raise ValueError("contour height outside the admissible strip")
     v, yf = float(mp.im(tau)), float(y)

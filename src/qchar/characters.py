@@ -176,10 +176,9 @@ def H_value(ell: int, s: int, tau, prec: int = DEFAULT_PREC):
 def fourier_quadrature(ell: int, s: int, tau, z0_imag=None,
                        prec: int = DEFAULT_PREC):
     """(value, Certificate) of q^{r^2/(2 ell)} * integral over [z0, z0+1] of
-    g_ell(z) e^{-2 pi i r z} dz with r = s + ell/2, along the horizontal
-    contour Im z = y0, Im(tau)/2 unless given, 0 < y0 < Im tau (between the
-    zeros of theta, pair_trapezoid's strip, which it checks); the bound is
-    below 2^-(prec + _GUARD_BITS).
+    g_ell(z) e^{-2 pi i r z} dz with r = s + ell/2, along Im z = z0_imag
+    (pair_trapezoid checks 0 < z0_imag < Im tau, between theta's zeros, and
+    takes Im(tau)/2 for None); the bound is below 2^-(prec + _GUARD_BITS).
 
     By the triple product, g_ell(z) e^{-2 pi i r z} = i^ell (q)_inf^{2 ell}
     zeta^{-s} / P(zeta)^ell (certified._pair_sum's P, zeta = e^{2 pi i z}),
@@ -189,12 +188,10 @@ def fourier_quadrature(ell: int, s: int, tau, z0_imag=None,
     """
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
-        v = mp.im(tau)
-        y0 = mp.mpf(z0_imag) if z0_imag is not None else v / 2
         r = mp.mpf(2 * s + ell) / 2
-        log_pref = -math.pi * float(v * r * r) / ell
+        log_pref = -math.pi * float(mp.im(tau) * r * r) / ell
         mean, cert = pair_trapezoid(
-            tau, [0] * ell, y0, s, 2 * ell,
+            tau, [0] * ell, z0_imag, s, 2 * ell,
             prec + _GUARD_BITS + log_pref / math.log(2))
     with mp.workprec(cert.prec + _GUARD_BITS):
         value = cexp(tau * r * r / (2 * ell)) * (1j) ** ell * mean

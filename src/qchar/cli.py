@@ -212,7 +212,7 @@ def cmd_verify_decomposition(args) -> int:
     prec = args.prec
     tol = mp.mpf(args.tol)
     rng = random.Random(args.seed)
-    if args.z:
+    if args.z is not None:
         if len(args.z) != args.ell - 1:
             raise UsageError(f"--z needs ell - 1 = {args.ell - 1} values")
         try:  # admissibility only; a degenerate --z fails later, exit 1
@@ -382,7 +382,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ValueError, OverflowError, RuntimeError, AssertionError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, AssertionError) as exc:
         error = (_out_of_range(args, exc) if isinstance(exc, OverflowError)
                  else str(exc))
         return _verdict(args, False, error=error)

@@ -13,7 +13,6 @@ Two independent routes to the same number:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +20,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .characters import central_charge, h_s
-from .certified import (_GUARD_BITS, NearPoleError, _pair_sum, fraction_mpf,
+from .certified import (_GUARD_BITS, NearPoleError, fraction_mpf,
                         pair_trapezoid)
 from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol, cexp,
                               eta, euler_phi_numeric, theta)
@@ -66,82 +65,53 @@ class MultivarPoint:
     def ell(self) -> int:
         return len(self.zs) + 1
 
-    def contour_height_range(self):
-        """Admissible strip (0, c_max) for Im z_ell: the integrand's poles
-        sit at Im z_ell = Im w_j - k Im(tau) (k >= 0, below 0) and at
-        Im w_j + k Im(tau) (k >= 1, at or above c_max)."""
-        with mp.workprec(self.prec + _GUARD_BITS):
-            v = mp.im(self.tau)
-            c_max = v + min(mp.im(w) for w in self.ws)
-            return mp.mpf(0), c_max
-
 
 def F_ell_product(zs_full, tau, prec: int = DEFAULT_PREC):
-    """(q)_inf prod_{j=1}^{ell} prod_{k>=1}
-    1/((1 - Z_j^{-1} q^k)(1 - Z_j q^{k-1})) with Z_j = e^{2 pi i
-    (z_j + ... + z_ell)}; certified tails, pole-proximity guarded.
-
-    With P(Z) = prod_{k>=0} (1 - Z q^k)(1 - q^{k+1}/Z) the product is (q)_inf
-    / prod_j P(Z_j), and one point is one node of the quadrature's kernel,
-    _pair_sum.  A Z_j off the annulus |q| <= |Z| <= 1 is first moved onto it
-    by the exact finite regrouping
-
-        P(Z) = P(Z q^r) prod_{k<r} (1 - Z q^k) / prod_{k<r} (1 - q^{k+1}/(Z q^r))
-
-    for r > 0 (|Z| > 1), and the same read from Z q^r for r < 0; its
-    factors are guarded one by one and multiplied on mpmath.
+    """(q)_inf prod_{j=1}^{ell} prod_{k>=0} 1/((1 - q^{k+1}/Z_j)(1 - Z_j
+    q^k)), Z_j = e^{2 pi i (z_j + ... + z_ell)}, factor by factor on mpmath
+    for any z (on the quadrature's strip, off it or real): the reference
+    the quadrature's kernel, _pair_sum, is tested against.  Each pair is
+    guarded (NearPoleError within 2^-(prec//4) of 0) and divided out until
+    the next has |f1| + |f2| < 2^-prec (1 - |q|), so the factors dropped
+    move the product by a relative 2^-prec, to first order.
     """
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
-        tau = mp.mpc(tau)
+        tol = _tol(prec)
         q = cexp(tau)
-        phi = euler_phi_numeric(q, _tol(prec))
         thresh = mp.mpf(2) ** -(prec // 4)
-        ratio = mp.mpc(1)  # prod_j P(Z_j q^r_j)/P(Z_j)
-        args = []
+        val = euler_phi_numeric(q, tol)
         for j in range(len(zs_full)):
-            x = sum(zs_full[j:], mp.mpc(0))
-            r = math.ceil(-float(x.imag) / float(tau.imag))
-            num, den = [], []
-            if r:
-                Z, Zr = cexp(x), cexp(x + r * tau)
-                for k in range(abs(r)):
-                    if r > 0:
-                        num.append(Z * q ** k)
-                        den.append(q ** (k + 1) / Zr)
-                    else:
-                        num.append(q ** (k + 1) / Z)
-                        den.append(Zr * q ** k)
-            for f in num + den:
-                if abs(1 - f) < thresh:
+            Z = cexp(sum(zs_full[j:], mp.mpc(0)))
+            f1, f2 = q / Z, Z  # q^{k+1}/Z_j and Z_j q^k at k = 0
+            while True:
+                d1, d2 = 1 - f1, 1 - f2
+                if abs(d1) < thresh or abs(d2) < thresh:
                     raise NearPoleError(
                         f"Pochhammer factor for j={j+1} vanishes to working "
                         "precision")
-            for f in num:
-                ratio /= 1 - f
-            for f in den:
-                ratio *= 1 - f
-            args.append(x + r * tau)
-        return phi * ratio * _pair_sum(tau, args, 1, 0, prec)
+                val /= d1 * d2
+                f1 *= q
+                f2 *= q
+                if abs(f1) + abs(f2) < tol * (1 - abs(q)):
+                    break
+        return val
 
 
 def multivar_quadrature(ell: int, s, point: MultivarPoint,
                         contour_imag=None, prec: int = DEFAULT_PREC):
     """(value, Certificate): the Fourier coefficient at zeta_ell^s (s an
     integer) of the product, by the trapezoid rule over z_ell = x + i c, x
-    in [0, 1), certified to within 2^-prec.  c is c_max / 2 unless given,
-    and must lie in the admissible strip 0 < c < c_max, which
-    pair_trapezoid checks.  On that line Z_j = e^{2 pi i (z_ell - w_j)}, so
-    this is certified.pair_trapezoid's mean with k = 1.  s must be an
-    integer: the product is 1-periodic in z_ell, and for any other s the
+    in [0, 1), certified to within 2^-prec: pair_trapezoid's mean with k =
+    1, as Z_j = e^{2 pi i (z_ell - w_j)} on that line; it checks 0 < c <
+    c_max = Im(tau) + min_j Im w_j and takes c_max/2 for c None.  s must be
+    an integer: the product is 1-periodic in z_ell, and for any other s the
     integrand is not, so no trapezoid bound holds.
     """
     if point.ell != ell:
         raise ValueError("point dimension does not match ell")
     with mp.workprec(prec + _GUARD_BITS):
-        hi = point.contour_height_range()[1]
-        c = mp.mpf(contour_imag) if contour_imag is not None else hi / 2
-        return pair_trapezoid(point.tau, point.ws, c, s, 1, prec)
+        return pair_trapezoid(point.tau, point.ws, contour_imag, s, 1, prec)
 
 
 def F_ls_multivar_quadrature(ell: int, s, point: MultivarPoint,

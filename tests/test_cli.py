@@ -90,6 +90,32 @@ def test_qdim_csv_skips_the_slope(capsys, monkeypatch):
     assert out.splitlines()[0] == "t,ratio,deviation"
 
 
+def test_qdim_json_at_s_zero(capsys):
+    # at s = 0 the ratio is identically 1 and the reference slope 0: the
+    # report holds the absolute deviation, not a division by zero
+    code, out = run(capsys, "--prec", "64", "qdim", "--s", "0", "--format",
+                    "json")
+    assert code == 0
+    slope = json.loads(out)["slope"]
+    assert mp.mpf(slope["reference_slope"]) == 0
+    assert mp.mpf(slope["relative_deviation"]) == \
+        abs(mp.mpf(slope["measured_slope"]))
+
+
+def test_arithmetic_error_is_a_reported_failure(capsys, monkeypatch):
+    # any ArithmeticError, not only an OverflowError, is a failed run with a
+    # report, not a traceback
+    def divides_by_zero(*args, **kwargs):
+        return 1 / 0
+
+    monkeypatch.setattr("qchar.asymptotics.verify_appendix", divides_by_zero)
+    code = main(["verify-appendix"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False and "division by zero" in doc["error"]
+
+
 def test_asym_csv(capsys):
     code, out = run(capsys, "--prec", "96", "asym", "--t", "0.5,0.25", "--N",
                     "2")
@@ -166,6 +192,7 @@ def test_usage_error_exit_two():
     ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "0.1+0.1j",
      "nan"],
     ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "x", "0.1j"],
+    ["verify-decomposition", "--ell", "3", "--s", "0", "--z"],
     ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "0.1+0.1j"],
     ["verify-decomposition", "--ell", "3", "--s", "0", "--z", "0.1+0.1j",
      "0.1+0.4j"],

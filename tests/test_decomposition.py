@@ -12,8 +12,8 @@ import qchar
 from qchar import certified, modular_objects, partial_theta
 from qchar.certified import (_GUARD_BITS, NearPoleError, _coefficient_degree,
                              _node_error, _pair_coefficients, _pair_count,
-                             from_fixed)
-from qchar.characters import fourier_coeff_by_quadrature
+                             _pair_sum, euler_phi, from_fixed)
+from qchar.characters import fourier_coeff_by_quadrature, fourier_quadrature
 from qchar.decomposition import (DegenerateWVectorError, F_ell_product,
                                  F_ls_decomposed, F_ls_multivar_quadrature,
                                  MultivarPoint, multivar_quadrature,
@@ -21,33 +21,6 @@ from qchar.decomposition import (DegenerateWVectorError, F_ell_product,
 from qchar.modular_objects import _tol, cexp, eta, euler_phi_numeric, theta
 
 PREC = 128
-
-
-def F_ell_product_per_factor(zs_full, tau, prec):
-    """The product factor by factor: one guarded division per factor and
-    the tail test on moduli at each step; the oracle for F_ell_product."""
-    with mp.workprec(prec + _GUARD_BITS):
-        tol = _tol(prec)
-        q = cexp(tau)
-        absq = abs(q)
-        thresh = mp.mpf(2) ** (-prec // 4)
-        val = euler_phi_numeric(q, tol)
-        ell = len(zs_full)
-        for j in range(ell):
-            Z = cexp(sum(zs_full[j:], mp.mpc(0)))
-            f1 = q / Z
-            f2 = Z
-            while True:
-                d1, d2 = 1 - f1, 1 - f2
-                if abs(d1) < thresh or abs(d2) < thresh:
-                    raise NearPoleError("factor vanishes")
-                val /= d1 * d2
-                f1 *= q
-                f2 *= q
-                if abs(f1) < tol and abs(f2) < tol and \
-                        (abs(f1) + abs(f2)) / (1 - absq) < tol:
-                    break
-        return val
 
 
 def F_ell_product_by_theta(zs_full, tau, prec):
@@ -67,6 +40,13 @@ def periodic_trapezoid(f, N: int):
     """Mean of the 1-periodic f over [0, 1) by the trapezoid rule on the N
     nodes k/N, summed by one fsum: the doubled-rule test's reference rule."""
     return mp.fsum(f(mp.mpf(k) / N) for k in range(N)) / N
+
+
+def strip_top(pt):
+    """c_max = Im tau + min_j Im w_j, the top of the contour strip (0,
+    c_max) for Im z_ell, at the point's working precision."""
+    with mp.workprec(pt.prec + _GUARD_BITS):
+        return mp.im(pt.tau) + min(mp.im(w) for w in pt.ws)
 
 
 def fixture_point(ell=3, tau=None, prec=PREC):
@@ -148,15 +128,13 @@ def test_w_vector_structure():
     for j in range(3):
         want = -sum(pt.zs[j:], mp.mpc(0))
         assert abs(pt.ws[j] - want) == 0
-    lo, hi = pt.contour_height_range()
-    assert lo == 0 and hi > 0
+    assert max(mp.im(w) for w in pt.ws) == 0 and strip_top(pt) > 0
 
 
 def test_product_is_one_periodic_in_last_variable():
     with mp.workprec(PREC + 16):
         pt = fixture_point(3)
-        lo, hi = pt.contour_height_range()
-        z = mp.mpc("0.2") + 1j * hi / 2
+        z = mp.mpc("0.2") + 1j * strip_top(pt) / 2
         a = F_ell_product(list(pt.zs) + [z], pt.tau, PREC)
         b = F_ell_product(list(pt.zs) + [z + 1], pt.tau, PREC)
         assert abs(a - b) <= mp.mpf("1e-30") * abs(a)
@@ -169,26 +147,25 @@ def test_product_matches_per_factor_oracle():
         for ell in (2, 3, 4):
             for tau in (mp.mpc(0, 1), mp.mpc("0.3", "0.7")):
                 pt = random_admissible_point(ell, tau, rng, prec)
-                lo, hi = pt.contour_height_range()
+                hi = strip_top(pt)
                 for k in range(4):
                     z = mp.mpc(rng.uniform(0, 1), rng.uniform(0.05, 0.95)
                                * float(hi))
                     zs = list(pt.zs) + [z]
-                    want = F_ell_product_per_factor(zs, tau, prec)
+                    want = F_ell_product_by_theta(zs, tau, prec)
                     got = F_ell_product(zs, tau, prec)
                     assert abs(got - want) <= mp.mpf("1e-70") * abs(want)
 
 
 def test_product_matches_oracle_off_the_strip():
-    # |Z_2| > 1 and |Z_2| < |q| are first regrouped onto the annulus; a real
-    # z_2 puts the factor 1 - Z_2 on the unit circle away from 1, the path
-    # that checks near-unit factors on mpmath
+    # |Z_2| > 1, |Z_2| < |q| and, for a real z_2, the factor 1 - Z_2 on the
+    # unit circle away from 1: the product takes any z
     tau = mp.mpc("0.3", "0.7")
     with mp.workprec(256 + 16):
         z1 = mp.mpc("0.2", "0.1")
         for z2 in (mp.mpc("0.15", "-0.4"), mp.mpc("-0.35", "1.1"),
                    mp.mpc("0.3"), mp.mpc("-0.35")):
-            want = F_ell_product_per_factor([z1, z2], tau, 256)
+            want = F_ell_product_by_theta([z1, z2], tau, 256)
             got = F_ell_product([z1, z2], tau, 256)
             assert abs(got - want) <= mp.mpf("1e-70") * abs(want)
 
@@ -196,24 +173,36 @@ def test_product_matches_oracle_off_the_strip():
 @settings(max_examples=30)
 @given(st.integers(2, 5), st.sampled_from((128, 256, 384)),
        st.sampled_from(("1j", "0.3+0.7j")), st.integers(0, 10**6),
-       st.integers(0, 96), st.integers(-12, 27))
+       st.integers(0, 96), st.integers(1, 19), st.sampled_from((1, 3)),
+       st.integers(-2, 2))
+@example(5, 384, "0.3+0.7j", 3, 40, 19, 3, 1)
+@example(2, 256, "1j", 8, 5, 1, 3, -2)
 def test_product_kernel_against_per_factor_oracle(ell, prec, tau, seed, x,
-                                                  height):
-    # z_ell = x/97 + i (height + 1/2) Im(tau)/20 crosses the strip and leaves
-    # it on both sides (|Z_ell| > 1 below it, |Z_ell| < |q| above Im tau)
-    # without landing on a line of poles of the j = ell factors
+                                                  height, N, s):
+    # the kernel's N nodes z_ell + n/N, z_ell = x/97 + i height c_max/20
+    # strictly inside the strip, times (q)_inf, against the per-factor
+    # product at 64 more bits; at N = 3 the nodes leave the real line, where
+    # c_j = A_j W + B_j conj(W) needs the conjugate
     tau = mp.mpc(complex(tau))
     pt = random_admissible_point(ell, tau, random.Random(seed), prec)
     v = float(tau.imag)
     with mp.workprec(prec + 64 + _GUARD_BITS):
-        zs = list(pt.zs) + [mp.mpc(x / 97, (height + 0.5) * v / 20)]
-        want = F_ell_product_per_factor(zs, tau, prec + 64)
-        got = F_ell_product(zs, tau, prec)
-        rel = abs(got - want) / abs(want)
+        z = mp.mpc(x / 97, 0) + 1j * strip_top(pt) * height / 20
+        terms = [F_ell_product(list(pt.zs) + [z + mp.mpf(n) / N], tau,
+                               prec + 64) * mp.expjpi(-2 * s * mp.mpf(n) / N)
+                 for n in range(N)]
+        want = mp.fsum(terms)
+        scale = mp.fsum(abs(t) for t in terms)
+    with mp.workprec(prec + _GUARD_BITS):
+        args = [sum(pt.zs[j:], mp.mpc(0)) + z for j in range(ell - 1)] + [z]
+        got = (euler_phi(cexp(tau), mp.mpf(2) ** -prec)
+               * _pair_sum(tau, args, N, s, prec))
+    with mp.workprec(prec + 64 + _GUARD_BITS):
+        err = abs(got - want) / scale
     # the node error multivar_quadrature certifies
-    assert rel <= _node_error(ell, 1, -2 * math.pi * v) * mp.mpf(2) ** -prec
+    assert err <= _node_error(ell, 1, -2 * math.pi * v) * mp.mpf(2) ** -prec
     if prec >= 256:
-        assert rel <= mp.mpf("1e-70")
+        assert err <= mp.mpf("1e-70")
 
 
 def test_product_raises_at_a_pole():
@@ -235,7 +224,7 @@ def test_product_raises_at_a_pole():
 
 def test_quadrature_contour_independence():
     pt = fixture_point(3)
-    lo, hi = pt.contour_height_range()
+    hi = strip_top(pt)
     a = F_ls_multivar_quadrature(3, 1, pt, contour_imag=hi * mp.mpf("0.35"),
                                  prec=PREC)
     b = F_ls_multivar_quadrature(3, 1, pt, contour_imag=hi * mp.mpf("0.65"),
@@ -311,7 +300,7 @@ def test_quadrature_certificate_bounds_doubled_rule(ell, s, tau, height, seed):
     tau = mp.mpc(complex(tau))
     pt = random_admissible_point(ell, tau, random.Random(seed), prec)
     with mp.workprec(prec + 64 + _GUARD_BITS):
-        c = pt.contour_height_range()[1] * mp.mpf(height)
+        c = strip_top(pt) * mp.mpf(height)
         got, cert = multivar_quadrature(ell, s, pt, c, prec)
 
         def f(x):
@@ -350,7 +339,7 @@ def test_product_route_calls_no_theta_series(monkeypatch):
         modular_objects.theta, modular_objects.eta, modular_objects.g_ell,
         partial_theta.partial_theta, certified.certified_gaussian_sum)})
     pt = fixture_point(3, tau=mp.mpc("0.1", "1.1"))
-    hi = pt.contour_height_range()[1]
+    hi = strip_top(pt)
     assert abs(F_ls_multivar_quadrature(3, 1, pt, prec=PREC)) > 0
     assert abs(F_ell_product(list(pt.zs) + [mp.mpc("0.3") + 1j * hi / 3],
                              pt.tau, PREC)) > 0
@@ -390,17 +379,41 @@ def test_coefficient_truncation_within_its_bound(v, re_tau, bits, seed):
 
 def test_quadrature_plan_raises_on_a_thin_strip():
     pt = fixture_point(3)
-    hi = pt.contour_height_range()[1]
+    hi = strip_top(pt)
     for c in (hi * mp.mpf("1e-9"), hi * (1 - mp.mpf("1e-9"))):
         with pytest.raises(NearPoleError):
             multivar_quadrature(3, 1, pt, c, PREC)
+
+
+@pytest.mark.parametrize("prec", [53, 256])
+def test_kernel_precondition_holds_before_any_node(monkeypatch, prec):
+    # _pair_sum needs |q| < |Z_j| < 1 strictly; pair_trapezoid enforces it
+    # before any node runs, for a height 2^-60 of the strip from either side
+    # and for one inside the strip whose double is its top side
+    def no_node(*args):
+        raise AssertionError("the kernel ran on a contour next to a pole")
+
+    monkeypatch.setattr(certified, "_pair_sum", no_node)
+    pt = fixture_point(3, tau=mp.mpc("0.1", "1.1"), prec=prec)
+    for top, run in (
+            (strip_top(pt), lambda c: multivar_quadrature(3, 1, pt, c, prec)),
+            (mp.im(pt.tau),
+             lambda c: fourier_quadrature(3, 1, pt.tau, c, prec))):
+        with mp.workprec(prec + _GUARD_BITS):
+            edge = top - mp.ldexp(top, 2 - prec - _GUARD_BITS)
+            heights = (top * mp.mpf(2) ** -60, top * (1 - mp.mpf(2) ** -60),
+                       edge)
+            assert edge < top and float(edge) == float(top)
+        for c in heights:
+            with pytest.raises(NearPoleError):
+                run(c)
 
 
 def test_quadrature_refuses_heights_off_the_strip():
     # pair_trapezoid checks 0 < c < c_max itself: off the strip is a
     # ValueError, not a NearPoleError from a plan that failed
     pt = fixture_point(3)
-    hi = pt.contour_height_range()[1]
+    hi = strip_top(pt)
     with mp.workprec(PREC + 64):
         heights = (mp.mpf(0), -hi / 10, hi, hi * 6 / 5)
     for c in heights:

@@ -403,4 +403,3 @@ def test_fixed_point_helpers_against_mpc(xr, xi, yr, yi, wp):
         if abs(fy) > 1e-3:
             assert abs(from_fixed(fixed_div(X, Y, wp), wp) - fx / fy) \
                 <= err
-        assert from_fixed(X, wp, 5) == 32 * fx
