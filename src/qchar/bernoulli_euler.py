@@ -23,14 +23,8 @@ def _expm1_over_w(trunc: int) -> ExactQSeries:
 @lru_cache(maxsize=32)
 def _bernoulli_table(n: int, r: int = 1) -> tuple[Fraction, ...]:
     """(B_0^{(r)}, ..., B_{n-1}^{(r)}), the w^j/j! coefficients of
-    (w/(e^w - 1))^r: for r = 1 from one inversion of (e^w - 1)/w, else the
-    r-th power of that table's series."""
-    if r == 1:
-        gen = _expm1_over_w(n + 1).invert()
-    else:
-        gen = ExactQSeries(1, {j: Fraction(b, factorial(j))
-                               for j, b in enumerate(_bernoulli_table(n))},
-                           n) ** r
+    (w/(e^w - 1))^r, the (-r)-th power of (e^w - 1)/w."""
+    gen = _expm1_over_w(n) ** -r
     return tuple(gen.coefficient(j) * factorial(j) for j in range(n))
 
 

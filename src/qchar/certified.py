@@ -304,6 +304,8 @@ def line_trapezoid(A, B, zeta, kappa, prec: int):
     ar, ai = -float(mp.re(A)), float(mp.im(A))
     br, bi = float(mp.re(B)), float(mp.im(B))
     kap = float(kappa)
+    if not (ar > 0 and kap > 0):
+        raise ValueError("the line trapezoid needs Re A < 0 and kappa > 0")
     y_p = float(mp.log(abs(zeta))) / kap
     if abs(y_p) < _POLE_DISTANCE_MIN:
         raise PoleNearContourError(

@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=_int_at_least(3), default=3)
     p.add_argument("--s", type=_int_at_least(0), default=0)
     p.add_argument("--t", type=decimals, default="0.1,0.05")
-    p.add_argument("--N", type=_int_at_least(0), default=3)
+    p.add_argument("--N", type=_int_at_least(0), default=3,
+                   help="expansion order, used for ell = 3 only")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_asym)
 

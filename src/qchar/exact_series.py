@@ -4,7 +4,9 @@
   coefficients (``Fraction`` only where a value is genuinely rational) and
   integer exponents over a per-series lattice denominator ``D``; truncation
   orders are tracked through every operation, so a series knows exactly up
-  to which exponent its coefficients are guaranteed.
+  to which exponent its coefficients are guaranteed.  Every integer power,
+  the inverse and the Euler-product powers included, comes from one
+  J.C.P. Miller recurrence in ``ExactQSeries.__pow__``.
 * :class:`ZetaQSeries` -- a bivariate series in ``zeta`` and ``q`` held as
   dense integer rows, used to extract Fourier coefficients of infinite
   Pochhammer products expanded in the region ``|q| < |zeta| < 1``.
@@ -15,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import add, mul
+from operator import add
 from types import MappingProxyType
 
 
@@ -168,31 +170,32 @@ class ExactQSeries:
 
     def invert(self) -> "ExactQSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient."""
-        if self.is_zero():
-            raise ZeroDivisionError("non-invertible: zero series")
-        m = self.min_exp
-        rel = self.trunc - m  # relative order of knowledge
-        inv0 = _norm(Fraction(1, self.coeffs[m]))
-        # b = 1/a for a = sum a_k q^k (a_0 != 0): b_n = -inv0 sum a_k b_{n-k}
-        a = sorted((e - m, c) for e, c in self.coeffs.items() if e != m)
-        b = [inv0] + [0] * (rel - 1)
-        for n in range(1, rel):
-            b[n] = _norm(-inv0 * sum(c * b[n - k] for k, c in a if k <= n))
-        return ExactQSeries(self.D, {n - m: c for n, c in enumerate(b)},
-                            rel - m)
+        return self ** -1
 
-    def __pow__(self, n: int) -> "ExactQSeries":
-        if n < 0:
-            return self.invert() ** (-n)
-        # x^0 is an exact 1, but known only as far as this series' window
-        result, base = ExactQSeries.one(self.trunc - self.min_exp, self.D), self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+    def __pow__(self, p: int) -> "ExactQSeries":
+        """``self ** p`` for any integer ``p``, by J.C.P. Miller's recurrence
+        (Knuth, TAOCP Vol. 2, 4.7): with ``q^m a_0`` the lowest term and
+        ``a_k`` the coefficient at ``q^(m + k)``, ``b = (sum a_k q^k)^p``
+        obeys ``n a_0 b_n = sum_{k=1}^{n} ((p + 1) k - n) a_k b_{n-k}``.
+        The recurrence is homogeneous in ``a``, so it runs on the cleared
+        ints; ``b`` keeps the series' relative order ``trunc - m``."""
+        if self.is_zero():
+            if p < 0:
+                raise ZeroDivisionError("non-invertible: zero series")
+            return ExactQSeries(self.D, {}, p * self.trunc)
+        m, rel = self.min_exp, self.trunc - self.min_exp
+        a = sorted((e - m, c) for e, c in _cleared(self.coeffs)[1])
+        a0 = a.pop(0)[1]
+        b = [_norm(Fraction(self.coeffs[m]) ** p)] + [0] * (rel - 1)
+        for n in range(1, rel):
+            acc = 0
+            for k, c in a:
+                if k > n:
+                    break
+                acc += ((p + 1) * k - n) * c * b[n - k]
+            b[n] = _norm(Fraction(acc, n * a0))
+        return ExactQSeries(self.D, {p * m + n: c for n, c in enumerate(b)},
+                            p * m + rel)
 
     # ----------------------------------------------------------- comparison
 
@@ -256,19 +259,8 @@ def divisor_sigma_list(power: int, n_max: int) -> list[int]:
 
 
 def euler_product_pow(power: int, trunc: int) -> ExactQSeries:
-    """(q; q)_infinity^power (any integer power) to the stated order, by
-    the recurrence n P_n = -power sum_{k=1}^{n} sigma(k) P_{n-k} that follows
-    from q d/dq log (q; q)_inf = -sum_k sigma(k) q^k (J.C.P. Miller; Knuth,
-    TAOCP Vol. 2, 4.7).  Every division is exact."""
-    sigma = divisor_sigma_list(1, trunc - 1)
-    P = [1] + [0] * (trunc - 1)
-    for n in range(1, trunc):
-        quo, rem = divmod(-power * sum(map(mul, sigma[1:n + 1],
-                                           reversed(P[:n]))), n)
-        if rem:
-            raise AssertionError(f"inexact Euler power recurrence at q^{n}")
-        P[n] = quo
-    return ExactQSeries(1, dict(enumerate(P)), trunc)
+    """(q; q)_infinity^power (any integer power) to the stated order."""
+    return euler_product(trunc) ** power
 
 
 # ----------------------------------------------------------- bivariate part

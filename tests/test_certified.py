@@ -5,11 +5,13 @@ in perfbench/spans.py rebinds each traced function in its home module and
 in every module of its fixed QCHAR_MODULES list that bound it by
 ``from ... import``; a traced function bound anywhere else would silently
 escape it.  The workloads in perfbench/workloads.py call qchar's functions
-and CLI and check what they return; one pass of each must pass its checks.
+and CLI and check what they return; one pass of each must pass its checks,
+in process and as a traced perfbench/worker.py run.
 """
 
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
@@ -34,14 +36,19 @@ def load_perfbench(name):
     return module
 
 
-def test_certified_loads_no_other_qchar_module():
+def src_env():
+    """The environment with ROOT/src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_certified_loads_no_other_qchar_module():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, qchar.certified; print(sorted("
          "m for m in sys.modules if m.split('.')[0] == 'qchar'))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+        env=src_env(), capture_output=True, text=True, check=True).stdout
     assert out.strip() == "['qchar', 'qchar.certified']"
 
 
@@ -74,3 +81,18 @@ def test_one_benchmark_pass_meets_its_checks(workload):
     with mp.workprec(workloads.CHECK_PREC):
         for job, out in zip(jobs, outputs):
             job.check(out, ctx)
+
+
+@pytest.mark.parametrize("workload", ["exact", "asymptotic", "quadrature"])
+def test_one_traced_benchmark_pass_meets_its_checks(workload, tmp_path):
+    # the tracer's hooks read qchar's internals (ZetaQSeries.data, the
+    # coefficients of invert's result, _F_ls_via_H_series' third argument);
+    # a traced pass in a fresh interpreter fails if they no longer fit
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), workload,
+         "8", "traced", str(tmp_path / "spans.json")],
+        env=src_env(), capture_output=True, text=True, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert [row for row in report["rows"] if not row["ok"]] == []
+    assert report["layers"]

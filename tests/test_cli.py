@@ -288,6 +288,22 @@ def test_verify_decomposition_diagnostics(capsys):
     assert 0 < float(res["diagnostics"]["bound"]) <= 2.0 ** -96
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 4: the residue sum cancels below its working precision; "
+    "it must plan its own bits"))
+@pytest.mark.parametrize("argv", [
+    # decomposed is 0.0 against a quadrature of 1.0136
+    ["--prec", "64", "verify-decomposition", "--ell", "2", "--s", "3",
+     "--points", "1", "--tau", "3j"],
+    # rel_err 239
+    ["verify-decomposition", "--ell", "3", "--s", "1", "--points", "1",
+     "--tau", "40j"],
+])
+def test_residue_route_holds_at_large_im_tau(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_verify_decomposition_plans_each_quadrature_once(capsys, monkeypatch):
     # one strip search per point: the quadrature that runs is the one whose
     # certificate the diagnostics print

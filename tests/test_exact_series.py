@@ -3,12 +3,14 @@ import json
 import os
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar.characters import CharacterParams, F_ls_exact, character_ch
-from qchar.exact_series import (ExactQSeries, ZetaQSeries, euler_product,
+from qchar.exact_series import (ExactQSeries, ZetaQSeries, _norm,
+                                divisor_sigma_list, euler_product,
                                 euler_product_pow, log1p_series,
                                 poch_ratio_bivariate)
 
@@ -139,12 +141,98 @@ def test_pochhammer_inf_single_series():
 # ------------------------------------------------- integer kernel properties
 
 
+# The three power algorithms that ExactQSeries.__pow__ replaced, kept
+# verbatim as its oracles.
+
+
+def invert_oracle(a):
+    """1/a by b_n = -b_0 sum_{k=1}^{n} a_k b_{n-k}."""
+    if a.is_zero():
+        raise ZeroDivisionError("non-invertible: zero series")
+    m = a.min_exp
+    rel = a.trunc - m  # relative order of knowledge
+    inv0 = _norm(Fraction(1, a.coeffs[m]))
+    # b = 1/a for a = sum a_k q^k (a_0 != 0): b_n = -inv0 sum a_k b_{n-k}
+    terms = sorted((e - m, c) for e, c in a.coeffs.items() if e != m)
+    b = [inv0] + [0] * (rel - 1)
+    for n in range(1, rel):
+        b[n] = _norm(-inv0 * sum(c * b[n - k] for k, c in terms if k <= n))
+    return ExactQSeries(a.D, {n - m: c for n, c in enumerate(b)}, rel - m)
+
+
+def pow_oracle(a, n):
+    """a^n by binary powering with __mul__, through invert_oracle for n < 0."""
+    if n < 0:
+        return pow_oracle(invert_oracle(a), -n)
+    # x^0 is an exact 1, but known only as far as this series' window
+    result, base = ExactQSeries.one(a.trunc - a.min_exp, a.D), a
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def euler_pow_oracle(power, trunc):
+    """(q; q)_inf^power by n P_n = -power sum_{k=1}^{n} sigma(k) P_{n-k}."""
+    sigma = divisor_sigma_list(1, trunc - 1)
+    P = [1] + [0] * (trunc - 1)
+    for n in range(1, trunc):
+        quo, rem = divmod(-power * sum(map(mul, sigma[1:n + 1],
+                                           reversed(P[:n]))), n)
+        if rem:
+            raise AssertionError(f"inexact Euler power recurrence at q^{n}")
+        P[n] = quo
+    return ExactQSeries(1, dict(enumerate(P)), trunc)
+
+
+def exactly(series):
+    """Everything a series holds: D, trunc and each coefficient with its type."""
+    return (series.D, series.trunc,
+            {e: (c, type(c)) for e, c in series.coeffs.items()})
+
+
+@st.composite
+def power_bases(draw):
+    """Int or Fraction coefficients on D in {1, 2, 3}, valuation -3..3 (or
+    the zero series), trunc <= 20."""
+    D = draw(st.sampled_from([1, 2, 3]))
+    val = draw(st.integers(min_value=-3, max_value=3))
+    trunc = draw(st.integers(min_value=val, max_value=20))
+    coeff = st.one_of(st.integers(min_value=-30, max_value=30), coeff_st)
+    coeffs = draw(st.dictionaries(st.integers(min_value=val,
+                                              max_value=max(val, trunc - 1)),
+                                  coeff, max_size=6))
+    return ExactQSeries(D, coeffs, trunc)
+
+
+@settings(max_examples=200)
+@given(power_bases(), st.integers(min_value=-6, max_value=6))
+def test_pow_and_invert_match_the_removed_algorithms(a, p):
+    if a.is_zero() and p < 0:
+        for call in (lambda: a ** p, a.invert):
+            with pytest.raises(ZeroDivisionError):
+                call()
+        return
+    assert exactly(a ** p) == exactly(pow_oracle(a, p))
+    if not a.is_zero():
+        assert exactly(a.invert()) == exactly(invert_oracle(a))
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=-40, max_value=40),
+       st.integers(min_value=1, max_value=200))
+def test_euler_product_pow_matches_sigma_recurrence(p, T):
+    assert exactly(euler_product_pow(p, T)) == exactly(euler_pow_oracle(p, T))
+
+
 @settings(max_examples=30)
 @given(st.integers(min_value=-40, max_value=40),
        st.integers(min_value=1, max_value=60))
 def test_euler_power_recurrence_matches_repeated_products(p, T):
-    # euler_product ** p goes through invert() for p < 0
-    assert euler_product_pow(p, T) == euler_product(T) ** p
+    assert euler_product_pow(p, T) == pow_oracle(euler_product(T), p)
     assert euler_product_pow(p, T).trunc == T
 
 

@@ -7,7 +7,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar import modular_objects
+from qchar import (characters, decomposition, modular_objects,
+                   modular_transform, partial_theta)
 from qchar.certified import (_GUARD_BITS, NearPoleError,
                              certified_gaussian_sum, fixed_div, fixed_mul,
                              from_fixed, to_fixed)
@@ -403,3 +404,45 @@ def test_fixed_point_helpers_against_mpc(xr, xi, yr, yi, wp):
         if abs(fy) > 1e-3:
             assert abs(from_fixed(fixed_div(X, Y, wp), wp) - fx / fy) \
                 <= err
+
+
+_P = partial_theta.PartialThetaParams(0, 1, 1)
+_Z = mp.mpc(0.1, 0.1)
+_TAU_ENTRY_POINTS = {
+    "theta": lambda tau: theta(0.1, tau, 64),
+    "eta": lambda tau: eta(tau, 64),
+    "eisenstein_G2k": lambda tau: eisenstein_G2k(2, tau, 64),
+    "ghat_value": lambda tau: ghat_value(4, tau, 64),
+    "g_ell": lambda tau: g_ell(0.1, tau, 3, 64),
+    "partial_theta": lambda tau: partial_theta.partial_theta(_P, 0.1, tau,
+                                                             64),
+    "H_value": lambda tau: characters.H_value(3, 1, tau, 64),
+    "fourier_quadrature": lambda tau: characters.fourier_quadrature(
+        3, 1, tau, prec=64),
+    "fourier_coeff_by_quadrature":
+        lambda tau: characters.fourier_coeff_by_quadrature(3, 1, tau,
+                                                           prec=64),
+    "MultivarPoint": lambda tau: decomposition.MultivarPoint((0.1j,), tau,
+                                                             64),
+    "F_ell_product": lambda tau: decomposition.F_ell_product(
+        [0.1j, -0.1j], tau, 64),
+    "random_admissible_point": lambda tau:
+        decomposition.random_admissible_point(3, tau, random.Random(1), 64),
+    "mordell_integral": lambda tau: modular_transform.mordell_integral(
+        _P, _Z, tau, 0, modular_transform.S_MATRIX, 64),
+    "verify_general_transform":
+        lambda tau: modular_transform.verify_general_transform(
+            _P, _Z, tau, modular_transform.S_MATRIX, 64),
+    "verify_S_transform": lambda tau: modular_transform.verify_S_transform(
+        3, 1, _Z, tau, 64),
+    "half_index_identity_check":
+        lambda tau: modular_transform.half_index_identity_check(0.1, tau, 64),
+}
+
+
+@pytest.mark.parametrize("tau", [mp.mpc(0, -1), mp.mpc(0.5, 0)])
+@pytest.mark.parametrize("name", sorted(_TAU_ENTRY_POINTS))
+def test_numeric_entry_points_refuse_tau_off_the_upper_half_plane(name, tau):
+    with pytest.raises(ValueError,
+                       match="tau must lie in the upper half-plane"):
+        _TAU_ENTRY_POINTS[name](tau)

@@ -77,6 +77,16 @@ def test_line_trapezoid_against_higher_precision_and_quad():
                 <= mp.mpf("1e-30")
 
 
+@pytest.mark.parametrize("A, kappa", [
+    (mp.mpc(0.1, 1), 6), (mp.mpc(0, 1), 6), (mp.mpc(-1, 0), 0),
+    (mp.mpc(-1, 0), -6)])
+def test_line_trapezoid_refuses_its_excluded_inputs(A, kappa):
+    # Re A >= 0 or kappa <= 0 is a ValueError before anything is planned,
+    # not a math domain error or a division by zero inside the plan
+    with pytest.raises(ValueError, match="Re A < 0 and kappa > 0"):
+        line_trapezoid(A, mp.mpc(0.3, 0), mp.mpc(0.5, 0.1), kappa, 64)
+
+
 def line_tail(A, B, zeta, h, X):
     """The tangent-line bound of the Gaussian tail line_trapezoid drops past
     X, or inf where the tangent does not fall."""
