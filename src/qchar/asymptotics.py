@@ -141,7 +141,7 @@ def leading_asym_F(ell: int, s: int) -> AsympExpansion:
     p = Fraction(2 - ell * ell, 2)  # 1 - ell^2/2
     coeff = GradedCoeff(C.rat, C.two_pow - p, C.pi_pow - p)
     return AsympExpansion(a_rat=-Fraction(ell * ell - 2 * ell, 6),
-                          terms={p: coeff}, order=p + 1)
+                          terms={p: (coeff,)}, order=p + 1)
 
 
 def first_correction_F(ell: int, s: int) -> tuple:
@@ -177,7 +177,7 @@ def leading_asym_ch(ell: int, s: int) -> AsympExpansion:
     p = Fraction(1, 2)
     coeff = GradedCoeff(C.rat, C.two_pow - p, C.pi_pow - p)
     return AsympExpansion(a_rat=Fraction(2 * ell - 1, 6),
-                          terms={p: coeff}, order=p + 1)
+                          terms={p: (coeff,)}, order=p + 1)
 
 
 def sl3_bracket_coefficient(s: int, m: int) -> tuple:

@@ -8,7 +8,7 @@ independent oracles.  All values are rational and exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, factorial
 
 from .exact_series import ExactQSeries, log1p_series
@@ -21,10 +21,9 @@ def _expm1_over_w(trunc: int) -> ExactQSeries:
 
 
 @lru_cache(maxsize=32)
-def _bernoulli_table(n: int, r: int = 1) -> tuple[Fraction, ...]:
-    """(B_0^{(r)}, ..., B_{n-1}^{(r)}), the w^j/j! coefficients of
-    (w/(e^w - 1))^r, the (-r)-th power of (e^w - 1)/w."""
-    gen = _expm1_over_w(n) ** -r
+def _bernoulli_table(n: int) -> tuple[Fraction, ...]:
+    """(B_0, ..., B_{n-1}), the w^j/j! coefficients of w/(e^w - 1)."""
+    gen = _expm1_over_w(n) ** -1
     return tuple(gen.coefficient(j) * factorial(j) for j in range(n))
 
 
@@ -59,9 +58,13 @@ def bernoulli_poly(n: int, x) -> Fraction:
 
 def higher_bernoulli_poly(n: int, r: int, x) -> Fraction:
     """B_n^{(r)}(x), coefficient of w^n/n! in (w/(e^w-1))^r e^{xw}."""
-    if r < 1:
-        raise ValueError("order r must be a positive integer")
-    return _appell(partial(_bernoulli_table, r=r), n, x)
+    if n < 0 or r < 1:
+        raise ValueError("need n >= 0 and a positive integer order r")
+    x = Fraction(x)
+    exp_xw = ExactQSeries(1, {k: x ** k / factorial(k)
+                              for k in range(n + 1)}, n + 1)
+    series = _expm1_over_w(n + 1) ** -r * exp_xw
+    return Fraction(series.coefficient(n) * factorial(n))
 
 
 def euler_poly(n: int, x) -> Fraction:

@@ -207,6 +207,10 @@ def fourier_coeff_by_quadrature(ell: int, s: int, tau, z0_imag=None,
 # F_ls_numeric plans its truncation so that the certified tail bound is at
 # most this fraction of the value
 _NUMERIC_REL_TOL = mp.mpf("1e-12")
+# the largest truncation order F_ls_numeric builds: a build costs O(T^2)
+# Fraction products, minutes near this order (qchar asym --ell 6 builds
+# 18,738 terms and takes 214 s on a 2-vCPU Xeon)
+_MAX_ORDER = 20_000
 
 
 def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
@@ -239,9 +243,10 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
     T is planned before the sum: as b_n >= 0, the head to q^T0, T0 = max(40,
     ell pi^2/(6 t^2)), half the saddle point of b_n e^{-tn} (G_s grows like
     e^{ell pi^2/(3t)}), is below every longer head, so the least T whose
-    tail bound is _NUMERIC_REL_TOL less rho (at T = 100,000, the largest T
-    built) times it, less 2^-32 for its rounding, meets the target.  The
-    head is reused when T <= T0.
+    tail bound is _NUMERIC_REL_TOL less rho (at T = _MAX_ORDER, the largest
+    T built) times it, less 2^-32 for its rounding, meets the target.  The
+    head is reused when T <= T0.  A T above _MAX_ORDER raises RuntimeError
+    before anything is built.
     """
     def rho(T):
         return (1 + (T + 6) * mp.mpf(2) ** (2 - _GUARD_BITS)) \
@@ -262,8 +267,9 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
         pref = q1 ** (-mp.mpf(s) / 2) * Phi / (1 - q / q1)  # tail / (q/q1)^T
 
         def head(T):  # sum_{n<T} b_n q^n
-            if T > 100_000:
-                raise RuntimeError("tail bound not met at feasible order")
+            if T > _MAX_ORDER:
+                raise RuntimeError(
+                    f"F_ls_numeric needs order {T} > {_MAX_ORDER}")
             G = (_F_ls_via_H_series(ell, s, T)
                  * euler_product_pow(-ell * ell, T)).truncate(T)
             bad = [e for e, c in G.coeffs.items()
@@ -276,7 +282,7 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
 
         T0 = max(40, int(ell * mp.pi ** 2 / (6 * t * t)))
         total = head(T0)
-        target = ((_NUMERIC_REL_TOL - rho(100_000)) * total
+        target = ((_NUMERIC_REL_TOL - rho(_MAX_ORDER)) * total
                   * (1 - mp.mpf(2) ** -32))
         T = int(mp.ceil(mp.log(pref / target) / (t / 2)))  # q/q1 = e^{-t/2}
         if T > T0:

@@ -15,8 +15,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import lcm
+from math import comb, lcm
 from operator import add
 from types import MappingProxyType
 
@@ -269,82 +268,66 @@ def euler_product_pow(power: int, trunc: int) -> ExactQSeries:
 class ZetaQSeries:
     """Bivariate series ``sum c_{m,n} zeta^m q^n`` on a diagonal window.
 
-    ``rows[n][d - zeta_lo_base]`` is the int coefficient at ``q^n`` on the
-    diagonal ``d = m + n``, kept for ``0 <= n < q_trunc`` and
-    ``zeta_lo_base <= d <= zeta_hi_base``.  A factor ``(1 - zeta^a q^j)`` moves
-    ``(d, n)`` by multiples of ``(a + j, j)``; with ``a + j >= 0`` and
-    ``j >= 0`` an entry that leaves the window never returns, whatever the
-    order of the factors.  Treat instances as immutable.
+    ``rows[n][d]`` is the int coefficient at ``q^n`` on the diagonal ``d = m
+    + n``, kept for ``0 <= n < q_trunc`` and ``0 <= d <= zeta_hi_base``.  A
+    factor ``(1 - zeta^a q^j)`` moves ``(d, n)`` by multiples of ``(a + j,
+    j)``; with ``a + j >= 0`` and ``j >= 1`` an entry that leaves the window
+    never returns, whatever the order of the factors.  Treat instances as
+    immutable.
     """
 
-    __slots__ = ("rows", "q_trunc", "zeta_lo_base", "zeta_hi_base", "_data")
+    __slots__ = ("rows", "q_trunc", "zeta_hi_base", "_data")
 
-    def __init__(self, rows: list, q_trunc: int, zeta_lo_base: int,
-                 zeta_hi_base: int):
-        self.rows, self.q_trunc = rows, q_trunc
-        self.zeta_lo_base, self.zeta_hi_base = zeta_lo_base, zeta_hi_base
+    def __init__(self, rows: list, q_trunc: int, zeta_hi_base: int):
+        self.rows, self.q_trunc, self.zeta_hi_base = rows, q_trunc, zeta_hi_base
         self._data = None
-
-    @classmethod
-    def unit(cls, q_trunc: int, zeta_lo_base: int, zeta_hi_base: int):
-        rows = [[0] * (zeta_hi_base - zeta_lo_base + 1)
-                for _ in range(q_trunc)]
-        if rows and zeta_lo_base <= 0 <= zeta_hi_base:
-            rows[0][-zeta_lo_base] = 1
-        return cls(rows, q_trunc, zeta_lo_base, zeta_hi_base)
 
     @property
     def data(self):
         """Read-only map ``{(m, n): c}`` of the nonzero entries."""
         if self._data is None:
-            lo = self.zeta_lo_base
             self._data = MappingProxyType({
-                (lo + i - n, n): c for n, row in enumerate(self.rows)
-                for i, c in enumerate(row) if c})
+                (d - n, n): c for n, row in enumerate(self.rows)
+                for d, c in enumerate(row) if c})
         return self._data
 
     def mul_factor(self, zeta_pow: int, q_pow: int, power: int) -> "ZetaQSeries":
         """Multiply by ``(1 - zeta^zeta_pow q^q_pow)^power`` for ``power < 0``.
 
         That is ``-power`` geometric passes ``row[n][d] += row[n-j][d-a-j]``;
-        the factor must neither lower the diagonal (``zeta_pow + q_pow >=
-        0``) nor the q order (``q_pow >= 0``).
+        the factor must not lower the diagonal (``zeta_pow + q_pow >= 0``)
+        and must raise the q order (``q_pow >= 1``).
         """
         step, T = zeta_pow + q_pow, self.q_trunc
-        if power >= 0 or q_pow < 0 or step < 0:
-            raise ValueError("need power < 0, q_pow >= 0 and "
+        if power >= 0 or q_pow < 1 or step < 0:
+            raise ValueError("need power < 0, q_pow >= 1 and "
                              "zeta_pow + q_pow >= 0")
-        if step == 0 and q_pow == 0:
-            raise ValueError("divergent factor: (1 - 1) to a negative power")
         rows = [row[:] for row in self.rows]
         for _ in range(-power):
-            if q_pow == 0:
-                for row in rows:
-                    for r in range(step):
-                        row[r::step] = accumulate(row[r::step])
-                continue
             # ascending n: each pass reads source rows it already updated
             for n in range(q_pow, T):
                 dst = rows[n]
                 dst[step:] = map(add, dst[step:], rows[n - q_pow])
-        return ZetaQSeries(rows, T, self.zeta_lo_base, self.zeta_hi_base)
+        return ZetaQSeries(rows, T, self.zeta_hi_base)
 
     def zeta_coefficient(self, m: int) -> ExactQSeries:
         """Extract the coefficient of ``zeta^m`` as an exact q-series."""
         trunc = min(self.q_trunc, self.zeta_hi_base - m + 1)
-        lo = self.zeta_lo_base
-        return ExactQSeries(1, {n: self.rows[n][m + n - lo]
-                                for n in range(max(0, lo - m), trunc)}, trunc)
+        return ExactQSeries(1, {n: self.rows[n][m + n]
+                                for n in range(max(0, -m), trunc)}, trunc)
 
 
 def poch_ratio_bivariate(ell: int, s_max: int, trunc: int) -> ZetaQSeries:
     """Windowed expansion of ``1 / ((zeta)_inf^ell (zeta^{-1} q)_inf^ell)``.
 
     The window keeps exactly the entries that can still contribute to
-    ``coeff_{zeta^s} q^n`` with ``s <= s_max`` and ``n < trunc``.
+    ``coeff_{zeta^s} q^n`` with ``s <= s_max`` and ``n < trunc``.  Row 0
+    starts as ``(1 - zeta)^{-ell} = sum_d C(d + ell - 1, ell - 1) zeta^d``.
     """
-    state = ZetaQSeries.unit(trunc, 0, s_max + trunc - 1)
-    state = state.mul_factor(1, 0, -ell)
+    width = s_max + trunc
+    rows = [[comb(d + ell - 1, ell - 1) for d in range(width)]]
+    rows += [[0] * width for _ in range(1, trunc)]
+    state = ZetaQSeries(rows, trunc, width - 1)
     for j in range(1, trunc):
         state = state.mul_factor(1, j, -ell)
         state = state.mul_factor(-1, j, -ell)

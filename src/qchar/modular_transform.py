@@ -139,14 +139,14 @@ def verify_S_transform(ell: int, s: int, z, tau,
         (1/2) int e^{pi i tau x^2}
               e^{(2 pi i/sqrt(ell))(s+ell)(x - sqrt(ell) z)}
               / cos(sqrt(ell) pi (x - sqrt(ell) z)) dx
-        + [Im z < 0] (1/sqrt(ell)) e^{pi i ell tau z^2}
-              theta(tau z + s/ell; tau/ell)
 
     even ell (sine kernel):
         -(i/2) int (same numerator)/sin(...) dx
-        + [Im z < 0] (1/(i sqrt(ell))) e^{-pi i s/ell}
-              e^{pi i ell tau (z - 1/(2 ell))^2}
-              theta(tau z + s/ell - tau/(2 ell); tau/ell)
+
+    plus, for either parity, with e = 1 - ell mod 2 and z_s = z - e/(2 ell),
+
+        [Im z < 0] ((-i)^e/sqrt(ell)) e^{-pi i s e/ell}
+              e^{pi i ell tau z_s^2} theta(tau z_s + s/ell; tau/ell)
 
     with eps = ell mod 2 on the partial-theta side (the odd case uses the
     alternating sum).  With u = sqrt(ell) pi (x - sqrt(ell) z), 1/cos u =
@@ -176,15 +176,11 @@ def verify_S_transform(ell: int, s: int, z, tau,
                                           - 1j * mp.pi * ell * z)
         rhs = pref * integral
         if wall:
-            if ell % 2:
-                rhs += (1 / sl * mp.exp(mp.pi * 1j * ell * tau * z * z)
-                        * theta(tau * z + mp.mpf(s) / ell, tau / ell, prec))
-            else:
-                zs = z - mp.mpf(1) / (2 * ell)
-                rhs += (1 / (1j * sl) * mp.exp(-mp.pi * 1j * s / ell)
-                        * mp.exp(mp.pi * 1j * ell * tau * zs * zs)
-                        * theta(tau * z + mp.mpf(s) / ell
-                                - tau / (2 * ell), tau / ell, prec))
+            e = 1 - ell % 2
+            zs = z - mp.mpf(e) / (2 * ell)
+            rhs += ((-1j) ** e / sl * mp.exp(-mp.pi * 1j * s * e / ell)
+                    * mp.exp(mp.pi * 1j * ell * tau * zs * zs)
+                    * theta(tau * zs + mp.mpf(s) / ell, tau / ell, prec))
         return {"lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs),
                 "nodes": cert.nodes, "bound": abs(pref) * cert.bound}
 

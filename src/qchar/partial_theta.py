@@ -91,18 +91,15 @@ class AsympExpansion:
     (2 pi)^{-5/2} pi^2 / 4 stay exact until final evaluation.
     """
 
-    def __init__(self, a_rat=Fraction(0), terms=None, order=None):
+    def __init__(self, terms: dict, order, a_rat=0):
         self.a_rat = Fraction(a_rat)
         # terms: dict Fraction exponent -> tuple of GradedCoeff
         self.terms: dict[Fraction, tuple] = {}
-        for e, cs in (terms or {}).items():
-            e = Fraction(e)
-            if isinstance(cs, GradedCoeff):
-                cs = (cs,)
+        for e, cs in terms.items():
             cs = tuple(c for c in cs if c.rat != 0)
             if cs:
-                self.terms[e] = cs
-        self.order = None if order is None else Fraction(order)
+                self.terms[Fraction(e)] = cs
+        self.order = Fraction(order)
 
     def coefficient(self, exponent) -> tuple:
         return self.terms.get(Fraction(exponent), ())
@@ -149,7 +146,7 @@ def script_F_expansion(j: int, r, N: int) -> AsympExpansion:
         k = 2 * n + 2 * j + 1
         c = -Fraction((-1) ** n, (k) * factorial(n)) * (
             bernoulli_poly(k, r / 2) - bernoulli_poly(k, (r + 1) / 2))
-        terms[Fraction(n + j)] = GradedCoeff(c)
+        terms[Fraction(n + j)] = (GradedCoeff(c),)
     return AsympExpansion(terms=terms, order=Fraction(N + j + 1))
 
 
@@ -179,11 +176,11 @@ def script_G_expansion(j: int, r, N: int) -> AsympExpansion:
     if j < 1:
         raise ValueError("j must be >= 1")
     r = Fraction(r)
-    terms = {Fraction(-1, 2): GradedCoeff(script_G_integral(j))}
+    terms = {Fraction(-1, 2): (GradedCoeff(script_G_integral(j)),)}
     for m in range(N + 1):
         k = 2 * j + 2 * m
         c = -Fraction((-1) ** m, k * factorial(m)) * bernoulli_poly(k, r)
-        terms[Fraction(2 * (j + m) - 1, 2)] = GradedCoeff(c)
+        terms[Fraction(2 * (j + m) - 1, 2)] = (GradedCoeff(c),)
     return AsympExpansion(terms=terms, order=Fraction(2 * (j + N) + 1, 2))
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 from hypothesis import given, settings, strategies as st
 
@@ -85,13 +86,33 @@ def exp_w(x, trunc):
                             for n in range(trunc)}, trunc)
 
 
-def higher_bernoulli_by_inversion(n, r, x):
-    """B_n^{(r)}(x) as it was computed: (e^w - 1)/w inverted afresh, raised
-    to the r-th power and multiplied by e^{xw}."""
+def bernoulli_poly_by_inversion(n, x):
+    """B_n(x) with (e^w - 1)/w inverted afresh and multiplied by e^{xw}."""
     expm1_over_w = ExactQSeries(1, {m: Fraction(1, factorial(m + 1))
                                     for m in range(n + 1)}, n + 1)
-    series = expm1_over_w.invert() ** r * exp_w(x, n + 1)
+    series = expm1_over_w.invert() * exp_w(x, n + 1)
     return series.coefficient(n) * factorial(n)
+
+
+@lru_cache(maxsize=None)
+def higher_bernoulli_table(size, r):
+    """(B_0^{(r)}, ..., B_{size-1}^{(r)}): the w^j/j! coefficients of
+    (w/(e^w - 1))^r, by r - 1 products of the order-1 series."""
+    one = ExactQSeries(1, {j: Fraction(b) / factorial(j)
+                           for j, b in enumerate(_bernoulli_table(size))},
+                       size)
+    gen = one
+    for _ in range(r - 1):
+        gen = gen * one
+    return tuple(gen.coefficient(j) * factorial(j) for j in range(size))
+
+
+def higher_bernoulli_by_appell(n, r, x):
+    """B_n^{(r)}(x) by the Appell sum it was computed with: sum_k C(n, k)
+    B_k^{(r)} x^{n-k} over an (n, r) table of 16, 32, 64, ... entries."""
+    a = higher_bernoulli_table(max(16, 1 << n.bit_length()), r)
+    return sum((comb(n, k) * a[k] * x ** (n - k) for k in range(n + 1)),
+               Fraction(0))
 
 
 def euler_poly_by_inversion(n, x):
@@ -107,12 +128,24 @@ _rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
 @settings(max_examples=40)
-@given(st.integers(0, 40), st.integers(1, 20), _rationals)
-def test_cached_tables_against_fresh_inversion(n, r, x):
-    assert higher_bernoulli_poly(n, r, x) == \
-        higher_bernoulli_by_inversion(n, r, x)
+@given(st.integers(0, 40), _rationals)
+def test_cached_tables_against_fresh_inversion(n, x):
     assert euler_poly(n, x) == euler_poly_by_inversion(n, x)
-    assert bernoulli_poly(n, x) == higher_bernoulli_by_inversion(n, 1, x)
+    assert bernoulli_poly(n, x) == bernoulli_poly_by_inversion(n, x)
+
+
+def test_higher_bernoulli_matches_the_appell_tables():
+    # every (n, r) with n <= 40 and r <= 20, at one x
+    for n in range(41):
+        for r in range(1, 21):
+            assert higher_bernoulli_poly(n, r, Fraction(-7, 3)) == \
+                higher_bernoulli_by_appell(n, r, Fraction(-7, 3))
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 40), st.integers(1, 20), _rationals)
+def test_higher_bernoulli_matches_the_appell_tables_at_any_x(n, r, x):
+    assert higher_bernoulli_poly(n, r, x) == higher_bernoulli_by_appell(n, r, x)
 
 
 def test_higher_bernoulli_reduces_to_ordinary():

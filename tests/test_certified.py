@@ -6,7 +6,9 @@ in every module of its fixed QCHAR_MODULES list that bound it by
 ``from ... import``; a traced function bound anywhere else would silently
 escape it.  The workloads in perfbench/workloads.py call qchar's functions
 and CLI and check what they return; one pass of each must pass its checks,
-in process and as a traced perfbench/worker.py run.
+in process and as a traced perfbench/worker.py run, and the worker's
+accounting must count exactly the corrupted copies of perfbench/selftest.py's
+jobs as failed.
 """
 
 import importlib
@@ -96,3 +98,41 @@ def test_one_traced_benchmark_pass_meets_its_checks(workload, tmp_path):
     report = json.loads(done.stdout)
     assert [row for row in report["rows"] if not row["ok"]] == []
     assert report["layers"]
+
+
+@pytest.fixture
+def perfbench_on_path(monkeypatch):
+    """perfbench/ on sys.path, so that its scripts import each other; its
+    modules are dropped from sys.modules again afterwards."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    yield
+    for name, module in list(sys.modules.items()):
+        if Path(getattr(module, "__file__", None) or "/").parent == \
+                ROOT / "perfbench":
+            del sys.modules[name]
+
+
+def test_benchmark_counts_exactly_the_corrupted_jobs_as_failed(
+        perfbench_on_path):
+    # perfbench/selftest.py's jobs through the worker's run/check path: each
+    # corrupted copy fails, its original and verify-em pass
+    selftest = load_perfbench("selftest")
+    wl = selftest.workloads
+    f, ch, _ = wl._exact_point(3, 1, 12, None).call()
+    pinned = {"3,1,12": {"F": wl.series_digest(f),
+                         "ch": wl.series_digest(ch)}}
+    point = wl._exact_point(3, 1, 12, pinned)
+    coeffs = wl._exact_cli_coeffs(3, 1, 12, pinned)
+    half = wl._half_index_job([((0.1, 0.2), (0.05, 1.0)),
+                               ((-0.2, 0.1), (0.1, 0.9))])
+    corrupted = [
+        selftest._corrupt(point, selftest._bump_series),
+        selftest._corrupt(coeffs, selftest._bump_cli),
+        selftest._corrupt(half, lambda errs: [errs[0] + mp.mpf("1e-20"),
+                                              *errs[1:]])]
+    jobs = [point, coeffs, half, *corrupted, wl._verify_em_cli()]
+    outputs, rows = selftest.run_jobs(jobs)
+    selftest.check_jobs(jobs, outputs, rows)
+    assert {r["name"] for r in rows if not r["ok"]} == \
+        {job.name for job in corrupted}
+    assert "asymptotic.cli.verify-em" in {r["name"] for r in rows if r["ok"]}

@@ -186,6 +186,17 @@ def test_F_numeric_Phi_is_an_upper_bound(monkeypatch):
                 assert 1 <= ratio <= 1 + mp.mpf("1e-8"), (ell, t, prec)
 
 
+def test_F_numeric_refuses_an_order_above_its_cap_before_building(
+        monkeypatch):
+    # at t = 0.01 the first head alone needs T0 = 82,246 terms, O(T0^2) work
+    def build(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(characters, "_F_ls_via_H_series", build)
+    with pytest.raises(RuntimeError, match="needs order 82246 > 20000"):
+        F_ls_numeric(5, 0, 0.01)
+
+
 def test_lattice_exponent_closed_form():
     # _F_ls_via_H_series takes the exponent of q in q^{-h_s - ell/8}
     # q^{a^2/(2 ell)}, a = ell n + ell/2 - s, as the integer (ell n - 2s)(n

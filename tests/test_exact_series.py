@@ -2,8 +2,9 @@ import hashlib
 import json
 import os
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,7 +126,7 @@ def test_trunc_validity_enforced():
 def test_pochhammer_inf_single_series():
     # 1/(zeta q; q)_inf at zeta^1 is q + q^2 + 2q^3 + 2q^4 + 3q^5 + ...
     # (coefficient of zeta is sum over single parts >= 1 of p-into-that)
-    s = ZetaQSeries.unit(8, 0, 4)
+    s = ZetaQSeries([[1, 0, 0, 0, 0]] + [[0] * 5 for _ in range(7)], 8, 4)
     for k in range(1, 8):
         s = s.mul_factor(1, k, -1)
     c1 = s.zeta_coefficient(1)
@@ -268,6 +269,35 @@ def test_bivariate_extraction_matches_dict_oracle(ell, T, s_max, data):
         _bivariate_oracle(ell, s, T)
 
 
+def accumulate_start_oracle(ell, s_max, T):
+    """The rows of poch_ratio_bivariate as they were built: the unit series,
+    then ell zeta-only passes row[d] += row[d - 1] over every row for (1 -
+    zeta)^{-ell}, then the q-costing passes; with the read-only map that
+    ZetaQSeries.data gave them."""
+    width = s_max + T
+    rows = [[0] * width for _ in range(T)]
+    rows[0][0] = 1
+    for _ in range(ell):
+        for row in rows:
+            row[:] = accumulate(row)
+    for j in range(1, T):
+        for step in (j + 1, j - 1):
+            for _ in range(ell):
+                for n in range(j, T):
+                    rows[n][step:] = map(add, rows[n][step:], rows[n - j])
+    return rows, {(d - n, n): c for n, row in enumerate(rows)
+                  for d, c in enumerate(row) if c}
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_binomial_start_matches_the_accumulate_start(ell):
+    for s_max in range(4):
+        for T in (1, 2, 3, 7, 19, 60):
+            got = poch_ratio_bivariate(ell, s_max, T)
+            assert (got.rows, dict(got.data)) == \
+                accumulate_start_oracle(ell, s_max, T)
+
+
 def test_mul_factor_rejects_diagonal_lowering_factor():
     state = poch_ratio_bivariate(2, 1, 6)
     with pytest.raises(ValueError):
@@ -275,10 +305,10 @@ def test_mul_factor_rejects_diagonal_lowering_factor():
 
 
 @pytest.mark.parametrize("zeta_pow, q_pow, power", [
-    (1, 1, 0), (1, 1, 2), (2, -1, -1)])
+    (1, 1, 0), (1, 1, 2), (2, -1, -1), (1, 0, -1)])
 def test_mul_factor_rejects_difference_passes_and_lowering_q(zeta_pow, q_pow,
                                                              power):
-    # only geometric passes (power < 0) with q_pow >= 0 are supported
+    # only geometric passes (power < 0) with q_pow >= 1 are supported
     state = poch_ratio_bivariate(2, 1, 6)
     with pytest.raises(ValueError):
         state.mul_factor(zeta_pow, q_pow, power)
