@@ -17,16 +17,25 @@ from mpmath.libmp import to_fixed as _mpf_to_fixed
 _GUARD_BITS = 24
 
 
+class InputError(ValueError):
+    """A caller's value outside the domain of the function it was passed to;
+    the CLI reports it as a usage error (exit 2)."""
+
+
 class NearPoleError(ValueError):
     """Evaluation point too close to a pole/zero for the working precision."""
 
 
-class PoleNearContourError(ValueError):
+class PoleNearContourError(InputError):
     """A kernel pole sits too close to the integration path; perturb z."""
 
 
 # line_trapezoid refuses kernel poles closer than this to R
 _POLE_DISTANCE_MIN = 0.01
+# the most nodes line_trapezoid runs: a node costs 6 to 9 us at prec 256
+# on a 2-vCPU Xeon (qchar verify-modular --tau 1e-6j plans 3,409,526 nodes
+# and takes 22 s), so the cap refuses calls of about a minute or more
+_MAX_LINE_NODES = 1 << 23
 
 
 def fraction_mpf(x):
@@ -268,7 +277,9 @@ def line_trapezoid(A, B, zeta, kappa, prec: int):
 
     Needs Re A < 0 and kappa > 0.  The kernel's poles lie on the line Im x =
     y_p = log|zeta|/kappa at distance d = |y_p| from R; PoleNearContourError
-    when d < _POLE_DISTANCE_MIN, before anything is planned.
+    when d < _POLE_DISTANCE_MIN, before anything is planned, and
+    RuntimeError when the plan needs more than _MAX_LINE_NODES nodes,
+    before any runs.
     The truncated trapezoid rule h sum_{|kh| <= X} f(kh), h = 1/N, then has
     three certified error parts, each kept below a quarter of the target:
 
@@ -340,6 +351,9 @@ def line_trapezoid(A, B, zeta, kappa, prec: int):
         if not (slope < 0 and tail <= eps):
             raise AssertionError("planned cutoff missed its tail target")
         K = int(mp.floor(X / h))
+        if 2 * K + 1 > _MAX_LINE_NODES:
+            raise RuntimeError(f"line trapezoid needs {2 * K + 1} nodes > "
+                               f"{_MAX_LINE_NODES}")
         G = mp.exp(Br * Br / (4 * Ar))
         # h sum |f(kh)| <= (integral + h max) of |num| over R, / low_real
         mass = (mp.sqrt(mp.pi / Ar) + h) * G / low_real
@@ -431,9 +445,18 @@ def _coefficient_degree(log_q: float, m: int, log_target: float) -> int:
     return m
 
 
-def _pair_coefficients(tau, m: int, I: int, wp: int):
+def _coefficient_weight(log_q: float, I: int) -> float:
+    """sigma = sum_{i<=I} S^i, S = 1 + |q|, the S-norm of one unit in each
+    of the coefficients a_0, ..., a_I: summed term by term, since the closed
+    form (S^{I+1} - 1)/|q| cancels in doubles as |q| falls."""
+    log_S = math.log1p(math.exp(log_q))
+    return math.fsum(math.exp(i * log_S) for i in range(I + 1))
+
+
+def _pair_coefficients(tau, m: int, I: int, wp: int, sigma: float):
     """(a_I, ..., a_0), highest first, on the grid u = 2^-wp: the c^i
-    coefficients, i <= I, of prod_{k<m} (1 + q^{2k+1} - q^k c).
+    coefficients, i <= I, of prod_{k<m} (1 + q^{2k+1} - q^k c); sigma is
+    _coefficient_weight(log|q|, I).
 
     The factors are multiplied out on the finer grid v = 2^-(wp + g),
     keeping the degrees up to I; a factor only raises degrees, so these are
@@ -449,11 +472,10 @@ def _pair_coefficients(tau, m: int, I: int, wp: int):
     shift floors each part once more: the coefficients are within (1/2 +
     sqrt(2) sigma) u in the S-norm.
     """
-    Q = math.exp(-2 * math.pi * float(mp.im(tau)))
-    S = 1 + Q
-    sigma = (S ** (I + 1) - 1) / Q
+    log_q = -2 * math.pi * float(mp.im(tau))
+    S = 1 + math.exp(log_q)
     log2_E = (math.log2(m * (1.5 * (1 + S) + math.sqrt(2) * sigma))
-              + _log_pair_norm(math.log(Q)) / math.log(2))
+              + _log_pair_norm(log_q) / math.log(2))
     g = 2 + max(0, math.ceil(log2_E))
     wb = wp + g
     # q^k by repeated products, each within a relative 2^-(wb + 16 +
@@ -533,7 +555,7 @@ def _pair_sum(tau, args, N: int, s: int, prec: int):
     log_inv_L = _log_sum([-x for x in log_L])
     I = _coefficient_degree(log_q, m, -(prec + 2) * math.log(2) - log_inv_L)
     log_P = _log_pair_norm(log_q)
-    sigma = (S ** (I + 1) - 1) / Q
+    sigma = _coefficient_weight(log_q, I)
     e_P = (0.5 + 2 * math.sqrt(2) * sigma
            + math.exp(log_P) * (3 * S * N + 5) / (1 - Q))
     ell = len(args)
@@ -542,7 +564,7 @@ def _pair_sum(tau, args, N: int, s: int, prec: int):
          math.log(math.sqrt(2) * max(ell - 1, 1)) - sum(log_L),
          math.log(math.sqrt(2)) + ell * log_P])
     wp = prec + 1 + math.ceil(log_R / math.log(2))
-    coeffs = _pair_coefficients(tau, m, I, wp)
+    coeffs = _pair_coefficients(tau, m, I, wp, sigma)
     top, rest = coeffs[0], coeffs[1:]
     with mp.workprec(wp + 16):
         q = mp.expjpi(2 * tau)

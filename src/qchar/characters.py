@@ -22,8 +22,8 @@ import mpmath as mp
 
 from .exact_series import (ExactQSeries, euler_product, euler_product_pow,
                            poch_ratio_bivariate)
-from .certified import (_GUARD_BITS, certified_gaussian_sum, log_poch_lower,
-                        pair_trapezoid)
+from .certified import (_GUARD_BITS, InputError, certified_gaussian_sum,
+                        log_poch_lower, pair_trapezoid)
 from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol, cexp,
                               euler_phi_numeric, ghat_qseries, ghat_value,
                               laurent_coefficients_D)
@@ -37,11 +37,11 @@ class CharacterParams:
 
     def __post_init__(self):
         if self.ell < 2:
-            raise ValueError("ell must be >= 2")
+            raise InputError("ell must be >= 2")
         if self.s < 0:
-            raise ValueError("s must be >= 0")
+            raise InputError("s must be >= 0")
         if self.trunc < 1:
-            raise ValueError("trunc must be >= 1")
+            raise InputError("trunc must be >= 1")
 
 
 def h_s(ell: int, s: int) -> Fraction:

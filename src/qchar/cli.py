@@ -5,10 +5,14 @@ verification suites.  Output is CSV for tables, else one JSON report that
 _emit heads with ``"schema": 1`` and the subcommand (``"command"``), plus
 a boolean ``"ok"`` from _verdict in the verify-* and error reports; all
 floating-point values are serialized as decimal strings at working
-precision.  Exit codes: 0 success, 1 verification failure, 2 usage error:
-any bad value, a --z or --tau that is not a finite complex number, a
---matrix without c > 0 and a --z outside the admissible strip or putting a
-kernel pole on the contour included.
+precision.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+argparse rejects what it cannot parse (a --z or --tau that is not a finite
+complex number, say) and the values no library function checks before some
+work; the library's validators reject every other value outside their
+function's domain as certified.InputError, which main maps to exit 2 (a
+tau off the upper half-plane, an --M or --eps that PartialThetaParams
+refuses, a --z outside the admissible strip or putting a kernel pole on the
+contour, say).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import mpmath as mp
 
 from . import asymptotics, characters, decomposition, modular_transform
 from .bernoulli_euler import check_euler_bernoulli_identity, verify_S_identity
+from .certified import InputError
 from .characters import CharacterParams
 from .partial_theta import PartialThetaParams, script_FG_halving_orders
 
@@ -35,11 +40,6 @@ def _dps(prec: int) -> int:
 
 def _numstr(x, prec: int) -> str:
     return mp.nstr(x, _dps(prec), strip_zeros=False)
-
-
-class UsageError(Exception):
-    """Bad input that only a subcommand can detect; exits 2 like argparse's
-    own errors."""
 
 
 def _emit(args, **fields) -> None:
@@ -172,14 +172,6 @@ def _rational(text: str) -> str:
     return text
 
 
-def _half_integer(text: str) -> str:
-    """argparse type: a positive half-integer such as 3/2, kept as text."""
-    twice = 2 * Fraction(_rational(text))
-    if not (twice > 0 and twice.denominator == 1):
-        raise argparse.ArgumentTypeError(f"need M > 0 in Z/2: {text}")
-    return text
-
-
 def _sl2_matrix(text: str) -> modular_transform.SL2Matrix:
     """argparse type: "a,b,c,d" with ad - bc = 1 and c > 0."""
     try:
@@ -200,26 +192,14 @@ def _parse_mpc(text: str):
     return value
 
 
-def _upper_half(text: str):
-    """argparse type: a complex tau with Im tau > 0."""
-    tau = _parse_mpc(text)
-    if not mp.im(tau) > 0:
-        raise argparse.ArgumentTypeError("need Im tau > 0")
-    return tau
-
-
 def cmd_verify_decomposition(args) -> int:
     prec = args.prec
     tol = mp.mpf(args.tol)
     rng = random.Random(args.seed)
     if args.z is not None:
         if len(args.z) != args.ell - 1:
-            raise UsageError(f"--z needs ell - 1 = {args.ell - 1} values")
-        try:  # admissibility only; a degenerate --z fails later, exit 1
-            points = [decomposition.MultivarPoint(tuple(args.z), args.tau,
-                                                  prec)]
-        except ValueError as exc:
-            raise UsageError(f"--z: {exc}") from exc
+            raise InputError(f"--z needs ell - 1 = {args.ell - 1} values")
+        points = [decomposition.MultivarPoint(tuple(args.z), args.tau, prec)]
     else:
         points = [decomposition.random_admissible_point(args.ell, args.tau,
                                                         rng, prec)
@@ -251,11 +231,8 @@ def cmd_verify_modular(args) -> int:
     tol = mp.mpf(args.tol)
     gamma = args.matrix
     params = PartialThetaParams(Fraction(args.r), args.eps, Fraction(args.M))
-    try:
-        report = modular_transform.verify_general_transform(
-            params, args.z, args.tau, gamma, prec)
-    except modular_transform.PoleNearContourError as exc:
-        raise UsageError(f"--z: {exc}") from exc
+    report = modular_transform.verify_general_transform(
+        params, args.z, args.tau, gamma, prec)
     return _verdict(args, report["abs_err"] <= tol,
                     matrix=[gamma.a, gamma.b, gamma.c, gamma.d], r=args.r,
                     eps=args.eps, M=args.M,
@@ -297,15 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
             ("char", "character series head", characters.character_ch,
              _frac)):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--ell", type=_int_at_least(2), required=True)
-        p.add_argument("--s", type=_int_at_least(0), required=True)
-        p.add_argument("--trunc", type=_int_at_least(1), default=20)
+        p.add_argument("--ell", type=int, required=True)
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--trunc", type=int, default=20)
         p.set_defaults(func=cmd_series, build=build, exp_text=exp_text)
 
     p = sub.add_parser("asym", help="asymptotic comparison table")
     p.add_argument("--ell", type=_int_at_least(3), default=3)
     p.add_argument("--s", type=_int_at_least(0), default=0)
-    p.add_argument("--t", type=decimals, default="0.1,0.05")
+    p.add_argument("--t", type=decimals, default="0.1,0.05",
+                   help="points t > 0, evaluated at q = e^{-t}")
     p.add_argument("--N", type=_int_at_least(0), default=3,
                    help="expansion order, used for ell = 3 only")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -314,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qdim", help="quantum-dimension ratio table")
     p.add_argument("--ell", type=_int_at_least(2), default=3)
     p.add_argument("--s", type=_int_at_least(0), default=1)
-    p.add_argument("--t", type=decimals, default="0.2,0.1,0.05")
+    p.add_argument("--t", type=decimals, default="0.2,0.1,0.05",
+                   help="points t > 0, evaluated at tau = it, that is "
+                        "q = e^{-2 pi t}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_qdim)
 
@@ -327,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="3,4,5,6")
     p.add_argument("--ss", type=_comma_list(_int_at_least(0)),
                    default="0,1,2,3")
-    p.add_argument("--trunc", type=_int_at_least(1), default=40)
+    p.add_argument("--trunc", type=int, default=40)
     p.set_defaults(func=cmd_verify_routes)
 
     p = sub.add_parser("verify-decomposition",
                        help="quadrature vs residue-sum decomposition")
     p.add_argument("--ell", type=_int_at_least(2), required=True)
     p.add_argument("--s", type=_int_at_least(0), required=True)
-    p.add_argument("--tau", type=_upper_half, default="1j")
+    p.add_argument("--tau", type=_parse_mpc, default="1j")
     p.add_argument("--z", type=_parse_mpc, nargs="*", default=None,
                    help="explicit z_1..z_{ell-1} (else seeded random points)")
     p.add_argument("--points", type=_int_at_least(1), default=5)
@@ -346,11 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partial-theta modular transformation law")
     p.add_argument("--matrix", type=_sl2_matrix, default="0,-1,1,0",
                    help="a,b,c,d with ad - bc = 1 and c > 0")
-    p.add_argument("--M", type=_half_integer, default="3/2")
+    p.add_argument("--M", type=_rational, default="3/2")
     p.add_argument("--r", type=_rational, default="3/2")
-    p.add_argument("--eps", type=int, choices=(0, 1), default=1)
+    p.add_argument("--eps", type=int, default=1)
     p.add_argument("--z", type=_parse_mpc, default="0.12+0.18j")
-    p.add_argument("--tau", type=_upper_half, default="1j")
+    p.add_argument("--tau", type=_parse_mpc, default="1j")
     p.add_argument("--tol", type=_positive_decimal, default="1e-12")
     p.set_defaults(func=cmd_verify_modular)
 
@@ -362,18 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _out_of_range(args, exc: OverflowError) -> str:
-    """The error text of an OverflowError: it names the complex option of
-    largest modulus, the input whose size overflowed mpmath's integers."""
-    best = None
+    """The error text of an OverflowError: it names every complex option
+    given, since any of them, large or close to a boundary, may be the one
+    whose evaluation overflowed the doubles or mpmath's integers."""
+    given = []
     for name, value in vars(args).items():
-        for v in value if isinstance(value, list) else [value]:
-            if isinstance(v, mp.mpc) and (best is None or abs(v) > best[0]):
-                best = (abs(v), name, v)
-    if best is None:
-        return f"an input is out of range ({exc})"
-    _, name, v = best
-    return (f"an input is out of range: --{name.replace('_', '-')} = "
-            f"{mp.nstr(v, 6)} is too large to evaluate ({exc})")
+        zs = [v for v in (value if isinstance(value, list) else [value])
+              if isinstance(v, mp.mpc)]
+        if zs:
+            given.append(f"--{name.replace('_', '-')} "
+                         + " ".join(mp.nstr(z, 6) for z in zs))
+    text = f"an input is out of range ({exc})"
+    return f"{text}; complex inputs: {', '.join(given)}" if given else text
 
 
 def main(argv=None) -> int:
@@ -381,7 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except InputError as exc:
         parser.error(str(exc))
     except (ValueError, ArithmeticError, RuntimeError, AssertionError) as exc:
         error = (_out_of_range(args, exc) if isinstance(exc, OverflowError)

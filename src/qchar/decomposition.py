@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .characters import central_charge, h_s
-from .certified import (_GUARD_BITS, NearPoleError, fraction_mpf,
+from .certified import (_GUARD_BITS, InputError, NearPoleError, fraction_mpf,
                         pair_trapezoid)
 from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol, cexp,
                               eta, euler_phi_numeric, theta)
@@ -55,7 +55,7 @@ class MultivarPoint:
             v = mp.im(self.tau)
             for j, z in enumerate(self.zs, start=1):
                 if not 0 < mp.im(z) < v / ell:
-                    raise ValueError(
+                    raise InputError(
                         f"z_{j} violates 0 < Im z < Im(tau)/ell")
             ws = [-sum(self.zs[j:], mp.mpc(0)) for j in range(ell - 1)]
             ws.append(mp.mpc(0))
@@ -132,13 +132,17 @@ def F_ls_decomposed(ell: int, s: int, point: MultivarPoint,
     (branch fixed through z_j, not through a root of zeta_j).
 
     theta(w_a - w_b) is evaluated once per pair a < b (theta is odd); one
-    below 2^(-prec // 4) raises DegenerateWVectorError.
+    below 2^(-prec // 4) 2 pi |eta|^3 raises DegenerateWVectorError.  Near
+    the lattice theta(w) ~ theta'(0) w = -2 pi eta^3 w, so the threshold
+    measures w_a - w_b, not |eta|^3, which is exponentially small at small
+    Im tau.
     """
     if point.ell != ell:
         raise ValueError("point dimension does not match ell")
     with mp.workprec(prec + _GUARD_BITS):
         tau = point.tau
-        thresh = mp.mpf(2) ** (-prec // 4)
+        et = eta(tau, prec)
+        thresh = mp.mpf(2) ** (-prec // 4) * 2 * mp.pi * abs(et) ** 3
         th = {}
         for a in range(ell):
             for b in range(a + 1, ell):
@@ -152,7 +156,7 @@ def F_ls_decomposed(ell: int, s: int, point: MultivarPoint,
                                     Fraction(ell, 2))
         exp_pref = -h_s(ell, s) + Fraction(central_charge(ell), 24)
         pref = -(1j) ** (ell + 1) * cexp(tau * fraction_mpf(exp_pref)) \
-            * eta(tau, prec) ** (ell - 2)
+            * et ** (ell - 2)
         for j, z in enumerate(point.zs, start=1):
             pref *= cexp(z * mp.mpf(j * s) / ell)
         wm = sum(point.ws, mp.mpc(0)) / ell

@@ -18,8 +18,8 @@ from math import factorial
 import mpmath as mp
 
 from .bernoulli_euler import bernoulli_number
-from .certified import (_GUARD_BITS, NearPoleError, certified_gaussian_sum,
-                        euler_phi)
+from .certified import (_GUARD_BITS, InputError, NearPoleError,
+                        certified_gaussian_sum, euler_phi)
 from .exact_series import ExactQSeries, divisor_sigma_list
 
 DEFAULT_PREC = 256
@@ -32,7 +32,7 @@ def cexp(w):
 
 def _require_upper_half(tau):
     if not mp.im(tau) > 0:
-        raise ValueError("tau must lie in the upper half-plane")
+        raise InputError("tau must lie in the upper half-plane")
 
 
 def _tol(prec: int):
@@ -161,10 +161,13 @@ def laurent_coefficients_D(ell: int, ghat, one) -> tuple:
 
 
 def g_ell(z, tau, ell: int, prec: int = DEFAULT_PREC):
-    """eta(tau)^{3 ell} / theta(z; tau)^ell; errors out near theta zeros."""
+    """eta(tau)^{3 ell} / theta(z; tau)^ell; errors out near theta zeros,
+    where |theta(z)| < 2^(-prec // 2) 2 pi |eta|^3: near the lattice
+    theta(z) ~ -2 pi eta^3 z, so this measures z's distance from it."""
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
         th = theta(z, tau, prec)
-        if abs(th) < mp.mpf(2) ** (-prec // 2):
+        et = eta(tau, prec)
+        if abs(th) < mp.mpf(2) ** (-prec // 2) * 2 * mp.pi * abs(et) ** 3:
             raise NearPoleError("z too close to a lattice point of theta")
-        return eta(tau, prec) ** (3 * ell) / th ** ell
+        return et ** (3 * ell) / th ** ell

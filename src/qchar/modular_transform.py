@@ -6,9 +6,9 @@ theta-function correction terms.  Each law is one verify_* function that
 sums the left side directly at the transformed argument and builds the
 right side in place, its integrals by the certified real-line trapezoid
 rule certified.line_trapezoid, which also refuses a kernel pole within
-0.01 of the path (PoleNearContourError, re-exported here for the callers
-that catch it).  SL2Matrix admits only c > 0, which every law here needs
-for a convergent Gaussian.
+0.01 of the path (certified.PoleNearContourError, an InputError).
+SL2Matrix admits only c > 0, which every law here needs for a convergent
+Gaussian.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .certified import (_GUARD_BITS, PoleNearContourError,  # noqa: F401
-                        fraction_mpf, line_trapezoid)
+from .certified import _GUARD_BITS, InputError, fraction_mpf, line_trapezoid
 from .modular_objects import DEFAULT_PREC, _require_upper_half, cexp, theta
 from .partial_theta import PartialThetaParams, partial_theta
 
@@ -33,9 +32,9 @@ class SL2Matrix:
 
     def __post_init__(self):
         if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("determinant must be 1")
+            raise InputError("determinant must be 1")
         if self.c <= 0:
-            raise ValueError("need c > 0 for a convergent Gaussian")
+            raise InputError("need c > 0 for a convergent Gaussian")
 
     def act(self, tau):
         return (self.a * tau + self.b) / (self.c * tau + self.d)

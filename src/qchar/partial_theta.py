@@ -20,7 +20,8 @@ from math import factorial
 import mpmath as mp
 
 from .bernoulli_euler import bernoulli_poly
-from .certified import _GUARD_BITS, certified_gaussian_sum, fraction_mpf
+from .certified import (_GUARD_BITS, InputError, certified_gaussian_sum,
+                        fraction_mpf)
 from .modular_objects import DEFAULT_PREC, _require_upper_half
 
 
@@ -41,9 +42,9 @@ class PartialThetaParams:
         object.__setattr__(self, "r", Fraction(self.r))
         object.__setattr__(self, "M", Fraction(self.M))
         if self.epsilon not in (0, 1):
-            raise ValueError("epsilon must be 0 or 1")
+            raise InputError("epsilon must be 0 or 1")
         if self.M <= 0 or (2 * self.M).denominator != 1:
-            raise ValueError("M must be a positive half-integer")
+            raise InputError("M must be a positive half-integer")
 
 
 def partial_theta(params: PartialThetaParams, z, tau,

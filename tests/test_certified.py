@@ -8,9 +8,11 @@ escape it.  The workloads in perfbench/workloads.py call qchar's functions
 and CLI and check what they return; one pass of each must pass its checks,
 in process and as a traced perfbench/worker.py run, and the worker's
 accounting must count exactly the corrupted copies of perfbench/selftest.py's
-jobs as failed.
+jobs as failed.  Two known faults of the benchmark's own scripts are pinned
+as strict xfails until the benchmark's next change mends them.
 """
 
+import argparse
 import importlib
 import importlib.util
 import json
@@ -136,3 +138,47 @@ def test_benchmark_counts_exactly_the_corrupted_jobs_as_failed(
     assert {r["name"] for r in rows if not r["ok"]} == \
         {job.name for job in corrupted}
     assert "asymptotic.cli.verify-em" in {r["name"] for r in rows if r["ok"]}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: selftest.py still requires qchar verify-em to fail, "
+    "and it passes"))
+def test_benchmark_selftest_exits_zero():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        env=src_env(), capture_output=True, text=True, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.xfail(strict=True, raises=KeyError, reason=(
+    "ROADMAP item 1: run.py --trace 1 takes each self_s median over the "
+    "layer names of the first traced pass, and hostspeed.sample exists only "
+    "in passes where some job outlasts the 50 ms sampling period"))
+def test_traced_run_survives_a_pass_without_the_hostspeed_span(
+        perfbench_on_path, monkeypatch, tmp_path):
+    # two untraced and two traced synthetic passes; only the first traced
+    # one has a hostspeed.sample span
+    run = load_perfbench("run")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    traced = []
+
+    def pass_(self, mode, index):
+        layers = {m["name"]: 1.0 for m in spec["per_layer"]}
+        if mode == "traced" and not traced:
+            layers["hostspeed.sample.self_s"] = 0.06
+        report = {"rows": [{"id": 0, "name": "job", "params": {},
+                            "seconds": 0.01, "ok": True, "known": False}],
+                  "wall_s": 0.01, "job_p50_s": 0.01, "job_max_s": 0.01,
+                  "rss_mb": 20.0, "cpu_s": 0.01, "raw_wall_s": 0.01,
+                  "speed": 1.0, "env": {}, "layers": layers}
+        if mode == "traced":
+            traced.append(report)
+        # a pass as long as --seconds: the loop stops at two of each mode
+        return report, 0.1, 1.0
+
+    monkeypatch.setattr(run.Runner, "pass_", pass_)
+    monkeypatch.setattr(run.Runner, "setup_probe", lambda self: 0.1)
+    monkeypatch.setattr(run, "OUT", str(tmp_path))
+    args = argparse.Namespace(workload="quadrature", seed=1, seconds=1,
+                              trace=1)
+    assert run.run(args, spec) == 0

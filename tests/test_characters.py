@@ -86,6 +86,13 @@ def test_fourier_certificate_bounds_observed_error(ell, s, height, tau):
     assert abs(cert.h * cert.nodes - 1) < 1e-30 and cert.prec >= PREC
 
 
+def test_fourier_quadrature_where_q_underflows_the_doubles():
+    tau = mp.mpc(0, 200)
+    got, cert = fourier_quadrature(3, 1, tau, prec=PREC)
+    assert abs(got - H_value(3, 1, tau, PREC)) <= \
+        cert.bound + mp.mpf(2) ** -PREC
+
+
 def test_fourier_plan_raises_on_a_thin_strip():
     with pytest.raises(NearPoleError):
         fourier_quadrature(3, 0, mp.mpc(0, 1), mp.mpf("1e-9"), PREC)

@@ -1,11 +1,15 @@
 import argparse
 import json
 import time
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from qchar import certified, characters
+from qchar import certified, characters, decomposition, partial_theta
+from qchar.certified import InputError, NearPoleError, PoleNearContourError
+from qchar.characters import CharacterParams
+from qchar.modular_transform import SL2Matrix
 from qchar.cli import build_parser, main
 from qchar.exact_series import ExactQSeries
 
@@ -215,6 +219,7 @@ def test_usage_error_exit_two():
     ["verify-modular", "--M", "0"],
     ["verify-modular", "--M", "x"],
     ["verify-modular", "--r", "x"],
+    ["verify-modular", "--r", "1/0"],
     ["verify-modular", "--tol", "x"],
     ["verify-decomposition", "--ell", "3", "--s", "0", "--tol", "x"],
     ["verify-em", "--tol-order", "x"],
@@ -225,6 +230,32 @@ def test_invalid_argument_exit_two(argv):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("check", [
+    lambda: CharacterParams(1, 0, 1),
+    lambda: CharacterParams(2, -1, 1),
+    lambda: CharacterParams(2, 0, 0),
+    lambda: partial_theta.PartialThetaParams(0, 2, 1),
+    lambda: partial_theta.PartialThetaParams(0, 1, Fraction(1, 3)),
+    lambda: SL2Matrix(1, 1, 1, 1),
+    lambda: SL2Matrix(1, 0, 0, 1),
+    lambda: decomposition.MultivarPoint((0.5j,), 1j, 64),
+    lambda: decomposition.MultivarPoint((0.1j,), -1j, 64),
+])
+def test_library_domain_checks_raise_input_error(check):
+    # main maps InputError, and nothing else of the library's, to exit 2
+    with pytest.raises(InputError):
+        check()
+
+
+def test_failed_evaluations_are_not_input_errors():
+    # a pole on the path is the caller's z; a collision or a point next to
+    # a pole is a failed verification (exit 1)
+    assert issubclass(PoleNearContourError, InputError)
+    for cls in (decomposition.DegenerateWVectorError, NearPoleError):
+        assert issubclass(cls, ValueError)
+        assert not issubclass(cls, InputError)
 
 
 def test_verification_error_exit_one(capsys):
@@ -255,6 +286,41 @@ def test_out_of_range_input_names_its_option(capsys, option, value):
     doc = json.loads(captured.out)
     assert doc["ok"] is False
     assert "out of range" in doc["error"] and option in doc["error"]
+
+
+def test_out_of_range_names_every_complex_input(capsys):
+    # 1/(q)_inf overflows the doubles of the quadrature plan at this small
+    # Im tau: the report names the complex inputs and does not guess which
+    # one overflowed, or that it was too large
+    code = main(["verify-modular", "--z=0.1+1e30j"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1 and "--z" in error and "--tau" in error
+    code = main(["verify-decomposition", "--ell", "2", "--s", "0",
+                 "--points", "1", "--tau", "1e-4j"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1 and "--tau" in error and "too large" not in error
+
+
+@pytest.mark.parametrize("argv", [
+    # q underflows the doubles: the pair kernel plans from log|q|
+    ["verify-decomposition", "--ell", "2", "--s", "0", "--points", "1",
+     "--tau", "200j"],
+    # |theta(w_1 - w_2)| is far below 2^-(prec // 4) here, but so is
+    # 2 pi |eta|^3, its slope at the lattice: the w_j do not collide
+    ["--prec", "64", "verify-decomposition", "--ell", "3", "--s", "1",
+     "--points", "1", "--tau", "0.02j"],
+])
+def test_decomposition_at_extreme_im_tau(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_line_trapezoid_refuses_a_plan_of_a_minute_before_it_runs(capsys):
+    start = time.perf_counter()
+    code = main(["verify-modular", "--tau", "1e-9j"])
+    assert time.perf_counter() - start < 1.0
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1 and "55452573 nodes" in error
 
 
 def test_far_gaussian_sum_fails_at_once(capsys):

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 import qchar
 from qchar import certified, modular_objects, partial_theta
 from qchar.certified import (_GUARD_BITS, NearPoleError, _coefficient_degree,
-                             _node_error, _pair_coefficients, _pair_count,
-                             _pair_sum, euler_phi, from_fixed)
+                             _coefficient_weight, _node_error,
+                             _pair_coefficients, _pair_count, _pair_sum,
+                             euler_phi, from_fixed)
 from qchar.characters import fourier_coeff_by_quadrature, fourier_quadrature
 from qchar.decomposition import (DegenerateWVectorError, F_ell_product,
                                  F_ls_decomposed, F_ls_multivar_quadrature,
@@ -360,7 +361,7 @@ def test_coefficient_truncation_within_its_bound(v, re_tau, bits, seed):
     log_target = -bits * math.log(2)
     I = _coefficient_degree(log_q, m, log_target)
     wp = bits + 64
-    coeffs = _pair_coefficients(tau, m, I, wp)
+    coeffs = _pair_coefficients(tau, m, I, wp, _coefficient_weight(log_q, I))
     rng = random.Random(seed)
     with mp.workprec(wp + 32):
         q = modular_objects.cexp(tau)
@@ -375,6 +376,27 @@ def test_coefficient_truncation_within_its_bound(v, re_tau, bits, seed):
                 full *= 1 + q ** (2 * k + 1) - q ** k * c
             assert abs(mp.polyval(a, c) - full) <= \
                 math.exp(log_target) + rounding
+
+
+@pytest.mark.parametrize("v", [1, 5, 10, 40, 200])
+def test_one_coefficient_weight_for_both_kernel_steps(monkeypatch, v):
+    # sigma = sum_{i<=I} (1 + |q|)^i weighs the coefficients' rounding in
+    # _pair_sum and in _pair_coefficients: one value, its series' sum even
+    # where 1 + |q| == 1 or |q| underflows
+    seen = []
+    build = certified._pair_coefficients
+
+    def spy(tau, m, I, wp, sigma):
+        seen.append((I, sigma))
+        return build(tau, m, I, wp, sigma)
+
+    monkeypatch.setattr(certified, "_pair_coefficients", spy)
+    tau = mp.mpc(0, v)
+    _pair_sum(tau, [tau / 2], 3, 0, 128)
+    ((I, sigma),) = seen
+    Q = math.exp(-2 * math.pi * v)
+    assert sigma == pytest.approx(
+        math.fsum((1 + Q) ** i for i in range(I + 1)), rel=1e-12)
 
 
 def test_quadrature_plan_raises_on_a_thin_strip():

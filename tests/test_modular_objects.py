@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qchar import (characters, decomposition, modular_objects,
                    modular_transform, partial_theta)
-from qchar.certified import (_GUARD_BITS, NearPoleError,
+from qchar.certified import (_GUARD_BITS, InputError, NearPoleError,
                              certified_gaussian_sum, fixed_div, fixed_mul,
                              from_fixed, to_fixed)
 from qchar.exact_series import ExactQSeries, euler_product
@@ -369,6 +369,17 @@ def test_g_ell_near_pole_raises():
         g_ell(mp.mpc(0), mp.mpc(0, 1), 3, 64)
 
 
+def test_g_ell_guard_scales_with_theta_slope():
+    # at tau = 0.01i, |theta(z)| = 3.8e-21 is far below 2^-(prec // 2) at a
+    # z far from the lattice, because |eta|^3 is tiny; g_ell evaluates it
+    z, tau = mp.mpc("0.104", "-0.0014"), mp.mpc(0, "0.01")
+    th = theta(z, tau, 64)
+    assert abs(th) < mp.mpf(2) ** -32
+    got = g_ell(z, tau, 3, 64)
+    want = eta(tau, 64) ** 9 / th ** 3
+    assert abs(got - want) <= mp.mpf(2) ** -50 * abs(want)
+
+
 def test_euler_phi_and_qpoch():
     with mp.workprec(PREC + 16):
         q = mp.mpf("0.3")
@@ -443,6 +454,6 @@ _TAU_ENTRY_POINTS = {
 @pytest.mark.parametrize("tau", [mp.mpc(0, -1), mp.mpc(0.5, 0)])
 @pytest.mark.parametrize("name", sorted(_TAU_ENTRY_POINTS))
 def test_numeric_entry_points_refuse_tau_off_the_upper_half_plane(name, tau):
-    with pytest.raises(ValueError,
+    with pytest.raises(InputError,
                        match="tau must lie in the upper half-plane"):
         _TAU_ENTRY_POINTS[name](tau)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar import modular_transform
-from qchar.certified import _GUARD_BITS, fraction_mpf, line_trapezoid
-from qchar.modular_transform import (PoleNearContourError, S_MATRIX,
-                                     SL2Matrix, half_index_identity_check,
+from qchar.certified import (_GUARD_BITS, PoleNearContourError,
+                             fraction_mpf, line_trapezoid)
+from qchar.modular_transform import (S_MATRIX, SL2Matrix,
+                                     half_index_identity_check,
                                      mordell_integral,
                                      verify_S_transform,
                                      verify_general_transform)
