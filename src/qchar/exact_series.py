@@ -7,17 +7,23 @@
   to which exponent its coefficients are guaranteed.  Every integer power,
   the inverse and the Euler-product powers included, comes from one
   J.C.P. Miller recurrence in ``ExactQSeries.__pow__``.
-* :class:`ZetaQSeries` -- a bivariate series in ``zeta`` and ``q`` held as
-  dense integer rows, used to extract Fourier coefficients of infinite
-  Pochhammer products expanded in the region ``|q| < |zeta| < 1``.
+* :class:`ZetaQSeries` -- a bivariate series in ``zeta`` and ``q``, used to
+  extract Fourier coefficients of infinite Pochhammer products expanded in
+  the region ``|q| < |zeta| < 1``.  Each q-row is packed into one int
+  (Kronecker substitution): slot ``d``, ``bits`` wide, holds the row's
+  coefficient on diagonal ``d``, so that a geometric pass over a row is one
+  shift, one add and one mask.  Every entry is nonnegative and no state an
+  instance leads to has an entry ``>= 2^bits``, so no carry ever crosses a
+  slot; ``poch_ratio_bivariate`` derives ``bits`` from a Cauchy bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
-from operator import add
+from math import ceil, comb, lcm, log, pi, sqrt
 from types import MappingProxyType
+
+from .certified import log_poch_lower
 
 
 def _norm(c):
@@ -268,33 +274,49 @@ def euler_product_pow(power: int, trunc: int) -> ExactQSeries:
 class ZetaQSeries:
     """Bivariate series ``sum c_{m,n} zeta^m q^n`` on a diagonal window.
 
-    ``rows[n][d]`` is the int coefficient at ``q^n`` on the diagonal ``d = m
-    + n``, kept for ``0 <= n < q_trunc`` and ``0 <= d <= zeta_hi_base``.  A
-    factor ``(1 - zeta^a q^j)`` moves ``(d, n)`` by multiples of ``(a + j,
-    j)``; with ``a + j >= 0`` and ``j >= 1`` an entry that leaves the window
-    never returns, whatever the order of the factors.  Treat instances as
+    ``rows[n]`` is one int packing the coefficients at ``q^n``: slot ``d``,
+    bits ``bits * d`` to ``bits * (d + 1) - 1``, holds the coefficient on
+    the diagonal ``d = m + n``, kept for ``0 <= n < q_trunc`` and ``0 <= d
+    <= zeta_hi_base``.  A factor ``(1 - zeta^a q^j)`` moves ``(d, n)`` by
+    multiples of ``(a + j, j)``; with ``a + j >= 0`` and ``j >= 1`` an entry
+    that leaves the window never returns, whatever the order of the
+    factors, so the mask that drops it loses nothing.
+
+    Invariant: every entry is ``>= 0``, and no state this instance leads to
+    through ``mul_factor`` has an entry ``>= 2^bits``.  Geometric passes
+    only add nonnegative entries, so a slot's sum stays below ``2^bits``
+    and no carry reaches the next slot; the caller that picks ``bits``
+    answers for the bound.  ``poch_ratio_bivariate`` takes it from
+    ``_slot_bits``: entries only grow, so the final window bounds every
+    state, and the Cauchy bound ``c_{m,n} <= P(x, r) x^{-m} r^{-n}`` at the
+    window's far corner bounds the final window.  Treat instances as
     immutable.
     """
 
-    __slots__ = ("rows", "q_trunc", "zeta_hi_base", "_data")
+    __slots__ = ("rows", "q_trunc", "zeta_hi_base", "bits", "_data")
 
-    def __init__(self, rows: list, q_trunc: int, zeta_hi_base: int):
+    def __init__(self, rows: list, q_trunc: int, zeta_hi_base: int,
+                 bits: int):
         self.rows, self.q_trunc, self.zeta_hi_base = rows, q_trunc, zeta_hi_base
+        self.bits = bits
         self._data = None
 
     @property
     def data(self):
         """Read-only map ``{(m, n): c}`` of the nonzero entries."""
         if self._data is None:
+            bits, slot = self.bits, (1 << self.bits) - 1
             self._data = MappingProxyType({
-                (d - n, n): c for n, row in enumerate(self.rows)
-                for d, c in enumerate(row) if c})
+                (d - n, n): c for n, row in enumerate(self.rows) if row
+                for d in range(self.zeta_hi_base + 1)
+                if (c := (row >> bits * d) & slot)})
         return self._data
 
     def mul_factor(self, zeta_pow: int, q_pow: int, power: int) -> "ZetaQSeries":
         """Multiply by ``(1 - zeta^zeta_pow q^q_pow)^power`` for ``power < 0``.
 
-        That is ``-power`` geometric passes ``row[n][d] += row[n-j][d-a-j]``;
+        That is ``-power`` geometric passes ``row[n][d] += row[n-j][d-a-j]``,
+        on the packed rows ``R[n] = (R[n] + (R[n-j] << bits (a+j))) & mask``;
         the factor must not lower the diagonal (``zeta_pow + q_pow >= 0``)
         and must raise the q order (``q_pow >= 1``).
         """
@@ -302,19 +324,43 @@ class ZetaQSeries:
         if power >= 0 or q_pow < 1 or step < 0:
             raise ValueError("need power < 0, q_pow >= 1 and "
                              "zeta_pow + q_pow >= 0")
-        rows = [row[:] for row in self.rows]
+        shift = self.bits * step
+        mask = (1 << self.bits * (self.zeta_hi_base + 1)) - 1
+        rows = self.rows[:]
         for _ in range(-power):
             # ascending n: each pass reads source rows it already updated
             for n in range(q_pow, T):
-                dst = rows[n]
-                dst[step:] = map(add, dst[step:], rows[n - q_pow])
-        return ZetaQSeries(rows, T, self.zeta_hi_base)
+                rows[n] = (rows[n] + (rows[n - q_pow] << shift)) & mask
+        return ZetaQSeries(rows, T, self.zeta_hi_base, self.bits)
 
     def zeta_coefficient(self, m: int) -> ExactQSeries:
         """Extract the coefficient of ``zeta^m`` as an exact q-series."""
         trunc = min(self.q_trunc, self.zeta_hi_base - m + 1)
-        return ExactQSeries(1, {n: self.rows[n][m + n]
+        bits, slot = self.bits, (1 << self.bits) - 1
+        return ExactQSeries(1, {n: (self.rows[n] >> bits * (m + n)) & slot
                                 for n in range(max(0, -m), trunc)}, trunc)
+
+
+def _slot_bits(ell: int, s_max: int, trunc: int) -> int:
+    """A slot width no entry of ``poch_ratio_bivariate(ell, s_max, trunc)``
+    reaches, nor any entry of a state on the way to it.
+
+    Each such entry is at most the final entry at its place, an exact
+    coefficient ``c_{m,n} >= 0`` of ``P = 1 / ((zeta)_inf^ell (zeta^{-1}
+    q)_inf^ell)``, and ``c_{m,n} <= P(x, r) x^{-m} r^{-n}`` for any ``0 < r <
+    x < 1``.  With ``x = e^{-u}``, ``r = e^{-w}`` and ``d = m + n``, ``x^{-m}
+    r^{-n} = e^{u d + (w - u) n}`` is largest at the window's far corner
+    ``(d, n) = (s_max + trunc - 1, trunc - 1)``, so every entry has ``log c
+    <= -ell [log (x; r)_inf + log (r/x; r)_inf] + u s_max + w (trunc -
+    1)``, each log Pochhammer bounded below by ``log_poch_lower``.  Any ``0
+    < u < w`` gives a bound; the closed-form saddle ``w = pi sqrt(ell / (3
+    max(trunc - 1, 1)))``, ``u = w / 2`` keeps it within about 12 bits of
+    the largest entry, and two guard bits absorb the doubles' rounding.
+    """
+    w = pi * sqrt(ell / (3 * max(trunc - 1, 1)))
+    # u = w / 2 gives x = r / x: the two Pochhammers are one
+    log_c = -2 * ell * log_poch_lower(-w / 2, -w) + (s_max / 2 + trunc - 1) * w
+    return ceil(log_c / log(2)) + 2
 
 
 def poch_ratio_bivariate(ell: int, s_max: int, trunc: int) -> ZetaQSeries:
@@ -322,12 +368,13 @@ def poch_ratio_bivariate(ell: int, s_max: int, trunc: int) -> ZetaQSeries:
 
     The window keeps exactly the entries that can still contribute to
     ``coeff_{zeta^s} q^n`` with ``s <= s_max`` and ``n < trunc``.  Row 0
-    starts as ``(1 - zeta)^{-ell} = sum_d C(d + ell - 1, ell - 1) zeta^d``.
+    starts as ``(1 - zeta)^{-ell} = sum_d C(d + ell - 1, ell - 1) zeta^d``;
+    the slots are ``_slot_bits`` wide.
     """
-    width = s_max + trunc
-    rows = [[comb(d + ell - 1, ell - 1) for d in range(width)]]
-    rows += [[0] * width for _ in range(1, trunc)]
-    state = ZetaQSeries(rows, trunc, width - 1)
+    width, bits = s_max + trunc, _slot_bits(ell, s_max, trunc)
+    rows = [sum(comb(d + ell - 1, ell - 1) << bits * d for d in range(width))]
+    rows += [0] * (trunc - 1)
+    state = ZetaQSeries(rows, trunc, width - 1, bits)
     for j in range(1, trunc):
         state = state.mul_factor(1, j, -ell)
         state = state.mul_factor(-1, j, -ell)

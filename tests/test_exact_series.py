@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qchar.characters import CharacterParams, F_ls_exact, character_ch
 from qchar.exact_series import (ExactQSeries, ZetaQSeries, _norm,
-                                divisor_sigma_list, euler_product,
+                                _slot_bits, divisor_sigma_list, euler_product,
                                 euler_product_pow, log1p_series,
                                 poch_ratio_bivariate)
 
@@ -124,9 +124,10 @@ def test_trunc_validity_enforced():
 
 
 def test_pochhammer_inf_single_series():
-    # 1/(zeta q; q)_inf at zeta^1 is q + q^2 + 2q^3 + 2q^4 + 3q^5 + ...
-    # (coefficient of zeta is sum over single parts >= 1 of p-into-that)
-    s = ZetaQSeries([[1, 0, 0, 0, 0]] + [[0] * 5 for _ in range(7)], 8, 4)
+    # 1/(zeta q; q)_inf at zeta^1 is q + q^2 + q^3 + ...: one part, of size n
+    # row 0 packs the unit series (slot 0 = 1); 8-bit slots hold the window's
+    # entries, partition counts below q^8 (at most p(7) = 15)
+    s = ZetaQSeries([1] + [0] * 7, 8, 4, bits=8)
     for k in range(1, 8):
         s = s.mul_factor(1, k, -1)
     c1 = s.zeta_coefficient(1)
@@ -270,8 +271,8 @@ def test_bivariate_extraction_matches_dict_oracle(ell, T, s_max, data):
 
 
 def accumulate_start_oracle(ell, s_max, T):
-    """The rows of poch_ratio_bivariate as they were built: the unit series,
-    then ell zeta-only passes row[d] += row[d - 1] over every row for (1 -
+    """The list rows poch_ratio_bivariate once built: the unit series, then
+    ell zeta-only passes row[d] += row[d - 1] over every row for (1 -
     zeta)^{-ell}, then the q-costing passes; with the read-only map that
     ZetaQSeries.data gave them."""
     width = s_max + T
@@ -294,8 +295,33 @@ def test_binomial_start_matches_the_accumulate_start(ell):
     for s_max in range(4):
         for T in (1, 2, 3, 7, 19, 60):
             got = poch_ratio_bivariate(ell, s_max, T)
-            assert (got.rows, dict(got.data)) == \
-                accumulate_start_oracle(ell, s_max, T)
+            rows, data = accumulate_start_oracle(ell, s_max, T)
+            assert dict(got.data) == data
+            assert (got.q_trunc, got.zeta_hi_base) == \
+                (len(rows), len(rows[0]) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=4),
+       st.integers(min_value=1, max_value=60))
+def test_packed_rows_match_the_list_rows(ell, s_max, T):
+    # the packed kernel against the list algorithm it replaced
+    assert poch_ratio_bivariate(ell, s_max, T).data == \
+        accumulate_start_oracle(ell, s_max, T)[1]
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_slot_width_bounds_every_window_entry(ell):
+    # the list rows' final window bounds every earlier state (entries only
+    # grow), so final entries below 2^bits mean no pass carried into the
+    # next slot; the s_max = 4 window holds the smaller ones (diagonals d <=
+    # s_max + T - 1), and T = 1 takes the saddle at max(T - 1, 1)
+    for T in (1, 2, 3, 7, 19, 20, 60, 120):
+        exact = accumulate_start_oracle(ell, 4, T)[1]
+        for s_max in range(5):
+            top = max(c for k, c in exact.items() if sum(k) <= s_max + T - 1)
+            assert top < 2 ** _slot_bits(ell, s_max, T)
 
 
 def test_mul_factor_rejects_diagonal_lowering_factor():
