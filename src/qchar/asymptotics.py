@@ -128,6 +128,15 @@ def verify_appendix(ell_max: int = 20) -> dict:
     return report
 
 
+def _one_term_model(ell: int, a_rat: Fraction, p: Fraction) -> AsympExpansion:
+    """C_ell (t/2pi)^p e^{a_rat pi^2/t}, for ell >= 3 (else ValueError)."""
+    if ell < 3:
+        raise ValueError("ell must be >= 3")
+    C = C_ell(ell)
+    coeff = GradedCoeff(C.rat, C.two_pow - p, C.pi_pow - p)
+    return AsympExpansion(a_rat=a_rat, terms={p: (coeff,)}, order=p + 1)
+
+
 def leading_asym_F(ell: int, s: int) -> AsympExpansion:
     """One-term model C_ell (t/2pi)^{1 - ell^2/2} e^{-pi^2 (ell^2-2 ell)/(6t)}
     for F_{ell,s}(e^{-t}).
@@ -135,13 +144,8 @@ def leading_asym_F(ell: int, s: int) -> AsympExpansion:
     The model is independent of s by construction, but its relative error
     is not: F/model = 1 + c1(s) t + O(t^2), with the slope c1(s) given by
     :func:`first_correction_F` (7/8 + s/2 - 3/pi^2 for ell = 3)."""
-    if ell < 3:
-        raise ValueError("ell must be >= 3")
-    C = C_ell(ell)
-    p = Fraction(2 - ell * ell, 2)  # 1 - ell^2/2
-    coeff = GradedCoeff(C.rat, C.two_pow - p, C.pi_pow - p)
-    return AsympExpansion(a_rat=-Fraction(ell * ell - 2 * ell, 6),
-                          terms={p: (coeff,)}, order=p + 1)
+    return _one_term_model(ell, -Fraction(ell * ell - 2 * ell, 6),
+                           Fraction(2 - ell * ell, 2))
 
 
 def first_correction_F(ell: int, s: int) -> tuple:
@@ -158,26 +162,29 @@ def first_correction_F(ell: int, s: int) -> tuple:
     """
     if ell != 3:
         raise ValueError("first_correction_F is known for ell == 3 only")
-    (lead,) = sl3_bracket_coefficient(s, -2)
     alpha = (h_s(ell, s) - Fraction(central_charge(ell), 24)
              + Fraction(ell * ell - 1, 24))
-    parts = {(Fraction(0), Fraction(0)): alpha}
-    for c in sl3_bracket_coefficient(s, -1):
-        grade = (c.two_pow - lead.two_pow, c.pi_pow - lead.pi_pow)
-        parts[grade] = parts.get(grade, Fraction(0)) + c.rat / lead.rat
-    return tuple(GradedCoeff(r, *grade) for grade, r in parts.items() if r)
+    return _by_grade({(Fraction(0), Fraction(0)): alpha}, [(1, s)], 0)
 
 
 def leading_asym_ch(ell: int, s: int) -> AsympExpansion:
     """One-term model C_ell sqrt(t/2pi) e^{pi^2 (2 ell - 1)/(6t)} for the
     character value at q = e^{-t}; independent of s."""
-    if ell < 3:
-        raise ValueError("ell must be >= 3")
-    C = C_ell(ell)
-    p = Fraction(1, 2)
-    coeff = GradedCoeff(C.rat, C.two_pow - p, C.pi_pow - p)
-    return AsympExpansion(a_rat=Fraction(2 * ell - 1, 6),
-                          terms={p: (coeff,)}, order=p + 1)
+    return _one_term_model(ell, Fraction(2 * ell - 1, 6), Fraction(1, 2))
+
+
+def _by_grade(parts: dict, weighted, pi_shift: int) -> tuple:
+    """The nonzero GradedCoeff of parts + sum_(w, s) w x_{-1}(s)/x_{-2}, x_m
+    from :func:`sl3_bracket_coefficient`, keyed by the grades of 2 and pi,
+    the latter raised by pi_shift, in the order they first appear; x_{-2} =
+    pi^2/4 at every s."""
+    (lead,) = sl3_bracket_coefficient(0, -2)
+    for w, s in weighted:
+        for c in sl3_bracket_coefficient(s, -1):
+            grade = (c.two_pow - lead.two_pow,
+                     c.pi_pow - lead.pi_pow + pi_shift)
+            parts[grade] = parts.get(grade, Fraction(0)) + w * c.rat / lead.rat
+    return tuple(GradedCoeff(r, *grade) for grade, r in parts.items() if r)
 
 
 def sl3_bracket_coefficient(s: int, m: int) -> tuple:
@@ -263,14 +270,7 @@ def qdim_slope_exact(ell: int, s: int) -> tuple:
     """
     if ell != 3:
         raise ValueError("qdim_slope_exact is known for ell == 3 only")
-    (lead,) = sl3_bracket_coefficient(s, -2)
-    parts = {}
-    for sign, level in ((1, s), (-1, 0)):
-        for c in sl3_bracket_coefficient(level, -1):
-            grade = (c.two_pow - lead.two_pow, c.pi_pow - lead.pi_pow + 1)
-            parts[grade] = (parts.get(grade, Fraction(0))
-                            + 2 * sign * c.rat / lead.rat)
-    return tuple(GradedCoeff(r, *grade) for grade, r in parts.items() if r)
+    return _by_grade({}, [(2, s), (-2, 0)], 1)
 
 
 # the two t of the Richardson slope estimate in qdim_slope_report

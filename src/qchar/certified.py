@@ -200,6 +200,15 @@ def log_poch_lower(log_f0, log_q) -> float:
         k += 1
 
 
+def log_pair_lower(log_z, log_q) -> float:
+    """A lower bound of log|(Z;q)_inf (q/Z;q)_inf| with log|Z| = log_z:
+    log_poch_lower of each factor, in doubles.  It bounds the slot width of
+    the bivariate extraction (exact_series._slot_bits), F_ls_numeric's tail
+    majorant and both periodic contour integrals (_pair_sum,
+    pair_trapezoid)."""
+    return log_poch_lower(log_z, log_q) + log_poch_lower(log_q - log_z, log_q)
+
+
 def _pentagonal_terms(q, tol) -> int:
     """The least K >= 1 with 2|q|^m/(1 - |q|) < tol/2, m = (K+1)(3K+2)/2,
     the bound on the terms euler_phi drops; planned in doubles, the
@@ -515,9 +524,8 @@ def _pair_sum(tau, args, N: int, s: int, prec: int):
     is within a relative 2^-prec of its value with P's pairs truncated at m.
 
     |Z_j(n)| is the same at every node, so the lower bound 0 < L_j <= |P|,
-    log L_j = log_poch_lower(log|Z_j|, log|q|) + log_poch_lower(log|q| -
-    log|Z_j|, log|q|) (pair_trapezoid's per-line sum), is found once, from
-    doubles; a line near a line of poles costs more bits, never a wrong bound.
+    log L_j = log_pair_lower(log|Z_j|, log|q|), is found once, from doubles;
+    a line near a line of poles costs more bits, never a wrong bound.
 
     The nodes run on the grid u = 2^-wp.  With A_j = Z_j(0), B_j = q/A_j and
     omega = e^{2 pi i/N}: W <- W omega gives e^{2 pi i n/N}, c_j = A_j W +
@@ -546,11 +554,8 @@ def _pair_sum(tau, args, N: int, s: int, prec: int):
     log_q = -2 * math.pi * float(mp.im(tau))
     Q = math.exp(log_q)
     S = 1 + Q
-    log_L = []
-    for x in args:
-        log_Z = -2 * math.pi * float(mp.im(x))
-        log_L.append(log_poch_lower(log_Z, log_q)
-                     + log_poch_lower(log_q - log_Z, log_q))
+    log_L = [log_pair_lower(-2 * math.pi * float(mp.im(x)), log_q)
+             for x in args]
     m = _pair_count(log_q, prec)
     log_inv_L = _log_sum([-x for x in log_L])
     I = _coefficient_degree(log_q, m, -(prec + 2) * math.log(2) - log_inv_L)
@@ -628,12 +633,11 @@ def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
     contour; y = None takes its midpoint.  A y off it (compared at the
     working precision) raises ValueError before any planning.  On Im z = y + dy
     every |Z_j| = e^{-2 pi (y + dy - Im w_j)} is fixed, and |(q)_inf| <=
-    prod (1 + |q|^n), |1 - f| >= |1 - |f|| (log_poch_lower) and |e^{-2 pi i
-    s z}| = e^{2 pi s (y + dy)} give
+    prod (1 + |q|^n), the pair bound log_pair_lower and |e^{-2 pi i s z}| =
+    e^{2 pi s (y + dy)} give
 
         log|f| <= 2 pi s (y + dy) + k |q|/(1 - |q|)
-                  - sum_j [log_poch_lower(log|Z_j|, log|q|)
-                           + log_poch_lower(log|q| - log|Z_j|, log|q|)],
+                  - sum_j log_pair_lower(log|Z_j|, log|q|),
 
     which least_strip_nodes turns into the discretisation error.  A node at
     p bits is within node_err 2^-p |f| of f, relative, node_err =
@@ -664,9 +668,7 @@ def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
     def log_bound(dy):
         out = log_phi + 2 * math.pi * s * (yf + dy)
         for im_w in im_ws:
-            log_Z = -2 * math.pi * (yf + dy - im_w)
-            out -= (log_poch_lower(log_Z, log_q)
-                    + log_poch_lower(log_q - log_Z, log_q))
+            out -= log_pair_lower(-2 * math.pi * (yf + dy - im_w), log_q)
         return out
 
     log_target = -target_bits * ln2

@@ -23,7 +23,7 @@ import mpmath as mp
 from .exact_series import (ExactQSeries, euler_product, euler_product_pow,
                            poch_ratio_bivariate)
 from .certified import (_GUARD_BITS, InputError, certified_gaussian_sum,
-                        log_poch_lower, pair_trapezoid)
+                        log_pair_lower, log_poch_lower, pair_trapezoid)
 from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol, cexp,
                               euler_phi_numeric, ghat_qseries, ghat_value,
                               laurent_coefficients_D)
@@ -208,7 +208,7 @@ def fourier_coeff_by_quadrature(ell: int, s: int, tau, z0_imag=None,
 # most this fraction of the value
 _NUMERIC_REL_TOL = mp.mpf("1e-12")
 # the largest truncation order F_ls_numeric builds: a build costs O(T^2)
-# Fraction products, minutes near this order (qchar asym --ell 6 builds
+# integer products, minutes near this order (qchar asym --ell 6 builds
 # 18,738 terms and takes 214 s on a 2-vCPU Xeon)
 _MAX_ORDER = 20_000
 
@@ -225,10 +225,10 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
     with q1 = sqrt(q) and Phi(q1) = (q1^{1/2}; q1)_inf^{-2 ell}, valid
     because b_n <= x^{-s} q1^{-n} * [value of the bivariate product at
     (x, q1)] for any admissible x; x = q1^{1/2} keeps every factor
-    convergent, and the product is then Phi(q1).  Phi = e^{-2 ell (P - m)}
-    with P = log_poch_lower(-t/4, -t/2), the doubles' lower bound of log
-    (q1^{1/2}; q1)_inf that the quadrature plans use, and m = 2^-40 (1 +
-    |P|) covering their rounding, so Phi stays an upper bound.
+    convergent, and the product is then Phi(q1), the pair (Z; q1)_inf (q1/Z;
+    q1)_inf at Z = q1^{1/2} to the power -ell.  Phi = e^{-ell (P - m)} with
+    P = log_pair_lower(-t/4, -t/2) and m = 2^-40 (2 + |P|) covering the
+    doubles' rounding, so Phi stays an upper bound.
 
     The bound adds the rounding, rho value.  (q)_inf >= e^{-L}, L =
     -log_poch_lower(-t, -t), is small for small t, and its ell^2-th power
@@ -245,31 +245,35 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
     e^{ell pi^2/(3t)}), is below every longer head, so the least T whose
     tail bound is _NUMERIC_REL_TOL less rho (at T = _MAX_ORDER, the largest
     T built) times it, less 2^-32 for its rounding, meets the target.  The
-    head is reused when T <= T0.  A T above _MAX_ORDER raises RuntimeError
-    before anything is built.
+    head is reused when T <= T0.  A T0 or T above _MAX_ORDER raises
+    RuntimeError before anything is built, a T0 before anything is
+    evaluated.
     """
     def rho(T):
         return (1 + (T + 6) * mp.mpf(2) ** (2 - _GUARD_BITS)) \
             * mp.mpf(2) ** -prec
 
+    def capped(T):
+        if T > _MAX_ORDER:
+            raise RuntimeError(f"F_ls_numeric needs order {T} > {_MAX_ORDER}")
+        return T
+
     with mp.workprec(prec + _GUARD_BITS):
         t = mp.mpf(t)
         if t <= 0:
             raise ValueError("t must be positive")
+        T0 = capped(max(40, int(ell * mp.pi ** 2 / (6 * t * t))))
         L = -log_poch_lower(-float(t), -float(t))
         extra = math.ceil(L / math.log(2) + 2 * math.log2(ell)) + 1
         with mp.workprec(prec + extra + _GUARD_BITS):
             phi = euler_phi_numeric(mp.exp(-t), _tol(prec + extra))
         q = mp.exp(-t)
         q1 = mp.sqrt(q)
-        P = log_poch_lower(-float(t) / 4, -float(t) / 2)
-        Phi = mp.exp(-2 * ell * (P - 2.0 ** -40 * (1 + abs(P))))
+        P = log_pair_lower(-float(t) / 4, -float(t) / 2)
+        Phi = mp.exp(-ell * (P - 2.0 ** -40 * (2 + abs(P))))
         pref = q1 ** (-mp.mpf(s) / 2) * Phi / (1 - q / q1)  # tail / (q/q1)^T
 
         def head(T):  # sum_{n<T} b_n q^n
-            if T > _MAX_ORDER:
-                raise RuntimeError(
-                    f"F_ls_numeric needs order {T} > {_MAX_ORDER}")
             G = (_F_ls_via_H_series(ell, s, T)
                  * euler_product_pow(-ell * ell, T)).truncate(T)
             bad = [e for e, c in G.coeffs.items()
@@ -280,13 +284,12 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
             return mp.fsum(mp.mpf(c.numerator) * q ** e
                            for e, c in sorted(G.coeffs.items()))
 
-        T0 = max(40, int(ell * mp.pi ** 2 / (6 * t * t)))
         total = head(T0)
         target = ((_NUMERIC_REL_TOL - rho(_MAX_ORDER)) * total
                   * (1 - mp.mpf(2) ** -32))
         T = int(mp.ceil(mp.log(pref / target) / (t / 2)))  # q/q1 = e^{-t/2}
         if T > T0:
-            total = head(T)
+            total = head(capped(T))
         T = max(T, T0)
         value = phi ** (ell * ell) * total
         bound = phi ** (ell * ell) * pref * (q / q1) ** T + rho(T) * value

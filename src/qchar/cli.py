@@ -69,6 +69,12 @@ def cmd_series(args) -> int:
     return 0
 
 
+def _points(args) -> list:
+    """The points of --t, rounded at the working precision."""
+    with mp.workprec(args.prec):
+        return [mp.mpf(x) for x in args.t]
+
+
 def _emit_rows(args, columns, rows, **extra) -> int:
     """The rows as CSV under a header of ``columns``, or as JSON objects
     keyed by them next to ``extra``; numbers at working precision."""
@@ -85,14 +91,12 @@ def _emit_rows(args, columns, rows, **extra) -> int:
 
 def cmd_asym(args) -> int:
     prec = args.prec
-    with mp.workprec(prec):
-        ts = [mp.mpf(x) for x in args.t]
     if args.ell == 3:
         expn = asymptotics.sl3_bracket_expansion(args.s, args.N)
     else:
         expn = asymptotics.leading_asym_F(args.ell, args.s)
     rows = []
-    for t in ts:
+    for t in _points(args):
         if args.ell == 3:
             exact = asymptotics.sl3_bracket_value(args.s, t, prec)
         else:
@@ -106,8 +110,7 @@ def cmd_asym(args) -> int:
 
 def cmd_qdim(args) -> int:
     prec = args.prec
-    with mp.workprec(prec):
-        ts = [mp.mpf(x) for x in args.t]
+    ts = _points(args)
     ratios = [asymptotics.qdim_ratio(args.ell, args.s, t, prec) for t in ts]
     slope = (asymptotics.qdim_slope_report(args.ell, args.s, prec=prec)
              if args.format == "json" else {})  # CSV prints the rows only
@@ -192,6 +195,11 @@ def _parse_mpc(text: str):
     return value
 
 
+def _complex(z, prec: int) -> list:
+    """The complex z as [re, im], each at working precision."""
+    return [_numstr(mp.re(z), prec), _numstr(mp.im(z), prec)]
+
+
 def cmd_verify_decomposition(args) -> int:
     prec = args.prec
     tol = mp.mpf(args.tol)
@@ -213,12 +221,9 @@ def cmd_verify_decomposition(args) -> int:
         rel = abs(quad - dec) / max(abs(quad), mp.mpf("1e-300"))
         ok = ok and rel <= tol
         results.append({
-            "point": [[_numstr(mp.re(z), prec), _numstr(mp.im(z), prec)]
-                      for z in pt.zs],
-            "quadrature": [_numstr(mp.re(quad), prec),
-                           _numstr(mp.im(quad), prec)],
-            "decomposed": [_numstr(mp.re(dec), prec),
-                           _numstr(mp.im(dec), prec)],
+            "point": [_complex(z, prec) for z in pt.zs],
+            "quadrature": _complex(quad, prec),
+            "decomposed": _complex(dec, prec),
             "rel_err": _numstr(rel, prec),
             "diagnostics": {"nodes": cert.nodes,
                             "bound": _numstr(cert.bound, prec)}})

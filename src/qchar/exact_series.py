@@ -20,10 +20,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, lcm, log, pi, sqrt
+from math import ceil, comb, isqrt, lcm, log, pi, sqrt
 from types import MappingProxyType
 
-from .certified import log_poch_lower
+from .certified import log_pair_lower
 
 
 def _norm(c):
@@ -238,19 +238,9 @@ def log1p_series(a: ExactQSeries) -> ExactQSeries:
 
 def euler_product(trunc: int) -> ExactQSeries:
     """(q; q)_infinity to the stated order, via the pentagonal number series."""
-    coeffs = {0: 1}
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        if e1 >= trunc and e2 >= trunc:
-            break
-        if e1 < trunc:
-            coeffs[e1] = (-1) ** k
-        if e2 < trunc:
-            coeffs[e2] = (-1) ** k
-        k += 1
-    return ExactQSeries(1, coeffs, trunc)
+    K = isqrt(max(trunc, 0)) + 1  # k (3k - 1)/2 >= k^2 > trunc for |k| > K
+    return ExactQSeries(1, {k * (3 * k - 1) // 2: (-1) ** abs(k)
+                            for k in range(-K, K + 1)}, trunc)
 
 
 def divisor_sigma_list(power: int, n_max: int) -> list[int]:
@@ -351,15 +341,14 @@ def _slot_bits(ell: int, s_max: int, trunc: int) -> int:
     x < 1``.  With ``x = e^{-u}``, ``r = e^{-w}`` and ``d = m + n``, ``x^{-m}
     r^{-n} = e^{u d + (w - u) n}`` is largest at the window's far corner
     ``(d, n) = (s_max + trunc - 1, trunc - 1)``, so every entry has ``log c
-    <= -ell [log (x; r)_inf + log (r/x; r)_inf] + u s_max + w (trunc -
-    1)``, each log Pochhammer bounded below by ``log_poch_lower``.  Any ``0
-    < u < w`` gives a bound; the closed-form saddle ``w = pi sqrt(ell / (3
-    max(trunc - 1, 1)))``, ``u = w / 2`` keeps it within about 12 bits of
-    the largest entry, and two guard bits absorb the doubles' rounding.
+    <= -ell log |(x; r)_inf (r/x; r)_inf| + u s_max + w (trunc - 1)``, the
+    pair bounded below by ``log_pair_lower``.  Any ``0 < u < w`` gives a
+    bound; the closed-form saddle ``w = pi sqrt(ell / (3 max(trunc - 1,
+    1)))``, ``u = w / 2`` keeps it within about 12 bits of the largest
+    entry, and two guard bits absorb the doubles' rounding.
     """
     w = pi * sqrt(ell / (3 * max(trunc - 1, 1)))
-    # u = w / 2 gives x = r / x: the two Pochhammers are one
-    log_c = -2 * ell * log_poch_lower(-w / 2, -w) + (s_max / 2 + trunc - 1) * w
+    log_c = -ell * log_pair_lower(-w / 2, -w) + (s_max / 2 + trunc - 1) * w
     return ceil(log_c / log(2)) + 2
 
 

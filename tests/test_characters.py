@@ -195,13 +195,22 @@ def test_F_numeric_Phi_is_an_upper_bound(monkeypatch):
 
 def test_F_numeric_refuses_an_order_above_its_cap_before_building(
         monkeypatch):
-    # at t = 0.01 the first head alone needs T0 = 82,246 terms, O(T0^2) work
+    # at t = 0.01 the first head alone needs T0 = 82,246 terms, O(T0^2)
+    # work; at t = 0.0001 it needs 657,973,626, and (q)_inf alone, at about
+    # 23,700 extra bits, would take minutes: both are refused before any
+    # evaluation
     def build(*args):
         raise AssertionError("a series was built")
 
+    def evaluate(*args):
+        raise AssertionError("(q)_inf was evaluated")
+
     monkeypatch.setattr(characters, "_F_ls_via_H_series", build)
+    monkeypatch.setattr(characters, "euler_phi_numeric", evaluate)
     with pytest.raises(RuntimeError, match="needs order 82246 > 20000"):
         F_ls_numeric(5, 0, 0.01)
+    with pytest.raises(RuntimeError, match="needs order 657973626 > 20000"):
+        F_ls_numeric(4, 0, 0.0001)
 
 
 def test_lattice_exponent_closed_form():

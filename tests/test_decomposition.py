@@ -13,7 +13,7 @@ from qchar import certified, modular_objects, partial_theta
 from qchar.certified import (_GUARD_BITS, NearPoleError, _coefficient_degree,
                              _coefficient_weight, _node_error,
                              _pair_coefficients, _pair_count, _pair_sum,
-                             euler_phi, from_fixed)
+                             euler_phi, from_fixed, log_pair_lower)
 from qchar.characters import fourier_coeff_by_quadrature, fourier_quadrature
 from qchar.decomposition import (DegenerateWVectorError, F_ell_product,
                                  F_ls_decomposed, F_ls_multivar_quadrature,
@@ -397,6 +397,33 @@ def test_one_coefficient_weight_for_both_kernel_steps(monkeypatch, v):
     Q = math.exp(-2 * math.pi * v)
     assert sigma == pytest.approx(
         math.fsum((1 + Q) ** i for i in range(I + 1)), rel=1e-12)
+
+
+_phase = st.one_of(st.just(0.0), st.floats(0, 2 * math.pi))
+
+
+@settings(max_examples=60)
+@given(st.floats(0.05, 20), st.floats(0, 1, exclude_max=True), _phase,
+       _phase)
+@example(0.05, 0.5, 0.0, 0.0)
+@example(20, 0.0, 1.0, 0.0)
+def test_pair_bound_is_a_lower_bound(minus_log_q, frac, arg_z, arg_q):
+    # log_pair_lower(log|Z|, log|q|) <= log|(Z;q)_inf (q/Z;q)_inf| for |q| <
+    # |Z| <= 1, within the smallest margin a caller adds, 2^-40 (1 + |x|)
+    # (F_ls_numeric's Phi); it is tightest at phase 0, where |1 - f| = 1 - |f|
+    log_q = -minus_log_q
+    log_z = frac * log_q
+    x = log_pair_lower(log_z, log_q)
+    if x == -math.inf:  # a factor of modulus 1
+        assert log_z in (0, log_q)
+        return
+    with mp.workprec(200):
+        lz, lq = mp.mpc(log_z, arg_z), mp.mpc(log_q, arg_q)
+        q, Z = mp.exp(lq), mp.exp(lz)
+        # the first factors 1 - Z and 1 - q/Z by expm1, without cancellation
+        true = mp.log(abs(mp.expm1(lz) * mp.expm1(lq - lz)
+                          * mp.qp(Z * q, q) * mp.qp(q * q / Z, q)))
+        assert x <= true + 2.0 ** -40 * (1 + abs(x))
 
 
 def test_quadrature_plan_raises_on_a_thin_strip():
