@@ -6,13 +6,14 @@ dimension ratios.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import mpmath as mp
 
 from .bernoulli_euler import euler_poly, higher_bernoulli_poly
 from .certified import _GUARD_BITS
-from .characters import H_value, central_charge, h_s
+from .characters import H_value, _H_poly, _H_sum, central_charge, h_s
 from .modular_objects import DEFAULT_PREC
 from .partial_theta import AsympExpansion, GradedCoeff
 
@@ -62,11 +63,14 @@ def C_ell_star(ell: int) -> GradedCoeff:
 
 
 def binomial_reciprocal_identity(n: int, c: int) -> bool:
-    """sum_{k=0}^{n} C(n,k) (-1)^k / (k+c) = n! (c-1)! / (n+c)!, exactly."""
-    lhs = sum((Fraction(comb(n, k) * (-1) ** k, k + c)
-               for k in range(n + 1)), Fraction(0))
-    rhs = Fraction(factorial(n) * factorial(c - 1), factorial(n + c))
-    return lhs == rhs
+    """sum_{k=0}^{n} C(n,k) (-1)^k / (k+c) = n! (c-1)! / (n+c)!, exactly,
+    for c >= 1: both sides times L = (n+c)!/(c-1)! = c (c+1) ... (n+c), of
+    which every k + c is a factor, compared as ints."""
+    if c < 1:
+        raise ValueError("c must be a positive integer")
+    L = factorial(n + c) // factorial(c - 1)
+    lhs = sum(comb(n, k) * (-1) ** k * (L // (k + c)) for k in range(n + 1))
+    return lhs == factorial(n)
 
 
 def _binom_general(top: Fraction, k: int) -> Fraction:
@@ -76,6 +80,7 @@ def _binom_general(top: Fraction, k: int) -> Fraction:
     return out / factorial(k)
 
 
+@lru_cache(maxsize=64)
 def exp_pole_residue(ell: int) -> Fraction:
     """Residue at z=0 of e^{ell z/2}/(e^z - 1)^ell, via exact series:
     coefficient of z^{ell-1} in e^{ell z/2} (z/(e^z-1))^ell,
@@ -84,6 +89,7 @@ def exp_pole_residue(ell: int) -> Fraction:
         / factorial(ell - 1)
 
 
+@lru_cache(maxsize=64)
 def exp_pole_residue_I(ell: int) -> Fraction:
     """Residue at z=0 of z e^{ell z/2}/(e^z - 1)^ell (nonzero for even ell):
     B^{(ell)}_{ell-2}(ell/2)/(ell-2)!."""
@@ -246,13 +252,15 @@ def sl3_bracket_value(s: int, t, prec: int = DEFAULT_PREC):
 
 def qdim_ratio(ell: int, s: int, t, prec: int = DEFAULT_PREC):
     """ch[V_s]/ch[V_0] at tau = i t; the eta factors cancel, leaving
-    H_{s+ell/2}(it)/H_{ell/2}(it)."""
+    H_{s+ell/2}(it)/H_{ell/2}(it), two Gaussian sums over the one
+    polynomial P of characters._H_poly."""
     if s == 0:
         return mp.mpf(1)
     with mp.workprec(prec + _GUARD_BITS):
         tau = 1j * mp.mpf(t)
-        num = H_value(ell, s, tau, prec)
-        den = H_value(ell, 0, tau, prec)
+        poly = _H_poly(ell, tau, prec)
+        num = _H_sum(ell, s, tau, poly, prec)
+        den = _H_sum(ell, 0, tau, poly, prec)
         return mp.re(num / den)
 
 

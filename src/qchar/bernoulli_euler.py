@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
-from .exact_series import ExactQSeries, log1p_series
+from .exact_series import ExactQSeries, _cleared, log1p_series
 
 
 def _expm1_over_w(trunc: int) -> ExactQSeries:
@@ -35,13 +35,30 @@ def _euler_table(n: int) -> tuple[Fraction, ...]:
     return tuple(gen.coefficient(j) * factorial(j) for j in range(n))
 
 
+@lru_cache(maxsize=32)
+def _cleared_table(table, size: int) -> tuple[int, tuple[int, ...]]:
+    """(L, (L a_0, ..., L a_{size-1})) for a_k = table(size)[k], L the lcm
+    of their denominators."""
+    L, terms = _cleared(dict(enumerate(table(size))))
+    return L, tuple(c for _, c in terms)
+
+
 def _appell(table, n: int, x) -> Fraction:
     """sum_k C(n, k) a_k x^{n-k}, the w^n/n! coefficient of A(w) e^{xw} for
     A(w) = sum_k a_k w^k/k!, with a_k = table(size)[k] and tables of 16, 32,
-    64, ... entries, so that n up to 2^16 needs 13 tables at most."""
-    a, x = table(max(16, 1 << n.bit_length())), Fraction(x)
-    return sum((comb(n, k) * a[k] * x ** (n - k) for k in range(n + 1)),
-               Fraction(0))
+    64, ... entries, so that n up to 2^16 needs 13 tables at most.
+
+    Summed in ints by Horner's rule in p: with x = p/q and a_k = A_k/L,
+    the sum is (sum_k C(n, k) A_k q^k p^{n-k}) / (L q^n)."""
+    L, A = _cleared_table(table, max(16, 1 << n.bit_length()))
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    acc, binom, q_k = 0, 1, 1  # binom = C(n, k), q_k = q^k
+    for k in range(n + 1):
+        acc = acc * p + binom * A[k] * q_k
+        binom = binom * (n - k) // (k + 1)
+        q_k *= q
+    return Fraction(acc, L * q ** n)
 
 
 def bernoulli_number(k: int) -> Fraction:

@@ -94,8 +94,10 @@ def F_ls_exact(params: CharacterParams) -> ExactQSeries:
 # ------------------------------------- route 2: partial theta / quasimodular
 
 
-def _F_ls_via_H_series(ell: int, s: int, trunc: int) -> ExactQSeries:
-    """F_{ell,s} by the partial-theta route (see F_ls_via_H)."""
+def _F_ls_via_H_series(ell: int, s: int, trunc: int,
+                       euler: int = 0) -> ExactQSeries:
+    """F_{ell,s} (q)_inf^euler by the partial-theta route (see F_ls_via_H):
+    the lattice sum times one power (q)_inf^{ell^2 - 2 ell + euler}."""
     T2 = trunc + s + 1
     # i^ell D_{-j}, rational: the phases cancel exactly
     D = laurent_coefficients_D(ell, partial(ghat_qseries, trunc=T2),
@@ -118,7 +120,7 @@ def _F_ls_via_H_series(ell: int, s: int, trunc: int) -> ExactQSeries:
             n += 1
         S_j = ExactQSeries(1, inner, T2)
         total = total + (D[j - 1] * S_j) * Fraction(1, factorial(j - 1))
-    out = total * euler_product_pow(ell * ell - 2 * ell, trunc + s + 1)
+    out = total * euler_product_pow(ell * ell - 2 * ell + euler, T2)
     return out.truncate(trunc)
 
 
@@ -161,11 +163,22 @@ def H_value(ell: int, s: int, tau, prec: int = DEFAULT_PREC):
 
     As one Gaussian sum in x = n + 1/2 - s/ell: (-1)^ell sum_n (-1)^{n eps}
     P(x) e^{pi i tau ell x^2}, P(x) = sum_j D_{-j} (ell x)^{j-1}/(j-1)!."""
+    return _H_sum(ell, s, tau, _H_poly(ell, tau, prec), prec)
+
+
+def _H_poly(ell: int, tau, prec: int) -> list:
+    """H_value's P, as coefficients of x^k: i^ell D_{-k-1} ell^k / k!; it does
+    not depend on s, so the callers that need several s share it."""
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
         D = laurent_coefficients_D(
             ell, partial(ghat_value, tau=tau, prec=prec), mp.mpc(1))
-        poly = [d * mp.mpf(ell) ** k / factorial(k) for k, d in enumerate(D)]
+        return [d * mp.mpf(ell) ** k / factorial(k) for k, d in enumerate(D)]
+
+
+def _H_sum(ell: int, s: int, tau, poly: list, prec: int):
+    """H_value's Gaussian sum over P = poly (from _H_poly(ell, tau, prec))."""
+    with mp.workprec(prec + _GUARD_BITS):
         acc, _ = certified_gaussian_sum(
             mp.pi * 1j * tau * ell, 0, Fraction(1, 2) - Fraction(s, ell),
             (-1) ** (ell % 2), poly, prec)
@@ -208,8 +221,8 @@ def fourier_coeff_by_quadrature(ell: int, s: int, tau, z0_imag=None,
 # most this fraction of the value
 _NUMERIC_REL_TOL = mp.mpf("1e-12")
 # the largest truncation order F_ls_numeric builds: a build costs O(T^2)
-# integer products, minutes near this order (qchar asym --ell 6 builds
-# 18,738 terms and takes 214 s on a 2-vCPU Xeon)
+# integer products, a minute or more near this order (qchar asym --ell 6
+# builds 18,738 terms and takes 91 s, whole process, on a 2-vCPU Xeon)
 _MAX_ORDER = 20_000
 
 
@@ -218,7 +231,9 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
     (value, absolute error bound), the bound at most _NUMERIC_REL_TOL value.
 
     F = (q)_inf^{ell^2} G_s, G_s = sum b_n q^n with integers b_n >= 0 (both
-    asserted) summed exactly to q^T; the dropped tail is bounded by
+    asserted) summed exactly to q^T.  The head G_s to q^T is the partial-theta
+    route's lattice sum times (q)_inf^{-2 ell}, one power
+    (_F_ls_via_H_series with euler = -ell^2).  The dropped tail is bounded by
 
         sum_{n>=T} b_n q^n <= q1^{-s/2} Phi(q1) (q/q1)^T / (1 - q/q1),
 
@@ -274,8 +289,7 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
         pref = q1 ** (-mp.mpf(s) / 2) * Phi / (1 - q / q1)  # tail / (q/q1)^T
 
         def head(T):  # sum_{n<T} b_n q^n
-            G = (_F_ls_via_H_series(ell, s, T)
-                 * euler_product_pow(-ell * ell, T)).truncate(T)
+            G = _F_ls_via_H_series(ell, s, T, -ell * ell)
             bad = [e for e, c in G.coeffs.items()
                    if c.denominator != 1 or c < 0]
             if bad:

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import mpmath as mp
 import pytest
 
+from qchar import asymptotics, characters
 from qchar.asymptotics import (C_ell, C_ell_star,
                                binomial_reciprocal_identity, exp_pole_residue,
                                exp_pole_residue_I, first_correction_F,
@@ -10,7 +12,8 @@ from qchar.asymptotics import (C_ell, C_ell_star,
                                leading_asym_ch, qdim_ratio, qdim_slope_exact,
                                qdim_slope_report, sl3_bracket_expansion, sl3_bracket_value,
                                verify_appendix)
-from qchar.characters import F_ls_numeric
+from qchar.certified import _GUARD_BITS
+from qchar.characters import F_ls_numeric, H_value
 from qchar.partial_theta import GradedCoeff
 
 PREC = 128
@@ -36,6 +39,46 @@ def test_binomial_identity_spot():
     assert binomial_reciprocal_identity(0, 1)
     assert binomial_reciprocal_identity(5, 3)
     assert binomial_reciprocal_identity(20, 20)
+
+
+def binomial_identity_in_fractions(n, c):
+    """binomial_reciprocal_identity as it was: both sides as Fractions."""
+    lhs = sum((Fraction(comb(n, k) * (-1) ** k, k + c)
+               for k in range(n + 1)), Fraction(0))
+    return lhs == Fraction(factorial(n) * factorial(c - 1), factorial(n + c))
+
+
+def test_binomial_identity_in_ints_against_fractions():
+    for n in range(31):
+        for c in range(1, 31):
+            assert binomial_reciprocal_identity(n, c) == \
+                binomial_identity_in_fractions(n, c), (n, c)
+
+
+def test_binomial_identity_needs_positive_c():
+    for n, c in ((0, 0), (3, 0), (4, -2)):
+        with pytest.raises(ValueError):
+            binomial_reciprocal_identity(n, c)
+
+
+def test_verify_appendix_computes_each_residue_once(monkeypatch):
+    # C_ell_star needs one residue per ell in 1..20; the residue loop
+    # (ell 2..20) reads the same ones from the cache
+    calls = []
+    poly = asymptotics.higher_bernoulli_poly
+
+    def count(*args):
+        calls.append(args)
+        return poly(*args)
+
+    monkeypatch.setattr(asymptotics, "higher_bernoulli_poly", count)
+    exp_pole_residue.cache_clear()
+    exp_pole_residue_I.cache_clear()
+    verify_appendix(20)
+    assert len(calls) == len(set(calls)) == 20
+    for cached in (exp_pole_residue, exp_pole_residue_I):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_residue_values():
@@ -118,6 +161,27 @@ def test_full_expansion_sl3_prefactors():
         pref = mp.exp(5 * mp.pi ** 2 / (6 * t)) \
             * (t / (2 * mp.pi)) ** mp.mpf("2.5")
         assert abs(full - pref * bracket) <= mp.mpf("1e-25") * abs(full)
+
+
+def test_qdim_ratio_builds_one_laurent_polynomial(monkeypatch):
+    # H_value for s and for 0 share D; the ratio is the same number as the
+    # quotient of the two H_value calls it replaced
+    calls = []
+    laurent = characters.laurent_coefficients_D
+
+    def count(*args):
+        calls.append(args)
+        return laurent(*args)
+
+    monkeypatch.setattr(characters, "laurent_coefficients_D", count)
+    for ell, s, t in ((3, 1, "0.1"), (4, 2, "0.3"), (5, 1, "0.05")):
+        calls.clear()
+        got = qdim_ratio(ell, s, t, PREC)
+        assert len(calls) == 1
+        with mp.workprec(PREC + _GUARD_BITS):
+            tau = 1j * mp.mpf(t)
+            assert got == mp.re(H_value(ell, s, tau, PREC)
+                                / H_value(ell, 0, tau, PREC))
 
 
 def test_qdim_ratio_basics():

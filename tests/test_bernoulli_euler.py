@@ -4,8 +4,8 @@ from math import comb, factorial
 
 from hypothesis import given, settings, strategies as st
 
-from qchar.bernoulli_euler import (_bernoulli_table, bernoulli_number,
-                                   bernoulli_poly,
+from qchar.bernoulli_euler import (_appell, _bernoulli_table, _euler_table,
+                                   bernoulli_number, bernoulli_poly,
                                    check_euler_bernoulli_identity,
                                    euler_poly,
                                    higher_bernoulli_poly, verify_S_identity)
@@ -132,6 +132,25 @@ _rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 def test_cached_tables_against_fresh_inversion(n, x):
     assert euler_poly(n, x) == euler_poly_by_inversion(n, x)
     assert bernoulli_poly(n, x) == bernoulli_poly_by_inversion(n, x)
+
+
+def appell_in_fractions(table, n, x):
+    """_appell as it was: sum_k C(n, k) a_k x^{n-k} in Fractions."""
+    a = table(max(16, 1 << n.bit_length()))
+    return sum((comb(n, k) * a[k] * x ** (n - k) for k in range(n + 1)),
+               Fraction(0))
+
+
+_appell_points = st.one_of(
+    st.just(Fraction(0)), st.integers(-40, 40).map(Fraction),
+    st.fractions(min_value=-30, max_value=30, max_denominator=10 ** 6))
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 130), _appell_points)
+def test_appell_in_ints_against_fractions(n, x):
+    for table in (_bernoulli_table, _euler_table):
+        assert _appell(table, n, x) == appell_in_fractions(table, n, x)
 
 
 def test_higher_bernoulli_matches_the_appell_tables():

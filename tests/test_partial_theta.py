@@ -4,10 +4,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from qchar import partial_theta as partial_theta_module
 from qchar.partial_theta import (GradedCoeff, PartialThetaParams,
                                  partial_theta, script_F, script_F_expansion,
-                                 script_G, script_G_expansion,
-                                 script_G_integral)
+                                 script_FG_halving_orders, script_G,
+                                 script_G_expansion, script_G_integral)
 
 PREC = 128
 
@@ -98,6 +99,21 @@ def test_script_G_expansion_orders():
                          - e.evaluate(t2, PREC))
                 order = mp.log(d1 / d2) / mp.log(2)
                 assert abs(order - (j + N + mp.mpf("0.5"))) <= mp.mpf("0.3")
+
+
+def test_halving_orders_sum_each_direct_value_once(monkeypatch):
+    # 2 families x 2 j x 2 t; the three N of a (family, j) share them
+    calls = []
+    gaussian_sum = partial_theta_module.certified_gaussian_sum
+
+    def count(*args):
+        calls.append(args)
+        return gaussian_sum(*args)
+
+    monkeypatch.setattr(partial_theta_module, "certified_gaussian_sum", count)
+    rows = script_FG_halving_orders(PREC)
+    assert len(calls) == 8
+    assert len(rows) == 12
 
 
 def test_script_G_leading_term():

@@ -107,6 +107,18 @@ def G_series(ell, s, T):
             * euler_product_pow(-ell * ell, T)).truncate(T)
 
 
+@pytest.mark.parametrize("ell", range(2, 8))
+def test_head_series_in_one_power_equals_the_product_of_two(ell):
+    # F_ls_numeric's head raises (q)_inf to ell^2 - 2 ell - ell^2 once, in
+    # place of F_{ell,s} times (q)_inf^{-ell^2}
+    for s in range(5):
+        for T in (1, 2, 7, 20, 133):
+            got = characters._F_ls_via_H_series(ell, s, T, -ell * ell)
+            want = G_series(ell, s, T)
+            assert (got.D, got.trunc) == (want.D, want.trunc) == (1, T)
+            assert got.coeffs == want.coeffs, (s, T)
+
+
 def F_ls_doubling(ell, s, t, prec):
     """F_ls_numeric as it was: T doubled from max(40, 8/t), every series
     rebuilt each round, until the tail bound was 1e-12 of the value."""
@@ -135,9 +147,9 @@ def planned(ell, s, t, monkeypatch):
     built = []
     series = characters._F_ls_via_H_series
 
-    def record(ell, s, trunc):
+    def record(ell, s, trunc, *rest):
         built.append(trunc)
-        return series(ell, s, trunc)
+        return series(ell, s, trunc, *rest)
 
     monkeypatch.setattr(characters, "_F_ls_via_H_series", record)
     value, bound = F_ls_numeric(ell, s, t, PREC)
@@ -183,3 +195,19 @@ def test_F_ls_numeric_builds_twice_at_most(monkeypatch):
     value, bound, built = planned(3, 0, "0.1", monkeypatch)
     assert len(built) == 2 and built[0] < built[1] <= 3000
     assert bound <= _NUMERIC_REL_TOL * value
+
+
+def test_F_ls_numeric_builds_each_order_through_one_power(monkeypatch):
+    # t = 0.3: a head to T0 = 54, then the planned order; each build raises
+    # (q)_inf to one power, not to two that cancel in part
+    powers = []
+    power = characters.euler_product_pow
+
+    def count(p, trunc):
+        powers.append((p, trunc))
+        return power(p, trunc)
+
+    monkeypatch.setattr(characters, "euler_product_pow", count)
+    value, bound, built = planned(3, 0, "0.3", monkeypatch)
+    assert len(built) == 2
+    assert powers == [(-6, T + 1) for T in built]
