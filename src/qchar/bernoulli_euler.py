@@ -20,37 +20,38 @@ def _expm1_over_w(trunc: int) -> ExactQSeries:
                             for n in range(trunc)}, trunc)
 
 
+def _int_table(gen: ExactQSeries, n: int) -> tuple[int, tuple[int, ...]]:
+    """(L, (L a_0, ..., L a_{n-1})) for a_j = j! [w^j] gen, L the lcm of
+    their denominators: the table in ints."""
+    L, terms = _cleared({j: gen.coefficient(j) * factorial(j)
+                         for j in range(n)})
+    return L, tuple(c for _, c in terms)
+
+
 @lru_cache(maxsize=32)
-def _bernoulli_table(n: int) -> tuple[Fraction, ...]:
-    """(B_0, ..., B_{n-1}), the w^j/j! coefficients of w/(e^w - 1)."""
-    gen = _expm1_over_w(n) ** -1
-    return tuple(gen.coefficient(j) * factorial(j) for j in range(n))
+def _bernoulli_table(n: int) -> tuple[int, tuple[int, ...]]:
+    """B_0, ..., B_{n-1}, the w^j/j! coefficients of w/(e^w - 1), as
+    (L, (L B_0, ..., L B_{n-1}))."""
+    return _int_table(_expm1_over_w(n) ** -1, n)
 
 
 @lru_cache(maxsize=16)
-def _euler_table(n: int) -> tuple[Fraction, ...]:
-    """(E_0(0), ..., E_{n-1}(0)) from one inversion of (e^w + 1)/2."""
+def _euler_table(n: int) -> tuple[int, tuple[int, ...]]:
+    """E_0(0), ..., E_{n-1}(0) from one inversion of (e^w + 1)/2, as
+    (L, (L E_0(0), ..., L E_{n-1}(0)))."""
     gen = (ExactQSeries(1, {m: Fraction(1, 2 * factorial(m))
                             for m in range(n)}, n) + Fraction(1, 2)).invert()
-    return tuple(gen.coefficient(j) * factorial(j) for j in range(n))
-
-
-@lru_cache(maxsize=32)
-def _cleared_table(table, size: int) -> tuple[int, tuple[int, ...]]:
-    """(L, (L a_0, ..., L a_{size-1})) for a_k = table(size)[k], L the lcm
-    of their denominators."""
-    L, terms = _cleared(dict(enumerate(table(size))))
-    return L, tuple(c for _, c in terms)
+    return _int_table(gen, n)
 
 
 def _appell(table, n: int, x) -> Fraction:
     """sum_k C(n, k) a_k x^{n-k}, the w^n/n! coefficient of A(w) e^{xw} for
-    A(w) = sum_k a_k w^k/k!, with a_k = table(size)[k] and tables of 16, 32,
-    64, ... entries, so that n up to 2^16 needs 13 tables at most.
+    A(w) = sum_k a_k w^k/k!, with (L, (L a_k)_k) = table(size) and tables
+    of 16, 32, 64, ... entries, so that n up to 2^16 needs 13 tables at most.
 
     Summed in ints by Horner's rule in p: with x = p/q and a_k = A_k/L,
     the sum is (sum_k C(n, k) A_k q^k p^{n-k}) / (L q^n)."""
-    L, A = _cleared_table(table, max(16, 1 << n.bit_length()))
+    L, A = table(max(16, 1 << n.bit_length()))
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     acc, binom, q_k = 0, 1, 1  # binom = C(n, k), q_k = q^k
@@ -65,7 +66,8 @@ def bernoulli_number(k: int) -> Fraction:
     """B_k, from the generating function w/(e^w - 1)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _bernoulli_table(max(16, 1 << k.bit_length()))[k]
+    L, A = _bernoulli_table(max(16, 1 << k.bit_length()))
+    return Fraction(A[k], L)
 
 
 def bernoulli_poly(n: int, x) -> Fraction:

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -98,9 +98,8 @@ def bernoulli_poly_by_inversion(n, x):
 def higher_bernoulli_table(size, r):
     """(B_0^{(r)}, ..., B_{size-1}^{(r)}): the w^j/j! coefficients of
     (w/(e^w - 1))^r, by r - 1 products of the order-1 series."""
-    one = ExactQSeries(1, {j: Fraction(b) / factorial(j)
-                           for j, b in enumerate(_bernoulli_table(size))},
-                       size)
+    one = ExactQSeries(1, {j: bernoulli_number(j) / factorial(j)
+                           for j in range(size)}, size)
     gen = one
     for _ in range(r - 1):
         gen = gen * one
@@ -136,7 +135,8 @@ def test_cached_tables_against_fresh_inversion(n, x):
 
 def appell_in_fractions(table, n, x):
     """_appell as it was: sum_k C(n, k) a_k x^{n-k} in Fractions."""
-    a = table(max(16, 1 << n.bit_length()))
+    L, A = table(max(16, 1 << n.bit_length()))
+    a = [Fraction(c, L) for c in A]
     return sum((comb(n, k) * a[k] * x ** (n - k) for k in range(n + 1)),
                Fraction(0))
 
@@ -188,3 +188,21 @@ def test_euler_bernoulli_identity_sweep():
 
 def test_S_series_identity():
     assert verify_S_identity(31)
+
+
+def test_int_tables_hold_the_fraction_tables():
+    # (L, (L a_j)_j) decodes to the j! [w^j] coefficients of each generating
+    # function, with L their least common denominator, at every table size
+    # that n <= 130 reaches
+    for size in (16, 32, 64, 128, 256):
+        expm1_over_w = ExactQSeries(1, {m: Fraction(1, factorial(m + 1))
+                                        for m in range(size)}, size)
+        half = ExactQSeries(1, {m: Fraction(1, 2 * factorial(m))
+                                for m in range(size)}, size) + Fraction(1, 2)
+        for table, gen in ((_bernoulli_table, expm1_over_w.invert()),
+                           (_euler_table, half.invert())):
+            L, A = table(size)
+            want = [Fraction(gen.coefficient(j) * factorial(j))
+                    for j in range(size)]
+            assert [Fraction(c, L) for c in A] == want
+            assert L == lcm(*(w.denominator for w in want))
