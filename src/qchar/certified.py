@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import to_fixed as _mpf_to_fixed
+from mpmath.libmp import from_man_exp, to_fixed as _mpf_to_fixed
 
 _GUARD_BITS = 24
 
@@ -98,8 +98,9 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
     """(sum_{n>=0} sign^n P(x_n) e^{alpha x_n^2 + beta x_n}, Certificate),
     x_n = n + r, P(x) = sum_k poly[k] x^k of degree d, sign = +-1, r
     rational, alpha and beta finite and Re alpha < 0 (else ValueError, also
-    raised when the plan overflows the doubles); certified for alpha, beta
-    and poly as given and r exact.
+    raised for an empty poly and when the plan overflows the doubles);
+    certified for alpha, beta and poly as given and r exact.  An all-zero
+    poly gives an exact 0 with no terms and a zero bound.
 
     With a = -Re alpha, b = Re beta and Pbar(y) = sum_k |poly[k]| y^k, term
     n is at most B_n = Pbar(|x_n|) e^{-a x_n^2 + b x_n}; for x_n > 0 the
@@ -113,19 +114,48 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
     once.  (Halving bounds, rho_n <= 1/2, would cost about 0.36/a terms at
     small a.)
 
-    Terms come from E_{n+1} = E_n R_n, R_{n+1} = R_n Q, E_0 = e^{alpha r^2 +
-    beta r}, R_0 = sign e^{alpha (2r+1) + beta}, Q = e^{2 alpha}: three exps,
-    formed at extra bits to enter within u = 2^(1-wp), which bounds one
-    rounding of an mpf, or of each part of an mpc, relative to its modulus.
-    To first order, R_n is then within (2n + 1) u and E_n within (n + 1)^2 u,
-    relative; x_n is off by u (|x_n| + 2|r|), moving P by d (1 + 2|r|) u
-    Pbar(y_n), y_n = |x_n| + 1; Horner's rule (mp.polyval) adds 2 d u
-    Pbar(y_n) (Higham, Accuracy and Stability, 2002, eq. 5.3), the product
-    P E_n u and the sum (N - 1) u sum |terms|.  With G = e^{b^2/(4a)} >=
-    |E_n| and Y = max y_n, the rounding is below K u, K = 2 N G Pbar(Y) (d
-    (2|r| + 4) + N^2 + N + 1), the 2 covering higher orders; wp keeps K u <=
-    2^-(prec + _GUARD_BITS).  Returns the value at wp bits and
-    Certificate(N, 1, the last x, 2 T + K u, wp, seconds).
+    The terms run from n0, the n < N nearest the peak b/(2a) - r of |E_n|,
+    |E_n| = e^{-a x_n^2 + b x_n}, away from it both ways, scaled by E_{n0}:
+    e_n = E_n/E_{n0}, e_{n0} = 1, e_{n+1} = e_n R_n, R_{n+1} = R_n Q forward
+    and e_{n-1} = e_n S_n, S_{n-1} = S_n Q back, from E_{n0} = sign^n0
+    e^{alpha x_{n0}^2 + beta x_{n0}}, R_{n0} = sign e^{alpha (2x_{n0} + 1) +
+    beta}, Q = e^{2 alpha} and S_{n0} = Q/R_{n0} = 1/R_{n0-1} (n0 = 0 for
+    most sums, and there are then no S).  These three exps and the quotient,
+    formed at extra bits, enter within u = 2^(1-wp) relative, as do the
+    poly[k]; wp keeps K u <= 2^-(prec + _GUARD_BITS), K = 2 N G Pbar(Y) (d
+    (2|r| + 4) + N^2 + N + 1), G = e^{b^2/(4a)} >= |E_n|, Y = max |x_n| + 1.
+    The loop runs in fixed point on the grid v = 2^-fp: R_{n0}, S_{n0}, Q
+    and the poly[k] enter floored, x_n = floor(x_{n0}/v) v + n - n0, P(x_n)
+    by Horner's rule, and each term P e_n and each recurrence step is one
+    product floored per part; the sum is exact until its product with
+    E_{n0}, rounded to wp bits.  Two parts, each to first order, the 2s
+    covering higher orders, with k = |n - n0| the steps from n0:
+
+    * the inputs' u: E_n is within (1 + k(k+1)/2) u relative, P(x_n)
+      within u Pbar(Y), and the final product adds u |value|, so with
+      |value| <= N G Pbar(Y) this part is below N G Pbar(Y) (3 + (N^2 -
+      1)/6) u <= K u/2;
+    * the floors, each below sqrt(2) v (v on x_n), scaled by |E_{n0}|: Rho
+      = max(|R_{n0}|, |S_{n0}|) bounds every |R_n| and |S_n| used, as |R_n|
+      falls with n, so R_n or S_n is within sqrt(2) (1 + k (Rho + 1)) v, and
+      only R_{n0} or S_{n0} can exceed 1 in modulus, so Gamma = max(1, Rho)
+      >= |e_n|.  A floor of e_j reaches e_n times at most 1, and R_j's or
+      S_j's error times at most |e_j|, so e_n is within sqrt(2) (k + Gamma
+      (k + (Rho + 1) k^2/2)) v.  P(x_n) is within e_P v, e_P = Pbar'(Y) +
+      sqrt(2) (sum_{i<=d} Y^i + sum_{i<d} Y^i) for x_n, the coefficients
+      and Horner's floors.  Summed over the N terms, with sqrt(2) for each
+      term's own floor, this part is below |E_{n0}| F v,
+
+          F = 2 N (sqrt(2) + Gamma e_P + sqrt(2) Pbar(Y) N (1/2 + Gamma
+              (1/2 + (Rho + 1) N/6))),
+
+      from doubles; fp = prec + _GUARD_BITS + 2 + ceil(log2(max(1,
+      |E_{n0}|) F)) keeps it below 2^-(prec + _GUARD_BITS + 1), and below
+      that relative to the largest term when that is small.
+
+    Returns the value at wp bits (an mpf when alpha, beta and poly are all
+    real) and Certificate(N, 1, the last x, 2 T + K u + 2^(ceil(log2(|E_{n0}|
+    F)) + 1) v, fp, seconds).
     """
     start = time.perf_counter()
     r = Fraction(r)
@@ -134,6 +164,16 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
         raise ValueError("a Gaussian sum needs finite alpha and beta")
     if not a > 0:
         raise ValueError("a Gaussian sum needs Re alpha < 0")
+    if sign not in (1, -1):
+        raise ValueError(f"a Gaussian sum needs sign 1 or -1, not {sign}")
+    if not poly:
+        raise ValueError("a Gaussian sum needs at least one coefficient")
+    real = all(not isinstance(x, (complex, mp.mpc))
+               for x in (alpha, beta, *poly))
+    if not any(poly):
+        zero = mp.mpf(0) if real else mp.mpc(0)
+        return zero, Certificate(0, 1, r - 1, zero.real, prec,
+                                 time.perf_counter() - start)
     d = len(poly) - 1
     abs_coeffs = [float(abs(c)) for c in poly]
 
@@ -155,28 +195,72 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
     else:
         raise RuntimeError("Gaussian sum needs too many terms")
     Y = max(abs(rf), abs(N - 1 + rf)) + 1
+    log_G = b * b / (4 * a)
     log2_K = (math.log2(2 * N * (d * (2 * abs(rf) + 4) + N * N + N + 1))
-              + (b * b / (4 * a) + log_pbar(Y)) / math.log(2))
-    if not math.isfinite(log2_K):
+              + (log_G + log_pbar(Y)) / math.log(2))
+    n0 = min(N - 1, max(0, round(b / (2 * a) - rf)))
+    x0 = n0 + rf
+    log_Rho = b - a * (2 * x0 + 1)  # log|R_{n0}|
+    if n0:
+        log_Rho = max(log_Rho, a * (2 * x0 - 1) - b)  # log|S_{n0}|
+    log_Gamma = max(0.0, log_Rho)
+    log_E0 = -a * x0 * x0 + b * x0  # log|E_{n0}|
+    e_P = (sum(k * c * Y ** (k - 1) for k, c in enumerate(abs_coeffs))
+           + math.sqrt(2) * sum(Y ** k * (1 + (k < d)) for k in range(d + 1)))
+    log_F = math.log(2 * N) + _log_sum([
+        0.5 * math.log(2), log_Gamma + math.log(e_P),
+        0.5 * math.log(2) + log_pbar(Y) + math.log(N) + _log_sum([
+            -math.log(2), log_Gamma + _log_sum([
+                -math.log(2),
+                _log_sum([0.0, log_Rho]) + math.log(N / 6)])])])
+    if not (math.isfinite(log2_K) and math.isfinite(log_F + log_E0)):
         raise ValueError("Gaussian sum plan overflows the doubles")
+    log2_F = (log_F + log_E0) / math.log(2)  # of |E_{n0}| F
     wp = prec + _GUARD_BITS + 1 + max(0, math.ceil(log2_K))
+    fp = prec + _GUARD_BITS + 2 + math.ceil(
+        (log_F + max(0.0, log_E0)) / math.log(2))
     # each exp's argument is below span: log2(span) + 12 bits past wp keep
     # its rounding far below u
-    span = 4 * (float(abs(alpha)) + float(abs(beta)) + 1) * (abs(rf) + 1) ** 2
+    span = 4 * (float(abs(alpha)) + float(abs(beta)) + 1) * (abs(x0) + 1) ** 2
     with mp.workprec(wp + 12 + math.ceil(math.log2(span))):
-        rr = fraction_mpf(r)
-        E = mp.exp((alpha * rr + beta) * rr)
-        R = sign * mp.exp(alpha * (2 * rr + 1) + beta)
+        xx = fraction_mpf(n0 + r)
+        E = sign ** n0 * mp.exp((alpha * xx + beta) * xx)
+        R = sign * mp.exp(alpha * (2 * xx + 1) + beta)
         Q = mp.exp(2 * alpha)
+        S = to_fixed(Q / R, fp) if n0 else None
+        R, Q = to_fixed(R, fp), to_fixed(Q, fp)
+        top, *rest = [to_fixed(c, fp) for c in reversed(poly)]
+    qr, qi = Q
+
+    def terms(e, R, x, count, step):
+        """The sum of count terms P(x_n) e_n from e_n, R_n (or S_n) and x_n
+        on, x stepping by step."""
+        (er, ei), (Rr, Ri) = e, R
+        acc_r = acc_i = 0
+        for _ in range(count):
+            hr, hi = top
+            for cr, ci in rest:
+                hr, hi = ((hr * x) >> fp) + cr, ((hi * x) >> fp) + ci
+            acc_r += (hr * er - hi * ei) >> fp
+            acc_i += (hr * ei + hi * er) >> fp
+            er, ei = (er * Rr - ei * Ri) >> fp, (er * Ri + ei * Rr) >> fp
+            Rr, Ri = (Rr * qr - Ri * qi) >> fp, (Rr * qi + Ri * qr) >> fp
+            x += step
+        return acc_r, acc_i
+
+    one = 1 << fp
+    x = ((n0 + r).numerator << fp) // (n0 + r).denominator
+    acc_r, acc_i = terms((one, 0), R, x, N - n0, one)
+    if n0:
+        back = terms(S, fixed_mul(S, Q, fp), x - one, n0, -one)
+        acc_r, acc_i = acc_r + back[0], acc_i + back[1]
     with mp.workprec(wp):
-        acc = 0
-        for n in range(N):
-            acc += mp.polyval(poly[::-1], n + rr) * E
-            E *= R
-            R *= Q
-        bound = 2 * mp.exp(log_T) + mp.ldexp(1, math.ceil(log2_K) + 1 - wp)
-    return acc, Certificate(N, 1, N - 1 + r, bound, wp,
-                            time.perf_counter() - start)
+        value = E * mp.make_mpc((from_man_exp(acc_r, -fp),
+                                 from_man_exp(acc_i, -fp)))
+        bound = (2 * mp.exp(log_T) + mp.ldexp(1, math.ceil(log2_K) + 1 - wp)
+                 + mp.ldexp(1, math.ceil(log2_F) + 1 - fp))
+    return (value.real if real else value), Certificate(
+        N, 1, N - 1 + r, bound, fp, time.perf_counter() - start)
 
 
 def log_poch_lower(log_f0, log_q) -> float:

@@ -2,7 +2,9 @@
 
 The oracles below are the per-term loops that theta, partial_theta, H_value,
 script_F and script_G ran before they became callers of the helper: one
-mp.exp per term and a stopping rule of their own.
+mp.exp per term and a stopping rule of their own; the helper's own mpmath
+term loop, which its fixed-point loop replaced; and an interval enclosure
+(mp.iv) of the helper's finite sum.
 """
 
 import math
@@ -15,7 +17,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar.certified import _GUARD_BITS, certified_gaussian_sum, fraction_mpf
+from qchar.certified import (_GUARD_BITS, Certificate, certified_gaussian_sum,
+                             fraction_mpf)
 from qchar.characters import H_value
 from qchar.modular_objects import (_require_upper_half, _tol, ghat_value,
                                    laurent_coefficients_D, theta)
@@ -145,6 +148,50 @@ def script_G_loop(j, r, t, prec):
                 break
             n += 1
         return t ** (j - mp.mpf(1) / 2) * acc
+
+
+def gaussian_sum_loop(alpha, beta, r, sign, poly, prec):
+    """certified_gaussian_sum as it was with its terms summed in mpmath at
+    wp bits (one mp.polyval and two mpc products per term): the same plan,
+    and a bound whose rounding part K u counts one mpf rounding per step."""
+    start = time.perf_counter()
+    r = Fraction(r)
+    a, b, rf = -float(mp.re(alpha)), float(mp.re(beta)), float(r)
+    d = len(poly) - 1
+    abs_coeffs = [float(abs(c)) for c in poly]
+
+    def log_pbar(y):
+        return math.log(sum(c * y ** k for k, c in enumerate(abs_coeffs)))
+
+    first = (b - a) / (2 * a) - rf
+    for N in range(max(1, math.floor(-r) + 1, math.floor(first)),
+                   10_000_000):
+        x = N + rf
+        log_rho = d * math.log1p(1 / x) - a * (2 * x + 1) + b
+        if log_rho < -1e-6:
+            log_T = (log_pbar(x) - a * x * x + b * x
+                     - math.log(-math.expm1(log_rho)))
+            if log_T <= -(prec + _GUARD_BITS) * math.log(2):
+                break
+    Y = max(abs(rf), abs(N - 1 + rf)) + 1
+    log2_K = (math.log2(2 * N * (d * (2 * abs(rf) + 4) + N * N + N + 1))
+              + (b * b / (4 * a) + log_pbar(Y)) / math.log(2))
+    wp = prec + _GUARD_BITS + 1 + max(0, math.ceil(log2_K))
+    span = 4 * (float(abs(alpha)) + float(abs(beta)) + 1) * (abs(rf) + 1) ** 2
+    with mp.workprec(wp + 12 + math.ceil(math.log2(span))):
+        rr = fraction_mpf(r)
+        E = mp.exp((alpha * rr + beta) * rr)
+        R = sign * mp.exp(alpha * (2 * rr + 1) + beta)
+        Q = mp.exp(2 * alpha)
+    with mp.workprec(wp):
+        acc = 0
+        for n in range(N):
+            acc += mp.polyval(poly[::-1], n + rr) * E
+            E *= R
+            R *= Q
+        bound = 2 * mp.exp(log_T) + mp.ldexp(1, math.ceil(log2_K) + 1 - wp)
+    return acc, Certificate(N, 1, N - 1 + r, bound, wp,
+                            time.perf_counter() - start)
 
 
 # -------------------------------------------------- callers against oracles
@@ -293,3 +340,152 @@ def test_far_first_term_raises_at_once():
         certified_gaussian_sum(-mp.pi, mp.mpc("2e30", 1), Fraction(1, 2), 1,
                                (1,), 64)
     assert time.perf_counter() - start < 0.5
+
+
+# ------------------------------------------------------ the fixed-point loop
+
+coeff_st = st.one_of(
+    st.just(0), st.integers(-3, 3),
+    st.floats(min_value=-4, max_value=4).map(mp.mpf),
+    st.builds(mp.mpc, st.floats(min_value=-4, max_value=4),
+              st.floats(min_value=-4, max_value=4)))
+nonzero_st = coeff_st.filter(lambda c: c != 0)
+
+
+@st.composite
+def polys(draw):
+    """Coefficients of degree 0 to 6 with a nonzero leading one, or one of
+    script-F/G's monomials x^k, as (0,) * k + (1,)."""
+    if draw(st.booleans()):
+        return (0,) * draw(st.integers(0, 6)) + (1,)
+    return tuple(draw(st.lists(coeff_st, max_size=6))) + (draw(nonzero_st),)
+
+
+@st.composite
+def exponents(draw):
+    """(alpha, beta): each real (an mpf or an int 0) or complex, Re alpha <
+    0."""
+    a = draw(st.floats(min_value=0.05, max_value=3.0))
+    b = draw(st.floats(min_value=-4.0, max_value=4.0))
+    alpha = draw(st.sampled_from((
+        mp.mpf(-a), mp.mpc(-a, draw(st.floats(min_value=-4, max_value=4))))))
+    beta = draw(st.sampled_from((
+        0, mp.mpf(b), mp.mpc(b, draw(st.floats(min_value=-4, max_value=4))))))
+    return alpha, beta
+
+
+@settings(max_examples=80)
+@given(exponents(), st.sampled_from((1, -1)), frac_st, polys(),
+       st.sampled_from((53, 64, 128, 256)))
+def test_fixed_point_loop_against_mpmath_loop(ab, sign, r, poly, prec):
+    alpha, beta = ab
+    with mp.workprec(prec + _GUARD_BITS):
+        value, cert = certified_gaussian_sum(alpha, beta, r, sign, poly, prec)
+        want, want_cert = gaussian_sum_loop(alpha, beta, r, sign, poly, prec)
+    assert (cert.nodes, cert.h, cert.X) == (want_cert.nodes, want_cert.h,
+                                            want_cert.X)
+    assert type(value) is type(want)
+    assert abs(value - want) <= cert.bound + want_cert.bound
+    assert cert.bound <= mp.mpf(2) ** -(prec + _GUARD_BITS - 2)
+
+
+def test_term_loop_calls_no_polyval(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.polyval called")
+
+    monkeypatch.setattr(mp, "polyval", refuse)
+    for alpha, beta, r, sign, poly in CASES:
+        certified_gaussian_sum(alpha, beta, r, sign, poly, 128)
+
+
+# (alpha, beta, r, sign, poly) next to CASES for the interval oracle: one
+# half of theta at tau = 0.1 + i, z = 0.3 + 0.2i, and an H-shaped sum (ell = 4,
+# s = 3, tau = 0.1 + 0.5i) with a complex polynomial of degree 4
+with mp.workprec(128 + _GUARD_BITS):
+    _TAU, _Z = mp.mpc(0.1, 1), mp.mpc(0.3, 0.2)
+    INTERVAL_CASES = CASES + [
+        (mp.pi * 1j * _TAU, 2j * mp.pi * (_Z + mp.mpf(1) / 2), Fraction(1, 2),
+         1, (1,)),
+        (4 * mp.pi * 1j * mp.mpc(0.1, 0.5), 0, Fraction(-1, 4), 1,
+         (mp.mpc(0.3, -1.2), mp.mpc(-2, 0.5), mp.mpc(0.7, 0.1), 0,
+          mp.mpc(0.05, -0.4))),
+    ]
+
+
+def _iv(x):
+    """x as an mp.iv interval, real or complex."""
+    if isinstance(x, mp.mpc):
+        return mp.iv.mpc(x.real, x.imag)
+    return mp.iv.mpf(x)
+
+
+def _ends(box):
+    """The (lo, hi) ends, as mpfs, of the real and the imaginary part of an
+    mp.iv number."""
+    return [tuple(mp.make_mpf(e) for e in mp.iv.mpf(part)._mpi_)
+            for part in (box.real, box.imag)]
+
+
+def _tail(alpha, beta, r, poly, N):
+    """The tail bound T = B_N/(1 - rho_N) of certified_gaussian_sum's
+    docstring, at the working precision."""
+    a, b, x = -mp.re(alpha), mp.re(beta), N + fraction_mpf(Fraction(r))
+    d = len(poly) - 1
+    B = mp.polyval([abs(c) for c in poly[::-1]], x) * mp.exp(-a * x * x + b * x)
+    rho = (1 + 1 / x) ** d * mp.exp(-a * (2 * x + 1) + b)
+    return B / (1 - rho)
+
+
+@pytest.mark.parametrize("case", INTERVAL_CASES)
+def test_rounding_part_against_interval_enclosure(case):
+    # the N-term sum enclosed from the exact inputs, term by term, by one
+    # interval exp each; the kernel's value must lie within the rounding part
+    # of its certificate, bound - 2 T, of the enclosure
+    alpha, beta, r, sign, poly = case
+    prec = 128
+    with mp.workprec(prec + _GUARD_BITS):
+        value, cert = certified_gaussian_sum(alpha, beta, r, sign, poly, prec)
+    saved = mp.iv.prec
+    mp.iv.prec = cert.prec + 40
+    try:
+        A, B, coeffs = _iv(alpha), _iv(beta), [_iv(c) for c in poly[::-1]]
+        total = mp.iv.mpf(0)
+        for n in range(cert.nodes):
+            x = mp.iv.mpf((n + r).numerator) / (n + r).denominator
+            P = coeffs[0]
+            for c in coeffs[1:]:
+                P = P * x + c
+            total += sign ** n * P * mp.iv.exp((A * x + B) * x)
+    finally:
+        mp.iv.prec = saved
+    with mp.workprec(cert.prec + 40):
+        rounding = cert.bound - 2 * _tail(alpha, beta, r, poly, cert.nodes)
+        assert mp.mpf(0) < rounding
+        value, ends = mp.mpc(value), _ends(total)
+        assert mp.hypot(*(max(lo - v, v - hi, 0) for v, (lo, hi) in
+                          zip((value.real, value.imag), ends))) <= rounding
+        assert mp.hypot(*(hi - lo for lo, hi in ends)) < rounding / 1000
+
+
+@pytest.mark.parametrize("sign", (2, 0, mp.mpf("0.5"), -3))
+def test_sign_other_than_plus_or_minus_one_raises(sign):
+    # sign 2 once returned an error of 1.6e-17 against a bound of 4.1e-27
+    with pytest.raises(ValueError, match="sign"):
+        certified_gaussian_sum(mp.mpf(-0.05), 0, Fraction(1, 2), sign, (1,),
+                               64)
+
+
+def test_empty_poly_raises():
+    with pytest.raises(ValueError, match="coefficient"):
+        certified_gaussian_sum(-mp.pi, 0, Fraction(1, 2), 1, (), 64)
+
+
+@pytest.mark.parametrize("alpha,poly,zero", [
+    (-mp.pi, (0,), mp.mpf(0)),
+    (mp.mpc(-1, 2), (0, 0, mp.mpc(0)), mp.mpc(0)),
+])
+def test_zero_poly_sums_to_an_exact_zero(alpha, poly, zero):
+    value, cert = certified_gaussian_sum(alpha, 0, Fraction(1, 3), -1, poly,
+                                         64)
+    assert value == 0 and type(value) is type(zero)
+    assert cert.bound == 0 and cert.nodes == 0
