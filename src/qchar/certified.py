@@ -114,47 +114,49 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
     once.  (Halving bounds, rho_n <= 1/2, would cost about 0.36/a terms at
     small a.)
 
-    The terms run from n0, the n < N nearest the peak b/(2a) - r of |E_n|,
-    |E_n| = e^{-a x_n^2 + b x_n}, away from it both ways, scaled by E_{n0}:
-    e_n = E_n/E_{n0}, e_{n0} = 1, e_{n+1} = e_n R_n, R_{n+1} = R_n Q forward
-    and e_{n-1} = e_n S_n, S_{n-1} = S_n Q back, from E_{n0} = sign^n0
-    e^{alpha x_{n0}^2 + beta x_{n0}}, R_{n0} = sign e^{alpha (2x_{n0} + 1) +
-    beta}, Q = e^{2 alpha} and S_{n0} = Q/R_{n0} = 1/R_{n0-1} (n0 = 0 for
-    most sums, and there are then no S).  These three exps and the quotient,
-    formed at extra bits, enter within u = 2^(1-wp) relative, as do the
-    poly[k]; wp keeps K u <= 2^-(prec + _GUARD_BITS), K = 2 N G Pbar(Y) (d
-    (2|r| + 4) + N^2 + N + 1), G = e^{b^2/(4a)} >= |E_n|, Y = max |x_n| + 1.
-    The loop runs in fixed point on the grid v = 2^-fp: R_{n0}, S_{n0}, Q
-    and the poly[k] enter floored, x_n = floor(x_{n0}/v) v + n - n0, P(x_n)
-    by Horner's rule, and each term P e_n and each recurrence step is one
-    product floored per part; the sum is exact until its product with
-    E_{n0}, rounded to wp bits.  Two parts, each to first order, the 2s
-    covering higher orders, with k = |n - n0| the steps from n0:
+    The terms run from n = 0 on, scaled by E_0: e_n = E_n/E_0, e_0 = 1,
+    e_{n+1} = e_n R_n, R_{n+1} = R_n Q, from E_0 = e^{alpha r^2 + beta r},
+    R_0 = sign e^{alpha (2r + 1) + beta} and Q = e^{2 alpha}.  These three
+    exps, formed at extra bits, enter within u = 2^(1-wp) relative, as do
+    the poly[k]; wp keeps K u <= 2^-(prec + _GUARD_BITS), K = 2 N G Pbar(Y)
+    (d (2|r| + 4) + N^2 + N + 1), G = e^{b^2/(4a)} >= |E_n|, Y = max |x_n| +
+    1.  The loop runs in fixed point on the grid v = 2^-fp: R_0, Q and the
+    poly[k] enter floored, x_n = floor(r/v) v + n, P(x_n) by Horner's rule,
+    and each term P e_n and each recurrence step is one product floored per
+    part; the sum is exact until its product with E_0, rounded to wp bits.
+    Two parts, each to first order, the 2s covering higher orders:
 
-    * the inputs' u: E_n is within (1 + k(k+1)/2) u relative, P(x_n)
-      within u Pbar(Y), and the final product adds u |value|, so with
-      |value| <= N G Pbar(Y) this part is below N G Pbar(Y) (3 + (N^2 -
-      1)/6) u <= K u/2;
-    * the floors, each below sqrt(2) v (v on x_n), scaled by |E_{n0}|: Rho
-      = max(|R_{n0}|, |S_{n0}|) bounds every |R_n| and |S_n| used, as |R_n|
-      falls with n, so R_n or S_n is within sqrt(2) (1 + k (Rho + 1)) v, and
-      only R_{n0} or S_{n0} can exceed 1 in modulus, so Gamma = max(1, Rho)
-      >= |e_n|.  A floor of e_j reaches e_n times at most 1, and R_j's or
-      S_j's error times at most |e_j|, so e_n is within sqrt(2) (k + Gamma
-      (k + (Rho + 1) k^2/2)) v.  P(x_n) is within e_P v, e_P = Pbar'(Y) +
-      sqrt(2) (sum_{i<=d} Y^i + sum_{i<d} Y^i) for x_n, the coefficients
+    * the inputs' u: E_n is within (1 + n(n+1)/2) u relative, P(x_n) within
+      u Pbar(Y), and the final product adds u |value|, so with |value| <= N
+      G Pbar(Y) this part is below N G Pbar(Y) (3 + (N^2 - 1)/6) u <= K u/2;
+    * the floors, each below sqrt(2) v (v on x_n), scaled by |E_0|.  As
+      |R_j| = |R_0| |Q|^j, Q's floor reaches R_n from each step j < n times
+      |R_j Q^(n-1-j)| = |R_{n-1}|, so R_n is within sqrt(2) (1 + n (1 +
+      |R_{n-1}|)) v.  Gamma = e^{a max(0, b/(2a) - r)^2}, the largest
+      |E_x|/|E_0| for x >= r, bounds |e_n|.  As log|E_x| is concave in x, a
+      floor at e_{j+1} reaches e_n times |e_n/e_{j+1}| <= Gamma and R_j's
+      error times |e_j e_n/e_{j+1}| <= |e_{n-1}| <= Gamma; the |R_{j-1}| in
+      that error adds at most Rho Gamma, Rho = min(|R_0|, e^{2a}), as also
+      |e_j R_{j-1} e_n/e_{j+1}| = |e_n/Q|.  So e_n is within sqrt(2) Gamma
+      (2n + (Rho + 1) n(n-1)/2) v.  P(x_n) is within e_P v, e_P = Pbar'(Y)
+      + sqrt(2) (sum_{i<=d} Y^i + sum_{i<d} Y^i) for x_n, the coefficients
       and Horner's floors.  Summed over the N terms, with sqrt(2) for each
-      term's own floor, this part is below |E_{n0}| F v,
+      term's own floor, this part is below |E_0| F v,
 
-          F = 2 N (sqrt(2) + Gamma e_P + sqrt(2) Pbar(Y) N (1/2 + Gamma
-              (1/2 + (Rho + 1) N/6))),
+          F = 2 N (sqrt(2) + Gamma e_P + sqrt(2) Pbar(Y) Gamma N (1
+              + (Rho + 1) N/6)),
 
-      from doubles; fp = prec + _GUARD_BITS + 2 + ceil(log2(max(1,
-      |E_{n0}|) F)) keeps it below 2^-(prec + _GUARD_BITS + 1), and below
-      that relative to the largest term when that is small.
+      from doubles; with M = |E_0| Gamma >= |E_n|, fp = prec + _GUARD_BITS
+      + 2 + ceil(log2(|E_0| F/min(1, M))) keeps it below 2^-(prec +
+      _GUARD_BITS + 1), and below that relative to M when M is small.  So
+      Gamma, which exceeds 1 when the peak b/(2a) of |E_x| lies right of
+      r, costs fp no bits past the largest term's, though the ints of the
+      terms near the peak then hold log2 Gamma bits more; Rho, above 1 when
+      the peak lies right of r + 1/2, costs about log2(Rho + 1) <= 1 +
+      2a/log 2.
 
     Returns the value at wp bits (an mpf when alpha, beta and poly are all
-    real) and Certificate(N, 1, the last x, 2 T + K u + 2^(ceil(log2(|E_{n0}|
+    real) and Certificate(N, 1, the last x, 2 T + K u + 2^(ceil(log2(|E_0|
     F)) + 1) v, fp, seconds).
     """
     start = time.perf_counter()
@@ -198,62 +200,42 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
     log_G = b * b / (4 * a)
     log2_K = (math.log2(2 * N * (d * (2 * abs(rf) + 4) + N * N + N + 1))
               + (log_G + log_pbar(Y)) / math.log(2))
-    n0 = min(N - 1, max(0, round(b / (2 * a) - rf)))
-    x0 = n0 + rf
-    log_Rho = b - a * (2 * x0 + 1)  # log|R_{n0}|
-    if n0:
-        log_Rho = max(log_Rho, a * (2 * x0 - 1) - b)  # log|S_{n0}|
-    log_Gamma = max(0.0, log_Rho)
-    log_E0 = -a * x0 * x0 + b * x0  # log|E_{n0}|
+    log_Rho = min(b - a * (2 * rf + 1), 2 * a)  # log min(|R_0|, 1/|Q|)
+    log_Gamma = a * max(0.0, b / (2 * a) - rf) ** 2
+    log_E0 = -a * rf * rf + b * rf  # log|E_0|
     e_P = (sum(k * c * Y ** (k - 1) for k, c in enumerate(abs_coeffs))
            + math.sqrt(2) * sum(Y ** k * (1 + (k < d)) for k in range(d + 1)))
     log_F = math.log(2 * N) + _log_sum([
         0.5 * math.log(2), log_Gamma + math.log(e_P),
-        0.5 * math.log(2) + log_pbar(Y) + math.log(N) + _log_sum([
-            -math.log(2), log_Gamma + _log_sum([
-                -math.log(2),
-                _log_sum([0.0, log_Rho]) + math.log(N / 6)])])])
+        0.5 * math.log(2) + log_pbar(Y) + log_Gamma + math.log(N)
+        + _log_sum([0.0, _log_sum([0.0, log_Rho]) + math.log(N / 6)])])
     if not (math.isfinite(log2_K) and math.isfinite(log_F + log_E0)):
         raise ValueError("Gaussian sum plan overflows the doubles")
-    log2_F = (log_F + log_E0) / math.log(2)  # of |E_{n0}| F
+    log2_F = (log_F + log_E0) / math.log(2)  # of |E_0| F
     wp = prec + _GUARD_BITS + 1 + max(0, math.ceil(log2_K))
     fp = prec + _GUARD_BITS + 2 + math.ceil(
-        (log_F + max(0.0, log_E0)) / math.log(2))
+        log2_F - min(0.0, log_E0 + log_Gamma) / math.log(2))
     # each exp's argument is below span: log2(span) + 12 bits past wp keep
     # its rounding far below u
-    span = 4 * (float(abs(alpha)) + float(abs(beta)) + 1) * (abs(x0) + 1) ** 2
+    span = 4 * (float(abs(alpha)) + float(abs(beta)) + 1) * (abs(rf) + 1) ** 2
     with mp.workprec(wp + 12 + math.ceil(math.log2(span))):
-        xx = fraction_mpf(n0 + r)
-        E = sign ** n0 * mp.exp((alpha * xx + beta) * xx)
-        R = sign * mp.exp(alpha * (2 * xx + 1) + beta)
-        Q = mp.exp(2 * alpha)
-        S = to_fixed(Q / R, fp) if n0 else None
-        R, Q = to_fixed(R, fp), to_fixed(Q, fp)
-        top, *rest = [to_fixed(c, fp) for c in reversed(poly)]
-    qr, qi = Q
-
-    def terms(e, R, x, count, step):
-        """The sum of count terms P(x_n) e_n from e_n, R_n (or S_n) and x_n
-        on, x stepping by step."""
-        (er, ei), (Rr, Ri) = e, R
-        acc_r = acc_i = 0
-        for _ in range(count):
-            hr, hi = top
-            for cr, ci in rest:
-                hr, hi = ((hr * x) >> fp) + cr, ((hi * x) >> fp) + ci
-            acc_r += (hr * er - hi * ei) >> fp
-            acc_i += (hr * ei + hi * er) >> fp
-            er, ei = (er * Rr - ei * Ri) >> fp, (er * Ri + ei * Rr) >> fp
-            Rr, Ri = (Rr * qr - Ri * qi) >> fp, (Rr * qi + Ri * qr) >> fp
-            x += step
-        return acc_r, acc_i
-
-    one = 1 << fp
-    x = ((n0 + r).numerator << fp) // (n0 + r).denominator
-    acc_r, acc_i = terms((one, 0), R, x, N - n0, one)
-    if n0:
-        back = terms(S, fixed_mul(S, Q, fp), x - one, n0, -one)
-        acc_r, acc_i = acc_r + back[0], acc_i + back[1]
+        xx = fraction_mpf(r)
+        E = mp.exp((alpha * xx + beta) * xx)
+        Rr, Ri = to_fixed(sign * mp.exp(alpha * (2 * xx + 1) + beta), fp)
+        qr, qi = to_fixed(mp.exp(2 * alpha), fp)
+        (hr0, hi0), *rest = [to_fixed(c, fp) for c in reversed(poly)]
+    x = (r.numerator << fp) // r.denominator
+    one = er = 1 << fp
+    ei = acc_r = acc_i = 0
+    for _ in range(N):
+        hr, hi = hr0, hi0
+        for cr, ci in rest:
+            hr, hi = ((hr * x) >> fp) + cr, ((hi * x) >> fp) + ci
+        acc_r += (hr * er - hi * ei) >> fp
+        acc_i += (hr * ei + hi * er) >> fp
+        er, ei = (er * Rr - ei * Ri) >> fp, (er * Ri + ei * Rr) >> fp
+        Rr, Ri = (Rr * qr - Ri * qi) >> fp, (Rr * qi + Ri * qr) >> fp
+        x += one
     with mp.workprec(wp):
         value = E * mp.make_mpc((from_man_exp(acc_r, -fp),
                                  from_man_exp(acc_i, -fp)))

@@ -389,6 +389,25 @@ def test_fixed_point_loop_against_mpmath_loop(ab, sign, r, poly, prec):
     assert cert.bound <= mp.mpf(2) ** -(prec + _GUARD_BITS - 2)
 
 
+@pytest.mark.parametrize("alpha,beta,r", [
+    (mp.mpf(-0.5), 0, Fraction(-30)),  # |E_0| = e^-450 below a peak of 1
+    (mp.mpf(-0.002), mp.mpf(0.8), Fraction(1, 2)),  # peak 200 terms on
+    (mp.mpc(-11, 3), mp.mpc(22, -1), Fraction(-3, 4)),  # |R_0| = e^27.5
+])
+def test_loop_precision_follows_the_largest_term(alpha, beta, r):
+    # the loop starts at n = 0, left of the peak G = e^{b^2/(4a)} of
+    # |e^{alpha x^2 + beta x}|; its bits must follow G, N^3 and |1/Q| =
+    # e^{2a}, not the rise from the first term to the peak
+    prec = 64
+    with mp.workprec(prec + _GUARD_BITS):
+        value, cert = certified_gaussian_sum(alpha, beta, r, 1, (1,), prec)
+        want, want_cert = gaussian_sum_loop(alpha, beta, r, 1, (1,), prec)
+    a, b = -float(mp.re(alpha)), float(mp.re(beta))
+    assert cert.prec <= (prec + _GUARD_BITS + 8 + 3 * math.log2(cert.nodes)
+                         + (b * b / (4 * a) + 2 * a) / math.log(2))
+    assert abs(value - want) <= cert.bound + want_cert.bound
+
+
 def test_term_loop_calls_no_polyval(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("mp.polyval called")
