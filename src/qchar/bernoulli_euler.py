@@ -1,8 +1,12 @@
 """Exact Bernoulli and Euler machinery.
 
-Everything here is computed from generating functions by exact series
-arithmetic; the classical recurrences only appear in the test suite as
-independent oracles.  All values are rational and exact.
+Everything here comes from generating functions, each by one recurrence
+on exact series: a table or a higher-order power is one J.C.P. Miller power
+(ExactQSeries.__pow__), a polynomial value one Appell sum over a table in
+ints, and the logarithm of criterion 10's S-identity the same recurrence
+on the logarithmic derivative (log1p_series).  The classical Bernoulli and
+Euler recurrences only appear in the test suite, as independent oracles.
+All values are rational and exact.
 """
 
 from __future__ import annotations
@@ -66,8 +70,7 @@ def bernoulli_number(k: int) -> Fraction:
     """B_k, from the generating function w/(e^w - 1)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    L, A = _bernoulli_table(max(16, 1 << k.bit_length()))
-    return Fraction(A[k], L)
+    return _appell(_bernoulli_table, k, 0)
 
 
 def bernoulli_poly(n: int, x) -> Fraction:
@@ -76,14 +79,14 @@ def bernoulli_poly(n: int, x) -> Fraction:
 
 
 def higher_bernoulli_poly(n: int, r: int, x) -> Fraction:
-    """B_n^{(r)}(x), coefficient of w^n/n! in (w/(e^w-1))^r e^{xw}."""
+    """B_n^{(r)}(x), coefficient of w^n/n! in (w/(e^w-1))^r e^{xw}: with
+    A_k = [w^k] (w/(e^w-1))^r, one power, it is n! sum_k A_k x^{n-k}/(n-k)!."""
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and a positive integer order r")
+    A = (_expm1_over_w(n + 1) ** -r).coeffs
     x = Fraction(x)
-    exp_xw = ExactQSeries(1, {k: x ** k / factorial(k)
-                              for k in range(n + 1)}, n + 1)
-    series = _expm1_over_w(n + 1) ** -r * exp_xw
-    return Fraction(series.coefficient(n) * factorial(n))
+    return factorial(n) * sum((A.get(k, 0) * x ** (n - k) / factorial(n - k)
+                               for k in range(n + 1)), Fraction(0))
 
 
 def euler_poly(n: int, x) -> Fraction:

@@ -245,6 +245,24 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
         N, 1, N - 1 + r, bound, fp, time.perf_counter() - start)
 
 
+def gaussian_drift(alpha, beta, r, N: int, d_alpha: float, d_beta: float):
+    """To first order, how far sum_{n<N} e^{alpha x_n^2 + beta x_n}, x_n =
+    n + r, moves when alpha and beta move by at most d_alpha and d_beta:
+    the term at x by (d_alpha x^2 + d_beta |x|) times its modulus.  Summed
+    in doubles over moduli scaled by 2^-k, 2^k the largest power of 2 below
+    the largest modulus, so that nothing overflows, and returned as an mpf;
+    the doubles' relative error, below N 2^-52, is covered by the callers'
+    doubling of this term."""
+    a, b, rf = float(mp.re(alpha)), float(mp.re(beta)), float(r)
+    logs = [(a * (n + rf) + b) * (n + rf) for n in range(N)]
+    k = math.floor(max(logs, default=0.0) / math.log(2))
+    s1 = s2 = 0.0
+    for n, lg in enumerate(logs):
+        w = abs(n + rf) * math.exp(lg - k * math.log(2))
+        s1, s2 = s1 + w, s2 + w * abs(n + rf)
+    return mp.ldexp(d_alpha * s2 + d_beta * s1, k)
+
+
 def log_poch_lower(log_f0, log_q) -> float:
     """A lower bound of sum_{k>=0} log|1 - f_k| over factors with
     log|f_k| = log_f0 + k log_q (log_q < 0), from |1 - f| >= |1 - |f||;

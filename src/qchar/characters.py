@@ -61,34 +61,36 @@ def _zeta_coefficient(ell: int, s: int, trunc: int) -> tuple:
     """Integer coefficients of coeff_{zeta^s} below q^trunc; a bounded cache
     of O(trunc) immutable tuples."""
     series = poch_ratio_bivariate(ell, s, trunc).zeta_coefficient(s)
-    out = tuple(series.coeffs.get(n, 0) for n in range(trunc))
-    for n, c in enumerate(out):
-        if type(c) is not int or c < 0:
-            raise AssertionError(
-                f"extraction produced non-integer/negative coefficient at "
-                f"q^{n}")
-    return out
+    return tuple(series.coeffs.get(n, 0) for n in range(trunc))
 
 
 def coeff_series_exact(ell: int, s: int, trunc: int) -> ExactQSeries:
     """coeff_{zeta^s} [1/((zeta)_inf^ell (zeta^{-1}q)_inf^ell)] to q^trunc.
 
     All coefficients are nonnegative integers (the ratio is a product of
-    geometric series with nonnegative coefficients); asserted.
+    geometric series with nonnegative coefficients): each is a masked slot
+    of ZetaQSeries' packed rows.
     """
     return ExactQSeries(1, dict(enumerate(_zeta_coefficient(ell, s, trunc))),
                         trunc)
 
 
 def F_ls_exact(params: CharacterParams) -> ExactQSeries:
-    """F_{ell,s} by coefficient extraction; integer coefficients asserted."""
+    """F_{ell,s} by coefficient extraction: a product of two int series."""
     ell, s, trunc = params.ell, params.s, params.trunc
     series = coeff_series_exact(ell, s, trunc)
-    out = (euler_product_pow(ell * ell, trunc) * series).truncate(trunc)
-    for e, c in out.coeffs.items():
-        if c.denominator != 1:
-            raise AssertionError(f"non-integer coefficient at q^{e}")
-    return out
+    return (euler_product_pow(ell * ell, trunc) * series).truncate(trunc)
+
+
+def _nonnegative_ints(series: ExactQSeries, what: str) -> ExactQSeries:
+    """series, once every coefficient is checked to be an int >= 0 (else
+    AssertionError, naming what and the lowest such exponent)."""
+    bad = [e for e, c in series.coeffs.items() if type(c) is not int or c < 0]
+    if bad:
+        raise AssertionError(f"{what} has a coefficient that is not a "
+                             f"nonnegative integer at "
+                             f"q^{Fraction(min(bad), series.D)}")
+    return series
 
 
 # ------------------------------------- route 2: partial theta / quasimodular
@@ -136,17 +138,14 @@ def F_ls_via_H(params: CharacterParams) -> ExactQSeries:
 def character_ch(params: CharacterParams) -> ExactQSeries:
     """Character series q^{h_s - c/24} (q)_inf * coeff_{zeta^s}[...].
 
-    Coefficients are nonnegative integers (graded multiplicities); the
-    leading term is binomial(s+ell-1, ell-1) q^{h_s - c/24}.
+    Coefficients are nonnegative integers (graded multiplicities; checked,
+    as (q)_inf has negative ones); the leading term is binomial(s+ell-1,
+    ell-1) q^{h_s - c/24}.
     """
     ell, s, trunc = params.ell, params.s, params.trunc
     series = coeff_series_exact(ell, s, trunc)
-    ch = (euler_product(trunc) * series).truncate(trunc)
-    for e, c in ch.coeffs.items():
-        if c.denominator != 1 or c < 0:
-            raise ValueError(
-                f"character coefficient at q^{e} is not a nonnegative "
-                f"integer: {c}")
+    ch = _nonnegative_ints((euler_product(trunc) * series).truncate(trunc),
+                           "the character")
     lead = h_s(ell, s) - Fraction(central_charge(ell), 24)
     ch = ch.shift(lead)
     assert ch.coefficient(lead) == comb(s + ell - 1, ell - 1)
@@ -289,13 +288,9 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
         pref = q1 ** (-mp.mpf(s) / 2) * Phi / (1 - q / q1)  # tail / (q/q1)^T
 
         def head(T):  # sum_{n<T} b_n q^n
-            G = _F_ls_via_H_series(ell, s, T, -ell * ell)
-            bad = [e for e, c in G.coeffs.items()
-                   if c.denominator != 1 or c < 0]
-            if bad:
-                raise AssertionError(f"extraction series has unexpected "
-                                     f"coefficient at q^{min(bad)}")
-            return mp.fsum(mp.mpf(c.numerator) * q ** e
+            G = _nonnegative_ints(_F_ls_via_H_series(ell, s, T, -ell * ell),
+                                  "the route-2 head")
+            return mp.fsum(mp.mpf(c) * q ** e
                            for e, c in sorted(G.coeffs.items()))
 
         total = head(T0)

@@ -225,15 +225,17 @@ class ExactQSeries:
 
 
 def log1p_series(a: ExactQSeries) -> ExactQSeries:
-    """log(1 + a) for a series with positive valuation."""
+    """log(1 + a) for a series with positive valuation, in one pass of the
+    recurrence ``__pow__`` comes from (Knuth, TAOCP Vol. 2, 4.7): the
+    logarithmic derivative of ``L = log(1 + a)`` gives ``n L_n = n a_n -
+    sum_{0<k<n} k L_k a_{n-k}``."""
     if not a.is_zero() and a.min_exp <= 0:
         raise ValueError("log1p requires positive valuation")
-    result = ExactQSeries.zero(a.trunc, a.D)
-    term = ExactQSeries.one(a.trunc, a.D)
-    for k in range(1, a.trunc // max(a.min_exp, 1) + 2):
-        term = term * a
-        result = result + term * Fraction((-1) ** (k + 1), k)
-    return ExactQSeries(a.D, result.coeffs, a.trunc)
+    L = {}
+    for n in range(1, a.trunc):
+        L[n] = Fraction(n * a.coeffs.get(n, 0) - sum(
+            (n - j) * L[n - j] * c for j, c in a.coeffs.items() if j < n), n)
+    return ExactQSeries(a.D, L, a.trunc)
 
 
 def euler_product(trunc: int) -> ExactQSeries:

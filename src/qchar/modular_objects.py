@@ -18,8 +18,8 @@ from math import factorial
 import mpmath as mp
 
 from .bernoulli_euler import bernoulli_number
-from .certified import (_GUARD_BITS, InputError, NearPoleError,
-                        certified_gaussian_sum, euler_phi)
+from .certified import (_GUARD_BITS, Certificate, InputError, NearPoleError,
+                        certified_gaussian_sum, euler_phi, gaussian_drift)
 from .exact_series import ExactQSeries, divisor_sigma_list
 
 DEFAULT_PREC = 256
@@ -54,14 +54,42 @@ def eta(tau, prec: int = DEFAULT_PREC):
 
 def theta(z, tau, prec: int = DEFAULT_PREC):
     """Odd Jacobi theta, sum over n in 1/2+Z of q^{n^2/2} e^{2 pi i n(z+1/2)}."""
+    return _theta_halves(z, tau, prec)[0]
+
+
+def _theta_halves(z, tau, prec: int):
+    """(theta, alpha, beta, Certificate of x = n + 1/2, of x = -n - 1/2):
+    its two Gaussian sums, alpha = pi i tau and beta = 2 pi i (z + 1/2)
+    formed at prec + _GUARD_BITS bits."""
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
         alpha = mp.pi * 1j * tau
         beta = 2j * mp.pi * (z + mp.mpf(1) / 2)
         half = Fraction(1, 2)
-        plus, _ = certified_gaussian_sum(alpha, beta, half, 1, (1,), prec)
-        minus, _ = certified_gaussian_sum(alpha, -beta, half, 1, (1,), prec)
-        return plus + minus
+        plus, c1 = certified_gaussian_sum(alpha, beta, half, 1, (1,), prec)
+        minus, c2 = certified_gaussian_sum(alpha, -beta, half, 1, (1,), prec)
+        return plus + minus, alpha, beta, c1, c2
+
+
+def _theta_cert(z, tau, prec: int, dz: float, dtau: float):
+    """(theta's value, Certificate) for z and tau known within dz u and
+    dtau u, u = 2^(1 - prec - _GUARD_BITS).
+
+    Its bound adds the two Gaussian sums', u |theta| for their sum at prec +
+    _GUARD_BITS bits and, doubled, their drift (certified.gaussian_drift)
+    with alpha and beta off by pi (dtau + 2|tau|) u and 2 pi (dz + 2|z +
+    1/2|) u, their own rounding included."""
+    value, alpha, beta, c1, c2 = _theta_halves(z, tau, prec)
+    d_alpha = math.pi * (dtau + 2 * abs(complex(tau)))
+    d_beta = 2 * math.pi * (dz + 2 * abs(complex(z) + 0.5))
+    with mp.workprec(prec + _GUARD_BITS):
+        drift = sum(gaussian_drift(alpha, b, Fraction(1, 2), c.nodes,
+                                   d_alpha, d_beta)
+                    for b, c in ((beta, c1), (-beta, c2)))
+        bound = c1.bound + c2.bound + mp.ldexp(abs(value) + 2 * drift,
+                                               1 - prec - _GUARD_BITS)
+    return value, Certificate(c1.nodes + c2.nodes, 1, max(c1.X, c2.X), bound,
+                              max(c1.prec, c2.prec), c1.seconds + c2.seconds)
 
 
 def _G2k_terms(k: int, tau, prec: int) -> int:

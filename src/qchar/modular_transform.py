@@ -13,14 +13,16 @@ Gaussian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
 from .certified import _GUARD_BITS, InputError, fraction_mpf, line_trapezoid
-from .modular_objects import DEFAULT_PREC, _require_upper_half, cexp, theta
-from .partial_theta import PartialThetaParams, partial_theta
+from .modular_objects import (DEFAULT_PREC, _require_upper_half, _theta_cert,
+                              cexp, theta)
+from .partial_theta import PartialThetaParams, _partial_theta_cert
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,23 @@ def _root_of_unity(exponent: Fraction):
     return cexp(fraction_mpf(Fraction(exponent) % 1))
 
 
+def _rounding(moduli) -> float:
+    """In u = 2^(1 - prec - _GUARD_BITS), the first-order error radius 8
+    moduli of a value the laws form at prec + _GUARD_BITS bits: mpmath
+    rounds each operation within u/2 of its result, each value below takes
+    at most 16 roundings along any path, and moduli is the value computed
+    with every operand replaced by its modulus (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed. 2002, ch. 3); for a quotient
+    N/D, the numerator's plus |N/D| times the denominator's, over |D|.  For
+    an exponent w it is also the relative error it gives e^w."""
+    return 8 * float(moduli)
+
+
+# the relative rounding of _root_of_unity, in u: its exponent, at most 2 pi
+# on moduli, and the exp itself
+_ROOT = 1 + _rounding(2 * math.pi)
+
+
 def verify_general_transform(params: PartialThetaParams, z, tau,
                              gamma: SL2Matrix,
                              prec: int = DEFAULT_PREC) -> dict:
@@ -91,21 +110,36 @@ def verify_general_transform(params: PartialThetaParams, z, tau,
           * theta((c tau+d)/2 (z - 1/(8cM)) - 1/2 + (r-2Mj)/(4cM);
                   (c tau+d)/(8cM)) ).
 
-    ``nodes`` counts the trapezoid nodes and ``bound`` certifies the error
-    the integrals contribute to ``rhs``.
+    ``nodes`` counts the trapezoid nodes.  ``bound`` bounds ``abs_err``.
+    It adds every part's certificate times the modulus of its factor: the
+    integrals', and, from their cores, the left side's partial theta's and
+    each theta's for arguments known within _rounding's radius.  To that it
+    adds, doubled, the first-order rounding 2 u sum_P |P| (e_P + 4c + 2 + 4
+    m_D/|c tau + d|), u = 2^(1 - prec - _GUARD_BITS) and m_D = c |tau| +
+    |d|, over the right side's parts P: in u, e_P counts _ROOT for each
+    root of unity, 1 plus _rounding of its exponent for each other exp, 2
+    for 1/(2 sqrt(cM)) and 1 for each product; the sum over parts adds at
+    most (4c - 1)/2, and sqrt(-i (c tau + d)/2) 4 m_D/|c tau + d| + 3/2.
+    The integrals' inputs are formed as mordell_integral states.
     """
     r, eps, M = params.r, params.epsilon, params.M
     c = gamma.c
     with mp.workprec(prec + _GUARD_BITS):
-        lhs = partial_theta(params, z, gamma.act(tau), prec)
-        wall = mp.im(z) < 0
         ctd = c * tau + gamma.d
+        m_D = c * abs(tau) + abs(gamma.d)  # c tau + d on moduli
+        tau_g = gamma.act(tau)
+        lhs, cert = _partial_theta_cert(params, z, tau_g, prec, _rounding(
+            (abs(gamma.a * tau) + abs(gamma.b) + abs(tau_g) * m_D)
+            / abs(ctd)))
+        bound = cert.bound
+        wall = mp.im(z) < 0
         cM = Fraction(c) * M
         cMf = fraction_mpf(cM)
         scM = mp.sqrt(cMf)
         pref = mp.sqrt(-1j * ctd / 2)
+        common = 4 * c + 2 + 4 * m_D / abs(ctd)
         total = mp.mpc(0)
-        nodes, bound = 0, mp.mpf(0)
+        nodes, weighted = 0, mp.mpf(0)
         for j in range(2 * c):
             mj = 2 * M * j - Fraction(r)  # 2Mj - r
             mjf = fraction_mpf(mj)
@@ -116,16 +150,28 @@ def verify_general_transform(params: PartialThetaParams, z, tau,
             nodes += cert.nodes
             bound += abs(pref * weight) * cert.bound
             term = weight * integral
+            weighted += abs(term) * (
+                _ROOT + 3 + _rounding(2 * mp.pi * abs(z * mjf)) + common)
             if wall:
                 shift = 1 / (8 * cMf)
                 arg = ctd / 2 * (z - shift) - mp.mpf(1) / 2 - mjf / (4 * cMf)
-                term += (1 / (2 * scM) * _root_of_unity(mj / (8 * cM))
-                         * mp.exp(2j * mp.pi * cMf * ctd * (z - shift) ** 2)
-                         * theta(arg, ctd / (8 * cMf), prec))
+                th, cert = _theta_cert(
+                    arg, ctd / (8 * cMf), prec,
+                    _rounding(m_D * (abs(z) + shift) / 2 + mp.mpf(1) / 2
+                              + abs(mjf) / (4 * cMf)),
+                    _rounding(2 * m_D / (8 * cMf)))
+                factor = (1 / (2 * scM) * _root_of_unity(mj / (8 * cM))
+                          * mp.exp(2j * mp.pi * cMf * ctd * (z - shift) ** 2))
+                bound += abs(pref * factor) * cert.bound
+                term += factor * th
+                weighted += abs(factor * th) * (
+                    2 * _ROOT + 7 + common + _rounding(
+                        2 * mp.pi * cMf * m_D * (abs(z) + shift) ** 2))
             total += phase * term
         rhs = pref * total
         return {"lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs),
-                "nodes": nodes, "bound": bound}
+                "nodes": nodes, "bound": bound + mp.ldexp(
+                    2 * abs(pref) * weighted, 1 - prec - _GUARD_BITS)}
 
 
 def verify_S_transform(ell: int, s: int, z, tau,
@@ -153,10 +199,14 @@ def verify_S_transform(ell: int, s: int, z, tau,
     integral is +-e^{C} times a Mordell-type integral with kernel
     1/(1 -+ e^{-2 pi i ell z} e^{2 pi i sqrt(ell) x}).
 
-    ``nodes`` counts the trapezoid nodes and ``bound`` certifies the error
-    the integral contributes to ``rhs``.  The integral comes first, from
-    coefficients formed at prec + 2 _GUARD_BITS bits as in mordell_integral,
-    so that a pole near the path is refused before the left side is summed.
+    ``nodes`` counts the trapezoid nodes.  ``bound`` bounds ``abs_err`` as
+    in verify_general_transform: the certificates of the integral, of the
+    left side's partial theta and of the theta, each times its factor's
+    modulus, plus 2 u sum_P |P| e_P over the three parts, e_P counted by
+    the same rule (3 for (-i tau)^{-1/2} and its product, and 1 for the sum
+    of the right side).  The integral comes first, from coefficients formed
+    at prec + 2 _GUARD_BITS bits as in mordell_integral, so that a pole
+    near the path is refused before the left side is summed.
     """
     _require_upper_half(tau)
     with mp.workprec(prec + 2 * _GUARD_BITS):
@@ -167,21 +217,35 @@ def verify_S_transform(ell: int, s: int, z, tau,
     with mp.workprec(prec + _GUARD_BITS):
         params = PartialThetaParams(Fraction(s) + Fraction(ell, 2), ell % 2,
                                     Fraction(ell, 2))
-        lhs = (-1j * tau) ** (-mp.mpf(1) / 2) \
-            * partial_theta(params, z, -1 / tau, prec)
+        f_lhs = (-1j * tau) ** (-mp.mpf(1) / 2)
+        pt, pt_cert = _partial_theta_cert(params, z, -1 / tau, prec,
+                                          _rounding(2 / abs(tau)))
+        lhs = f_lhs * pt
         wall = mp.im(z) < 0
         # e^{C} collects the x-free parts of the numerator and of e^{iu}
         pref = (-1) ** (ell + 1) * mp.exp(-2j * mp.pi * (s + ell) * z
                                           - 1j * mp.pi * ell * z)
         rhs = pref * integral
+        bound = abs(f_lhs) * pt_cert.bound + abs(pref) * cert.bound
+        weighted = 3 * abs(lhs) + abs(rhs) * (
+            4 + _rounding(mp.pi * (2 * s + 3 * ell) * abs(z)))
         if wall:
             e = 1 - ell % 2
             zs = z - mp.mpf(e) / (2 * ell)
-            rhs += ((-1j) ** e / sl * mp.exp(-mp.pi * 1j * s * e / ell)
-                    * mp.exp(mp.pi * 1j * ell * tau * zs * zs)
-                    * theta(tau * zs + mp.mpf(s) / ell, tau / ell, prec))
+            m_zs = abs(z) + mp.mpf(e) / (2 * ell)  # z_s on moduli
+            th, th_cert = _theta_cert(
+                tau * zs + mp.mpf(s) / ell, tau / ell, prec,
+                _rounding(abs(tau) * m_zs + mp.mpf(s) / ell),
+                _rounding(2 * abs(tau) / ell))
+            factor = ((-1j) ** e / sl * mp.exp(-mp.pi * 1j * s * e / ell)
+                      * mp.exp(mp.pi * 1j * ell * tau * zs * zs))
+            rhs += factor * th
+            bound += abs(factor) * th_cert.bound
+            weighted += abs(factor * th) * (8 + _rounding(
+                mp.pi * (s * e / ell + ell * abs(tau) * m_zs ** 2)))
         return {"lhs": lhs, "rhs": rhs, "abs_err": abs(lhs - rhs),
-                "nodes": cert.nodes, "bound": abs(pref) * cert.bound}
+                "nodes": cert.nodes, "bound": bound + mp.ldexp(
+                    2 * weighted, 1 - prec - _GUARD_BITS)}
 
 
 def half_index_identity_check(z, tau, prec: int = DEFAULT_PREC):

@@ -13,7 +13,8 @@ coefficients are Bernoulli-polynomial values, written out in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
@@ -21,7 +22,7 @@ import mpmath as mp
 
 from .bernoulli_euler import bernoulli_poly
 from .certified import (_GUARD_BITS, InputError, certified_gaussian_sum,
-                        fraction_mpf)
+                        fraction_mpf, gaussian_drift)
 from .modular_objects import DEFAULT_PREC, _require_upper_half
 
 
@@ -55,12 +56,39 @@ def partial_theta(params: PartialThetaParams, z, tau,
     Exponentials are built from tau and z directly; no fractional powers of
     a complex q are ever taken.
     """
+    return _partial_theta_sum(params, z, tau, prec)[0]
+
+
+def _partial_theta_sum(params: PartialThetaParams, z, tau, prec: int):
+    """(partial_theta, alpha, beta, r, Certificate): its Gaussian sum over
+    x = n + r, alpha = 2 pi i M tau and beta = 4 pi i M z formed at prec +
+    _GUARD_BITS bits."""
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
         M = fraction_mpf(params.M)
-        return certified_gaussian_sum(
-            2j * mp.pi * tau * M, 4j * mp.pi * M * z,
-            -params.r / (2 * params.M), (-1) ** params.epsilon, (1,), prec)[0]
+        alpha, beta = 2j * mp.pi * tau * M, 4j * mp.pi * M * z
+        r = -params.r / (2 * params.M)
+        value, cert = certified_gaussian_sum(
+            alpha, beta, r, (-1) ** params.epsilon, (1,), prec)
+        return value, alpha, beta, r, cert
+
+
+def _partial_theta_cert(params: PartialThetaParams, z, tau, prec: int,
+                        dtau: float):
+    """(partial_theta's value, Certificate) for tau known within dtau u,
+    u = 2^(1 - prec - _GUARD_BITS).
+
+    Its bound adds the Gaussian sum's and, doubled, its drift
+    (certified.gaussian_drift) with alpha and beta off by 2 pi M (dtau +
+    3|tau|) u and 12 pi M |z| u, their own rounding included."""
+    value, alpha, beta, r, cert = _partial_theta_sum(params, z, tau, prec)
+    M = float(params.M)
+    drift = gaussian_drift(alpha, beta, r, cert.nodes,
+                           2 * math.pi * M * (dtau + 3 * abs(complex(tau))),
+                           12 * math.pi * M * abs(complex(z)))
+    with mp.workprec(prec + _GUARD_BITS):
+        return value, replace(cert, bound=cert.bound + mp.ldexp(
+            2 * drift, 1 - prec - _GUARD_BITS))
 
 
 # ------------------------------------------------------- graded constants

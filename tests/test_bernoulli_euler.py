@@ -167,6 +167,38 @@ def test_higher_bernoulli_matches_the_appell_tables_at_any_x(n, r, x):
     assert higher_bernoulli_poly(n, r, x) == higher_bernoulli_by_appell(n, r, x)
 
 
+def higher_bernoulli_by_products(n, r, x):
+    """higher_bernoulli_poly as it was: the w^n coefficient of the whole
+    product (w/(e^w - 1))^r e^{xw}, times n!."""
+    x = Fraction(x)
+    expm1_over_w = ExactQSeries(1, {m: Fraction(1, factorial(m + 1))
+                                    for m in range(n + 1)}, n + 1)
+    series = expm1_over_w ** -r * exp_w(x, n + 1)
+    return Fraction(series.coefficient(n) * factorial(n))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 30), st.integers(1, 8),
+       st.fractions(min_value=-6, max_value=6, max_denominator=30))
+def test_higher_bernoulli_one_power_against_the_product(n, r, x):
+    got = higher_bernoulli_poly(n, r, x)
+    assert type(got) is Fraction
+    assert got == higher_bernoulli_by_products(n, r, x)
+
+
+def bernoulli_number_from_table(k):
+    """bernoulli_number as it was: B_k read off its table."""
+    L, A = _bernoulli_table(max(16, 1 << k.bit_length()))
+    return Fraction(A[k], L)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 130))
+def test_bernoulli_number_is_the_appell_sum_at_zero(k):
+    got = bernoulli_number(k)
+    assert type(got) is Fraction and got == bernoulli_number_from_table(k)
+
+
 def test_higher_bernoulli_reduces_to_ordinary():
     for n in range(0, 8):
         assert higher_bernoulli_poly(n, 1, Fraction(0)) == \

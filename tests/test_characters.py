@@ -13,6 +13,8 @@ from qchar.characters import (CharacterParams, F_ls_exact, F_ls_numeric,
                               coeff_series_exact,
                               fourier_coeff_by_quadrature,
                               fourier_quadrature, h_s)
+from qchar.cli import main
+from qchar.exact_series import ExactQSeries
 from qchar.modular_objects import cexp, eta, euler_phi_numeric
 
 PREC = 128
@@ -62,6 +64,34 @@ def test_character_leading_and_positivity():
         assert ch.coefficient(lead) == comb(s + ell - 1, ell - 1)
         for _, c in ch.terms():
             assert c.denominator == 1 and c >= 0
+
+
+@pytest.mark.parametrize("bad", (-1, Fraction(1, 2)))
+def test_F_numeric_refuses_a_head_off_the_nonnegative_integers(monkeypatch,
+                                                                 bad):
+    # the tail bound rests on b_n >= 0, so a route-2 head with one -1 or 1/2
+    # coefficient must raise, not be summed
+    real = characters._F_ls_via_H_series
+
+    def spoiled(ell, s, trunc, euler=0):
+        series = real(ell, s, trunc, euler)
+        return ExactQSeries(1, {**series.coeffs, 3: bad}, series.trunc)
+
+    monkeypatch.setattr(characters, "_F_ls_via_H_series", spoiled)
+    with pytest.raises(AssertionError, match="route-2 head.*q\\^3"):
+        F_ls_numeric(3, 0, 0.5, 64)
+
+
+def test_character_refuses_a_negative_multiplicity(monkeypatch, capsys):
+    # graded multiplicities are checked where the signed (q)_inf enters: a
+    # negated Euler product makes character_ch raise AssertionError, and the
+    # CLI exit 1
+    real = characters.euler_product
+    monkeypatch.setattr(characters, "euler_product", lambda t: -real(t))
+    with pytest.raises(AssertionError, match="the character"):
+        character_ch(CharacterParams(3, 0, 10))
+    assert main(["char", "--ell", "3", "--s", "0"]) == 1
+    assert '"ok": false' in capsys.readouterr().out
 
 
 def test_H_value_matches_quadrature():

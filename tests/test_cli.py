@@ -342,6 +342,18 @@ def test_verify_modular_diagnostics(capsys):
     assert 0 < float(diag["bound"]) < 2.0 ** -96
 
 
+@pytest.mark.parametrize("matrix", ([], ["--matrix", "1,0,1,1"]))
+def test_verify_modular_bound_bounds_its_error(capsys, matrix):
+    # the integrals' certificates alone fall below abs_err at both calls;
+    # the printed bound also counts the left side, the theta corrections
+    # and the rounding
+    code, out = run(capsys, "verify-modular", *matrix)
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True
+    assert mp.mpf(doc["abs_err"]) <= mp.mpf(doc["diagnostics"]["bound"]) \
+        <= mp.mpf(2) ** -256
+
+
 def test_verify_decomposition_diagnostics(capsys):
     code, out = run(capsys, "--prec", "96", "verify-decomposition", "--ell",
                     "2", "--s", "1", "--points", "1")

@@ -9,6 +9,7 @@ from operator import add, mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar.bernoulli_euler import higher_bernoulli_poly
 from qchar.characters import CharacterParams, F_ls_exact, character_ch
 from qchar.exact_series import (ExactQSeries, ZetaQSeries, _norm,
                                 _slot_bits, divisor_sigma_list, euler_product,
@@ -89,6 +90,73 @@ def exp_series(a):
 def test_exp_log_inverse():
     a = ExactQSeries(1, {1: Fraction(2), 3: Fraction(-1, 3)}, 12)
     assert log1p_series(exp_series(a) - ExactQSeries.one(12)) == a
+
+
+def log1p_by_products(a):
+    """log1p_series as it was: sum_k (-1)^{k+1} a^k/k by series products."""
+    if not a.is_zero() and a.min_exp <= 0:
+        raise ValueError("log1p requires positive valuation")
+    result = ExactQSeries.zero(a.trunc, a.D)
+    term = ExactQSeries.one(a.trunc, a.D)
+    for k in range(1, a.trunc // max(a.min_exp, 1) + 2):
+        term = term * a
+        result = result + term * Fraction((-1) ** (k + 1), k)
+    return ExactQSeries(a.D, result.coeffs, a.trunc)
+
+
+@st.composite
+def positive_valuation_series(draw):
+    """D in {1, 2, 3}, valuation 1 to 3, trunc up to 30, int or Fraction
+    coefficients."""
+    D, v = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    trunc = draw(st.integers(v + 1, 30))
+    coeff = draw(st.sampled_from((st.integers(-9, 9), coeff_st)))
+    rest = draw(st.dictionaries(st.integers(v, trunc - 1), coeff,
+                                max_size=6))
+    lead = draw(coeff.filter(bool))
+    return ExactQSeries(D, {**rest, v: lead}, trunc)
+
+
+def same_terms(a, b):
+    """a and b identical term by term: lattice, truncation, values, types."""
+    return (a.D, a.trunc) == (b.D, b.trunc) and a.coeffs == b.coeffs and all(
+        type(c) is type(b.coeffs[e]) for e, c in a.coeffs.items())
+
+
+@settings(max_examples=60)
+@given(positive_valuation_series())
+def test_log1p_recurrence_against_products(a):
+    assert same_terms(log1p_series(a), log1p_by_products(a))
+
+
+def test_log1p_of_zero_and_refusal():
+    assert same_terms(log1p_series(ExactQSeries.zero(7, 2)),
+                      log1p_by_products(ExactQSeries.zero(7, 2)))
+    with pytest.raises(ValueError, match="positive valuation"):
+        log1p_series(ExactQSeries(1, {0: 1, 1: 1}, 5))
+
+
+def test_log1p_and_higher_bernoulli_make_no_series_product(monkeypatch):
+    # both are one recurrence: no ExactQSeries product, and the higher
+    # Bernoulli value takes exactly one power
+    calls = {"mul": 0, "pow": 0}
+    mul, pow_ = ExactQSeries.__mul__, ExactQSeries.__pow__
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_pow(self, p):
+        calls["pow"] += 1
+        return pow_(self, p)
+
+    monkeypatch.setattr(ExactQSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(ExactQSeries, "__rmul__", counting_mul)
+    monkeypatch.setattr(ExactQSeries, "__pow__", counting_pow)
+    log1p_series(ExactQSeries(2, {1: 3, 2: Fraction(-1, 2), 5: 7}, 25))
+    assert calls == {"mul": 0, "pow": 0}
+    higher_bernoulli_poly(20, 5, Fraction(-7, 3))
+    assert calls == {"mul": 0, "pow": 1}
 
 
 def test_shift_rescale_roundtrip():

@@ -12,7 +12,9 @@ from qchar.modular_transform import (S_MATRIX, SL2Matrix,
                                      mordell_integral,
                                      verify_S_transform,
                                      verify_general_transform)
-from qchar.partial_theta import PartialThetaParams
+from qchar.modular_objects import _theta_cert, theta
+from qchar.partial_theta import (PartialThetaParams, _partial_theta_cert,
+                                 partial_theta)
 
 PREC = 128
 
@@ -256,6 +258,46 @@ def test_general_transform_nontrivial_matrix():
                     mp.mpf("1e-28") * max(1, abs(rep["lhs"]))
 
 
+# below the real axis the theta corrections enter both laws
+Z_BELOW = mp.mpc("0.12", "-0.18")
+
+
+@pytest.mark.parametrize("prec", (160, 256))
+def test_S_transform_bound_bounds_its_error(prec):
+    # the integral's certificate alone falls short of abs_err by 10^2 to
+    # 10^5 here; the whole bound holds and stays below the target
+    with mp.workprec(prec + 64):
+        for ell in range(2, 6):
+            for s in (0, 1):
+                rep = verify_S_transform(ell, s, Z_BELOW, mp.mpc(0, 1), prec)
+                assert rep["abs_err"] <= rep["bound"] <= mp.mpf(2) ** -prec
+
+
+def test_general_transform_bound_bounds_its_error():
+    params = PartialThetaParams(Fraction(3, 2), 1, Fraction(3, 2))
+    with mp.workprec(160 + 64):
+        rep = verify_general_transform(params, Z_BELOW, mp.mpc(0, 1),
+                                       SL2Matrix(1, 0, 1, 1), 160)
+        assert rep["abs_err"] <= rep["bound"] <= mp.mpf(2) ** -160
+
+
+@pytest.mark.parametrize("dz, dtau", ((0, 0), (1e6, 0), (0, 1e6)))
+def test_cores_certify_inputs_known_within_a_radius(dz, dtau):
+    # theta and partial theta at z and tau, against their values 200 bits
+    # finer at z and tau moved by dz u and dtau u, u = 2^(1 - prec - guard):
+    # within the cores' certificates
+    z, tau = mp.mpc("0.21", "-0.13"), mp.mpc("0.1", "0.8")
+    params = PartialThetaParams(Fraction(3, 2), 1, Fraction(3, 2))
+    with mp.workprec(400):
+        u = mp.mpf(2) ** (1 - 128 - _GUARD_BITS)
+        moved_z, moved_tau = z + dz * u * mp.expjpi(0.3), tau + dtau * u * 1j
+        value, cert = _theta_cert(z, tau, 128, dz, dtau)
+        assert abs(value - theta(moved_z, moved_tau, 360)) <= cert.bound
+        value, cert = _partial_theta_cert(params, z, tau, 128, dtau)
+        assert abs(value - partial_theta(params, z, moved_tau, 360)) \
+            <= cert.bound
+
+
 def test_general_transform_even_epsilon():
     with mp.workprec(PREC + 16):
         tau = mp.mpc("0.1", "1.1")
@@ -287,6 +329,6 @@ def test_S_transform_refuses_a_pole_before_its_left_side(monkeypatch):
     def unreachable(*args):
         raise AssertionError("partial_theta ran before the pole check")
 
-    monkeypatch.setattr(modular_transform, "partial_theta", unreachable)
+    monkeypatch.setattr(modular_transform, "_partial_theta_cert", unreachable)
     with pytest.raises(PoleNearContourError):
         verify_S_transform(3, 0, mp.mpc("0.2", "0.001"), mp.mpc(0, 1), 64)
