@@ -94,13 +94,16 @@ class Certificate:
     seconds: float
 
 
-def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
+def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int,
+                           radius=None):
     """(sum_{n>=0} sign^n P(x_n) e^{alpha x_n^2 + beta x_n}, Certificate),
     x_n = n + r, P(x) = sum_k poly[k] x^k of degree d, sign = +-1, r
     rational, alpha and beta finite and Re alpha < 0 (else ValueError, also
     raised for an empty poly and when the plan overflows the doubles);
-    certified for alpha, beta and poly as given and r exact.  An all-zero
-    poly gives an exact 0 with no terms and a zero bound.
+    certified for poly as given, r exact, and alpha and beta as given or,
+    with radius = (d_alpha, d_beta), known within d_alpha u and d_beta u, u
+    = 2^(1 - prec - _GUARD_BITS).  An all-zero poly gives an exact 0 with
+    no terms and a zero bound.
 
     With a = -Re alpha, b = Re beta and Pbar(y) = sum_k |poly[k]| y^k, term
     n is at most B_n = Pbar(|x_n|) e^{-a x_n^2 + b x_n}; for x_n > 0 the
@@ -157,7 +160,13 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
 
     Returns the value at wp bits (an mpf when alpha, beta and poly are all
     real) and Certificate(N, 1, the last x, 2 T + K u + 2^(ceil(log2(|E_0|
-    F)) + 1) v, fp, seconds).
+    F)) + 1) v, fp, seconds).  A radius adds, doubled, the first-order
+    drift of the N terms: term x moves by (d_alpha x^2 + d_beta |x|) u
+    times Pbar(|x|) |e^{alpha x^2 + beta x}|.  It is summed in doubles over
+    moduli scaled by 2^-k, 2^k the largest power of 2 below the largest
+    e^{-a x^2 + b x}, so that nothing overflows, and added at the caller's
+    precision; the doubling covers the higher orders and the doubles'
+    relative error, below N 2^-52.
     """
     start = time.perf_counter()
     r = Fraction(r)
@@ -179,8 +188,8 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
     d = len(poly) - 1
     abs_coeffs = [float(abs(c)) for c in poly]
 
-    def log_pbar(y):
-        return math.log(sum(c * y ** k for k, c in enumerate(abs_coeffs)))
+    def pbar(y):
+        return sum(c * y ** k for k, c in enumerate(abs_coeffs))
 
     first = (b - a) / (2 * a) - rf  # rho_n < 1 needs n > first
     if not first < 10_000_000:
@@ -190,7 +199,7 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
         x = N + rf
         log_rho = d * math.log1p(1 / x) - a * (2 * x + 1) + b
         if log_rho < -1e-6:
-            log_T = (log_pbar(x) - a * x * x + b * x
+            log_T = (math.log(pbar(x)) - a * x * x + b * x
                      - math.log(-math.expm1(log_rho)))
             if log_T <= -(prec + _GUARD_BITS) * math.log(2):
                 break
@@ -199,7 +208,7 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
     Y = max(abs(rf), abs(N - 1 + rf)) + 1
     log_G = b * b / (4 * a)
     log2_K = (math.log2(2 * N * (d * (2 * abs(rf) + 4) + N * N + N + 1))
-              + (log_G + log_pbar(Y)) / math.log(2))
+              + (log_G + math.log(pbar(Y))) / math.log(2))
     log_Rho = min(b - a * (2 * rf + 1), 2 * a)  # log min(|R_0|, 1/|Q|)
     log_Gamma = a * max(0.0, b / (2 * a) - rf) ** 2
     log_E0 = -a * rf * rf + b * rf  # log|E_0|
@@ -207,7 +216,7 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
            + math.sqrt(2) * sum(Y ** k * (1 + (k < d)) for k in range(d + 1)))
     log_F = math.log(2 * N) + _log_sum([
         0.5 * math.log(2), log_Gamma + math.log(e_P),
-        0.5 * math.log(2) + log_pbar(Y) + log_Gamma + math.log(N)
+        0.5 * math.log(2) + math.log(pbar(Y)) + log_Gamma + math.log(N)
         + _log_sum([0.0, _log_sum([0.0, log_Rho]) + math.log(N / 6)])])
     if not (math.isfinite(log2_K) and math.isfinite(log_F + log_E0)):
         raise ValueError("Gaussian sum plan overflows the doubles")
@@ -241,26 +250,19 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int):
                                  from_man_exp(acc_i, -fp)))
         bound = (2 * mp.exp(log_T) + mp.ldexp(1, math.ceil(log2_K) + 1 - wp)
                  + mp.ldexp(1, math.ceil(log2_F) + 1 - fp))
+    if radius:
+        d_alpha, d_beta = radius
+        logs = [(-a * (n + rf) + b) * (n + rf) for n in range(N)]
+        k = math.floor(max(logs) / math.log(2))
+        s1 = s2 = 0.0
+        for n, lg in enumerate(logs):
+            y = abs(n + rf)
+            w = y * math.exp(lg - k * math.log(2)) * pbar(y)
+            s1, s2 = s1 + w, s2 + w * y
+        bound += mp.ldexp(d_alpha * s2 + d_beta * s1,
+                          k + 2 - prec - _GUARD_BITS)
     return (value.real if real else value), Certificate(
         N, 1, N - 1 + r, bound, fp, time.perf_counter() - start)
-
-
-def gaussian_drift(alpha, beta, r, N: int, d_alpha: float, d_beta: float):
-    """To first order, how far sum_{n<N} e^{alpha x_n^2 + beta x_n}, x_n =
-    n + r, moves when alpha and beta move by at most d_alpha and d_beta:
-    the term at x by (d_alpha x^2 + d_beta |x|) times its modulus.  Summed
-    in doubles over moduli scaled by 2^-k, 2^k the largest power of 2 below
-    the largest modulus, so that nothing overflows, and returned as an mpf;
-    the doubles' relative error, below N 2^-52, is covered by the callers'
-    doubling of this term."""
-    a, b, rf = float(mp.re(alpha)), float(mp.re(beta)), float(r)
-    logs = [(a * (n + rf) + b) * (n + rf) for n in range(N)]
-    k = math.floor(max(logs, default=0.0) / math.log(2))
-    s1 = s2 = 0.0
-    for n, lg in enumerate(logs):
-        w = abs(n + rf) * math.exp(lg - k * math.log(2))
-        s1, s2 = s1 + w, s2 + w * abs(n + rf)
-    return mp.ldexp(d_alpha * s2 + d_beta * s1, k)
 
 
 def log_poch_lower(log_f0, log_q) -> float:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import count, takewhile
 from math import comb, factorial
 
 import mpmath as mp
@@ -100,7 +101,19 @@ def _F_ls_via_H_series(ell: int, s: int, trunc: int,
                        euler: int = 0) -> ExactQSeries:
     """F_{ell,s} (q)_inf^euler by the partial-theta route (see F_ls_via_H):
     the lattice sum times one power (q)_inf^{ell^2 - 2 ell + euler}."""
-    T2 = trunc + s + 1
+    def exponent(n):
+        # of q in q^{-h_s - ell/8} q^{a^2/(2 ell)}: (ell n - 2s) and (n + 1)
+        # are never both odd
+        return (ell * n - 2 * s) * (n + 1) // 2
+
+    # exponent(n) is convex in n, least at floor((2s - ell)/(2 ell)) or the
+    # next n; the lattice's least exponent caps the products' order
+    n0 = max(0, (2 * s - ell) // (2 * ell))
+    T2 = trunc - min(0, exponent(n0), exponent(n0 + 1))
+    # (e, sign, a) with a = ell n + ell/2 - s, for every n with e < T2
+    lattice = [(exponent(n), (-1) ** (n * ell),
+                Fraction(2 * ell * n + ell - 2 * s, 2))
+               for n in takewhile(lambda n: exponent(n) < T2, count())]
     # i^ell D_{-j}, rational: the phases cancel exactly
     D = laurent_coefficients_D(ell, partial(ghat_qseries, trunc=T2),
                                ExactQSeries.one(T2))
@@ -109,17 +122,8 @@ def _F_ls_via_H_series(ell: int, s: int, trunc: int,
         if (ell - j) % 2:
             continue
         inner: dict[int, Fraction] = {}
-        n = 0
-        while True:
-            # the exponent of q in q^{-h_s - ell/8} q^{a^2/(2 ell)}: (ell n
-            # - 2s) and (n + 1) are never both odd
-            e = (ell * n - 2 * s) * (n + 1) // 2
-            if e >= T2:
-                break
-            a = Fraction(2 * ell * n + ell - 2 * s, 2)  # ell n + ell/2 - s
-            c = Fraction((-1) ** (n * ell)) * a ** (j - 1)
-            inner[e] = inner.get(e, Fraction(0)) + c
-            n += 1
+        for e, sign, a in lattice:
+            inner[e] = inner.get(e, Fraction(0)) + sign * a ** (j - 1)
         S_j = ExactQSeries(1, inner, T2)
         total = total + (D[j - 1] * S_j) * Fraction(1, factorial(j - 1))
     out = total * euler_product_pow(ell * ell - 2 * ell + euler, T2)

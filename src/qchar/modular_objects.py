@@ -19,7 +19,7 @@ import mpmath as mp
 
 from .bernoulli_euler import bernoulli_number
 from .certified import (_GUARD_BITS, Certificate, InputError, NearPoleError,
-                        certified_gaussian_sum, euler_phi, gaussian_drift)
+                        certified_gaussian_sum, euler_phi)
 from .exact_series import ExactQSeries, divisor_sigma_list
 
 DEFAULT_PREC = 256
@@ -54,39 +54,32 @@ def eta(tau, prec: int = DEFAULT_PREC):
 
 def theta(z, tau, prec: int = DEFAULT_PREC):
     """Odd Jacobi theta, sum over n in 1/2+Z of q^{n^2/2} e^{2 pi i n(z+1/2)}."""
-    return _theta_halves(z, tau, prec)[0]
+    return _theta_cert(z, tau, prec)[0]
 
 
-def _theta_halves(z, tau, prec: int):
-    """(theta, alpha, beta, Certificate of x = n + 1/2, of x = -n - 1/2):
-    its two Gaussian sums, alpha = pi i tau and beta = 2 pi i (z + 1/2)
-    formed at prec + _GUARD_BITS bits."""
+def _theta_cert(z, tau, prec: int, dz=None, dtau=None):
+    """(theta's value, Certificate) from its two Gaussian sums, over x = n +
+    1/2 and x = -n - 1/2, with alpha = pi i tau and beta = 2 pi i (z + 1/2)
+    formed at prec + _GUARD_BITS bits; with dz and dtau (both or neither),
+    for z and tau known within dz u and dtau u, u = 2^(1 - prec -
+    _GUARD_BITS).
+
+    Its bound adds the two sums' and u |theta| for their sum at prec +
+    _GUARD_BITS bits.  With dz and dtau, each sum's certificate has the
+    radius pi (dtau + 2|tau|) and 2 pi (dz + 2|z + 1/2|), which counts
+    alpha's and beta's own rounding."""
     _require_upper_half(tau)
+    radius = None if dz is None else (
+        math.pi * (dtau + 2 * abs(complex(tau))),
+        2 * math.pi * (dz + 2 * abs(complex(z) + 0.5)))
     with mp.workprec(prec + _GUARD_BITS):
         alpha = mp.pi * 1j * tau
         beta = 2j * mp.pi * (z + mp.mpf(1) / 2)
-        half = Fraction(1, 2)
-        plus, c1 = certified_gaussian_sum(alpha, beta, half, 1, (1,), prec)
-        minus, c2 = certified_gaussian_sum(alpha, -beta, half, 1, (1,), prec)
-        return plus + minus, alpha, beta, c1, c2
-
-
-def _theta_cert(z, tau, prec: int, dz: float, dtau: float):
-    """(theta's value, Certificate) for z and tau known within dz u and
-    dtau u, u = 2^(1 - prec - _GUARD_BITS).
-
-    Its bound adds the two Gaussian sums', u |theta| for their sum at prec +
-    _GUARD_BITS bits and, doubled, their drift (certified.gaussian_drift)
-    with alpha and beta off by pi (dtau + 2|tau|) u and 2 pi (dz + 2|z +
-    1/2|) u, their own rounding included."""
-    value, alpha, beta, c1, c2 = _theta_halves(z, tau, prec)
-    d_alpha = math.pi * (dtau + 2 * abs(complex(tau)))
-    d_beta = 2 * math.pi * (dz + 2 * abs(complex(z) + 0.5))
-    with mp.workprec(prec + _GUARD_BITS):
-        drift = sum(gaussian_drift(alpha, b, Fraction(1, 2), c.nodes,
-                                   d_alpha, d_beta)
-                    for b, c in ((beta, c1), (-beta, c2)))
-        bound = c1.bound + c2.bound + mp.ldexp(abs(value) + 2 * drift,
+        (plus, c1), (minus, c2) = (
+            certified_gaussian_sum(alpha, b, Fraction(1, 2), 1, (1,), prec,
+                                   radius) for b in (beta, -beta))
+        value = plus + minus
+        bound = c1.bound + c2.bound + mp.ldexp(abs(value),
                                                1 - prec - _GUARD_BITS)
     return value, Certificate(c1.nodes + c2.nodes, 1, max(c1.X, c2.X), bound,
                               max(c1.prec, c2.prec), c1.seconds + c2.seconds)

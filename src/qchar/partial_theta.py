@@ -14,7 +14,7 @@ coefficients are Bernoulli-polynomial values, written out in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -22,7 +22,7 @@ import mpmath as mp
 
 from .bernoulli_euler import bernoulli_poly
 from .certified import (_GUARD_BITS, InputError, certified_gaussian_sum,
-                        fraction_mpf, gaussian_drift)
+                        fraction_mpf)
 from .modular_objects import DEFAULT_PREC, _require_upper_half
 
 
@@ -56,39 +56,26 @@ def partial_theta(params: PartialThetaParams, z, tau,
     Exponentials are built from tau and z directly; no fractional powers of
     a complex q are ever taken.
     """
-    return _partial_theta_sum(params, z, tau, prec)[0]
-
-
-def _partial_theta_sum(params: PartialThetaParams, z, tau, prec: int):
-    """(partial_theta, alpha, beta, r, Certificate): its Gaussian sum over
-    x = n + r, alpha = 2 pi i M tau and beta = 4 pi i M z formed at prec +
-    _GUARD_BITS bits."""
-    _require_upper_half(tau)
-    with mp.workprec(prec + _GUARD_BITS):
-        M = fraction_mpf(params.M)
-        alpha, beta = 2j * mp.pi * tau * M, 4j * mp.pi * M * z
-        r = -params.r / (2 * params.M)
-        value, cert = certified_gaussian_sum(
-            alpha, beta, r, (-1) ** params.epsilon, (1,), prec)
-        return value, alpha, beta, r, cert
+    return _partial_theta_cert(params, z, tau, prec)[0]
 
 
 def _partial_theta_cert(params: PartialThetaParams, z, tau, prec: int,
-                        dtau: float):
-    """(partial_theta's value, Certificate) for tau known within dtau u,
-    u = 2^(1 - prec - _GUARD_BITS).
-
-    Its bound adds the Gaussian sum's and, doubled, its drift
-    (certified.gaussian_drift) with alpha and beta off by 2 pi M (dtau +
-    3|tau|) u and 12 pi M |z| u, their own rounding included."""
-    value, alpha, beta, r, cert = _partial_theta_sum(params, z, tau, prec)
-    M = float(params.M)
-    drift = gaussian_drift(alpha, beta, r, cert.nodes,
-                           2 * math.pi * M * (dtau + 3 * abs(complex(tau))),
-                           12 * math.pi * M * abs(complex(z)))
+                        dtau=None):
+    """(partial_theta's value, Certificate): its Gaussian sum over x = n +
+    r, alpha = 2 pi i M tau and beta = 4 pi i M z formed at prec +
+    _GUARD_BITS bits; with dtau, for tau known within dtau u, u = 2^(1 -
+    prec - _GUARD_BITS), by the radius 2 pi M (dtau + 3|tau|) and 12 pi M
+    |z|, which counts alpha's and beta's own rounding."""
+    _require_upper_half(tau)
+    radius = None if dtau is None else (
+        2 * math.pi * float(params.M) * (dtau + 3 * abs(complex(tau))),
+        12 * math.pi * float(params.M) * abs(complex(z)))
     with mp.workprec(prec + _GUARD_BITS):
-        return value, replace(cert, bound=cert.bound + mp.ldexp(
-            2 * drift, 1 - prec - _GUARD_BITS))
+        M = fraction_mpf(params.M)
+        return certified_gaussian_sum(
+            2j * mp.pi * tau * M, 4j * mp.pi * M * z,
+            -params.r / (2 * params.M), (-1) ** params.epsilon, (1,), prec,
+            radius)
 
 
 # ------------------------------------------------------- graded constants

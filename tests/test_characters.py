@@ -43,6 +43,25 @@ def test_route_equivalence_small_sweep():
             assert F_ls_via_H(params) == F_ls_exact(params)
 
 
+@settings(max_examples=60)
+@given(st.integers(2, 7), st.integers(0, 40), st.integers(1, 60),
+       st.booleans())
+def test_route_two_reaches_the_requested_order(ell, s, trunc, head):
+    # the lattice exponent (ell n - 2s)(n + 1)/2 falls to about -(2s +
+    # ell)^2/(8 ell), and that valuation caps the products' order: route 2
+    # sized its inputs by s + 1 and stopped short once s was large against
+    # ell (order 42 of 50 at ell = 5, s = 12).  With euler = -ell^2 it is
+    # F_ls_numeric's head, the extraction series alone
+    if head:
+        got = characters._F_ls_via_H_series(ell, s, trunc, -ell * ell)
+        want = coeff_series_exact(ell, s, trunc)
+    else:
+        got = characters._F_ls_via_H_series(ell, s, trunc)
+        want = F_ls_exact(CharacterParams(ell, s, trunc))
+    assert got.trunc == trunc
+    assert got.coeffs == want.coeffs
+
+
 def test_constant_term():
     for ell in (2, 3, 4, 5):
         for s in (0, 1, 2, 3):

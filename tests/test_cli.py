@@ -75,6 +75,43 @@ def test_verify_routes_reports_a_mismatch(capsys, monkeypatch):
     assert doc["failures"] == [{"ell": 3, "s": 0, "first_exponent": "7"}]
 
 
+@pytest.mark.parametrize("ell,s,trunc", [(5, 12, 50), (4, 27, 60)])
+def test_verify_routes_compares_every_requested_coefficient(
+        capsys, monkeypatch, ell, s, trunc):
+    # the partial-theta route once stopped at order 42 and -17 here, and
+    # the comparison then covered only those coefficients
+    orders = []
+    route = characters.F_ls_via_H
+
+    def record(params):
+        series = route(params)
+        orders.append(series.trunc)
+        return series
+
+    monkeypatch.setattr(characters, "F_ls_via_H", record)
+    code, out = run(capsys, "verify-routes", "--ells", str(ell), "--ss",
+                    str(s), "--trunc", str(trunc))
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert orders == [trunc]
+
+
+@pytest.mark.parametrize("ell,s,t", [(4, 21, "0.5"), (5, 27, "0.6")])
+def test_asym_at_large_s_within_its_bound(capsys, ell, s, t):
+    # an empty route-2 head once made F_ls_numeric divide by zero here; the
+    # printed value must lie within F_ls_numeric's bound of route 1's head
+    # to q^150, which is within 2e-25 of its head to q^300 at both points
+    code, out = run(capsys, "--prec", "128", "asym", "--ell", str(ell),
+                    "--s", str(s), "--t", t, "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    _, bound = characters.F_ls_numeric(ell, s, t, 128)
+    head = characters.F_ls_exact(CharacterParams(ell, s, 150))
+    with mp.workprec(256):
+        q = mp.exp(-mp.mpf(t))
+        want = mp.fsum(c * q ** e for e, c in head.coeffs.items())
+        assert abs(mp.mpf(row["exact"]) - want) <= bound
+
+
 def test_qdim_csv(capsys):
     code, out = run(capsys, "--prec", "80", "qdim", "--t", "0.2,0.1")
     assert code == 0

@@ -3,8 +3,10 @@
 The oracles below are the per-term loops that theta, partial_theta, H_value,
 script_F and script_G ran before they became callers of the helper: one
 mp.exp per term and a stopping rule of their own; the helper's own mpmath
-term loop, which its fixed-point loop replaced; and an interval enclosure
-(mp.iv) of the helper's finite sum.
+term loop, which its fixed-point loop replaced; an interval enclosure
+(mp.iv) of the helper's finite sum; and, for the helper's radius, the
+separate drift function and the theta and partial-theta layers that summed
+it before the helper took it over.
 """
 
 import math
@@ -15,15 +17,15 @@ from math import factorial
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qchar.certified import (_GUARD_BITS, Certificate, certified_gaussian_sum,
                              fraction_mpf)
 from qchar.characters import H_value
-from qchar.modular_objects import (_require_upper_half, _tol, ghat_value,
-                                   laurent_coefficients_D, theta)
-from qchar.partial_theta import (PartialThetaParams, partial_theta, script_F,
-                                 script_G)
+from qchar.modular_objects import (_require_upper_half, _theta_cert, _tol,
+                                   ghat_value, laurent_coefficients_D, theta)
+from qchar.partial_theta import (PartialThetaParams, _partial_theta_cert,
+                                 partial_theta, script_F, script_G)
 
 PREC = 128
 TOL = mp.mpf(2) ** -(PREC - 8)
@@ -508,3 +510,148 @@ def test_zero_poly_sums_to_an_exact_zero(alpha, poly, zero):
                                          64)
     assert value == 0 and type(value) is type(zero)
     assert cert.bound == 0 and cert.nodes == 0
+
+
+# ------------------------------------------------------------------ the radius
+
+
+def gaussian_drift(alpha, beta, r, N: int, d_alpha: float, d_beta: float,
+                   poly=(1,)):
+    """To first order, how far sum_{n<N} P(x_n) e^{alpha x_n^2 + beta x_n},
+    x_n = n + r, moves when alpha and beta move by at most d_alpha and
+    d_beta: the term at x by (d_alpha x^2 + d_beta |x|) Pbar(|x|) times its
+    modulus.  Summed in doubles over moduli scaled by 2^-k, 2^k the largest
+    power of 2 below the largest modulus, so that nothing overflows, and
+    returned as an mpf.  For P = 1 (the weight Pbar is then 1.0) this is
+    the drift function theta's and partial theta's certificates used before
+    certified_gaussian_sum took a radius, bit for bit."""
+    a, b, rf = float(mp.re(alpha)), float(mp.re(beta)), float(r)
+    abs_coeffs = [float(abs(c)) for c in poly]
+    logs = [(a * (n + rf) + b) * (n + rf) for n in range(N)]
+    k = math.floor(max(logs, default=0.0) / math.log(2))
+    s1 = s2 = 0.0
+    for n, lg in enumerate(logs):
+        w = abs(n + rf) * math.exp(lg - k * math.log(2))
+        w *= sum(c * abs(n + rf) ** j for j, c in enumerate(abs_coeffs))
+        s1, s2 = s1 + w, s2 + w * abs(n + rf)
+    return mp.ldexp(d_alpha * s2 + d_beta * s1, k)
+
+
+def theta_halves(z, tau, prec):
+    """(theta, alpha, beta, Certificate of x = n + 1/2, of x = -n - 1/2):
+    theta's two Gaussian sums as its public function summed them."""
+    _require_upper_half(tau)
+    with mp.workprec(prec + _GUARD_BITS):
+        alpha = mp.pi * 1j * tau
+        beta = 2j * mp.pi * (z + mp.mpf(1) / 2)
+        half = Fraction(1, 2)
+        plus, c1 = certified_gaussian_sum(alpha, beta, half, 1, (1,), prec)
+        minus, c2 = certified_gaussian_sum(alpha, -beta, half, 1, (1,), prec)
+        return plus + minus, alpha, beta, c1, c2
+
+
+def partial_theta_sum(params, z, tau, prec):
+    """(partial_theta, alpha, beta, r, Certificate): its Gaussian sum as its
+    public function summed it."""
+    _require_upper_half(tau)
+    with mp.workprec(prec + _GUARD_BITS):
+        M = fraction_mpf(params.M)
+        alpha, beta = 2j * mp.pi * tau * M, 4j * mp.pi * M * z
+        r = -params.r / (2 * params.M)
+        value, cert = certified_gaussian_sum(
+            alpha, beta, r, (-1) ** params.epsilon, (1,), prec)
+        return value, alpha, beta, r, cert
+
+
+radius_st = st.tuples(st.floats(min_value=0, max_value=1e9),
+                      st.floats(min_value=0, max_value=1e9))
+prec_st = st.integers(53, 256)
+
+
+@settings(max_examples=60)
+@given(exponents(), st.sampled_from((1, -1)), frac_st, polys(), prec_st,
+       radius_st)
+def test_radius_adds_the_doubled_drift(ab, sign, r, poly, prec, radius):
+    alpha, beta = ab
+    poly = poly[:5]  # degree 0 to 4
+    with mp.workprec(prec + _GUARD_BITS):
+        value, cert = certified_gaussian_sum(alpha, beta, r, sign, poly, prec,
+                                             radius)
+        plain, plain_cert = certified_gaussian_sum(alpha, beta, r, sign, poly,
+                                                   prec)
+        drift = gaussian_drift(alpha, beta, r, cert.nodes, *radius, poly)
+        want = plain_cert.bound + mp.ldexp(2 * drift, 1 - prec - _GUARD_BITS)
+    assert value == plain and cert.nodes == plain_cert.nodes
+    assert cert.bound == want
+
+
+@settings(max_examples=40)
+@given(tau_z(), prec_st, radius_st)
+def test_theta_core_against_its_old_layers(point, prec, radius):
+    tau, z = point
+    dz, dtau = radius
+    old, alpha, beta, c1, c2 = theta_halves(z, tau, prec)
+    assert theta(z, tau, prec) == old
+    value, cert = _theta_cert(z, tau, prec, dz, dtau)
+    d_alpha = math.pi * (dtau + 2 * abs(complex(tau)))
+    d_beta = 2 * math.pi * (dz + 2 * abs(complex(z) + 0.5))
+    with mp.workprec(prec + _GUARD_BITS):
+        drift = sum(gaussian_drift(alpha, b, Fraction(1, 2), c.nodes,
+                                   d_alpha, d_beta)
+                    for b, c in ((beta, c1), (-beta, c2)))
+        want = c1.bound + c2.bound + mp.ldexp(abs(old) + 2 * drift,
+                                              1 - prec - _GUARD_BITS)
+        # the same parts, summed in another order
+        assert abs(cert.bound - want) <= mp.ldexp(want, 3 - prec - _GUARD_BITS)
+    assert value == old and cert.nodes == c1.nodes + c2.nodes
+
+
+@settings(max_examples=40)
+@given(tau_z(), frac_st, st.sampled_from((0, 1)),
+       st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3, 2), 2)),
+       prec_st, st.floats(min_value=0, max_value=1e9))
+def test_partial_theta_core_against_its_old_layers(point, r, eps, M, prec,
+                                                   dtau):
+    tau, z = point
+    params = PartialThetaParams(r, eps, M)
+    old, alpha, beta, x0, old_cert = partial_theta_sum(params, z, tau, prec)
+    assert partial_theta(params, z, tau, prec) == old
+    value, cert = _partial_theta_cert(params, z, tau, prec, dtau)
+    drift = gaussian_drift(alpha, beta, x0, old_cert.nodes,
+                           2 * math.pi * M * (dtau + 3 * abs(complex(tau))),
+                           12 * math.pi * M * abs(complex(z)))
+    with mp.workprec(prec + _GUARD_BITS):
+        want = old_cert.bound + mp.ldexp(2 * drift, 1 - prec - _GUARD_BITS)
+    assert value == old and cert.nodes == old_cert.nodes
+    assert cert.bound == want
+
+
+# moves of alpha and beta, as (phase of alpha's, phase of beta's) in units
+# of pi: the first two move every term of a positive sum the same way
+DIRECTIONS = ((0, 0), (1, 1), (0.5, -0.5), (1 / 3, 1.2))
+
+
+@settings(max_examples=30)
+@example(ab=(mp.mpf(-1), mp.mpf(0.5)), sign=1, r=Fraction(1, 2), poly=(1,),
+         prec=53, size=-12)
+@example(ab=(mp.mpf(-0.3), 0), sign=1, r=Fraction(-2), poly=(1, 2, 0, 1),
+         prec=128, size=-16)
+@given(exponents(), st.sampled_from((1, -1)), frac_st, polys(), prec_st,
+       st.integers(-40, -12))
+def test_radius_holds(ab, sign, r, poly, prec, size):
+    # alpha and beta moved by 2^size, up to their radius in each direction:
+    # the sum at 200 more bits stays within the unmoved call's bound
+    alpha, beta = ab
+    poly = poly[:5]
+    u = 2.0 ** (1 - prec - _GUARD_BITS)
+    radius = (2.0 ** size / u, 2.0 ** size / u)
+    with mp.workprec(prec + _GUARD_BITS):
+        value, cert = certified_gaussian_sum(alpha, beta, r, sign, poly, prec,
+                                             radius)
+    with mp.workprec(prec + 200 + _GUARD_BITS):
+        step = mp.ldexp(1, size)
+        for pa, pb in DIRECTIONS:
+            fine, fine_cert = certified_gaussian_sum(
+                alpha + step * mp.expjpi(pa), beta + step * mp.expjpi(pb), r,
+                sign, poly, prec + 200)
+            assert abs(value - fine) <= cert.bound + fine_cert.bound

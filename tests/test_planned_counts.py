@@ -199,7 +199,8 @@ def test_F_ls_numeric_builds_twice_at_most(monkeypatch):
 
 def test_F_ls_numeric_builds_each_order_through_one_power(monkeypatch):
     # t = 0.3: a head to T0 = 54, then the planned order; each build raises
-    # (q)_inf to one power, not to two that cancel in part
+    # (q)_inf to one power, not to two that cancel in part, at the order
+    # the lattice's least exponent, -s, asks for: T + s = T at s = 0
     powers = []
     power = characters.euler_product_pow
 
@@ -210,4 +211,4 @@ def test_F_ls_numeric_builds_each_order_through_one_power(monkeypatch):
     monkeypatch.setattr(characters, "euler_product_pow", count)
     value, bound, built = planned(3, 0, "0.3", monkeypatch)
     assert len(built) == 2
-    assert powers == [(-6, T + 1) for T in built]
+    assert powers == [(-6, T) for T in built]
