@@ -118,14 +118,13 @@ def _F_ls_via_H_series(ell: int, s: int, trunc: int,
     D = laurent_coefficients_D(ell, partial(ghat_qseries, trunc=T2),
                                ExactQSeries.one(T2))
     total = ExactQSeries.zero(trunc)
-    for j in range(1, ell + 1):
-        if (ell - j) % 2:
-            continue
-        inner: dict[int, Fraction] = {}
+    # D_{-j} vanishes unless j = ell (mod 2); its weight 1/(j - 1)! goes into
+    # the sparse lattice sum, so each j costs one product
+    for j in range(2 - ell % 2, ell + 1, 2):
+        inner = {}
         for e, sign, a in lattice:
-            inner[e] = inner.get(e, Fraction(0)) + sign * a ** (j - 1)
-        S_j = ExactQSeries(1, inner, T2)
-        total = total + (D[j - 1] * S_j) * Fraction(1, factorial(j - 1))
+            inner[e] = inner.get(e, 0) + sign * a ** (j - 1) / factorial(j - 1)
+        total = total + D[j - 1] * ExactQSeries(1, inner, T2)
     out = total * euler_product_pow(ell * ell - 2 * ell + euler, T2)
     return out.truncate(trunc)
 
@@ -152,7 +151,11 @@ def character_ch(params: CharacterParams) -> ExactQSeries:
                            "the character")
     lead = h_s(ell, s) - Fraction(central_charge(ell), 24)
     ch = ch.shift(lead)
-    assert ch.coefficient(lead) == comb(s + ell - 1, ell - 1)
+    found = ch.coefficient(lead)
+    if found != comb(s + ell - 1, ell - 1):
+        raise AssertionError(f"the character at ell = {ell}, s = {s} has "
+                             f"leading coefficient {found} at q^{lead}, not "
+                             f"binomial(s + ell - 1, ell - 1)")
     return ch
 
 

@@ -131,8 +131,14 @@ def cmd_verify_routes(args) -> int:
     for ell in args.ells:
         for s in args.ss:
             params = CharacterParams(ell, s, args.trunc)
-            diff = characters.F_ls_via_H(params).first_difference(
-                characters.F_ls_exact(params))
+            routes = {"F_ls_via_H": characters.F_ls_via_H(params),
+                      "F_ls_exact": characters.F_ls_exact(params)}
+            # first_difference looks below the shorter order only
+            failures += [{"ell": ell, "s": s, "route": name,
+                          "order": str(f.trunc_exponent())}
+                         for name, f in routes.items()
+                         if f.trunc_exponent() != args.trunc]
+            diff = routes["F_ls_via_H"].first_difference(routes["F_ls_exact"])
             if diff is not None:
                 failures.append({"ell": ell, "s": s,
                                  "first_exponent": str(diff)})

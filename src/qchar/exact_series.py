@@ -4,7 +4,10 @@
   coefficients (``Fraction`` only where a value is genuinely rational) and
   integer exponents over a per-series lattice denominator ``D``; truncation
   orders are tracked through every operation, so a series knows exactly up
-  to which exponent its coefficients are guaranteed.  Every integer power,
+  to which exponent its coefficients are guaranteed.  Each operation works
+  on one lattice: ``+``, ``*`` and ``first_difference`` raise ValueError
+  for operands with different ``D`` and ``==`` calls them unequal; only
+  ``shift`` changes ``D``, to ``lcm(D, den(exp))``.  Every integer power,
   the inverse and the Euler-product powers included, comes from one
   J.C.P. Miller recurrence in ``ExactQSeries.__pow__``.
 * :class:`ZetaQSeries` -- a bivariate series in ``zeta`` and ``q``, used to
@@ -95,20 +98,13 @@ class ExactQSeries:
         """Sorted list of ``(Fraction exponent, coefficient)`` pairs."""
         return [(Fraction(e, self.D), c) for e, c in sorted(self.coeffs.items())]
 
-    # ------------------------------------------------------------ rescaling
-
-    def rescale(self, D_new: int) -> "ExactQSeries":
-        if D_new == self.D:
-            return self
-        if D_new % self.D:
-            raise ValueError("can only rescale to a multiple of D")
-        f = D_new // self.D
-        return ExactQSeries(D_new, {e * f: c for e, c in self.coeffs.items()},
-                            self.trunc * f)
-
-    def _common(self, other: "ExactQSeries"):
-        D = lcm(self.D, other.D)
-        return self.rescale(D), other.rescale(D)
+    def _lattice(self, other: "ExactQSeries") -> int:
+        """The lattice denominator ``D`` both operands share; ValueError for
+        series on different lattices."""
+        if other.D != self.D:
+            raise ValueError(f"series on different lattices: q^(1/{self.D}) "
+                             f"and q^(1/{other.D})")
+        return self.D
 
     # ----------------------------------------------------------- arithmetic
 
@@ -119,12 +115,10 @@ class ExactQSeries:
     def __add__(self, other) -> "ExactQSeries":
         if isinstance(other, (int, Fraction)):
             other = ExactQSeries(self.D, {0: other}, self.trunc)
-        a, b = self._common(other)
-        trunc = min(a.trunc, b.trunc)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
+        D, out = self._lattice(other), dict(self.coeffs)
+        for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return ExactQSeries(a.D, out, trunc)
+        return ExactQSeries(D, out, min(self.trunc, other.trunc))
 
     __radd__ = __add__
 
@@ -136,13 +130,13 @@ class ExactQSeries:
             return ExactQSeries(self.D, {e: c * other
                                          for e, c in self.coeffs.items()},
                                 self.trunc)
-        a, b = self._common(other)
+        D = self._lattice(other)
         # standard truncation rule: the unknown tail of one factor meets the
         # lowest exponent of the other
-        trunc = min(a.trunc + b.min_exp, b.trunc + a.min_exp)
+        trunc = min(self.trunc + other.min_exp, other.trunc + self.min_exp)
         # convolve integers; rational inputs are scaled to integers first
-        La, a_terms = _cleared(a.coeffs)
-        Lb, b_terms = _cleared(b.coeffs)
+        La, a_terms = _cleared(self.coeffs)
+        Lb, b_terms = _cleared(other.coeffs)
         b_terms = sorted(b_terms)
         out: dict = {}
         for e1, c1 in a_terms:
@@ -153,18 +147,18 @@ class ExactQSeries:
                 out[e] = out.get(e, 0) + c1 * c2
         if La * Lb != 1:
             out = {e: Fraction(c, La * Lb) for e, c in out.items()}
-        return ExactQSeries(a.D, out, trunc)
+        return ExactQSeries(D, out, trunc)
 
     __rmul__ = __mul__
 
     def shift(self, exp) -> "ExactQSeries":
-        """Multiply by the monomial ``q^exp``."""
+        """Multiply by the monomial ``q^exp``, onto the lattice ``q^(1/D')``,
+        ``D' = lcm(D, den(exp))``: the one operation that changes ``D``."""
         exp = Fraction(exp)
         D = lcm(self.D, exp.denominator)
-        s = self.rescale(D)
-        d = int(exp * D)
-        return ExactQSeries(D, {e + d: c for e, c in s.coeffs.items()},
-                            s.trunc + d)
+        f, d = D // self.D, int(exp * D)
+        return ExactQSeries(D, {e * f + d: c for e, c in self.coeffs.items()},
+                            self.trunc * f + d)
 
     def truncate(self, new_trunc) -> "ExactQSeries":
         t = Fraction(new_trunc) * self.D
@@ -205,19 +199,21 @@ class ExactQSeries:
     # ----------------------------------------------------------- comparison
 
     def __eq__(self, other) -> bool:
+        """Equal below both truncation orders, on one lattice."""
         if not isinstance(other, ExactQSeries):
             return NotImplemented
-        return self.first_difference(other) is None
+        return self.D == other.D and self.first_difference(other) is None
 
     def first_difference(self, other) -> Fraction | None:
-        """Smallest exponent where the two series differ, or None."""
-        a, b = self._common(other)
-        t = min(a.trunc, b.trunc)
-        keys = sorted({e for e in a.coeffs if e < t} |
-                      {e for e in b.coeffs if e < t})
+        """Smallest exponent below ``min(self.trunc, other.trunc)`` where
+        the two series differ, or None: a shorter series agrees with any
+        series that extends it.  Compare ``trunc`` too where that matters."""
+        D, t = self._lattice(other), min(self.trunc, other.trunc)
+        keys = sorted({e for e in self.coeffs if e < t} |
+                      {e for e in other.coeffs if e < t})
         for e in keys:
-            if a.coeffs.get(e, 0) != b.coeffs.get(e, 0):
-                return Fraction(e, a.D)
+            if self.coeffs.get(e, 0) != other.coeffs.get(e, 0):
+                return Fraction(e, D)
         return None
 
 

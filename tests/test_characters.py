@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -111,6 +115,35 @@ def test_character_refuses_a_negative_multiplicity(monkeypatch, capsys):
         character_ch(CharacterParams(3, 0, 10))
     assert main(["char", "--ell", "3", "--s", "0"]) == 1
     assert '"ok": false' in capsys.readouterr().out
+
+
+def test_character_checks_its_leading_coefficient(monkeypatch):
+    # doubling the extraction series keeps the character's coefficients
+    # nonnegative integers and makes its leading one 2 binomial(4, 2) = 12
+    real = characters.coeff_series_exact
+    monkeypatch.setattr(characters, "coeff_series_exact",
+                        lambda ell, s, trunc: real(ell, s, trunc) * 2)
+    with pytest.raises(AssertionError, match=r"ell = 3, s = 2 has leading "
+                       r"coefficient 12 at q\^11/6"):
+        character_ch(CharacterParams(3, 2, 10))
+
+
+def test_character_checks_its_leading_coefficient_under_python_O():
+    # the same spoiled series in python -O, which drops a bare assert
+    script = ("from qchar import characters as c\n"
+              "real = c.coeff_series_exact\n"
+              "c.coeff_series_exact = lambda *args: real(*args) * 2\n"
+              "try:\n"
+              "    c.character_ch(c.CharacterParams(3, 2, 10))\n"
+              "except AssertionError as err:\n"
+              "    print(err)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(characters.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert "leading coefficient 12" in done.stdout
 
 
 def test_H_value_matches_quadrature():

@@ -75,6 +75,21 @@ def test_verify_routes_reports_a_mismatch(capsys, monkeypatch):
     assert doc["failures"] == [{"ell": 3, "s": 0, "first_exponent": "7"}]
 
 
+def test_verify_routes_fails_a_route_that_stops_short(capsys, monkeypatch):
+    # the comparison looks below the shorter order only, so a route that
+    # stops 5 short of --trunc agrees with the other there: it must fail
+    route = characters.F_ls_via_H
+    monkeypatch.setattr(characters, "F_ls_via_H",
+                        lambda params: route(params).truncate(params.trunc - 5))
+    code, out = run(capsys, "verify-routes", "--ells", "3", "--ss", "0",
+                    "--trunc", "15")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["failures"] == [{"ell": 3, "s": 0, "route": "F_ls_via_H",
+                                "order": "10"}]
+
+
 @pytest.mark.parametrize("ell,s,trunc", [(5, 12, 50), (4, 27, 60)])
 def test_verify_routes_compares_every_requested_coefficient(
         capsys, monkeypatch, ell, s, trunc):

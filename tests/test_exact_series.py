@@ -159,11 +159,32 @@ def test_log1p_and_higher_bernoulli_make_no_series_product(monkeypatch):
     assert calls == {"mul": 0, "pow": 1}
 
 
-def test_shift_rescale_roundtrip():
+def test_shift_roundtrip_keeps_terms_and_coefficients():
+    # shift onto q^(1/3) and back: the same terms, on the finer lattice
     a = ExactQSeries(1, {0: Fraction(1), 2: Fraction(5)}, 6)
     b = a.shift(Fraction(1, 3))
-    assert b.coefficient(Fraction(7, 3)) == 5
-    assert b.shift(Fraction(-1, 3)) == a
+    assert (b.D, b.trunc_exponent()) == (3, Fraction(19, 3))
+    assert b.terms() == [(Fraction(1, 3), 1), (Fraction(7, 3), 5)]
+    back = b.shift(Fraction(-1, 3))
+    assert back.terms() == a.terms()
+    assert back.trunc_exponent() == a.trunc_exponent()
+    for n in range(6):
+        assert back.coefficient(n) == a.coefficient(n)
+    assert back.coefficient(Fraction(2, 3)) == 0
+
+
+def test_mixed_lattices_are_refused():
+    # only shift changes the lattice; every other operation keeps one
+    a = ExactQSeries(1, {0: 1, 2: 5}, 6)
+    b = ExactQSeries(2, {0: 1, 4: 5}, 12)  # the same terms on q^(1/2)
+    for op in (lambda: a + b, lambda: b + a, lambda: a - b, lambda: a * b,
+               lambda: b * a, lambda: a.first_difference(b),
+               lambda: b.first_difference(a)):
+        with pytest.raises(ValueError, match="different lattices"):
+            op()
+    assert a != b and not a == b
+    assert ExactQSeries.zero(6) != ExactQSeries.zero(12, 2)
+    assert a.shift(Fraction(1, 2)).shift(Fraction(-1, 2)) == b
 
 
 def test_pochhammer_inf_single_factor_head():

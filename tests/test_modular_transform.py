@@ -35,7 +35,7 @@ _line_examples = (st.floats(1.5, 4), st.floats(-1, 1), st.floats(-1, 1),
 
 
 def line_problem(a_re, a_im, b_re, b_im, kappa, dist, side, phase):
-    """(A, B, zeta, kappa) with the kernel poles on Im x = side * dist."""
+    """(A, B, kappa, zeta) with the kernel poles on Im x = side * dist."""
     kappa = mp.mpf(kappa)
     return (mp.mpc(-a_re, a_im), mp.mpc(b_re, b_im), kappa,
             mp.expj(phase) * mp.exp(side * kappa * dist))
@@ -160,6 +160,72 @@ def test_line_trapezoid_rounding_against_mpmath_recurrence(
         want = line_trapezoid_mpmath(A, B, zeta, kappa, cert.h,
                                      (cert.nodes - 1) // 2, 160 + 128)
         assert abs(got - want) <= mp.mpf(2) ** -(160 + _GUARD_BITS) / 4
+
+
+# (line_problem's arguments, prec) for the interval oracle: poles above R
+# (|zeta| = 37) and below it, one case 0.15 from R, 369 to 411 nodes; "law"
+# takes the inputs mordell_integral passes for the S law at the benchmark
+# point (313 nodes, |zeta| = 885)
+LINE_INTERVAL_CASES = [
+    ((3, 0.5, 0.3, -1, 6, 0.6, 1, 1.0), 128),
+    ((3, -0.7, -0.5, 2, 10, 0.35, -1, 4.0), 80),
+    ((8, 1, 1, 5, 12, 0.15, -1, 2.5), 64),
+    ("law", 64),
+]
+
+
+def law_inputs(monkeypatch, prec):
+    """The (A, B, zeta, kappa) mordell_integral passes line_trapezoid for
+    the S law at tau = i, z = 0.12 - 0.18i, j = 1."""
+    seen = []
+    monkeypatch.setattr(modular_transform, "line_trapezoid",
+                        lambda *args: seen.append(args[:4])
+                        or line_trapezoid(*args))
+    mordell_integral(PartialThetaParams(Fraction(3, 2), 1, Fraction(3, 2)),
+                     mp.mpc("0.12", "-0.18"), mp.mpc(0, 1), 1, S_MATRIX, prec)
+    return seen[0]
+
+
+def iv_ends(box):
+    """The exact (lo, hi) ends, as mpfs, of the real and the imaginary part
+    of an mp.iv number."""
+    return [tuple(mp.make_mpf(e) for e in part._mpi_)
+            for part in (box.real, box.imag)]
+
+
+@pytest.mark.parametrize("case, prec", LINE_INTERVAL_CASES)
+def test_line_rounding_against_interval_enclosure(case, prec, monkeypatch):
+    # the certificate's own nodes, h sum_{|k| <= K} e^{A (kh)^2 + B kh}/(1 -
+    # zeta e^{i kappa kh}), enclosed from the exact inputs by interval exps,
+    # three for the nodes +-kh; the kernel's value must lie within the
+    # rounding share of its bound, eps = 2^-(prec + _GUARD_BITS)/4, of the
+    # enclosure
+    with mp.workprec(prec + 2 * _GUARD_BITS):
+        if case == "law":
+            A, B, zeta, kappa = law_inputs(monkeypatch, prec)
+        else:
+            A, B, kappa, zeta = line_problem(*case)
+        value, cert = line_trapezoid(A, B, zeta, kappa, prec)
+    K, h = (cert.nodes - 1) // 2, cert.h
+    saved = mp.iv.prec
+    mp.iv.prec = prec + _GUARD_BITS + 40
+    try:
+        iA, iB, iz = (mp.iv.mpc(x.real, x.imag) for x in (A, B, zeta))
+        ik, ih = mp.iv.mpc(0, kappa), mp.iv.mpf(h)
+        total = 1 / (1 - iz)
+        for k in range(1, K + 1):
+            x = k * ih
+            g, b, w = (mp.iv.exp(c * x) for c in (iA * x, iB, ik))
+            total += g * b / (1 - iz * w) + g / b / (1 - iz / w)
+        total *= ih
+    finally:
+        mp.iv.prec = saved
+    with mp.workprec(prec + _GUARD_BITS + 40):
+        eps = mp.mpf(2) ** -(prec + _GUARD_BITS) / 4
+        value, ends = mp.mpc(value), iv_ends(total)
+        assert mp.hypot(*(max(lo - v, v - hi, 0) for v, (lo, hi) in
+                          zip((value.real, value.imag), ends))) <= eps
+        assert mp.hypot(*(hi - lo for lo, hi in ends)) < eps / 1000
 
 
 def test_certificate_bounds_observed_error():
