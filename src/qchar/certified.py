@@ -265,24 +265,41 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int,
         N, 1, N - 1 + r, bound, fp, time.perf_counter() - start)
 
 
+# the most factors log_poch_lower takes one at a time, at about 0.6 us
+# each: a walk to L_k <= -40 takes about 40/|log_q| steps (63,662 at Im tau
+# = 1e-4), and no walk of the tests or the benchmark takes more than 1,600
+_POCH_WALK = 1 << 12
+
+
 def log_poch_lower(log_f0, log_q) -> float:
-    """A lower bound of sum_{k>=0} log|1 - f_k| over factors with
-    log|f_k| = log_f0 + k log_q (log_q < 0), from |1 - f| >= |1 - |f||;
-    -inf when some |f_k| = 1.  Double precision: callers plan with it, they
-    do not evaluate with it."""
+    """A lower bound of sum_{k>=0} log|1 - f_k| over factors with log|f_k|
+    = L_k = log_f0 + k log_q (log_q < 0), from |1 - f| >= |1 - |f||; -inf
+    when some |f_k| = 1.  Double precision: callers plan with it, they do
+    not evaluate with it.
+
+    The factors are taken one at a time until L_k <= -40, where log(1 - u)
+    >= -u/(1 - u) bounds the geometric rest, or until k = _POCH_WALK with
+    L_k + |log_q|/2 < 0.  From there on f(k) = log(1 - e^{L_k}) is concave
+    and increasing in k, so f(k) is at least its mean over [k - 1/2, k +
+    1/2], and the rest at least the integral from k - 1/2 on,
+    -Li2(e^{L_k + |log_q|/2})/|log_q|; that total is lowered by a relative
+    2^-32 for the doubles' rounding."""
     total = 0.0
     k = 0
     while True:
         L = log_f0 + k * log_q
-        if L > -40:
-            x = -math.expm1(-abs(L))  # 1 - e^{-|L|}
-            if x <= 0:
-                return -math.inf
-            total += math.log(x) + max(L, 0.0)
-        else:
+        if L <= -40:
             # log(1 - u) >= -u/(1 - u) on the geometric rest u = e^L q^j
             x = math.exp(L)
             return total - x / ((1 - x) * -math.expm1(log_q))
+        if k >= _POCH_WALK and L - log_q / 2 < 0:
+            with mp.workprec(53):
+                rest = float(mp.polylog(2, math.exp(L - log_q / 2))) / log_q
+            return total + rest - 2.0 ** -32 * (abs(total) - rest)
+        x = -math.expm1(-abs(L))  # 1 - e^{-|L|}
+        if x <= 0:
+            return -math.inf
+        total += math.log(x) + max(L, 0.0)
         k += 1
 
 
@@ -295,27 +312,84 @@ def log_pair_lower(log_z, log_q) -> float:
     return log_poch_lower(log_z, log_q) + log_poch_lower(log_q - log_z, log_q)
 
 
-def _pentagonal_terms(q, tol) -> int:
-    """The least K >= 1 with 2|q|^m/(1 - |q|) < tol/2, m = (K+1)(3K+2)/2,
-    the bound on the terms euler_phi drops; planned in doubles, the
-    2 absorbing their rounding."""
-    # m > log(tol (1 - |q|)/4)/log|q| = need: K > (sqrt(1 + 24 need) - 5)/6
-    need = float(mp.log(tol / 4 * (1 - abs(q))) / mp.log(abs(q)))
-    return max(1, math.floor((math.sqrt(1 + 24 * max(need, 0)) - 5) / 6) + 1)
+def euler_phi(tau, prec: int):
+    """((q)_inf, Certificate), q = e^{2 pi i tau}, Im tau > 0 (else
+    InputError), with a bound at most 2^-prec |value|; an mpf when tau lies
+    on the imaginary axis, where (q)_inf is real.
+
+    (q)_inf has period 1, so tau first moves, exactly, to tau - round(Re
+    tau), and is then taken at the working precision wp below.  When Im tau
+    < 1/2 there, one S
+    step, eta(-1/tau) = sqrt(-i tau) eta(tau) with eta = q^{1/24} (q)_inf
+    (Apostol, Modular Functions and Dirichlet Series in Number Theory, 2nd
+    ed., Thm 3.1, principal branch), gives
+
+        (q)_inf = c (q')_inf,  c = (-i tau)^{-1/2} e^{pi i (tau' - tau)/12},
+
+    at tau' = -1/tau, where Im tau' = Im tau/|tau|^2 > 2 Im tau (see
+    eisenstein_G2k); else tau' = tau and c = 1.  By the pentagonal theorem
+    (q')_inf = sum_n (-1)^n q'^{n(3n-1)/2}, two certified_gaussian_sum
+    halves as theta's core takes: alpha = 3 pi i tau', sign -1, and beta =
+    -pi i tau' from r = 0 less beta = pi i tau' from r = 1.
+
+    With y = Im tau', -log(|q'|; |q'|)_inf <= pi^2/(6 * 2 pi y), so |(q')_inf|
+    >= 2^-(e - 1) at e = ceil(pi/(12 y log 2)) + 1, and both halves are
+    summed to prec + e bits.  The rest runs at wp = prec + e + _GUARD_BITS
+    + g bits, 2^g >= 16 (|tau| + |tau'| + 5) (1 + 1/y)^{3/2}.  There tau'
+    is within 2 |tau'| 2^-wp and alpha and beta within 12 pi |tau'| 2^-wp
+    and 4 pi |tau'| 2^-wp, the radius the halves take; as sum_{x>=1} x^2
+    |e^{alpha x^2 +- beta x}| <= (1 + 1/y)^{3/2}, their drift stays within
+    2^-(prec + _GUARD_BITS - 7) |(q')_inf| with their tails and rounding.
+    Once |q'| < 2^-(prec + e + _GUARD_BITS + 2), (q')_inf is 1 within
+    |q'|/(1 - |q'|), and no term is summed: the halves' plan would hold the
+    largest |e^{alpha x^2 - beta x}| over real x, |q'|^{-1/24}, in wp.
+    c is within (2 (|tau| + |tau'|) + 9) 2^-wp relative: 2 |tau'| on tau',
+    2 (|tau| + |tau'|) more on the exponent pi i (tau' - tau)/12 and 8 for
+    the exp, the square root and the quotient.  So the bound, |c| times the
+    halves' bounds plus 2^-(prec + _GUARD_BITS) |value| for c and the two
+    roundings that form the value, is at most 2^-(prec + 16) |value|.
+    Returns Certificate(terms, 1, the last x, bound, the halves' precision,
+    seconds), with 0 terms, x 0 and precision wp when no term is summed.
+    """
+    start = time.perf_counter()
+    if not mp.im(tau) > 0:
+        raise InputError("tau must lie in the upper half-plane")
+    n = round(mp.re(tau))
+    t = complex(mp.re(tau) - n, mp.im(tau))
+    step = t.imag < 0.5
+    t1 = -1 / t if step else t
+    e = math.ceil(math.pi / (12 * t1.imag * math.log(2))) + 1
+    g = math.ceil(math.log2(16 * (abs(t) + abs(t1) + 5)
+                            * (1 + 1 / t1.imag) ** 1.5))
+    radius = (12 * math.pi * abs(t1) / 2 ** g, 4 * math.pi * abs(t1) / 2 ** g)
+    wp = prec + e + _GUARD_BITS + g
+    with mp.workprec(wp):
+        tau = mp.mpc(mp.fsub(mp.re(tau), n, exact=True), mp.im(tau))
+        tau1, c = _s_step(tau) if step else (tau, 1)
+        if 2 * math.pi * t1.imag > (prec + e + _GUARD_BITS + 2) * math.log(2):
+            value, certs = mp.mpc(1), [Certificate(
+                0, 1, 0, mp.ldexp(1, -(prec + e + _GUARD_BITS + 1)), wp, 0.0)]
+        else:
+            alpha, beta = 3j * mp.pi * tau1, 1j * mp.pi * tau1
+            s0, c0 = certified_gaussian_sum(alpha, -beta, 0, -1, (1,),
+                                            prec + e, radius)
+            s1, c1 = certified_gaussian_sum(alpha, beta, 1, -1, (1,),
+                                            prec + e, radius)
+            value, certs = s0 - s1, [c0, c1]
+        value *= c
+        bound = abs(c) * sum(x.bound for x in certs) + mp.ldexp(
+            abs(value), -prec - _GUARD_BITS)
+    return (value.real if tau.real == 0 else value), Certificate(
+        sum(x.nodes for x in certs), 1, max(x.X for x in certs), bound,
+        max(x.prec for x in certs), time.perf_counter() - start)
 
 
-def euler_phi(q, tol):
-    """(q)_infty by the pentagonal-number sum 1 + sum_{k<=K} (-1)^k
-    (q^{k(3k-1)/2} + q^{k(3k+1)/2}), K from _pentagonal_terms: the exponents
-    left are at least (K+1)(3K+2)/2, so geometric domination bounds them."""
-    if not abs(q) < 1:
-        raise ValueError("need |q| < 1")
-    total = mp.mpf(1)
-    for k in range(1, _pentagonal_terms(q, tol) + 1):
-        e1 = k * (3 * k - 1) // 2
-        e2 = k * (3 * k + 1) // 2
-        total += (-1) ** k * (q ** e1 + q ** e2)
-    return total
+def _s_step(tau):
+    """(tau' = -1/tau, c = (-i tau)^{-1/2} e^{pi i (tau' - tau)/12}) at the
+    working precision wp, for Im tau > 0: euler_phi's S step, c within
+    (2 (|tau| + |tau'|) + 9) 2^-wp relative."""
+    tau1 = -1 / tau
+    return tau1, mp.exp(mp.pi * 1j * (tau1 - tau) / 12) / mp.sqrt(-1j * tau)
 
 
 # Strip half-widths tried, as fractions of the pole distance on each side.
@@ -689,15 +763,14 @@ def _pair_sum(tau, args, N: int, s: int, prec: int):
     return from_fixed((acc_r, acc_i), wp)
 
 
-def _node_error(ell: int, k: int, log_q: float) -> float:
+def _node_error(ell: int, k: int) -> int:
     """node_err of a node (q)_inf^k / prod_{j<=ell} P(Z_j), in units of 2^-p
-    relative: 2 for each of the ell pair tails (_pair_count); 2k/prod(1 -
-    |q|^n) for (q)_inf summed to within 2^-p, a relative 2^-p/prod(1 -
-    |q|^n) that its k-th power multiplies by k to first order, the 2
-    covering higher orders; 1 for the mpmath steps around the kernel,
-    absorbed by the guard bits; and 1 for the kernel's truncation and
-    rounding (_pair_sum)."""
-    return 2 * ell + 2 * k * math.exp(-log_poch_lower(log_q, log_q)) + 2
+    relative: 2 for each of the ell pair tails (_pair_count); 2k for
+    (q)_inf from euler_phi, within a relative 2^-p that its k-th power
+    multiplies by k to first order, the 2 covering higher orders; 1 for the
+    mpmath steps around the kernel, absorbed by the guard bits; and 1 for
+    the kernel's truncation and rounding (_pair_sum)."""
+    return 2 * ell + 2 * k + 2
 
 
 def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
@@ -727,7 +800,7 @@ def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
 
     which least_strip_nodes turns into the discretisation error.  A node at
     p bits is within node_err 2^-p |f| of f, relative, node_err =
-    _node_error(len(ws), k, log|q|).  With M_0 the bound on the contour, p
+    _node_error(len(ws), k).  With M_0 the bound on the contour, p
     keeps node_err 2^-p M_0 below a quarter of the target; the mean is
     scaled at p + _GUARD_BITS bits, which adds at most N 2^-(p +
     _GUARD_BITS) M_0.  Returns Certificate(N, 1/N, 1, bound, p, seconds).
@@ -762,7 +835,7 @@ def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
     log_c = log_bound(0) + ln2
     if not log_c < math.inf:
         raise NearPoleError("contour on a line of poles")
-    node_err = _node_error(len(ws), k, log_q)
+    node_err = _node_error(len(ws), k)
     p = max(53, math.ceil(target_bits + 2
                           + (math.log(node_err) + log_c) / ln2))
     # node and summation errors, relative to the target; p makes the first
@@ -773,7 +846,7 @@ def pair_trapezoid(tau, ws, y, s, k: int, target_bits: float):
                                  log_bound, log_target,
                                  lambda n: fixed + n * per_node)
     with mp.workprec(p + _GUARD_BITS):
-        phi = euler_phi(mp.expjpi(2 * tau), mp.mpf(2) ** -p)
+        phi, _ = euler_phi(tau, p)
         mean = (phi ** k * mp.exp(2 * mp.pi * s * y)
                 * _pair_sum(tau, [1j * y - w for w in ws], N, s, p) / N)
     return mean, Certificate(N, mp.mpf(1) / N, mp.mpf(1),

@@ -24,10 +24,10 @@ import mpmath as mp
 from .exact_series import (ExactQSeries, euler_product, euler_product_pow,
                            poch_ratio_bivariate)
 from .certified import (_GUARD_BITS, InputError, certified_gaussian_sum,
-                        log_pair_lower, log_poch_lower, pair_trapezoid)
-from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol, cexp,
-                              euler_phi_numeric, ghat_qseries, ghat_value,
-                              laurent_coefficients_D)
+                        euler_phi, fraction_mpf, log_pair_lower,
+                        pair_trapezoid)
+from .modular_objects import (DEFAULT_PREC, _require_upper_half, cexp,
+                              ghat_qseries, ghat_value, laurent_coefficients_D)
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,27 @@ def _nonnegative_ints(series: ExactQSeries, what: str) -> ExactQSeries:
 # ------------------------------------- route 2: partial theta / quasimodular
 
 
+def _lattice_exponent(ell: int, s: int, n: int) -> int:
+    """The exponent of q in q^{-h_s - ell/8} q^{a^2/(2 ell)}, a = ell n +
+    ell/2 - s: (ell n - 2s)(n + 1)/2, an integer, as (ell n - 2s) and (n +
+    1) are never both odd."""
+    return (ell * n - 2 * s) * (n + 1) // 2
+
+
+def _least_lattice_exponent(ell: int, s: int) -> int:
+    """min(0, the least lattice exponent over n >= 0): _lattice_exponent is
+    convex in n, least at floor((2s - ell)/(2 ell)) or the next n."""
+    n0 = max(0, (2 * s - ell) // (2 * ell))
+    return min(0, *(_lattice_exponent(ell, s, n) for n in (n0, n0 + 1)))
+
+
 def _F_ls_via_H_series(ell: int, s: int, trunc: int,
                        euler: int = 0) -> ExactQSeries:
     """F_{ell,s} (q)_inf^euler by the partial-theta route (see F_ls_via_H):
     the lattice sum times one power (q)_inf^{ell^2 - 2 ell + euler}."""
-    def exponent(n):
-        # of q in q^{-h_s - ell/8} q^{a^2/(2 ell)}: (ell n - 2s) and (n + 1)
-        # are never both odd
-        return (ell * n - 2 * s) * (n + 1) // 2
-
-    # exponent(n) is convex in n, least at floor((2s - ell)/(2 ell)) or the
-    # next n; the lattice's least exponent caps the products' order
-    n0 = max(0, (2 * s - ell) // (2 * ell))
-    T2 = trunc - min(0, exponent(n0), exponent(n0 + 1))
+    exponent = partial(_lattice_exponent, ell, s)
+    # the lattice's least exponent caps the products' order
+    T2 = trunc - _least_lattice_exponent(ell, s)
     # (e, sign, a) with a = ell n + ell/2 - s, for every n with e < T2
     lattice = [(exponent(n), (-1) ** (n * ell),
                 Fraction(2 * ell * n + ell - 2 * s, 2))
@@ -227,8 +235,8 @@ def fourier_coeff_by_quadrature(ell: int, s: int, tau, z0_imag=None,
 # most this fraction of the value
 _NUMERIC_REL_TOL = mp.mpf("1e-12")
 # the largest truncation order F_ls_numeric builds: a build costs O(T^2)
-# integer products, a minute or more near this order (qchar asym --ell 6
-# builds 18,738 terms and takes 91 s, whole process, on a 2-vCPU Xeon)
+# integer products, a minute or more near this order (F_ls_numeric(6, 0,
+# 0.05) builds 18,738 terms and took 91 s, in qchar asym, on a 2-vCPU Xeon)
 _MAX_ORDER = 20_000
 
 
@@ -251,15 +259,15 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
     P = log_pair_lower(-t/4, -t/2) and m = 2^-40 (2 + |P|) covering the
     doubles' rounding, so Phi stays an upper bound.
 
-    The bound adds the rounding, rho value.  (q)_inf >= e^{-L}, L =
-    -log_poch_lower(-t, -t), is small for small t, and its ell^2-th power
-    multiplies its relative error by ell^2, so it is summed to within
-    2^-(prec + e) at e more bits, 2^e >= 2 ell^2 e^L: within 2^-prec/(2
-    ell^2), relative.  At u = 2^(1 - prec - _GUARD_BITS), q^n is within (n +
-    1) u of e^{-tn} and each head term within (n + 3) u, and the exact
-    fsum of positive terms rounds once, so to first order the value is
-    within rho = (1 + (T + 6) 2^(2 - _GUARD_BITS)) 2^-prec, relative, the
-    factors 2 covering higher orders.
+    The bound adds the rounding, rho value.  The ell^2-th power of (q)_inf
+    multiplies its relative error by ell^2, so certified.euler_phi gives it
+    within 2^-prec/(2 ell^2), relative, at tau = i t/(2 pi).  As t d/dt log
+    (q)_inf <= pi^2/(6t), tau, formed at ceil(log2(2 ell^2 (1 + 2/t))) more
+    bits, moves the power by less than 2^-(prec + _GUARD_BITS).  At u =
+    2^(1 - prec - _GUARD_BITS), q^n is within (n + 1) u of e^{-tn} and each
+    head term within (n + 3) u, and the exact fsum of positive terms rounds
+    once, so to first order the value is within rho = (1 + (T + 6) 2^(2 -
+    _GUARD_BITS)) 2^-prec, relative, the factors 2 covering higher orders.
 
     T is planned before the sum: as b_n >= 0, the head to q^T0, T0 = max(40,
     ell pi^2/(6 t^2)), half the saddle point of b_n e^{-tn} (G_s grows like
@@ -284,10 +292,11 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
         if t <= 0:
             raise ValueError("t must be positive")
         T0 = capped(max(40, int(ell * mp.pi ** 2 / (6 * t * t))))
-        L = -log_poch_lower(-float(t), -float(t))
-        extra = math.ceil(L / math.log(2) + 2 * math.log2(ell)) + 1
-        with mp.workprec(prec + extra + _GUARD_BITS):
-            phi = euler_phi_numeric(mp.exp(-t), _tol(prec + extra))
+        bits = math.log2(2 * ell * ell)
+        with mp.workprec(prec + _GUARD_BITS
+                         + math.ceil(bits + math.log2(1 + 2 / float(t)))):
+            tau = 1j * t / (2 * mp.pi)
+        phi, _ = euler_phi(tau, prec + math.ceil(bits))
         q = mp.exp(-t)
         q1 = mp.sqrt(q)
         P = log_pair_lower(-float(t) / 4, -float(t) / 2)
@@ -312,3 +321,26 @@ def F_ls_numeric(ell: int, s: int, t, prec: int = DEFAULT_PREC):
         if not bound <= _NUMERIC_REL_TOL * value:
             raise AssertionError("planned truncation missed its tail target")
         return value, bound
+
+
+def F_ls_via_H_value(ell: int, s: int, t, prec: int = DEFAULT_PREC):
+    """F_{ell,s}(e^{-t}) for real t > 0 by the numeric partial-theta route,
+
+        Re(i^-ell q^{-h_s - ell/8} (q)_inf^{ell^2 - 2 ell} H_{s+ell/2}(tau)),
+
+    q = e^{-t}, tau = i t/(2 pi) (InputError for t <= 0): F_ls_numeric is
+    its independent check.  Evaluated at ceil(t |e_min|/log 2) + ceil(log2
+    ell^2) more bits: H's Gaussian sum is summed to an absolute error, and
+    its prefactor q^{-h_s - ell/8} lifts that error by up to e^{t |e_min|},
+    e_min the least lattice exponent (_least_lattice_exponent); the power
+    of (q)_inf, from certified.euler_phi, lifts (q)_inf's relative error by
+    less than ell^2."""
+    with mp.workprec(prec + _GUARD_BITS):
+        t = mp.mpf(t)
+    p = (prec + math.ceil(-float(t) * _least_lattice_exponent(ell, s)
+                          / math.log(2)) + math.ceil(math.log2(ell * ell)))
+    with mp.workprec(p + _GUARD_BITS):
+        tau = 1j * t / (2 * mp.pi)
+        pref = mp.exp(t * fraction_mpf(h_s(ell, s) + Fraction(ell, 8)))
+        return mp.re((-1j) ** ell * pref * H_value(ell, s, tau, p)
+                     * euler_phi(tau, p)[0] ** (ell * ell - 2 * ell))

@@ -100,7 +100,7 @@ def cmd_asym(args) -> int:
         if args.ell == 3:
             exact = asymptotics.sl3_bracket_value(args.s, t, prec)
         else:
-            exact, _ = characters.F_ls_numeric(args.ell, args.s, t, prec)
+            exact = characters.F_ls_via_H_value(args.ell, args.s, t, prec)
         model = expn.evaluate(t, prec)
         with mp.workprec(prec):  # abs_err is printed with _dps(prec) digits
             rows.append((t, exact, model, abs(exact - model)))

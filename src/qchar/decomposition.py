@@ -20,10 +20,10 @@ from fractions import Fraction
 import mpmath as mp
 
 from .characters import central_charge, h_s
-from .certified import (_GUARD_BITS, InputError, NearPoleError, fraction_mpf,
-                        pair_trapezoid)
+from .certified import (_GUARD_BITS, InputError, NearPoleError, euler_phi,
+                        fraction_mpf, pair_trapezoid)
 from .modular_objects import (DEFAULT_PREC, _require_upper_half, _tol, cexp,
-                              eta, euler_phi_numeric, theta)
+                              eta, theta)
 from .partial_theta import PartialThetaParams, partial_theta
 
 
@@ -80,7 +80,7 @@ def F_ell_product(zs_full, tau, prec: int = DEFAULT_PREC):
         tol = _tol(prec)
         q = cexp(tau)
         thresh = mp.mpf(2) ** -(prec // 4)
-        val = euler_phi_numeric(q, tol)
+        val, _ = euler_phi(tau, prec)
         for j in range(len(zs_full)):
             Z = cexp(sum(zs_full[j:], mp.mpc(0)))
             f1, f2 = q / Z, Z  # q^{k+1}/Z_j and Z_j q^k at k = 0

@@ -2,8 +2,8 @@
 
 Numeric routines work at a caller-chosen binary precision (default 256 bits)
 and plan each series before they sum it, in doubles, from a certified tail
-bound: (q)_inf by certified.euler_phi's pentagonal sum, theta by
-certified.certified_gaussian_sum.
+bound: (q)_inf by certified.euler_phi's core, one S step and the pentagonal
+sum's two Gaussian halves, and theta by certified.certified_gaussian_sum.
 
 Branch rule used throughout: powers q^x with non-integer x are never formed
 from a complex q; exponentials are always assembled as e^{2*pi*i*tau*x}.
@@ -40,16 +40,30 @@ def _tol(prec: int):
 
 
 def euler_phi_numeric(q, tol):
-    """(q)_infty to within tol, by certified.euler_phi."""
-    return euler_phi(q, tol)
+    """(q)_infty to within tol for |q| < 1 (else ValueError; 1 at q = 0):
+    certified.euler_phi at tau = log q/(2 pi i).  With x = |q|, |(q)_inf| <=
+    e^{x/(1-x)}, and the core runs at p bits, 2^-p e^{x/(1-x)} <= (1-x)^3
+    tol/2, so it is within tol/2.  tau, formed at p + _GUARD_BITS bits
+    (fewer than the core's), is within 4 |tau| 2^-(p + _GUARD_BITS), |tau|
+    x < 0.6, and |d (q)_inf/d tau| <= 2 pi x/(1-x)^3 e^{x/(1-x)}, so its
+    rounding adds less than tol/4."""
+    if q == 0:
+        return mp.mpf(1)
+    x = float(abs(q))
+    if not x < 1:
+        raise ValueError("need |q| < 1")
+    p = math.ceil(-float(mp.log(tol, 2)) + x / (1 - x) / math.log(2)
+                  - 3 * math.log2(1 - x)) + 1
+    with mp.workprec(p + _GUARD_BITS):
+        return euler_phi(mp.log(q) / (2j * mp.pi), p)[0]
 
 
 def eta(tau, prec: int = DEFAULT_PREC):
-    """Dedekind eta, q^{1/24}(q)_infty."""
+    """Dedekind eta, q^{1/24}(q)_infty, within a relative 2^-prec or
+    less."""
     _require_upper_half(tau)
     with mp.workprec(prec + _GUARD_BITS):
-        q = cexp(tau)
-        return cexp(tau / 24) * euler_phi_numeric(q, _tol(prec))
+        return cexp(mp.mpc(tau) / 24) * euler_phi(tau, prec)[0]
 
 
 def theta(z, tau, prec: int = DEFAULT_PREC):

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from qchar import characters
 from qchar.certified import _GUARD_BITS, NearPoleError
 from qchar.characters import (CharacterParams, F_ls_exact, F_ls_numeric,
-                              F_ls_via_H, H_value, central_charge,
-                              character_ch,
+                              F_ls_via_H, F_ls_via_H_value, H_value,
+                              central_charge, character_ch,
                               coeff_series_exact,
                               fourier_coeff_by_quadrature,
                               fourier_quadrature, h_s)
@@ -240,6 +240,29 @@ def test_F_numeric_bound_holds_at_low_precision(ell):
     assert bound <= mp.mpf("1e-12") * value
 
 
+@settings(max_examples=30)
+@given(st.integers(3, 7), st.integers(0, 17), st.floats(0.5, 0.9))
+def test_F_via_H_value_within_the_numeric_bound(ell, s, t):
+    # the two numeric forms of route 2: the H route against F_ls_numeric's
+    # certified head and tail, where the latter is fast
+    s = s % (2 * ell + 4)
+    value, bound = F_ls_numeric(ell, s, t, PREC)
+    assert abs(F_ls_via_H_value(ell, s, t, PREC) - value) <= bound
+
+
+@pytest.mark.parametrize("ell", [4, 5])
+@pytest.mark.parametrize("t", ["0.001", "0.01", "0.1", "0.5"])
+def test_F_via_H_value_right_to_its_precision(ell, t):
+    # without the e_min bits a draft lost 8 bits at (4, 21, 0.5) and 41 at
+    # (5, 27, 0.6), at prec 128
+    for s in (0, 1, ell, 2 * ell + 1, 20, 4 * ell + 5):
+        got = F_ls_via_H_value(ell, s, t, PREC)
+        with mp.workprec(PREC + 64 + _GUARD_BITS):
+            want = F_ls_via_H_value(ell, s, t, PREC + 64)
+            assert want > 0
+            assert abs(got - want) <= mp.ldexp(want, -PREC), s
+
+
 class _FirstBuild(Exception):
     """Raised in place of F_ls_numeric's first series build."""
 
@@ -278,8 +301,7 @@ def test_F_numeric_Phi_is_an_upper_bound(monkeypatch):
 def test_F_numeric_refuses_an_order_above_its_cap_before_building(
         monkeypatch):
     # at t = 0.01 the first head alone needs T0 = 82,246 terms, O(T0^2)
-    # work; at t = 0.0001 it needs 657,973,626, and (q)_inf alone, at about
-    # 23,700 extra bits, would take minutes: both are refused before any
+    # work; at t = 0.0001 it needs 657,973,626: both are refused before any
     # evaluation
     def build(*args):
         raise AssertionError("a series was built")
@@ -288,7 +310,7 @@ def test_F_numeric_refuses_an_order_above_its_cap_before_building(
         raise AssertionError("(q)_inf was evaluated")
 
     monkeypatch.setattr(characters, "_F_ls_via_H_series", build)
-    monkeypatch.setattr(characters, "euler_phi_numeric", evaluate)
+    monkeypatch.setattr(characters, "euler_phi", evaluate)
     with pytest.raises(RuntimeError, match="needs order 82246 > 20000"):
         F_ls_numeric(5, 0, 0.01)
     with pytest.raises(RuntimeError, match="needs order 657973626 > 20000"):

@@ -127,6 +127,47 @@ def test_asym_at_large_s_within_its_bound(capsys, ell, s, t):
         assert abs(mp.mpf(row["exact"]) - want) <= bound
 
 
+# asym's t and expansion columns at ell = 4, 5, 6 and the default t
+# 0.1,0.05, as the F_ls_numeric route printed them
+ASYM_COLUMNS = {
+    4: ["7.24544215610427597941154387136931694586698500711510546810095273735"
+        "627506842e-47",
+        "6.55257193090232067234638487581052386416338295715220745318459818110"
+        "685923108e-102"],
+    5: ["3.89118184064465053184315372495986031997552593954689101802761998229"
+        "206005923e-89",
+        "7.83534687364137304261545669361800130651478984405420637980863599632"
+        "507451598e-193"],
+    6: ["6.93693205207937982201313663364977102618660636271524542141074195939"
+        "655021073e-144",
+        "3.20692031217021592220219278563157748682882050842134598624050257658"
+        "121369275e-310"],
+}
+
+
+@pytest.mark.parametrize("ell", [4, 5, 6])
+def test_asym_takes_the_H_route_with_the_same_columns(capsys, monkeypatch,
+                                                      ell):
+    def refuse(*args):
+        raise AssertionError("asym called F_ls_numeric")
+
+    monkeypatch.setattr(characters, "F_ls_numeric", refuse)
+    code, out = run(capsys, "asym", "--ell", str(ell))
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "t,exact,expansion,abs_err"
+    assert [row.split(",")[0] for row in rows] == [
+        "0.1" + "0" * 74, "0.05" + "0" * 74]
+    assert [row.split(",")[2] for row in rows] == ASYM_COLUMNS[ell]
+
+
+def test_asym_runs_past_the_numeric_order_cap(capsys):
+    # F_ls_numeric needs a first head of order 65,797 here, above its cap
+    # of 20,000
+    code, out = run(capsys, "asym", "--ell", "4", "--t", "0.01")
+    assert code == 0 and mp.mpf(out.splitlines()[1].split(",")[1]) > 0
+
+
 def test_qdim_csv(capsys):
     code, out = run(capsys, "--prec", "80", "qdim", "--t", "0.2,0.1")
     assert code == 0
@@ -341,14 +382,15 @@ def test_out_of_range_input_names_its_option(capsys, option, value):
 
 
 def test_out_of_range_names_every_complex_input(capsys):
-    # 1/(q)_inf overflows the doubles of the quadrature plan at this small
-    # Im tau: the report names the complex inputs and does not guess which
-    # one overflowed, or that it was too large
+    # the pair bound, about -pi^2/(6 |log q|), overflows the doubles of the
+    # quadrature plan at this small Im tau: the report names the complex
+    # inputs and does not guess which one overflowed, or that it was too
+    # large
     code = main(["verify-modular", "--z=0.1+1e30j"])
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 1 and "--z" in error and "--tau" in error
     code = main(["verify-decomposition", "--ell", "2", "--s", "0",
-                 "--points", "1", "--tau", "1e-4j"])
+                 "--points", "1", "--tau", "1e-300j"])
     error = json.loads(capsys.readouterr().out)["error"]
     assert code == 1 and "--tau" in error and "too large" not in error
 

@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -186,7 +187,6 @@ def test_product_kernel_against_per_factor_oracle(ell, prec, tau, seed, x,
     # c_j = A_j W + B_j conj(W) needs the conjugate
     tau = mp.mpc(complex(tau))
     pt = random_admissible_point(ell, tau, random.Random(seed), prec)
-    v = float(tau.imag)
     with mp.workprec(prec + 64 + _GUARD_BITS):
         z = mp.mpc(x / 97, 0) + 1j * strip_top(pt) * height / 20
         terms = [F_ell_product(list(pt.zs) + [z + mp.mpf(n) / N], tau,
@@ -196,12 +196,11 @@ def test_product_kernel_against_per_factor_oracle(ell, prec, tau, seed, x,
         scale = mp.fsum(abs(t) for t in terms)
     with mp.workprec(prec + _GUARD_BITS):
         args = [sum(pt.zs[j:], mp.mpc(0)) + z for j in range(ell - 1)] + [z]
-        got = (euler_phi(cexp(tau), mp.mpf(2) ** -prec)
-               * _pair_sum(tau, args, N, s, prec))
+        got = euler_phi(tau, prec)[0] * _pair_sum(tau, args, N, s, prec)
     with mp.workprec(prec + 64 + _GUARD_BITS):
         err = abs(got - want) / scale
     # the node error multivar_quadrature certifies
-    assert err <= _node_error(ell, 1, -2 * math.pi * v) * mp.mpf(2) ** -prec
+    assert err <= _node_error(ell, 1) * mp.mpf(2) ** -prec
     if prec >= 256:
         assert err <= mp.mpf("1e-70")
 
@@ -331,14 +330,24 @@ def test_quadrature_refuses_a_half_integer_s(s):
 def test_product_route_calls_no_theta_series(monkeypatch):
     # both quadratures check a theta/partial-theta sum (the multivariate one
     # the residue sum, the Fourier one H_value's Gaussian sum), so they must
-    # not reach theta, eta, g_ell, partial_theta or any Gaussian sum; the
-    # point is built under the ban, since it is part of the route's input
+    # not reach theta, eta, g_ell, partial_theta or any Gaussian sum but the
+    # two halves of (q)_inf's pentagonal sum, which both routes share as
+    # before; the point is built under the ban, since it is part of the
+    # route's input
+    gaussian_sum = certified.certified_gaussian_sum
+
     def forbidden(*args, **kwargs):
         raise AssertionError("the product route called a theta series")
 
+    def pentagonal_only(*args, **kwargs):
+        if sys._getframe(1).f_code is not certified.euler_phi.__code__:
+            forbidden()
+        return gaussian_sum(*args, **kwargs)
+
     _rebind(monkeypatch, {id(f): forbidden for f in (
         modular_objects.theta, modular_objects.eta, modular_objects.g_ell,
-        partial_theta.partial_theta, certified.certified_gaussian_sum)})
+        partial_theta.partial_theta)})
+    _rebind(monkeypatch, {id(gaussian_sum): pentagonal_only})
     pt = fixture_point(3, tau=mp.mpc("0.1", "1.1"))
     hi = strip_top(pt)
     assert abs(F_ls_multivar_quadrature(3, 1, pt, prec=PREC)) > 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar import characters
-from qchar.certified import _GUARD_BITS, _pentagonal_terms
+from qchar.certified import _GUARD_BITS
 from qchar.characters import _NUMERIC_REL_TOL, F_ls_numeric
 from qchar.exact_series import euler_product_pow
 from qchar.modular_objects import (_G2k_series_value, _G2k_terms, cexp,
@@ -27,32 +27,28 @@ def _point(log10_r, phase):
 
 
 def pentagonal_loop(q, tol):
-    """(K, value): euler_phi_numeric's old loop, which added pairs of terms
-    until 2|q|^{(k+1)(3k+2)/2}/(1 - |q|) < tol."""
+    """euler_phi_numeric's old loop, which added pairs of terms until
+    2|q|^{(k+1)(3k+2)/2}/(1 - |q|) < tol."""
     total, k, absq = mp.mpf(1), 1, abs(q)
     while True:
         total += (-1) ** k * (q ** (k * (3 * k - 1) // 2)
                               + q ** (k * (3 * k + 1) // 2))
         if 2 * absq ** ((k + 1) * (3 * k + 2) // 2) / (1 - absq) < tol:
-            return k, total
+            return total
         k += 1
 
 
 @settings(max_examples=60)
 @given(_log10_q, _phase, _prec)
-def test_pentagonal_terms_never_fewer_than_the_loop(log10_q, phase, prec):
+def test_euler_phi_numeric_within_tol_of_the_loop(log10_q, phase, prec):
     with mp.workprec(prec + _GUARD_BITS):
         q, tol = _point(log10_q, phase), mp.mpf(2) ** -prec
-        K_old, old = pentagonal_loop(q, tol)
-        K = _pentagonal_terms(q, tol)
-        assert K_old <= K <= K_old + 1
+        old = pentagonal_loop(q, tol)
         assert abs(euler_phi_numeric(q, tol) - old) <= tol
 
 
-def test_counts_at_zero():
-    tol = mp.mpf(2) ** -PREC
-    assert _pentagonal_terms(mp.mpf(0), tol) == 1
-    assert euler_phi_numeric(mp.mpf(0), tol) == 1
+def test_euler_phi_numeric_at_zero():
+    assert euler_phi_numeric(mp.mpf(0), mp.mpf(2) ** -PREC) == 1
 
 
 def G2k_least_terms(k, tau, target):
