@@ -94,6 +94,20 @@ class Certificate:
     seconds: float
 
 
+def _lattice_log_peak(a: float, b: float, r: float) -> float:
+    """An upper bound, in doubles, of the largest log|E_x| = x (b - a x)
+    over x in r + Z, a > 0: b^2/(4a) - a delta^2, delta the distance from
+    the peak p = b/(2a) to r + Z.  It is the larger x (b - a x) at the two
+    points of r + Z around p, each raised by 2^-48 (|x b| + a x^2) for the
+    doubles' rounding, and at most the peak value b^2/(4a).  The margin,
+    about 3 a p^2 2^-48, is 0 at x = 0, so the r = 0 half of (q)_inf has a
+    bound of 0 at any Im tau, and once the peak is far out (|p| > 4.8e6) it
+    exceeds a delta^2 <= a/4, and the bound is the peak value."""
+    return min(b * b / (4 * a), max(
+        x * (b - a * x) + 2 ** -48 * (abs(x * b) + a * x * x)
+        for x in (r + math.floor(b / (2 * a) - r) + k for k in (0, 1))))
+
+
 def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int,
                            radius=None):
     """(sum_{n>=0} sign^n P(x_n) e^{alpha x_n^2 + beta x_n}, Certificate),
@@ -117,17 +131,23 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int,
     once.  (Halving bounds, rho_n <= 1/2, would cost about 0.36/a terms at
     small a.)
 
+    Both term bounds hold on the lattice r + Z, not over all real x: G =
+    e^{_lattice_log_peak(a, b, r)} bounds every |E_x| = e^{x (b - a x)} on
+    it, so every |E_n|, and Gamma, 1 when the peak p = b/(2a) lies left of
+    r and G/|E_0| else (the two points of r + Z around p are then summed
+    ones), bounds every |e_n| = |E_n/E_0|, so M = |E_0| Gamma every |E_n|.
+
     The terms run from n = 0 on, scaled by E_0: e_n = E_n/E_0, e_0 = 1,
     e_{n+1} = e_n R_n, R_{n+1} = R_n Q, from E_0 = e^{alpha r^2 + beta r},
     R_0 = sign e^{alpha (2r + 1) + beta} and Q = e^{2 alpha}.  These three
     exps, formed at extra bits, enter within u = 2^(1-wp) relative, as do
     the poly[k]; wp keeps K u <= 2^-(prec + _GUARD_BITS), K = 2 N G Pbar(Y)
-    (d (2|r| + 4) + N^2 + N + 1), G = e^{b^2/(4a)} >= |E_n|, Y = max |x_n| +
-    1.  The loop runs in fixed point on the grid v = 2^-fp: R_0, Q and the
-    poly[k] enter floored, x_n = floor(r/v) v + n, P(x_n) by Horner's rule,
-    and each term P e_n and each recurrence step is one product floored per
-    part; the sum is exact until its product with E_0, rounded to wp bits.
-    Two parts, each to first order, the 2s covering higher orders:
+    (d (2|r| + 4) + N^2 + N + 1), Y = max |x_n| + 1.  The loop runs in
+    fixed point on the grid v = 2^-fp: R_0, Q and the poly[k] enter
+    floored, x_n = floor(r/v) v + n, P(x_n) by Horner's rule, and each term
+    P e_n and each recurrence step is one product floored per part; the sum
+    is exact until its product with E_0, rounded to wp bits.  Two parts,
+    each to first order, the 2s covering higher orders:
 
     * the inputs' u: E_n is within (1 + n(n+1)/2) u relative, P(x_n) within
       u Pbar(Y), and the final product adds u |value|, so with |value| <= N
@@ -135,28 +155,32 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int,
     * the floors, each below sqrt(2) v (v on x_n), scaled by |E_0|.  As
       |R_j| = |R_0| |Q|^j, Q's floor reaches R_n from each step j < n times
       |R_j Q^(n-1-j)| = |R_{n-1}|, so R_n is within sqrt(2) (1 + n (1 +
-      |R_{n-1}|)) v.  Gamma = e^{a max(0, b/(2a) - r)^2}, the largest
-      |E_x|/|E_0| for x >= r, bounds |e_n|.  As log|E_x| is concave in x, a
-      floor at e_{j+1} reaches e_n times |e_n/e_{j+1}| <= Gamma and R_j's
-      error times |e_j e_n/e_{j+1}| <= |e_{n-1}| <= Gamma; the |R_{j-1}| in
-      that error adds at most Rho Gamma, Rho = min(|R_0|, e^{2a}), as also
-      |e_j R_{j-1} e_n/e_{j+1}| = |e_n/Q|.  So e_n is within sqrt(2) Gamma
-      (2n + (Rho + 1) n(n-1)/2) v.  P(x_n) is within e_P v, e_P = Pbar'(Y)
-      + sqrt(2) (sum_{i<=d} Y^i + sum_{i<d} Y^i) for x_n, the coefficients
-      and Horner's floors.  Summed over the N terms, with sqrt(2) for each
+      |R_{n-1}|)) v.  The sequence log|e_n| is concave, as log|E_x| is, and
+      starts at 0, so |e_n/e_j| <= max(1, |e_n|) <= Gamma for j <= n, and
+      its steps fall: |e_j e_n/e_{j+1}| <= |e_{n-1}| for j < n.  So a floor
+      at e_{j+1} reaches e_n times |e_n/e_{j+1}| <= Gamma and R_j's error
+      times |e_j e_n/e_{j+1}| <= Gamma; the |R_{j-1}| in that error adds at
+      most Rho Gamma, Rho = min(|R_0|, e^{2a}), as also |e_j R_{j-1}
+      e_n/e_{j+1}| = |e_n/Q|.  So e_n is within sqrt(2) Gamma (2n + (Rho +
+      1) n(n-1)/2) v.  P(x_n) is within e_P v, e_P = Pbar'(Y) + sqrt(2)
+      (sum_{i<=d} Y^i + sum_{i<d} Y^i) for x_n, the coefficients and
+      Horner's floors.  Summed over the N terms, with sqrt(2) for each
       term's own floor, this part is below |E_0| F v,
 
           F = 2 N (sqrt(2) + Gamma e_P + sqrt(2) Pbar(Y) Gamma N (1
               + (Rho + 1) N/6)),
 
-      from doubles; with M = |E_0| Gamma >= |E_n|, fp = prec + _GUARD_BITS
-      + 2 + ceil(log2(|E_0| F/min(1, M))) keeps it below 2^-(prec +
-      _GUARD_BITS + 1), and below that relative to M when M is small.  So
-      Gamma, which exceeds 1 when the peak b/(2a) of |E_x| lies right of
-      r, costs fp no bits past the largest term's, though the ints of the
-      terms near the peak then hold log2 Gamma bits more; Rho, above 1 when
-      the peak lies right of r + 1/2, costs about log2(Rho + 1) <= 1 +
-      2a/log 2.
+      from doubles; fp = prec + _GUARD_BITS + 2 + ceil(log2(|E_0| F/min(1,
+      M))) keeps it below 2^-(prec + _GUARD_BITS + 1), and below that
+      relative to M when M is small.  So Gamma, above 1 once a summed point
+      past r lies nearer the peak than r, costs fp no bits past the largest
+      term's, though the ints of the terms near the peak then hold log2
+      Gamma bits more; Rho, above 1 when the peak lies right of r + 1/2,
+      costs about log2(Rho + 1) <= 1 + 2a/log 2.  Against Gamma and M taken
+      over real x >= r, fp is at most 1 bit more, and only where M < 1 <=
+      e^{b^2/(4a)}: there F/Gamma counts each term's own floor, sqrt(2),
+      in full, and that at most doubles the rest of F/Gamma, at least 2 N
+      e_P >= 2 N sqrt(2).
 
     Returns the value at wp bits (an mpf when alpha, beta and poly are all
     real) and Certificate(N, 1, the last x, 2 T + K u + 2^(ceil(log2(|E_0|
@@ -206,12 +230,12 @@ def certified_gaussian_sum(alpha, beta, r, sign: int, poly, prec: int,
     else:
         raise RuntimeError("Gaussian sum needs too many terms")
     Y = max(abs(rf), abs(N - 1 + rf)) + 1
-    log_G = b * b / (4 * a)
+    log_G = _lattice_log_peak(a, b, rf)
     log2_K = (math.log2(2 * N * (d * (2 * abs(rf) + 4) + N * N + N + 1))
               + (log_G + math.log(pbar(Y))) / math.log(2))
     log_Rho = min(b - a * (2 * rf + 1), 2 * a)  # log min(|R_0|, 1/|Q|)
-    log_Gamma = a * max(0.0, b / (2 * a) - rf) ** 2
     log_E0 = -a * rf * rf + b * rf  # log|E_0|
+    log_Gamma = log_G - log_E0 if b > 2 * a * rf else 0.0
     e_P = (sum(k * c * Y ** (k - 1) for k, c in enumerate(abs_coeffs))
            + math.sqrt(2) * sum(Y ** k * (1 + (k < d)) for k in range(d + 1)))
     log_F = math.log(2 * N) + _log_sum([
@@ -319,10 +343,9 @@ def euler_phi(tau, prec: int):
 
     (q)_inf has period 1, so tau first moves, exactly, to tau - round(Re
     tau), and is then taken at the working precision wp below.  When Im tau
-    < 1/2 there, one S
-    step, eta(-1/tau) = sqrt(-i tau) eta(tau) with eta = q^{1/24} (q)_inf
-    (Apostol, Modular Functions and Dirichlet Series in Number Theory, 2nd
-    ed., Thm 3.1, principal branch), gives
+    < 1/2 there, one S step, eta(-1/tau) = sqrt(-i tau) eta(tau) with eta =
+    q^{1/24} (q)_inf (Apostol, Modular Functions and Dirichlet Series in
+    Number Theory, 2nd ed., Thm 3.1, principal branch), gives
 
         (q)_inf = c (q')_inf,  c = (-i tau)^{-1/2} e^{pi i (tau' - tau)/12},
 
@@ -340,16 +363,15 @@ def euler_phi(tau, prec: int):
     and 4 pi |tau'| 2^-wp, the radius the halves take; as sum_{x>=1} x^2
     |e^{alpha x^2 +- beta x}| <= (1 + 1/y)^{3/2}, their drift stays within
     2^-(prec + _GUARD_BITS - 7) |(q')_inf| with their tails and rounding.
-    Once |q'| < 2^-(prec + e + _GUARD_BITS + 2), (q')_inf is 1 within
-    |q'|/(1 - |q'|), and no term is summed: the halves' plan would hold the
-    largest |e^{alpha x^2 - beta x}| over real x, |q'|^{-1/24}, in wp.
+    At large y each half sums one term, with G = 1: the peak of |e^{alpha
+    x^2 -+ beta x}| lies at x = +-1/6, nearest to the lattice point 0.
     c is within (2 (|tau| + |tau'|) + 9) 2^-wp relative: 2 |tau'| on tau',
     2 (|tau| + |tau'|) more on the exponent pi i (tau' - tau)/12 and 8 for
     the exp, the square root and the quotient.  So the bound, |c| times the
     halves' bounds plus 2^-(prec + _GUARD_BITS) |value| for c and the two
     roundings that form the value, is at most 2^-(prec + 16) |value|.
     Returns Certificate(terms, 1, the last x, bound, the halves' precision,
-    seconds), with 0 terms, x 0 and precision wp when no term is summed.
+    seconds).
     """
     start = time.perf_counter()
     if not mp.im(tau) > 0:
@@ -366,22 +388,17 @@ def euler_phi(tau, prec: int):
     with mp.workprec(wp):
         tau = mp.mpc(mp.fsub(mp.re(tau), n, exact=True), mp.im(tau))
         tau1, c = _s_step(tau) if step else (tau, 1)
-        if 2 * math.pi * t1.imag > (prec + e + _GUARD_BITS + 2) * math.log(2):
-            value, certs = mp.mpc(1), [Certificate(
-                0, 1, 0, mp.ldexp(1, -(prec + e + _GUARD_BITS + 1)), wp, 0.0)]
-        else:
-            alpha, beta = 3j * mp.pi * tau1, 1j * mp.pi * tau1
-            s0, c0 = certified_gaussian_sum(alpha, -beta, 0, -1, (1,),
-                                            prec + e, radius)
-            s1, c1 = certified_gaussian_sum(alpha, beta, 1, -1, (1,),
-                                            prec + e, radius)
-            value, certs = s0 - s1, [c0, c1]
-        value *= c
-        bound = abs(c) * sum(x.bound for x in certs) + mp.ldexp(
+        alpha, beta = 3j * mp.pi * tau1, 1j * mp.pi * tau1
+        s0, c0 = certified_gaussian_sum(alpha, -beta, 0, -1, (1,), prec + e,
+                                        radius)
+        s1, c1 = certified_gaussian_sum(alpha, beta, 1, -1, (1,), prec + e,
+                                        radius)
+        value = c * (s0 - s1)
+        bound = abs(c) * (c0.bound + c1.bound) + mp.ldexp(
             abs(value), -prec - _GUARD_BITS)
     return (value.real if tau.real == 0 else value), Certificate(
-        sum(x.nodes for x in certs), 1, max(x.X for x in certs), bound,
-        max(x.prec for x in certs), time.perf_counter() - start)
+        c0.nodes + c1.nodes, 1, max(c0.X, c1.X), bound, max(c0.prec, c1.prec),
+        time.perf_counter() - start)
 
 
 def _s_step(tau):
@@ -412,7 +429,8 @@ def least_strip_nodes(d_lo: float, d_hi: float, log_bound, log_target: float,
     and y = a_hi, the 2 absorbing the rounding of the doubles.  M bounds |f|
     on that line for a 1-periodic f, and the integral of |f| along it for an
     f on R.  extra(N) is the caller's other error, relative to the target.
-    Raises NearPoleError when no fraction reaches it within _MAX_STRIP_NODES.
+    Raises NearPoleError when no fraction reaches it within _MAX_STRIP_NODES,
+    naming the strip's width d_lo + d_hi and that cap.
     """
     def rel(log_x):  # e^{log_x} / target, without overflow
         return math.exp(min(log_x - log_target, 700.0))
@@ -435,21 +453,38 @@ def least_strip_nodes(d_lo: float, d_hi: float, log_bound, log_target: float,
         if N <= _MAX_STRIP_NODES and (best is None or N < best[0]):
             best = (N, total)
     if best is None:
-        raise NearPoleError("integration path too close to a pole to plan "
-                            "the trapezoid rule")
+        raise NearPoleError(
+            f"no trapezoid rule of at most {_MAX_STRIP_NODES} nodes reaches "
+            f"its target: the integrand is analytic on a strip only "
+            f"{d_lo + d_hi:.3g} wide around the integration path")
     return best
 
 
 def line_trapezoid(A, B, zeta, kappa, prec: int):
-    """(integral over R of e^{A x^2 + B x} / (1 - zeta e^{i kappa x}) dx,
-    Certificate), with absolute error below 2^-(prec + _GUARD_BITS).
+    """(integral over R of f(x) = e^{A x^2 + B x} / (1 - zeta e^{i kappa x})
+    dx, Certificate), with absolute error below 2^-(prec + _GUARD_BITS)
+    plus the drift its inputs' rounding causes.
 
     Needs Re A < 0 and kappa > 0.  The kernel's poles lie on the line Im x =
     y_p = log|zeta|/kappa at distance d = |y_p| from R; PoleNearContourError
     when d < _POLE_DISTANCE_MIN, before anything is planned, and
     RuntimeError when the plan needs more than _MAX_LINE_NODES nodes,
     before any runs.
-    The truncated trapezoid rule h sum_{|kh| <= X} f(kh), h = 1/N, then has
+
+    A, B, zeta and kappa must each lie within a relative e = 2^(1 - prec -
+    2 _GUARD_BITS) of the value they stand for, as mordell_integral and
+    verify_S_transform form them.  To first order this moves the integral
+    by e (|A| int x^2 |f| + |B| int |x| |f| + |zeta| int |num|/|den|^2 +
+    kappa |zeta| int |x| |num|/|den|^2), num = e^{A x^2 + B x} and den = 1
+    - zeta e^{i kappa x}.  On R |den| >= max(1, |zeta|) L (L below), so
+    |zeta|/|den|^2 <= m/L^2, m = e^{-kappa d} = 1 - L.  The Gaussian
+    |num|/int |num| has second moment s^2 = (Re B/(2 |Re A|))^2 + 1/(2 |Re
+    A|), and first absolute moment at most s, and int |num|/L <= mass
+    (below), so the bound adds the drift, doubled for the higher orders, as
+
+        2 e mass (|A| s^2 + |B| s + m (1 + kappa s)/L).
+
+    The truncated trapezoid rule h sum_{|kh| <= X} f(kh), h = 1/N, has
     three certified error parts, each kept below a quarter of the target:
 
     * discretisation, planned in doubles by least_strip_nodes on the strip
@@ -532,7 +567,11 @@ def line_trapezoid(A, B, zeta, kappa, prec: int):
                  + G * (2 * abs(zeta) + 2) * n * n / low_real ** 2 + 1.5 * n)
         wp = max(prec + _GUARD_BITS,
                  int(mp.ceil(mp.log((h * T + mass) / eps, 2))))
-        bound = disc * eps + tail + eps
+        s = mp.sqrt((Br / (2 * Ar)) ** 2 + 1 / (2 * Ar))
+        bound = disc * eps + tail + eps + mp.ldexp(
+            mass, 2 - prec - 2 * _GUARD_BITS) * (
+            abs(A) * s * s + abs(B) * s
+            + (1 - low_real) * (1 + kappa * s) / low_real)
     with mp.workprec(wp + _GUARD_BITS):
         one = 1 << wp
         Q = to_fixed(mp.exp(2 * A * h * h), wp)

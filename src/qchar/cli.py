@@ -27,7 +27,7 @@ import mpmath as mp
 
 from . import asymptotics, characters, decomposition, modular_transform
 from .bernoulli_euler import check_euler_bernoulli_identity, verify_S_identity
-from .certified import InputError
+from .certified import InputError, NearPoleError
 from .characters import CharacterParams
 from .partial_theta import PartialThetaParams, script_FG_halving_orders
 
@@ -352,10 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_of_range(args, exc: OverflowError) -> str:
-    """The error text of an OverflowError: it names every complex option
-    given, since any of them, large or close to a boundary, may be the one
-    whose evaluation overflowed the doubles or mpmath's integers."""
+def _error_text(args, exc) -> str:
+    """The error text of a failed run.  That of an OverflowError or a
+    NearPoleError names every complex option given, since any of them,
+    large or close to a boundary, may be the one whose evaluation
+    overflowed the doubles or mpmath's integers, or whose integrand's strip
+    of analyticity is too thin to plan a quadrature on."""
+    if not isinstance(exc, (OverflowError, NearPoleError)):
+        return str(exc)
     given = []
     for name, value in vars(args).items():
         zs = [v for v in (value if isinstance(value, list) else [value])
@@ -363,7 +367,8 @@ def _out_of_range(args, exc: OverflowError) -> str:
         if zs:
             given.append(f"--{name.replace('_', '-')} "
                          + " ".join(mp.nstr(z, 6) for z in zs))
-    text = f"an input is out of range ({exc})"
+    text = (f"an input is out of range ({exc})"
+            if isinstance(exc, OverflowError) else str(exc))
     return f"{text}; complex inputs: {', '.join(given)}" if given else text
 
 
@@ -375,9 +380,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         parser.error(str(exc))
     except (ValueError, ArithmeticError, RuntimeError, AssertionError) as exc:
-        error = (_out_of_range(args, exc) if isinstance(exc, OverflowError)
-                 else str(exc))
-        return _verdict(args, False, error=error)
+        return _verdict(args, False, error=_error_text(args, exc))
 
 
 if __name__ == "__main__":

@@ -55,23 +55,37 @@ def mordell_integral(params: PartialThetaParams, z, tau, j: int,
     Denominator zeros sit at Im x = -2 sqrt(cM) Im z, so z off the real
     axis keeps the path clear; line_trapezoid refuses them within 0.01.
 
-    line_trapezoid certifies the integral of the Gaussian's A, B and the
-    kernel's zeta as passed, so they are formed at prec + 2 _GUARD_BITS
-    bits: to first order their relative rounding u =
-    2^(1 - prec - 2 _GUARD_BITS) moves the integral by at most u (|A| int
-    x^2 |f| + |B| int |x| |f| + |zeta| int |f|/L), f the integrand and L =
-    |1 - |zeta||: 2^-_GUARD_BITS of the shift at prec + _GUARD_BITS bits,
-    which exceeded the certificate.
+    The Gaussian's A and B and the kernel's zeta and kappa are formed at
+    prec + 2 _GUARD_BITS + _line_input_bits(tau, 4 z cM) bits, within the
+    relative 2^(1 - prec - 2 _GUARD_BITS) whose drift line_trapezoid's
+    bound counts (formed at prec + _GUARD_BITS bits, that drift exceeded
+    the certificate).
     """
     _require_upper_half(tau)
     r, M, c = params.r, params.M, gamma.c
-    with mp.workprec(prec + 2 * _GUARD_BITS):
+    with mp.workprec(prec + 2 * _GUARD_BITS + _line_input_bits(
+            tau, 4 * complex(z) * float(c * M))):
         cM = fraction_mpf(c * M)
         scM = mp.sqrt(cM)
         ctd = gamma.c * tau + gamma.d
         rjf = fraction_mpf(Fraction(r) - 2 * Fraction(M) * j)
         return line_trapezoid(mp.pi * 1j * ctd / 2, -mp.pi * 1j / scM * rjf,
                               cexp(4 * z * cM), 4 * mp.pi * scM, prec)
+
+
+def _line_input_bits(tau, w) -> int:
+    """g such that line_trapezoid's A, B, zeta and kappa, formed at prec + 2
+    _GUARD_BITS + g bits, lie within the relative 2^(1 - prec - 2
+    _GUARD_BITS) it takes them to: A, B and kappa come from at most 8
+    roundings each, the c tau + d in A loses up to a factor 1 + |tau|/Im
+    tau more when its terms cancel, and zeta = e^{2 pi i w} moves by 2 pi
+    |w| times the relative error of w, so each is within 8 (1 + 2 pi |w|)
+    (1 + |tau|/Im tau) units of the working precision, and 2^g >= 4 (1 +
+    2 pi |w|) (1 + |tau|/Im tau) keeps that within 2 units of prec + 2
+    _GUARD_BITS bits."""
+    t = complex(tau)
+    return 2 + math.ceil(math.log2((1 + 2 * math.pi * abs(complex(w)))
+                                   * (1 + abs(t) / t.imag)))
 
 
 def _root_of_unity(exponent: Fraction):
@@ -205,11 +219,12 @@ def verify_S_transform(ell: int, s: int, z, tau,
     modulus, plus 2 u sum_P |P| e_P over the three parts, e_P counted by
     the same rule (3 for (-i tau)^{-1/2} and its product, and 1 for the sum
     of the right side).  The integral comes first, from coefficients formed
-    at prec + 2 _GUARD_BITS bits as in mordell_integral, so that a pole
-    near the path is refused before the left side is summed.
+    as in mordell_integral (w = ell z), so that a pole near the path is
+    refused before the left side is summed.
     """
     _require_upper_half(tau)
-    with mp.workprec(prec + 2 * _GUARD_BITS):
+    with mp.workprec(prec + 2 * _GUARD_BITS
+                     + _line_input_bits(tau, ell * complex(z))):
         sl = mp.sqrt(mp.mpf(ell))
         integral, cert = line_trapezoid(
             mp.pi * 1j * tau, 2j * mp.pi / sl * (s + ell) + 1j * mp.pi * sl,

@@ -417,6 +417,20 @@ def test_line_trapezoid_refuses_a_plan_of_a_minute_before_it_runs(capsys):
     assert code == 1 and "55452573 nodes" in error
 
 
+def test_thin_strip_refuses_at_once_and_names_its_inputs(capsys):
+    # at Im tau = 1e-6 the product's integrand is analytic on a strip about
+    # 1e-6 wide, too thin for any rule within the node cap; the refusal
+    # names the strip's width, the cap and the complex inputs, not a pole
+    # that no input put on the path
+    start = time.perf_counter()
+    code = main(["verify-decomposition", "--ell", "2", "--s", "0",
+                 "--points", "1", "--tau", "1e-6j"])
+    assert time.perf_counter() - start < 1.0
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert code == 1 and "--tau" in error
+    assert "65536 nodes" in error and "wide" in error
+
+
 def test_far_gaussian_sum_fails_at_once(capsys):
     start = time.perf_counter()
     code = main(["verify-modular", "--z=0.1-1e30j"])

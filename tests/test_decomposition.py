@@ -408,6 +408,128 @@ def test_one_coefficient_weight_for_both_kernel_steps(monkeypatch, v):
         math.fsum((1 + Q) ** i for i in range(I + 1)), rel=1e-12)
 
 
+# -------------------------------------------- interval oracles of the kernel
+
+
+def _iv_ends(box):
+    """The (lo, hi) ends, as mpfs, of the real and the imaginary part of an
+    mp.iv complex number."""
+    return [tuple(mp.make_mpf(e) for e in mp.iv.mpf(part)._mpi_)
+            for part in (box.real, box.imag)]
+
+
+def _gap_and_width(value, box):
+    """(distance from the mpc value to the box, the box's diameter)."""
+    ends = _iv_ends(box)
+    return (mp.hypot(*(max(lo - v, v - hi, 0) for v, (lo, hi) in
+                       zip((value.real, value.imag), ends))),
+            mp.hypot(*(hi - lo for lo, hi in ends)))
+
+
+def _iv_q(tau):
+    return mp.iv.exp(2 * mp.iv.pi * mp.iv.mpc(0, 1)
+                     * mp.iv.mpc(tau.real, tau.imag))
+
+
+def _iv_pair_coefficients(tau, m, I):
+    """[a_0, ..., a_I] of prod_{k<m} (1 + q^{2k+1} - q^k c), enclosed in
+    mp.iv from the exact tau, degrees past I dropped as each factor
+    enters: a factor only raises degrees."""
+    q = _iv_q(tau)
+    a, qk = [mp.iv.mpc(1, 0)], mp.iv.mpc(1, 0)
+    for _ in range(m):
+        b = 1 + qk * qk * q
+        nxt = [b * a[0]] + [b * a[i] - qk * a[i - 1]
+                            for i in range(1, len(a))]
+        if len(a) <= I:
+            nxt.append(-qk * a[-1])
+        a, qk = nxt, qk * q
+    return a
+
+
+def _kernel_plan(monkeypatch, tau, args, N, s, prec):
+    """(value, (tau, m, I, wp, sigma), coefficients) of one _pair_sum call,
+    its coefficient build's arguments and output taken by a spy; the value
+    is the kernel's fixed-point sum, which its callers round at their own
+    precision."""
+    seen = []
+    build = certified._pair_coefficients
+
+    def spy(*plan):
+        seen.append((plan, build(*plan)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(certified, "_pair_coefficients", spy)
+    with mp.workprec(prec + 200):  # the fixed-point sum, unrounded
+        value = _pair_sum(tau, args, N, s, prec)
+    ((plan, coeffs),) = seen
+    return value, plan, coeffs
+
+
+# fixed inputs of the kernel: its args, x + i y Im tau with 0 < y < 1, keep
+# |q| < |Z_j| < 1 as pair_trapezoid does
+_KERNEL_ARGS = {2: [(0.13, 0.4), (0.61, 0.55)],
+                3: [(0.13, 0.4), (0.61, 0.55), (0.29, 0.7)]}
+
+
+@pytest.mark.parametrize("tau", ["1j", "0.3+0.7j"])
+@pytest.mark.parametrize("ell", [2, 3])
+def test_pair_kernel_against_interval_enclosure(monkeypatch, tau, ell):
+    # the coefficients, with the kernel's own m, I and wp, lie within (1/2 +
+    # sqrt(2) sigma) u of their enclosure in the S-norm, u = 2^-wp; and its
+    # N = 20 node sum of W_s/prod_j P(c_j) lies within sum_n R u |T_n| of
+    # the enclosed sum of its terms T_n, R u <= 2^-(prec + 1) being each
+    # term's relative rounding (wp = prec + 1 + ceil(log2 R)), and within
+    # 2^-prec sum_n |T_n| of the terms with the m pairs in full
+    tau, prec, N, s = mp.mpc(complex(tau)), 128, 20, 1
+    args = [mp.mpc(x, y * tau.imag) for x, y in _KERNEL_ARGS[ell]]
+    value, (_, m, I, wp, sigma), coeffs = _kernel_plan(monkeypatch, tau,
+                                                       args, N, s, prec)
+    saved = mp.iv.prec
+    mp.iv.prec = wp + 60
+    try:
+        a = _iv_pair_coefficients(tau, m, I)
+        q = _iv_q(tau)
+        cut, full = [], []
+        for n in range(N):
+            w_n = mp.iv.mpf(n) / N
+            Ds = [mp.iv.mpc(1, 0), mp.iv.mpc(1, 0)]
+            for x in args:
+                Z = mp.iv.exp(2 * mp.iv.pi * mp.iv.mpc(0, 1)
+                              * (mp.iv.mpc(x.real, x.imag) + w_n))
+                c = Z + q / Z
+                P = a[-1]
+                for coeff in reversed(a[:-1]):
+                    P = P * c + coeff
+                Ds[0] *= P
+                qk = mp.iv.mpc(1, 0)
+                for _ in range(m):
+                    Ds[1] *= (1 - Z * qk) * (1 - qk * q / Z)
+                    qk *= q
+            W_s = mp.iv.exp(-2 * mp.iv.pi * mp.iv.mpc(0, 1) * s * w_n)
+            cut.append(W_s / Ds[0])
+            full.append(W_s / Ds[1])
+        sums = [sum(terms[1:], terms[0]) for terms in (cut, full)]
+    finally:
+        mp.iv.prec = saved
+    with mp.workprec(wp + 60):
+        S = 1 + mp.exp(-2 * mp.pi * tau.imag)
+        u = mp.ldexp(1, -wp)
+        norm_gap = norm_width = 0
+        for i, (xr, xi) in enumerate(reversed(coeffs)):
+            gap, width = _gap_and_width(from_fixed((xr, xi), wp), a[i])
+            norm_gap += gap * S ** i
+            norm_width += width * S ** i
+        claim = (mp.mpf(1) / 2 + mp.sqrt(2) * sigma) * u
+        assert norm_gap <= claim and norm_width < claim / 1000
+        for terms, total, rel in ((cut, sums[0], mp.ldexp(1, -(prec + 1))),
+                                  (full, sums[1], mp.ldexp(1, -prec))):
+            allowed = rel * mp.fsum(abs(mp.mpc(*(
+                (lo + hi) / 2 for lo, hi in _iv_ends(t)))) for t in terms)
+            gap, width = _gap_and_width(value, total)
+            assert gap <= allowed and width < allowed / 1000
+
+
 _phase = st.one_of(st.just(0.0), st.floats(0, 2 * math.pi))
 
 

@@ -19,8 +19,8 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qchar.certified import (_GUARD_BITS, Certificate, certified_gaussian_sum,
-                             fraction_mpf)
+from qchar.certified import (_GUARD_BITS, Certificate, _lattice_log_peak,
+                             _log_sum, certified_gaussian_sum, fraction_mpf)
 from qchar.characters import H_value
 from qchar.modular_objects import (_require_upper_half, _theta_cert, _tol,
                                    ghat_value, laurent_coefficients_D, theta)
@@ -419,9 +419,136 @@ def test_term_loop_calls_no_polyval(monkeypatch):
         certified_gaussian_sum(alpha, beta, r, sign, poly, 128)
 
 
+# ------------------------------------------------------------ the term bounds
+
+
+@st.composite
+def lattice_peaks(draw):
+    """(alpha, beta, r, where): Re alpha = -a and the peak p = Re beta/(2a)
+    of |e^{alpha x^2 + beta x}| placed against r + Z: between two of its
+    points, on one, left of r, or far right of r."""
+    a = draw(st.floats(min_value=0.05, max_value=50.0))
+    r = draw(frac_st)
+    where = draw(st.sampled_from(("between", "on", "left", "far")))
+    if where == "between":
+        k = draw(st.integers(0, 6)) + draw(st.floats(0.01, 0.99))
+    elif where == "on":
+        k = draw(st.integers(0, 6))
+    elif where == "left":
+        k = -draw(st.floats(0.01, 8.0))
+    else:
+        k = draw(st.sampled_from((1e3, 1e6, 1e8))) + draw(st.floats(0, 1))
+    alpha = mp.mpc(-a, draw(st.floats(-4, 4)))
+    beta = mp.mpc(2 * a * (float(r) + k), draw(st.floats(-4, 4)))
+    return alpha, beta, r, where
+
+
+def continuum_logs(a, b, rf):
+    """(log G, log Gamma) as the plan took them before it took them on the
+    lattice: the peak of |E_x| over all real x, and that over x >= r
+    relative to |E_0|."""
+    return b * b / (4 * a), a * max(0.0, b / (2 * a) - rf) ** 2
+
+
+@settings(max_examples=120)
+@example((mp.mpc(-40, 0), mp.mpc(0, 1), Fraction(-1, 2), "between"))
+@example((mp.mpc(-3 * math.pi * 1e6, 0), mp.mpc(math.pi * 1e6, 0),
+          Fraction(0), "between"))
+@given(lattice_peaks())
+def test_lattice_bounds_hold_on_every_summed_term(case):
+    # G bounds every |E_x| and Gamma every |E_x/E_0| over the summed x, up
+    # to the plan's rounding in doubles, a relative 2^-48 of its logs
+    # (b^2/(4a) rounds either way, as it did before the lattice), which the
+    # certificate's doubled parts cover; far out the sum is not run, and the
+    # points around the peak, where log|E_x| is largest, stand for the
+    # summed ones
+    alpha, beta, r, where = case
+    a, b, rf = -float(mp.re(alpha)), float(mp.re(beta)), float(r)
+    log_G = _lattice_log_peak(a, b, rf)
+    cont_G, cont_Gamma = continuum_logs(a, b, rf)
+    log_E0 = -a * rf * rf + b * rf
+    log_Gamma = log_G - log_E0 if b > 2 * a * rf else 0.0
+    slack = 2.0 ** -48 * (abs(log_G) + abs(log_E0))
+    assert log_G <= cont_G and log_Gamma <= cont_Gamma + slack
+    if where == "far":
+        k = math.floor(b / (2 * a) - rf)
+        ns = [0] + list(range(max(0, k - 3), k + 5))
+        if abs(b / (2 * a)) > 4.9e6:
+            assert log_G == cont_G  # the margin passes a delta^2
+    else:
+        _, cert = certified_gaussian_sum(alpha, beta, r, 1, (1,), 64)
+        ns = range(cert.nodes)
+    with mp.workprec(53 + 64):
+        def log_E(n):
+            x = fraction_mpf(n + r)
+            return mp.re(alpha) * x * x + mp.re(beta) * x
+
+        E0 = log_E(0)
+        for n in ns:
+            assert log_E(n) <= log_G + slack
+            assert log_E(n) - E0 <= log_Gamma + slack
+
+
+def parent_precisions(alpha, beta, r, poly, prec, N):
+    """(wp, fp) of the plan with N terms, G and Gamma taken over all real
+    x as before the lattice bounds."""
+    a, b, rf = -float(mp.re(alpha)), float(mp.re(beta)), float(r)
+    d = len(poly) - 1
+    abs_coeffs = [float(abs(c)) for c in poly]
+
+    def pbar(y):
+        return sum(c * y ** k for k, c in enumerate(abs_coeffs))
+
+    Y = max(abs(rf), abs(N - 1 + rf)) + 1
+    log_G, log_Gamma = continuum_logs(a, b, rf)
+    log2_K = (math.log2(2 * N * (d * (2 * abs(rf) + 4) + N * N + N + 1))
+              + (log_G + math.log(pbar(Y))) / math.log(2))
+    log_Rho = min(b - a * (2 * rf + 1), 2 * a)
+    log_E0 = -a * rf * rf + b * rf
+    e_P = (sum(k * c * Y ** (k - 1) for k, c in enumerate(abs_coeffs))
+           + math.sqrt(2) * sum(Y ** k * (1 + (k < d)) for k in range(d + 1)))
+    log_F = math.log(2 * N) + _log_sum([
+        0.5 * math.log(2), log_Gamma + math.log(e_P),
+        0.5 * math.log(2) + math.log(pbar(Y)) + log_Gamma + math.log(N)
+        + _log_sum([0.0, _log_sum([0.0, log_Rho]) + math.log(N / 6)])])
+    wp = prec + _GUARD_BITS + 1 + max(0, math.ceil(log2_K))
+    fp = prec + _GUARD_BITS + 2 + math.ceil(
+        (log_F + log_E0 - min(0.0, log_E0 + log_Gamma)) / math.log(2))
+    return wp, fp
+
+
+@settings(max_examples=80)
+@example(ab=(mp.mpf(-942.4777960769379), mp.mpf(-3.3929200658769765)),
+         r=Fraction(-1, 2), poly=(1,), prec=128)
+@example(ab=(mp.mpf(-3 * math.pi * 40), mp.mpf(math.pi * 40)), r=Fraction(0),
+         poly=(1,), prec=128)
+@given(exponents(), frac_st, polys(), st.sampled_from((53, 64, 128, 256)))
+def test_lattice_plan_against_the_continuum_plan(ab, r, poly, prec):
+    # wp, from the last precision the sum sets, never grows; fp, from its
+    # certificate, grows by at most 1 bit, and only where the largest
+    # summed term M = |E_0| Gamma falls below 1 while the peak over real x
+    # right of r is at least 1: fp then follows M, and F/Gamma counts each
+    # term's own floor in full.  The first example, the partial theta of
+    # `--prec 128 verify-modular --tau 0.01j` (M = e^{-234}), takes that bit
+    alpha, beta = ab
+    seen = []
+    workprec = mp.workprec
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(mp, "workprec",
+                            lambda n: seen.append(n) or workprec(n))
+        _, cert = certified_gaussian_sum(alpha, beta, r, 1, poly, prec)
+    wp, fp = parent_precisions(alpha, beta, r, poly, prec, cert.nodes)
+    a, b, rf = -float(mp.re(alpha)), float(mp.re(beta)), float(r)
+    small_M = b > 2 * a * rf and _lattice_log_peak(a, b, rf) < 0
+    assert seen[-1] <= wp and cert.prec <= fp + small_M
+
+
 # (alpha, beta, r, sign, poly) next to CASES for the interval oracle: one
-# half of theta at tau = 0.1 + i, z = 0.3 + 0.2i, and an H-shaped sum (ell = 4,
-# s = 3, tau = 0.1 + 0.5i) with a complex polynomial of degree 4
+# half of theta at tau = 0.1 + i, z = 0.3 + 0.2i, an H-shaped sum (ell = 4,
+# s = 3, tau = 0.1 + 0.5i) with a complex polynomial of degree 4, and two
+# sums whose plan the lattice bounds tighten: the r = 0 half of (q)_inf at
+# tau' = 40i (G = 1, not e^{40 pi/12}) and a half of theta at tau = 200i, z
+# = 60i (log G = 10 pi, not 18 pi)
 with mp.workprec(128 + _GUARD_BITS):
     _TAU, _Z = mp.mpc(0.1, 1), mp.mpc(0.3, 0.2)
     INTERVAL_CASES = CASES + [
@@ -430,6 +557,9 @@ with mp.workprec(128 + _GUARD_BITS):
         (4 * mp.pi * 1j * mp.mpc(0.1, 0.5), 0, Fraction(-1, 4), 1,
          (mp.mpc(0.3, -1.2), mp.mpc(-2, 0.5), mp.mpc(0.7, 0.1), 0,
           mp.mpc(0.05, -0.4))),
+        (-120 * mp.pi, 40 * mp.pi, Fraction(0), -1, (1,)),
+        (-200 * mp.pi, 2j * mp.pi * (mp.mpc(0, 60) + mp.mpf(1) / 2),
+         Fraction(1, 2), 1, (1,)),
     ]
 
 

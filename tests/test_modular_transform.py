@@ -90,6 +90,84 @@ def test_line_trapezoid_refuses_its_excluded_inputs(A, kappa):
         line_trapezoid(A, mp.mpc(0.3, 0), mp.mpc(0.5, 0.1), kappa, 64)
 
 
+def test_line_bound_covers_its_inputs_rounding():
+    # A, B, zeta and kappa taken as roundings, within the relative e = 2^(1
+    # - prec - 2 _GUARD_BITS) line_trapezoid assumes, of inputs moved by e
+    # in several directions: the integral of the moved inputs, at 100 more
+    # bits, lies within the bound.  At |value| = 4.4e15 the move alone is
+    # far past 2^-(prec + _GUARD_BITS), all that the bound held before it
+    # counted the inputs' drift
+    prec = 64
+    with mp.workprec(prec + 2 * _GUARD_BITS):
+        A, B, zeta, kappa = (mp.mpc(-1, 0.1), mp.mpc(12, 0.3),
+                             mp.mpf(0.3) * mp.expj(1), mp.mpf(6))
+        value, cert = line_trapezoid(A, B, zeta, kappa, prec)
+    e = mp.ldexp(1, 1 - prec - 2 * _GUARD_BITS)
+    moves = []
+    with mp.workprec(prec + 200):
+        for pa, pb, pz, pk in ((0, 0, 0, 0), (1, 1, 1, 1),
+                               (0.5, -0.5, 0.5, 1), (1 / 3, 1.2, -0.7, 0)):
+            fine, fine_cert = line_trapezoid(
+                A * (1 + e * mp.expjpi(pa)), B * (1 + e * mp.expjpi(pb)),
+                zeta * (1 + e * mp.expjpi(pz)),
+                kappa * (1 + e * mp.cospi(pk)), prec + 100)
+            assert abs(value - fine) <= cert.bound + fine_cert.bound
+            moves.append(abs(value - fine))
+    assert max(moves) > 1e6 * mp.ldexp(1, -(prec + _GUARD_BITS))
+
+
+class _Inputs(Exception):
+    """Carries the inputs a caller passed to line_trapezoid."""
+
+
+def _line_inputs(monkeypatch, call):
+    """The (A, B, zeta, kappa, prec) that call passes to line_trapezoid,
+    which is stopped there."""
+    def capture(*args):
+        raise _Inputs(args)
+
+    monkeypatch.setattr(modular_transform, "line_trapezoid", capture)
+    with pytest.raises(_Inputs) as caught:
+        call()
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("gamma,z,tau", [
+    (S_MATRIX, "0.12+0.18j", "1j"),
+    (S_MATRIX, "3+0.5j", "0.3+0.01j"),
+    # c tau + d = 0.002i: its terms cancel by a factor of 1,500
+    (SL2Matrix(1, 1, 2, 3), "0.1+0.2j", "-1.5+0.001j"),
+])
+def test_callers_form_line_inputs_within_its_precondition(monkeypatch, gamma,
+                                                          z, tau):
+    # each of A, B, zeta and kappa within the relative 2^(1 - prec - 2
+    # _GUARD_BITS) of its exact value, taken at 200 more bits
+    prec = 96
+    z, tau = mp.mpc(complex(z)), mp.mpc(complex(tau))
+    params = PartialThetaParams(Fraction(3, 2), 1, Fraction(3, 2))
+    j, ell, s = 1, 3, 1
+    got = [_line_inputs(monkeypatch, lambda: mordell_integral(
+        params, z, tau, j, gamma, prec))]
+    if gamma == S_MATRIX:
+        got.append(_line_inputs(monkeypatch, lambda: verify_S_transform(
+            ell, s, z, tau, prec)))
+    with mp.workprec(prec + 200):
+        cM = mp.mpf(gamma.c) * fraction_mpf(params.M)
+        rj = fraction_mpf(params.r - 2 * params.M * j)
+        want = [(mp.pi * 1j * (gamma.c * tau + gamma.d) / 2,
+                 -mp.pi * 1j / mp.sqrt(cM) * rj, mp.expjpi(8 * z * cM),
+                 4 * mp.pi * mp.sqrt(cM))]
+        sl = mp.sqrt(ell)
+        want.append((mp.pi * 1j * tau,
+                     2j * mp.pi / sl * (s + ell) + 1j * mp.pi * sl,
+                     (-1) ** ell * mp.expjpi(-2 * ell * z), 2 * mp.pi * sl))
+        for inputs, exact in zip(got, want):
+            assert inputs[4] == prec
+            for x, y in zip(inputs[:4], exact):
+                assert abs(x - y) <= mp.ldexp(abs(y),
+                                              1 - prec - 2 * _GUARD_BITS)
+
+
 def line_tail(A, B, zeta, h, X):
     """The tangent-line bound of the Gaussian tail line_trapezoid drops past
     X, or inf where the tangent does not fall."""
